@@ -39,6 +39,7 @@ from .bfs import (
     BallIndex,
     GeodesicSet,
     TranslationHarvest,
+    WalkKernel,
     ball,
     coordination_sequence,
     geodesics,

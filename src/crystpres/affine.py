@@ -31,6 +31,10 @@ class ClosureBoundExceeded(RuntimeError):
     """Finite closure did not terminate within the configured bound."""
 
 
+class NotUnimodular(ValueError):
+    """A linear part has no inverse over the integers."""
+
+
 class AffineIsometry:
     """An affine map x -> A x + t with integer A and rational t."""
 
@@ -103,7 +107,9 @@ def inverse(g):
     for row in inv_lin:
         if any(x.denominator != 1 for x in row):
             # inverse is still exact; keep integer storage by construction
-            raise ValueError("linear part is not invertible over the integers")
+            raise NotUnimodular(
+                f"linear part {g.linear} is not invertible over the integers"
+            )
     inv_lin = tuple(tuple(int(x) for x in row) for row in inv_lin)
     tr = tuple(-x for x in mat_vec(inv_lin, g.translation))
     return AffineIsometry(inv_lin, tr)
@@ -152,31 +158,18 @@ class TranslationLattice:
         """Index [other : self] when self is a finite-index sublattice."""
         if self.rank != other.rank:
             return None
-        det_ratio = Fraction(1)
         sub = [other.coordinates(row) for row in self.basis]
         if any(c is None for c in sub):
             return None
-        # determinant of the integer coordinate matrix
-        from .intmat import mat_inverse_frac  # local to avoid cycle noise
-
-        n = self.rank
-        m = [list(map(Fraction, row)) for row in sub]
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-            if piv is None:
-                return None
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for i in range(col + 1, n):
-                f = m[i][col] * inv
-                if f:
-                    m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-        det = abs(det) * det_ratio
-        return int(det) if det.denominator == 1 else None
+        # |det| of the square integer coordinate matrix: its HNF is
+        # triangular with positive pivots
+        h = hnf(sub)
+        if len(h) < self.rank:
+            return None
+        det = 1
+        for i, row in enumerate(h):
+            det *= row[i]
+        return det
 
 
 def hnf_lattice(vectors, dimension=None):
@@ -253,7 +246,7 @@ def _reduce_mod_lattice(vector, lattice):
             break
         unit = [Fraction(int(i == j)) for i in range(d)]
         trial = ext + [unit]
-        if _rank_frac(trial) == len(trial):
+        if len(hnf(scale_to_int(trial)[0])) == len(trial):
             ext = trial
             used.append(j)
     basis_mat = tuple(tuple(row) for row in ext)
@@ -270,24 +263,6 @@ def _reduce_mod_lattice(vector, lattice):
         for j in range(d):
             out[j] += c * b[j]
     return tuple(out)
-
-
-def _rank_frac(rows):
-    m = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if m[i][col]:
-                f = m[i][col] / p
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 def point_group_image(g, lattice):

@@ -6,11 +6,22 @@ to image(x) * g (letters act in reading order, see words.evaluate).
 Provides distance balls, coordination sequences, geodesic counting and
 the harvest of shortest translation words that feeds the presentation
 pipeline.
+
+Every walk runs on one exact integer encoding (WalkKernel).  With N the
+lcm of the translation denominators of the generators (and of any
+target or point the walk must recognise), every element of the
+generated group has its translation in (1/N)Z^d, so x -> A x + t is
+stored as the int tuple (id(A), N t_1, ..., N t_d), where id(A) indexes
+a per-walk table of interned integer linear parts.  Composition is a
+memoised product lookup plus small integer dot products: still exact
+and free of floating point, and elements are converted to and from
+AffineIsometry only at the API boundary.
 """
 
 from fractions import Fraction
 
-from .affine import AffineIsometry, TranslationLattice, hnf_lattice, inverse
+from .affine import AffineIsometry, hnf_lattice, inverse
+from .intmat import common_denominator, mat_mul_int
 from .words import free_reduce
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
@@ -26,30 +37,142 @@ class LatticeNotFound(RuntimeError):
     pass
 
 
-def _symmetrize(generators):
-    """Signed letters with their images; inverses share the base name.
+class WalkKernel:
+    """Integer-coded elements of the group generated by `isometries`.
 
-    `generators` is a list of (name, AffineIsometry).  Returns
-    (names, images) where images maps signed letter -> isometry.
+    Signed letter k (-k) stands for isometries[k-1] (its inverse).
+    `steps` lists (letter, move) in the walk order 1, -1, 2, -2, ...,
+    where move(g) is the code of image(letter) * g; `move` maps each
+    letter to its move.  Denominators of the vectors in `points` are
+    folded into the scale so those vectors encode exactly as well.
+    Raises affine.NotUnimodular when a generator has no integer inverse.
     """
-    names = []
-    images = {}
-    for k, (name, g) in enumerate(generators, start=1):
+
+    def __init__(self, isometries, points=()):
+        self.dimension = d = isometries[0].dimension
+        images = {}
+        for k, g in enumerate(isometries, start=1):
+            images[k], images[-k] = g, inverse(g)
+        self.scale = common_denominator(
+            [g.translation for g in images.values()] + list(points)
+        )
+        self._linears = []
+        self._ids = {}
+        self.identity = self.encode(AffineIsometry.identity(d))
+        self.steps = [(x, self._mover(self.encode(images[x]))) for x in images]
+        self.move = dict(self.steps)
+
+    def _intern(self, linear):
+        lid = self._ids.get(linear)
+        if lid is None:
+            lid = self._ids[linear] = len(self._linears)
+            self._linears.append(linear)
+        return lid
+
+    def _mover(self, code):
+        """The map g -> code * g on codes."""
+        lin = self._linears[code[0]]
+        linears, intern = self._linears, self._intern
+        products = {}  # linear id of g -> linear id of lin * g
+        # sparse rows indexed into the code (offset 1 skips the linear id)
+        rows = tuple(
+            (tuple((j + 1, c) for j, c in enumerate(row) if c), s)
+            for row, s in zip(lin, code[1:])
+        )
+
+        def move(g):
+            p = products.get(g[0])
+            if p is None:
+                p = products[g[0]] = intern(mat_mul_int(lin, linears[g[0]]))
+            return (p, *[sum([c * g[j] for j, c in terms]) + s
+                         for terms, s in rows])
+
+        return move
+
+    def encode(self, g):
+        t = [x * self.scale for x in g.translation]
+        if any(x.denominator != 1 for x in t):
+            raise ValueError("translation outside the kernel's scale")
+        return (self._intern(g.linear), *map(int, t))
+
+    def lookup(self, g):
+        """Code of g without interning, or None when g cannot be a
+        group element (unknown linear part or off-scale translation)."""
+        if g.dimension != self.dimension or g.linear not in self._ids:
+            return None
+        try:
+            return self.encode(g)
+        except ValueError:
+            return None
+
+    def linear(self, code):
+        return self._linears[code[0]]
+
+    def vector(self, code):
+        return tuple(Fraction(v, self.scale) for v in code[1:])
+
+    def decode(self, code):
+        return AffineIsometry(self.linear(code), self.vector(code))
+
+
+def _kernel(generators, points=()):
+    """Kernel of named generators: a list of (name, AffineIsometry)."""
+    for name, g in generators:
         if not isinstance(g, AffineIsometry):
             raise TypeError(f"generator {name!r} is not an affine isometry")
         if g.is_identity():
             raise ValueError(f"generator {name!r} is the identity")
-        names.append(name)
-        images[k] = g
-        images[-k] = inverse(g)
-    return names, images
+    return WalkKernel([g for _, g in generators], points)
+
+
+def _expand(steps, frontier, entries, r, max_elements, counts=None,
+            goal=None):
+    """Sphere r of a walk: the states first reached from sphere r - 1.
+
+    `entries` maps every state seen so far to (distance, last letter)
+    and grows in place.  Discovery order is frontier order, then letter
+    order.  `counts`, when given, accumulates the number of shortest
+    paths to each state.  The expansion stops right after `goal` is
+    discovered.
+    """
+    sphere = []
+    for g in frontier:
+        for x, move in steps:
+            h = move(g)
+            seen = entries.get(h)
+            if seen is not None:
+                if counts is not None and seen[0] == r:
+                    counts[h] += counts[g]
+                continue
+            if len(entries) >= max_elements:
+                raise BallBoundExceeded(
+                    f"ball exceeded {max_elements} elements at radius {r}"
+                )
+            entries[h] = (r, x)
+            sphere.append(h)
+            if counts is not None:
+                counts[h] = counts[g]
+            if h == goal:
+                return sphere
+    return sphere
+
+
+def _word(move, entries, h):
+    """The first-discovered shortest word reaching state h."""
+    letters = []
+    while True:
+        dist, x = entries[h]
+        if dist == 0:
+            return tuple(reversed(letters))
+        letters.append(x)
+        h = move[-x](h)
 
 
 class BallIndex:
     """All elements within a word-length radius of the identity.
 
-    entries: element -> (distance, letter) where letter is the signed
-    generator index appended last on a shortest word (0 for the
+    entries: element code -> (distance, letter) where letter is the
+    signed generator index appended last on a shortest word (0 for the
     identity).  Discovery order is deterministic: spheres in order,
     within a sphere the elements of the previous sphere in discovery
     order, letters in order 1, -1, 2, -2, ...
@@ -58,55 +181,27 @@ class BallIndex:
     def __init__(self, generators, radius, max_elements=DEFAULT_MAX_ELEMENTS):
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        names, images = _symmetrize(generators)
-        self.generator_names = names
-        self.images = images
+        self.kernel = kernel = _kernel(generators)
+        self.generator_names = [name for name, _ in generators]
         self.radius = radius
-        d = generators[0][1].dimension
-        ident = AffineIsometry.identity(d)
-        self.entries = {ident: (0, 0)}
-        self.spheres = [[ident]]
-        letters = []
-        for k in range(1, len(names) + 1):
-            letters.append(k)
-            letters.append(-k)
-        self._letters = letters
+        self.entries = {kernel.identity: (0, 0)}
+        sphere = [kernel.identity]
+        self.sphere_sizes = [1]
         for r in range(1, radius + 1):
-            sphere = []
-            for g in self.spheres[r - 1]:
-                for x in letters:
-                    h = images[x] * g
-                    if h in self.entries:
-                        continue
-                    if len(self.entries) >= max_elements:
-                        raise BallBoundExceeded(
-                            f"ball exceeded {max_elements} elements at radius {r}"
-                        )
-                    self.entries[h] = (r, x)
-                    sphere.append(h)
-            self.spheres.append(sphere)
-
-    @property
-    def sphere_sizes(self):
-        return [len(s) for s in self.spheres]
+            sphere = _expand(kernel.steps, sphere, self.entries, r,
+                             max_elements)
+            self.sphere_sizes.append(len(sphere))
 
     def distance(self, g):
-        entry = self.entries.get(g)
+        entry = self.entries.get(self.kernel.lookup(g))
         return None if entry is None else entry[0]
 
     def word_for(self, g):
         """A shortest word for g (first-discovered), or None."""
-        if g not in self.entries:
+        code = self.kernel.lookup(g)
+        if code not in self.entries:
             return None
-        letters = []
-        cur = g
-        while True:
-            dist, x = self.entries[cur]
-            if dist == 0:
-                break
-            letters.append(x)
-            cur = self.images[-x] * cur
-        return tuple(reversed(letters))
+        return _word(self.kernel.move, self.entries, code)
 
 
 def ball(generators, radius, max_elements=DEFAULT_MAX_ELEMENTS):
@@ -152,53 +247,24 @@ def shortest_translation_words(
     heuristic only; soundness of anything built on the harvest is
     checked downstream by coset enumeration.
     """
-    names, images = _symmetrize(generators)
-    d = generators[0][1].dimension
-    ident = AffineIsometry.identity(d)
-    ident_linear = ident.linear
-    entries = {ident: (0, 0)}
-    prev_sphere = [ident]
-    letters = []
-    for k in range(1, len(names) + 1):
-        letters.append(k)
-        letters.append(-k)
+    kernel = _kernel(generators)
+    d = kernel.dimension
+    ident_linear = kernel.identity[0]
+    entries = {kernel.identity: (0, 0)}
+    sphere = [kernel.identity]
 
-    harvested = {}  # vector -> word
-    order = []  # vectors in harvest order
+    # vector -> word in harvest order; distinct elements with the identity
+    # linear part are distinct translations, so each is new when found
+    harvested = {}
     current = None  # TranslationLattice spanned so far
     stable = 0
     radius_used = 0
 
-    def word_for(g):
-        out = []
-        cur = g
-        while True:
-            dist, x = entries[cur]
-            if dist == 0:
-                break
-            out.append(x)
-            cur = images[-x] * cur
-        return tuple(reversed(out))
-
     for r in range(1, radius_cap + 1):
-        sphere = []
-        for g in prev_sphere:
-            for x in letters:
-                h = images[x] * g
-                if h in entries:
-                    continue
-                if len(entries) >= max_elements:
-                    raise BallBoundExceeded(
-                        f"ball exceeded {max_elements} elements at radius {r}"
-                    )
-                entries[h] = (r, x)
-                sphere.append(h)
-                if h.linear == ident_linear:
-                    v = h.translation
-                    if v not in harvested:
-                        harvested[v] = word_for(h)
-                        order.append(v)
-        prev_sphere = sphere
+        sphere = _expand(kernel.steps, sphere, entries, r, max_elements)
+        for h in sphere:
+            if h[0] == ident_linear:
+                harvested[kernel.vector(h)] = _word(kernel.move, entries, h)
         radius_used = r
         if harvested:
             new = hnf_lattice(list(harvested), dimension=d)
@@ -218,7 +284,7 @@ def shortest_translation_words(
             f"no translation lattice of required rank within radius {radius_cap}"
         )
 
-    pairs = [(harvested[v], v) for v in order]
+    pairs = [(w, v) for v, w in harvested.items()]
     pairs.sort(key=lambda p: (len(p[0]), p[0]))
 
     # greedy shortest-first subset generating the whole lattice
@@ -256,65 +322,44 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000,
     Layered counting: the number of geodesics to h at distance r is the
     sum over predecessors g at distance r-1 with h = image(x) * g.
     """
-    names, images = _symmetrize(generators)
-    d = generators[0][1].dimension
-    ident = AffineIsometry.identity(d)
     if not isinstance(target, AffineIsometry):
         target = AffineIsometry.from_translation([Fraction(t) for t in target])
-    letters = []
-    for k in range(1, len(names) + 1):
-        letters.append(k)
-        letters.append(-k)
-    dist = {ident: 0}
-    count = {ident: 1}
-    prev_sphere = [ident]
-    if target == ident:
+    kernel = _kernel(generators, [target.translation])
+    goal = kernel.encode(target)
+    if goal == kernel.identity:
         return GeodesicSet(target, 0, 1, [()] if with_words else None)
+    dist = {kernel.identity: (0, 0)}
+    count = {kernel.identity: 1}
+    sphere = [kernel.identity]
     for r in range(1, cap + 1):
-        sphere = []
-        for g in prev_sphere:
-            for x in letters:
-                h = images[x] * g
-                if h in dist:
-                    if dist[h] == r:
-                        count[h] += count[g]
-                    continue
-                if len(dist) >= max_elements:
-                    raise BallBoundExceeded(
-                        f"ball exceeded {max_elements} elements at radius {r}"
-                    )
-                dist[h] = r
-                count[h] = count[g]
-                sphere.append(h)
-        if target in dist:
+        sphere = _expand(kernel.steps, sphere, dist, r, max_elements,
+                         counts=count)
+        if goal in dist:
             words = None
             if with_words:
-                words = _enumerate_geodesics(
-                    target, dist, images, letters, max_words
-                )
-            return GeodesicSet(target, r, count[target], words)
-        prev_sphere = sphere
+                words = _enumerate_geodesics(goal, dist, kernel, max_words)
+            return GeodesicSet(target, r, count[goal], words)
         if not sphere:
             break
     raise TargetUnreachable(f"target not reached within length cap {cap}")
 
 
-def _enumerate_geodesics(target, dist, images, letters, max_words):
+def _enumerate_geodesics(goal, dist, kernel, max_words):
     out = []
 
     def back(h, suffix):
         if len(out) >= max_words:
             return
-        r = dist[h]
+        r = dist[h][0]
         if r == 0:
             out.append(free_reduce(tuple(suffix)))
             return
-        for x in letters:
-            g = images[-x] * h
-            if dist.get(g) == r - 1:
+        for x, _ in kernel.steps:
+            g = kernel.move[-x](h)
+            if dist.get(g, (None,))[0] == r - 1:
                 back(g, [x] + suffix)
 
-    back(target, [])
+    back(goal, [])
     return out
 
 
@@ -351,38 +396,25 @@ def odd_cycle_girth(generators, marked_name, cap=DEFAULT_RADIUS_CAP,
 
     BFS on (element, parity of marked-letter count).
     """
-    names, images = _symmetrize(generators)
+    kernel = _kernel(generators)
     try:
-        marked = names.index(marked_name) + 1
+        marked = [name for name, _ in generators].index(marked_name) + 1
     except ValueError:
         raise ValueError(f"unknown generator {marked_name!r}") from None
-    d = generators[0][1].dimension
-    ident = AffineIsometry.identity(d)
-    letters = []
-    for k in range(1, len(names) + 1):
-        letters.append(k)
-        letters.append(-k)
-    start = (ident, 0)
-    goal = (ident, 1)
-    seen = {start}
-    prev_sphere = [start]
+
+    def parity_step(move, flip):
+        return lambda state: (move(state[0]), state[1] ^ flip)
+
+    steps = [(x, parity_step(move, int(abs(x) == marked)))
+             for x, move in kernel.steps]
+    start = (kernel.identity, 0)
+    goal = (kernel.identity, 1)
+    seen = {start: (0, 0)}
+    sphere = [start]
     for r in range(1, cap + 1):
-        sphere = []
-        for g, par in prev_sphere:
-            for x in letters:
-                h = images[x] * g
-                state = (h, par ^ (1 if abs(x) == marked else 0))
-                if state in seen:
-                    continue
-                if len(seen) >= max_elements:
-                    raise BallBoundExceeded(
-                        f"search exceeded {max_elements} states at radius {r}"
-                    )
-                seen.add(state)
-                if state == goal:
-                    return r
-                sphere.append(state)
-        prev_sphere = sphere
+        sphere = _expand(steps, sphere, seen, r, max_elements, goal=goal)
+        if goal in seen:
+            return r
         if not sphere:
             break
     return None

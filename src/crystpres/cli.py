@@ -7,8 +7,10 @@ short human-readable summary goes to stderr.  Reports echo all
 effective option values so runs are reproducible, and their bytes are
 stable for fixed inputs.
 
-Exit codes: 0 success, 2 input error, 3 inconclusive verification,
-4 verification failure or analysis error.
+Exit codes: 0 success, 2 input error (including generating sets that
+do not describe a crystallographic group: no full-rank lattice, an
+infinite point group, a non-unimodular linear part), 3 inconclusive
+verification, 4 verification failure or analysis error.
 """
 
 import argparse
@@ -16,13 +18,15 @@ import json
 import sys
 from fractions import Fraction
 
+from .affine import ClosureBoundExceeded, NotUnimodular
 from .bfs import (
     BallBoundExceeded,
+    LatticeNotFound,
     TargetUnreachable,
     coordination_sequence,
     geodesics,
 )
-from .cosets import DEFAULT_MAX_COSETS
+from .cosets import DEFAULT_MAX_COSETS, ModelNotClosed
 from .netgraph import (
     CATALOG_ENV,
     DEFAULT_RING_CAP,
@@ -414,7 +418,8 @@ def main(argv=None):
         parser.error("--threads must be >= 1")
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, LatticeNotFound, ClosureBoundExceeded, ModelNotClosed,
+            NotUnimodular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except VerificationFailure as exc:

@@ -12,10 +12,10 @@ from fractions import Fraction
 from itertools import product
 
 from .affine import AffineIsometry, hnf_lattice, point_group_image
+from .bfs import WalkKernel
 from .intmat import (
     frac_rows,
     identity_matrix,
-    left_kernel,
     mat_inverse_frac,
     mat_vec,
     smith_left_transform,
@@ -464,7 +464,6 @@ def quotient_by_sublattice(g, vectors):
     new_rank = rank - k
     if new_rank < 1:
         raise GraphError("quotient would not be periodic")
-    torsion = [d for d in diag if d != 1]
     torsion_dims = [d for d in diag]
 
     def transform(shift):
@@ -805,38 +804,43 @@ def regular_action_check(g, group_generators, base=0, radius=4,
                     )
 
     base_node = (base, (0,) * g.rank)
-    p0 = position(base_node)
     if word_cap is None:
         word_cap = 4 * radius + 8
-    gens = []
-    from .affine import inverse as affine_inverse
-    for h in group_generators:
-        gens.append(h)
-        gens.append(affine_inverse(h))
-    seen_elements = {AffineIsometry.identity(len(p0))}
-    frontier = list(seen_elements)
+    # the orbit walk runs on integer codes scaled by N (see bfs.WalkKernel),
+    # with N also clearing the denominators of every ball position
+    kernel = WalkKernel(list(group_generators), points=list(pos_of))
+    n = kernel.scale
+    at = {tuple(int(x * n) for x in p): node for p, node in pos_of.items()}
+    p0 = tuple(int(x * n) for x in position(base_node))
+    window = n * (radius + 2)
+    moved_p0 = {}  # linear id -> A (N p0)
+
+    def image(f):
+        lin_p0 = moved_p0.get(f[0])
+        if lin_p0 is None:
+            lin_p0 = moved_p0[f[0]] = mat_vec(kernel.linear(f), p0)
+        return tuple(a + b for a, b in zip(lin_p0, f[1:]))
+
+    seen_elements = {kernel.identity}
+    frontier = [kernel.identity]
     hits = {base_node: 1}
     for _ in range(word_cap):
         nxt = []
         for e in frontier:
-            for h in gens:
-                f = h * e
+            for _, move in kernel.steps:
+                f = move(e)
                 if f in seen_elements:
                     continue
                 seen_elements.add(f)
-                node = locate(f.apply(p0))
+                img = image(f)
+                node = at.get(img)
                 if node is not None:
                     hits[node] = hits.get(node, 0) + 1
                     nxt.append(f)
-                else:
+                elif any(abs(a - b) <= window for a, b in zip(img, p0)):
                     # keep exploring one step past the ball so orbits that
                     # re-enter are not lost
-                    img = f.apply(p0)
-                    near = any(
-                        abs(a - b) <= radius + 2 for a, b in zip(img, p0)
-                    )
-                    if near:
-                        nxt.append(f)
+                    nxt.append(f)
         if not nxt:
             break
         frontier = nxt

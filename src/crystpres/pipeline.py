@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .affine import (
     AffineIsometry,
-    TranslationLattice,
     finite_closure,
     inverse as affine_inverse,
     point_group_compose,

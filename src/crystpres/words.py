@@ -83,23 +83,6 @@ def evaluate(w, assignment):
     return result
 
 
-def evaluate_named(w, names, name_to_op):
-    """Evaluate a word whose indices refer to the `names` list."""
-    assignment = {}
-    for i, nm in enumerate(names, start=1):
-        if nm in name_to_op:
-            assignment[i] = name_to_op[nm]
-    missing = {abs(x) for x in w if abs(x) not in assignment}
-    if missing:
-        raise UnassignedSymbol(
-            f"unassigned generators: {[names[i - 1] for i in sorted(missing)]}"
-        )
-    if not w:
-        any_g = next(iter(name_to_op.values()))
-        return AffineIsometry.identity(any_g.dimension)
-    return evaluate(w, assignment)
-
-
 class Presentation:
     """Ordered generator names plus cyclically reduced relators.
 
@@ -180,7 +163,7 @@ def _find_cyclic_substring(r, s):
     return None
 
 
-def _rewrite_once(relators, budget_left):
+def _rewrite_once(relators):
     """Apply the first strictly shortening rewrite; None if none applies.
 
     Targets are scanned longest-first; sources shortest-first; splits of
@@ -263,7 +246,7 @@ def tietze_simplify(p, budget=10000, tags=None):
         if steps >= budget:
             exhausted = True
             break
-        hit = _rewrite_once([r for r, _ in pairs], budget - steps)
+        hit = _rewrite_once([r for r, _ in pairs])
         if hit is None:
             break
         ti, new_r = hit

@@ -190,3 +190,59 @@ def test_threads_echoed(capsys):
     )
     assert code == 0
     assert report["config"]["threads"] == 4
+
+
+def _document(tmp_path, *xyz):
+    names = "abc"
+    gens = ", ".join(
+        f'{{"name": "{names[i]}", "xyz": "{s}"}}' for i, s in enumerate(xyz)
+    )
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"dimension": 2, "generators": [{gens}]}}')
+    return str(path)
+
+
+def _input_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_finite_group_is_input_error(tmp_path, capsys):
+    # LatticeNotFound: the group has no translations at all
+    err = _input_error(capsys, ["present", "--input",
+                                _document(tmp_path, "-x, -y")])
+    assert "translation lattice" in err
+
+
+def test_infinite_point_group_is_input_error(tmp_path, capsys):
+    # ClosureBoundExceeded: the shear has infinite order
+    err = _input_error(capsys, ["present", "--input", _document(
+        tmp_path, "x+y, y", "1+x, y", "x, 1+y")])
+    assert "closure exceeded" in err
+
+
+def test_non_unimodular_is_input_error(tmp_path, capsys):
+    # NotUnimodular, raised while the walk kernel inverts the generators
+    err = _input_error(capsys, ["cseq", "--input",
+                                _document(tmp_path, "2x, y")])
+    assert "not invertible over the integers" in err
+    _input_error(capsys, ["present", "--input", _document(tmp_path, "2x, y")])
+
+
+def test_model_not_closed_is_input_error(capsys, monkeypatch):
+    # no corpus-style input is known to reach it; fake the pipeline failure
+    import crystpres.cli as cli
+    from crystpres.cosets import ModelNotClosed
+
+    def broken(*args, **kwargs):
+        raise ModelNotClosed("generators do not generate the model")
+
+    monkeypatch.setattr(cli, "present", broken)
+    err = _input_error(capsys, ["present", "--input",
+                                corpus_path("i42d.json")])
+    assert "do not generate the model" in err

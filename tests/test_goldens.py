@@ -1,0 +1,70 @@
+"""Byte-for-byte guards on discovery order.
+
+The goldens under tests/goldens/ were captured from the Fraction-valued
+breadth-first search that the integer walk kernel replaced.  Shortest
+words depend on the order in which a walk discovers elements (spheres
+in order, letters 1, -1, 2, -2, ...), so any change to that order
+shows up here as a byte difference.
+"""
+
+import json
+import os
+
+import pytest
+
+from crystpres.bfs import shortest_translation_words
+from crystpres.cli import main
+from crystpres.pipeline import ndia_generators
+
+from conftest import load_document
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+GOLDENS = os.path.join(ROOT, "tests", "goldens")
+
+CORPUS = sorted(
+    name for name in os.listdir(os.path.join(ROOT, "corpus"))
+    if name.endswith(".json")
+)
+CSEQ_DOCS = ["pnna_acd.json", "elv.json", "gis_i41a.json"]
+CSEQ_RADIUS = 8
+
+
+def harvest_words(generators):
+    """The full harvest as JSON-ready [word, [vector components]] pairs."""
+    h = shortest_translation_words(generators)
+    return [[list(w), [str(x) for x in v]] for w, v in h.words]
+
+
+def render_harvests():
+    out = {}
+    for name in CORPUS:
+        out[name] = harvest_words(load_document(name).generators)
+    for n in (2, 3, 4):
+        out[f"ndia_{n}"] = harvest_words(ndia_generators(n).generators)
+    return json.dumps(out, sort_keys=True) + "\n"
+
+
+def cseq_stdout(capsys, name):
+    """stdout of `cseq --input corpus/<name>` run from the repository root."""
+    code = main(["cseq", "--input", f"corpus/{name}",
+                 "--radius", str(CSEQ_RADIUS)])
+    assert code == 0
+    return capsys.readouterr().out
+
+
+def _golden(name):
+    with open(os.path.join(GOLDENS, name)) as fh:
+        return fh.read()
+
+
+def test_harvest_words_golden():
+    assert render_harvests() == _golden("harvest_words.json")
+
+
+@pytest.mark.parametrize("name", CSEQ_DOCS)
+def test_cseq_input_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    stem = name[:-len(".json")]
+    assert cseq_stdout(capsys, name) == _golden(
+        f"cseq_{stem}_r{CSEQ_RADIUS}.json"
+    )

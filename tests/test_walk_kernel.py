@@ -1,0 +1,263 @@
+"""The integer walk kernel against plain Fraction arithmetic.
+
+The oracles below walk the Cayley graph with AffineIsometry elements
+and affine.compose, the way the walks did before they moved onto
+integer codes.  Every walk in bfs must agree with them exactly,
+including which shortest words it finds and in what order.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crystpres.affine import AffineIsometry, compose, inverse
+from crystpres.bfs import (
+    BallBoundExceeded,
+    TargetUnreachable,
+    WalkKernel,
+    ball,
+    coordination_sequence,
+    geodesics,
+    odd_cycle_girth,
+)
+from crystpres.symop import parse_symop
+from crystpres.words import free_reduce
+
+
+def _letters(n):
+    return [x for k in range(1, n + 1) for x in (k, -k)]
+
+
+def _images(generators):
+    images = {}
+    for k, (_, g) in enumerate(generators, start=1):
+        images[k], images[-k] = g, inverse(g)
+    return images
+
+
+def oracle_ball(generators, radius):
+    """Sphere sizes and first-discovered (distance, letter) per element."""
+    images = _images(generators)
+    ident = AffineIsometry.identity(generators[0][1].dimension)
+    entries = {ident: (0, 0)}
+    sphere = [ident]
+    sizes = [1]
+    for r in range(1, radius + 1):
+        nxt = []
+        for g in sphere:
+            for x in _letters(len(generators)):
+                h = compose(images[x], g)
+                if h not in entries:
+                    entries[h] = (r, x)
+                    nxt.append(h)
+        sizes.append(len(nxt))
+        sphere = nxt
+    return sizes, entries
+
+
+def oracle_geodesics(generators, target, cap):
+    """(length, count, words in discovery order) or None if unreached."""
+    images = _images(generators)
+    letters = _letters(len(generators))
+    ident = AffineIsometry.identity(target.dimension)
+    dist, count, sphere = {ident: 0}, {ident: 1}, [ident]
+    r = 0
+    while target not in dist and sphere and r < cap:
+        r += 1
+        nxt = []
+        for g in sphere:
+            for x in letters:
+                h = compose(images[x], g)
+                if h not in dist:
+                    dist[h], count[h] = r, 0
+                    nxt.append(h)
+                if dist[h] == r:
+                    count[h] += count[g]
+        sphere = nxt
+    if target not in dist:
+        return None
+    words = []
+
+    def back(h, suffix):
+        if dist[h] == 0:
+            words.append(free_reduce(tuple(suffix)))
+            return
+        for x in letters:
+            g = compose(images[-x], h)
+            if dist.get(g) == dist[h] - 1:
+                back(g, [x] + suffix)
+
+    back(target, [])
+    return dist[target], count[target], words
+
+
+def oracle_girth(generators, marked, cap):
+    images = _images(generators)
+    ident = AffineIsometry.identity(generators[0][1].dimension)
+    seen = {(ident, 0)}
+    sphere = [(ident, 0)]
+    for r in range(1, cap + 1):
+        nxt = []
+        for g, par in sphere:
+            for x in _letters(len(generators)):
+                state = (compose(images[x], g), par ^ (abs(x) == marked))
+                if state == (ident, 1):
+                    return r
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
+        sphere = nxt
+    return None
+
+
+# -- strategies --------------------------------------------------------------
+
+
+@st.composite
+def unimodular(draw, d):
+    """A signed permutation matrix times a few elementary shears."""
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d))
+    m = [[signs[i] * (j == perm[i]) for j in range(d)] for i in range(d)]
+    if d > 1:
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.lists(st.integers(0, d - 1), min_size=2,
+                                 max_size=2, unique=True))
+            c = draw(st.sampled_from([1, -1]))
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+@st.composite
+def affine_maps(draw, d, finite=False):
+    """Maps with translations in (1/8)Z^d; `finite` keeps linear parts
+    signed permutations so balls grow polynomially."""
+    if finite:
+        perm = draw(st.permutations(range(d)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d,
+                              max_size=d))
+        lin = [[signs[i] * (j == perm[i]) for j in range(d)] for i in range(d)]
+    else:
+        lin = draw(unimodular(d))
+    t = draw(st.lists(st.integers(-16, 16), min_size=d, max_size=d))
+    return AffineIsometry(lin, [Fraction(x, 8) for x in t])
+
+
+@st.composite
+def generating_sets(draw, max_gens=3):
+    d = draw(st.integers(1, 3))
+    maps = draw(st.lists(affine_maps(d, finite=True), min_size=1,
+                         max_size=max_gens))
+    maps = [g for g in maps if not g.is_identity()]
+    if not maps:
+        maps = [AffineIsometry.from_translation([1] + [0] * (d - 1))]
+    return [("abc"[i], g) for i, g in enumerate(maps)]
+
+
+# -- kernel arithmetic ----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_affine_compose(data):
+    d = data.draw(st.integers(1, 3))
+    maps = data.draw(st.lists(affine_maps(d), min_size=1, max_size=3))
+    kernel = WalkKernel(maps)
+    for g in maps:
+        assert kernel.decode(kernel.encode(g)) == g
+    assert kernel.decode(kernel.identity) == AffineIsometry.identity(d)
+    word = data.draw(st.lists(
+        st.sampled_from(_letters(len(maps))), max_size=8))
+    code = kernel.identity
+    expect = AffineIsometry.identity(d)
+    for x in word:
+        code = kernel.move[x](code)
+        step = maps[x - 1] if x > 0 else inverse(maps[-x - 1])
+        expect = compose(step, expect)
+        assert kernel.decode(code) == expect
+        # a letter followed by its inverse is the identity move
+        assert kernel.move[-x](code) == kernel.encode(compose(
+            inverse(step), expect))
+    assert kernel.lookup(expect) == code
+
+
+def test_kernel_scale_covers_points():
+    g = AffineIsometry([[-1]], [Fraction(1, 2)])
+    kernel = WalkKernel([g], points=[(Fraction(1, 3),)])
+    assert kernel.scale == 6
+    assert kernel.encode(g) == (kernel.encode(g)[0], 3)
+    assert kernel.lookup(AffineIsometry([[1]], [Fraction(1, 5)])) is None
+    assert kernel.lookup(AffineIsometry([[2]], [0])) is None
+
+
+# -- walks against the Fraction oracle ------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=generating_sets())
+def test_ball_matches_oracle(gens):
+    radius = 4
+    sizes, entries = oracle_ball(gens, radius)
+    b = ball(gens, radius)
+    assert b.sphere_sizes == sizes
+    assert coordination_sequence(gens, radius) == sizes
+    images = _images(gens)
+    for g, (r, _) in list(entries.items())[:40]:
+        assert b.distance(g) == r
+        # the first-discovered word, read back through the oracle's entries
+        word, h = [], g
+        while entries[h][0]:
+            x = entries[h][1]
+            word.insert(0, x)
+            h = compose(images[-x], h)
+        assert b.word_for(g) == tuple(word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=generating_sets(), data=st.data())
+def test_geodesics_match_oracle(gens, data):
+    images = _images(gens)
+    word = data.draw(st.lists(st.sampled_from(_letters(len(gens))),
+                              max_size=5))
+    target = AffineIsometry.identity(gens[0][1].dimension)
+    for x in word:
+        target = compose(images[x], target)
+    length, count, words = oracle_geodesics(gens, target, len(word))
+    got = geodesics(gens, target, len(word) + 1, with_words=True)
+    assert (got.length, got.count) == (length, count)
+    assert got.words == words
+    assert geodesics(gens, target, len(word) + 1).count == count
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens=generating_sets(max_gens=2))
+def test_odd_cycle_girth_matches_oracle(gens):
+    for marked, (name, _) in enumerate(gens, start=1):
+        assert odd_cycle_girth(gens, name, cap=5) == oracle_girth(
+            gens, marked, 5)
+
+
+# -- edge cases -----------------------------------------------------------------
+
+
+def _square_lattice():
+    return [("a", parse_symop("1+x, y", 2)), ("b", parse_symop("x, 1+y", 2))]
+
+
+def test_ball_bound_fires_at_same_count():
+    gens = _square_lattice()
+    sizes, _ = oracle_ball(gens, 5)
+    n = sum(sizes)
+    assert ball(gens, 5, max_elements=n).sphere_sizes == sizes
+    with pytest.raises(BallBoundExceeded, match=f"{n - 1} elements at radius 5"):
+        ball(gens, 5, max_elements=n - 1)
+
+
+def test_geodesics_target_with_ungenerated_denominator():
+    gens = _square_lattice()
+    with pytest.raises(TargetUnreachable):
+        geodesics(gens, (Fraction(1, 2), 0), 6)
+    assert ball(gens, 3).distance(
+        AffineIsometry.from_translation([Fraction(1, 2), 0])) is None
