@@ -8,7 +8,6 @@ from .affine import (
     inverse,
     translation_of,
     hnf_lattice,
-    solve_in_lattice,
     point_group_image,
     finite_closure,
 )

@@ -5,6 +5,7 @@ translations are exact rationals.  Everything is immutable and hashable,
 so group elements deduplicate exactly in breadth-first searches.
 """
 
+import math
 from fractions import Fraction
 
 from .intmat import (
@@ -33,6 +34,28 @@ class ClosureBoundExceeded(RuntimeError):
 
 class NotUnimodular(ValueError):
     """A linear part has no inverse over the integers."""
+
+
+class InfiniteOrder(ValueError):
+    """A linear part has infinite order: no crystallographic group has it."""
+
+
+def check_finite_order(linear):
+    """Raise InfiniteOrder unless the integer matrix A has finite order.
+
+    Each finite order in GL(d, Z) is an lcm of orders k of roots of unity
+    of degree phi(k) <= d, and phi(k) >= sqrt(k / 2).  So A has finite
+    order iff A^N = I, N the lcm of all such k (12 for d = 2 or 3).
+    """
+    d = len(linear)
+    n = math.lcm(*[k for k in range(1, 2 * d * d + 3)
+                   if sum(math.gcd(j, k) == 1 for j in range(k)) <= d])
+    power = linear
+    for _ in range(n):  # a finite order divides n
+        if power == identity_matrix(d):
+            return
+        power = mat_mul_int(power, linear)
+    raise InfiniteOrder(f"linear part {linear} has infinite order")
 
 
 class AffineIsometry:
@@ -184,11 +207,6 @@ def hnf_lattice(vectors, dimension=None):
     h = hnf(int_rows)
     basis = tuple(tuple(Fraction(x, den) for x in row) for row in h)
     return TranslationLattice(d, basis)
-
-
-def solve_in_lattice(vector, lattice):
-    """Integer coefficients of `vector` in the lattice basis, or None."""
-    return lattice.coordinates(vector)
 
 
 class PointGroupElement:

@@ -16,11 +16,16 @@ a per-walk table of interned integer linear parts.  Composition is a
 memoised product lookup plus small integer dot products: still exact
 and free of floating point, and elements are converted to and from
 AffineIsometry only at the API boundary.
+
+Every walk, here, on the periodic covers of netgraph and over the
+finite Cayley graphs of cosets, grows its spheres with the one routine
+_expand, given a neighbours function.
 """
 
+import math
 from fractions import Fraction
 
-from .affine import AffineIsometry, hnf_lattice, inverse
+from .affine import AffineIsometry, check_finite_order, hnf_lattice, inverse
 from .intmat import common_denominator, mat_mul_int
 from .words import free_reduce
 
@@ -35,6 +40,10 @@ class BallBoundExceeded(RuntimeError):
 
 class LatticeNotFound(RuntimeError):
     pass
+
+
+class FiniteGroup(LatticeNotFound):
+    """The harvest saw the whole group: it is finite, with no translations."""
 
 
 class WalkKernel:
@@ -61,6 +70,10 @@ class WalkKernel:
         self.identity = self.encode(AffineIsometry.identity(d))
         self.steps = [(x, self._mover(self.encode(images[x]))) for x in images]
         self.move = dict(self.steps)
+
+    def neighbours(self, g):
+        """(letter, image(letter) * g) for every letter, in walk order."""
+        return [(x, move(g)) for x, move in self.steps]
 
     def _intern(self, linear):
         lid = self._ids.get(linear)
@@ -116,45 +129,57 @@ class WalkKernel:
 
 
 def _kernel(generators, points=()):
-    """Kernel of named generators: a list of (name, AffineIsometry)."""
+    """Kernel of named generators: a list of (name, AffineIsometry).
+
+    Rejects linear parts with no integer inverse (affine.NotUnimodular),
+    then those of infinite order (affine.InfiniteOrder): no
+    crystallographic group contains either.
+    """
     for name, g in generators:
         if not isinstance(g, AffineIsometry):
             raise TypeError(f"generator {name!r} is not an affine isometry")
         if g.is_identity():
             raise ValueError(f"generator {name!r} is the identity")
-    return WalkKernel([g for _, g in generators], points)
+    kernel = WalkKernel([g for _, g in generators], points)
+    for _, g in generators:
+        check_finite_order(g.linear)
+    return kernel
 
 
-def _expand(steps, frontier, entries, r, max_elements, counts=None,
-            goal=None):
-    """Sphere r of a walk: the states first reached from sphere r - 1.
+def _expand(neighbours, entries, radius, max_elements=math.inf,
+            counts=None, goal=None):
+    """The one sphere routine: yields spheres 1..radius of a walk.
 
-    `entries` maps every state seen so far to (distance, last letter)
-    and grows in place.  Discovery order is frontier order, then letter
-    order.  `counts`, when given, accumulates the number of shortest
-    paths to each state.  The expansion stops right after `goal` is
-    discovered.
+    `neighbours(g)` lists (letter, h) for the edges leaving state g.
+    `entries` starts as {start: (0, 0)}, maps every state seen so far to
+    (distance, last letter) and grows in place.  Discovery order is
+    frontier order, then the order of `neighbours`.  `counts`, when
+    given, starts as {start: 1} and accumulates the number of shortest
+    paths to each state.  The walk ends right after `goal` is
+    discovered, with its sphere cut short there.
     """
-    sphere = []
-    for g in frontier:
-        for x, move in steps:
-            h = move(g)
-            seen = entries.get(h)
-            if seen is not None:
-                if counts is not None and seen[0] == r:
-                    counts[h] += counts[g]
-                continue
-            if len(entries) >= max_elements:
-                raise BallBoundExceeded(
-                    f"ball exceeded {max_elements} elements at radius {r}"
-                )
-            entries[h] = (r, x)
-            sphere.append(h)
-            if counts is not None:
-                counts[h] = counts[g]
-            if h == goal:
-                return sphere
-    return sphere
+    sphere = list(entries)
+    for r in range(1, radius + 1):
+        frontier, sphere = sphere, []
+        for g in frontier:
+            for x, h in neighbours(g):
+                seen = entries.get(h)
+                if seen is not None:
+                    if counts is not None and seen[0] == r:
+                        counts[h] += counts[g]
+                    continue
+                if len(entries) >= max_elements:
+                    raise BallBoundExceeded(
+                        f"ball exceeded {max_elements} elements at radius {r}"
+                    )
+                entries[h] = (r, x)
+                sphere.append(h)
+                if counts is not None:
+                    counts[h] = counts[g]
+                if h == goal:
+                    yield sphere
+                    return
+        yield sphere
 
 
 def _word(move, entries, h):
@@ -185,12 +210,10 @@ class BallIndex:
         self.generator_names = [name for name, _ in generators]
         self.radius = radius
         self.entries = {kernel.identity: (0, 0)}
-        sphere = [kernel.identity]
-        self.sphere_sizes = [1]
-        for r in range(1, radius + 1):
-            sphere = _expand(kernel.steps, sphere, self.entries, r,
-                             max_elements)
-            self.sphere_sizes.append(len(sphere))
+        self.sphere_sizes = [1] + [
+            len(sphere) for sphere in
+            _expand(kernel.neighbours, self.entries, radius, max_elements)
+        ]
 
     def distance(self, g):
         entry = self.entries.get(self.kernel.lookup(g))
@@ -251,7 +274,6 @@ def shortest_translation_words(
     d = kernel.dimension
     ident_linear = kernel.identity[0]
     entries = {kernel.identity: (0, 0)}
-    sphere = [kernel.identity]
 
     # vector -> word in harvest order; distinct elements with the identity
     # linear part are distinct translations, so each is new when found
@@ -260,8 +282,8 @@ def shortest_translation_words(
     stable = 0
     radius_used = 0
 
-    for r in range(1, radius_cap + 1):
-        sphere = _expand(kernel.steps, sphere, entries, r, max_elements)
+    spheres = _expand(kernel.neighbours, entries, radius_cap, max_elements)
+    for r, sphere in enumerate(spheres, 1):
         for h in sphere:
             if h[0] == ident_linear:
                 harvested[kernel.vector(h)] = _word(kernel.move, entries, h)
@@ -276,8 +298,10 @@ def shortest_translation_words(
             target_rank = d if rank is None else rank
             if current.rank >= target_rank and stable >= stable_spheres:
                 break
-        if not sphere:
-            break  # finite group, everything seen
+        if not sphere:  # everything seen
+            raise FiniteGroup(
+                f"finite group of order {len(entries)}: no translation lattice"
+            )
 
     if current is None or (rank is not None and current.rank < rank):
         raise LatticeNotFound(
@@ -330,10 +354,8 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000,
         return GeodesicSet(target, 0, 1, [()] if with_words else None)
     dist = {kernel.identity: (0, 0)}
     count = {kernel.identity: 1}
-    sphere = [kernel.identity]
-    for r in range(1, cap + 1):
-        sphere = _expand(kernel.steps, sphere, dist, r, max_elements,
-                         counts=count)
+    spheres = _expand(kernel.neighbours, dist, cap, max_elements, counts=count)
+    for r, sphere in enumerate(spheres, 1):
         if goal in dist:
             words = None
             if with_words:
@@ -402,17 +424,17 @@ def odd_cycle_girth(generators, marked_name, cap=DEFAULT_RADIUS_CAP,
     except ValueError:
         raise ValueError(f"unknown generator {marked_name!r}") from None
 
-    def parity_step(move, flip):
-        return lambda state: (move(state[0]), state[1] ^ flip)
+    steps = [(x, move, int(abs(x) == marked)) for x, move in kernel.steps]
 
-    steps = [(x, parity_step(move, int(abs(x) == marked)))
-             for x, move in kernel.steps]
+    def neighbours(state):
+        g, parity = state
+        return [(x, (move(g), parity ^ flip)) for x, move, flip in steps]
+
     start = (kernel.identity, 0)
     goal = (kernel.identity, 1)
     seen = {start: (0, 0)}
-    sphere = [start]
-    for r in range(1, cap + 1):
-        sphere = _expand(steps, sphere, seen, r, max_elements, goal=goal)
+    spheres = _expand(neighbours, seen, cap, max_elements, goal=goal)
+    for r, sphere in enumerate(spheres, 1):
         if goal in seen:
             return r
         if not sphere:

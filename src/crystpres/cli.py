@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .affine import ClosureBoundExceeded, NotUnimodular
+from .affine import ClosureBoundExceeded, InfiniteOrder, NotUnimodular
 from .bfs import (
     BallBoundExceeded,
     LatticeNotFound,
@@ -113,12 +113,6 @@ def _summary(*lines):
         print(line, file=sys.stderr)
 
 
-def _common_config(args, **extra):
-    cfg = {"threads": args.threads}
-    cfg.update(extra)
-    return cfg
-
-
 def cmd_present(args):
     doc = _load_document(args.input)
     ms = _parse_m_list(args.m)
@@ -136,8 +130,8 @@ def cmd_present(args):
             best = (key, report)
     report = best[1]
     d = report.to_dict()
-    d["config"] = _common_config(
-        args, command="present", input=args.input, m=list(ms),
+    d["config"] = dict(
+        command="present", input=args.input, m=list(ms),
         max_cosets=max_cosets, permute=bool(args.permute),
     )
     _emit(d, args)
@@ -181,8 +175,8 @@ def cmd_verify(args):
     elif "inconclusive" in verdicts:
         exit_code = EXIT_INCONCLUSIVE
     out = {
-        "config": _common_config(
-            args, command="verify", input=args.input, m=list(ms),
+        "config": dict(
+            command="verify", input=args.input, m=list(ms),
             max_cosets=max_cosets, expect=args.expect,
         ),
         "verification": d["verification"],
@@ -208,8 +202,7 @@ def cmd_cseq(args):
         seq = coordination_sequence(doc.generators, radius)
         source = {"input": args.input}
     out = {
-        "config": _common_config(args, command="cseq", radius=radius,
-                                 **source),
+        "config": dict(command="cseq", radius=radius, **source),
         "coordination_sequence": seq,
         "cumulative": sum(seq),
     }
@@ -229,8 +222,8 @@ def cmd_geodesics(args):
         gs = geodesics(doc.generators, target, cap)
         length, count = gs.length, gs.count
     out = {
-        "config": _common_config(
-            args, command="geodesics", net=args.net, input=args.input,
+        "config": dict(
+            command="geodesics", net=args.net, input=args.input,
             target=[str(x) for x in target], cap=cap, base=args.base,
         ),
         "length": length,
@@ -254,8 +247,8 @@ def cmd_rings(args):
             f"{s}^{c}" if c > 1 else str(s) for s, c in sorted(counts.items())
         )
     out = {
-        "config": _common_config(
-            args, command="rings", net=args.net, input=args.input,
+        "config": dict(
+            command="rings", net=args.net, input=args.input,
             max_size=max_size, widen=bool(args.widen), base=args.base,
             all_vertices=bool(args.all_vertices),
         ),
@@ -273,8 +266,8 @@ def cmd_quotient(args):
     q = quotient_by_sublattice(g, vectors)
     seq = net_coordination_sequence(q, args.base, args.radius)
     out = {
-        "config": _common_config(
-            args, command="quotient", net=args.net, input=args.input,
+        "config": dict(
+            command="quotient", net=args.net, input=args.input,
             target=[[str(x) for x in v] for v in vectors],
             radius=args.radius, base=args.base, max_size=args.max,
         ),
@@ -301,7 +294,7 @@ def cmd_catalog(args):
     if args.net:
         g = catalog_load(args.net)
         out = {
-            "config": _common_config(args, command="catalog", net=args.net),
+            "config": dict(command="catalog", net=args.net),
             "name": args.net,
             "rank": g.rank,
             "vertices": g.n,
@@ -322,7 +315,7 @@ def cmd_catalog(args):
                 "degrees": sorted(set(g.degree(v) for v in range(g.n))),
             })
         out = {
-            "config": _common_config(args, command="catalog", net=None),
+            "config": dict(command="catalog", net=None),
             "nets": entries,
         }
         _emit(out, args)
@@ -344,9 +337,6 @@ def build_parser():
         p = sub.add_parser(name, **kw)
         p.set_defaults(func=func)
         p.add_argument("--report", help="write the JSON report to this path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker bound for parallel stages (output is "
-                            "deterministic regardless)")
         return p
 
     p = add("present", cmd_present,
@@ -414,12 +404,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except (InputError, LatticeNotFound, ClosureBoundExceeded, ModelNotClosed,
-            NotUnimodular) as exc:
+            NotUnimodular, InfiniteOrder) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except VerificationFailure as exc:

@@ -5,6 +5,7 @@ the exact index of a finitely generated subgroup, an overflow means
 "inconclusive", never "wrong".
 """
 
+from .bfs import _expand, _word
 from .words import (
     Presentation,
     cyclic_reduce,
@@ -157,7 +158,7 @@ class CosetTable:
             c = self._find(nxt)
         return c
 
-    # -- strategies ----------------------------------------------------------
+    # -- HLT enumeration -----------------------------------------------------
 
     def run_hlt(self):
         try:
@@ -185,70 +186,6 @@ class CosetTable:
             self.status = "overflow"
         return self
 
-    def run_felsch(self):
-        """Definition-driven strategy: define one entry, then close scans."""
-        try:
-            for w in self.subgroup_words:
-                self._scan_and_fill(self._find(0), w)
-            while True:
-                self._close_deductions()
-                hole = None
-                for c in range(len(self.table)):
-                    if self._find(c) != c:
-                        continue
-                    for col in range(2 * self.ngens):
-                        if self.table[c][col] is None:
-                            hole = (c, col)
-                            break
-                    if hole:
-                        break
-                if hole is None:
-                    break
-                c, col = hole
-                d = self._new_coset()
-                self._set_edge(c, col, d)
-            self.status = "complete"
-        except _Overflow:
-            self.status = "overflow"
-        return self
-
-    def _close_deductions(self):
-        # rescan every relator at every live coset until stable; scans
-        # here only deduce (never define), so this terminates.
-        changed = True
-        while changed:
-            changed = False
-            snapshot = [row[:] for row in self.table]
-            for c in range(len(self.table)):
-                if self._find(c) != c:
-                    continue
-                for r in self.relators:
-                    self._scan_without_fill(c, r)
-            if snapshot != self.table or len(snapshot) != len(self.table):
-                changed = True
-
-    def _scan_without_fill(self, coset, word):
-        f = self._find(coset)
-        b = self._find(coset)
-        i, j = 0, len(word) - 1
-        while i <= j:
-            nxt = self.table[f][_col(word[i])]
-            if nxt is None:
-                break
-            f = self._find(nxt)
-            i += 1
-        while j >= i:
-            prv = self.table[b][_col(-word[j])]
-            if prv is None:
-                break
-            b = self._find(prv)
-            j -= 1
-        if i > j:
-            if f != b:
-                self._merge(f, b)
-        elif i == j:
-            self._set_edge(f, _col(word[i]), b)
-
     def index(self):
         if self.status != "complete":
             return None
@@ -259,18 +196,12 @@ class _Overflow(Exception):
     pass
 
 
-def coset_enumerate(p, subgroup=(), max_cosets=DEFAULT_MAX_COSETS, strategy="hlt"):
+def coset_enumerate(p, subgroup=(), max_cosets=DEFAULT_MAX_COSETS):
     """Index of <subgroup> in the presented group, or None on overflow."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     table = CosetTable(len(p.generator_names), p.relators, list(subgroup), max_cosets)
-    if strategy == "hlt":
-        table.run_hlt()
-    elif strategy == "felsch":
-        table.run_felsch()
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return table.index()
+    return table.run_hlt().index()
 
 
 def order_check(p, extra=(), expected=None, max_cosets=DEFAULT_MAX_COSETS):
@@ -381,31 +312,23 @@ def short_presentation_finite(model, names=None, max_cosets=None):
         max_cosets = max(4 * order, 16)
 
     # BFS over the Cayley graph; deterministic generator order a, a^-1, b, ...
-    ident = model.identity_index()
-    tree_word = {ident: ()}
-    frontier = [ident]
-    bfs_order = [ident]
-    letters = []
-    for i in range(1, k + 1):
-        letters.extend([i, -i])
-    while frontier:
-        new = []
-        for e in frontier:
-            for x in letters:
-                f = model.act(e, x)
-                if f not in tree_word:
-                    tree_word[f] = tree_word[e] + (x,)
-                    new.append(f)
-                    bfs_order.append(f)
-        frontier = new
-    if len(tree_word) != order:
+    move = {x: (lambda e, x=x: model.act(e, x))
+            for i in range(1, k + 1) for x in (i, -i)}
+    entries = {model.identity_index(): (0, 0)}
+    spheres = _expand(lambda e: [(x, m(e)) for x, m in move.items()],
+                      entries, order)
+    for sphere in spheres:
+        if not sphere:
+            break
+    if len(entries) != order:
         raise ModelNotClosed("generators do not generate the model")
+    tree_word = {e: _word(move, entries, e) for e in entries}
 
     seen = set()
     candidates = []
-    for e in bfs_order:
-        for x in letters:
-            f = model.act(e, x)
+    for e in entries:
+        for x, m in move.items():
+            f = m(e)
             w = cyclic_reduce(tree_word[e] + (x,) + invert_word(tree_word[f]))
             if not w:
                 continue

@@ -10,9 +10,23 @@ the finite description.
 import os
 from fractions import Fraction
 from itertools import product
+from math import prod
 
-from .affine import AffineIsometry, hnf_lattice, point_group_image
-from .bfs import WalkKernel
+from .affine import (
+    AffineIsometry,
+    ClosureBoundExceeded,
+    NotLatticeInvariant,
+    _reduce_mod_lattice,
+    finite_closure,
+    hnf_lattice,
+    point_group_image,
+)
+from .bfs import (
+    FiniteGroup,
+    LatticeNotFound,
+    _expand,
+    shortest_translation_words,
+)
 from .intmat import (
     frac_rows,
     identity_matrix,
@@ -137,6 +151,10 @@ class LabeledQuotientGraph:
             for w, s in self.adj[v]
         ]
 
+    def cover_steps(self, node):
+        """Cover neighbours labelled by adjacency index, for bfs._expand."""
+        return enumerate(self.cover_neighbors(node))
+
     def to_text(self):
         lines = []
         if self.name:
@@ -242,21 +260,20 @@ def catalog_load(name):
         return parse_catalog_text(fh.read(), name=name)
 
 
+def _start(g, base):
+    return (base, (0,) * g.rank)
+
+
 def net_coordination_sequence(g, base, radius):
     """Sphere sizes around a base vertex in the periodic cover."""
-    start = (base, (0,) * g.rank)
-    seen = {start}
-    sphere = [start]
-    sizes = [1]
-    for _ in range(radius):
-        nxt = []
-        for node in sphere:
-            for nb in g.cover_neighbors(node):
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        sizes.append(len(nxt))
-        sphere = nxt
+    start = _start(g, base)
+    entries, sizes, spheres = {start: (0, 0)}, [1], [[start]]
+    for sphere in _expand(g.cover_steps, entries, radius):
+        sizes.append(len(sphere))
+        spheres.append(sphere)
+        if len(spheres) > 2:  # undirected: sphere r - 2 is never met again
+            for node in spheres.pop(0):
+                del entries[node]
     return sizes
 
 
@@ -268,28 +285,16 @@ def net_geodesics(g, vector, base=0, cap=200):
     """(length, count) of shortest cover paths from a vertex to its
     translate by a lattice vector (conventional coordinates when the
     graph has a cell matrix)."""
-    prim = g.conventional_to_primitive(vector)
-    start = (base, (0,) * g.rank)
-    target = (base, prim)
+    start = _start(g, base)
+    target = (base, g.conventional_to_primitive(vector))
     if target == start:
         return 0, 1
+    dist = {start: (0, 0)}
     counts = {start: 1}
-    dist = {start: 0}
-    sphere = [start]
-    for r in range(1, cap + 1):
-        nxt = []
-        for node in sphere:
-            for nb in g.cover_neighbors(node):
-                if nb in dist:
-                    if dist[nb] == r:
-                        counts[nb] += counts[node]
-                    continue
-                dist[nb] = r
-                counts[nb] = counts[node]
-                nxt.append(nb)
+    spheres = _expand(g.cover_steps, dist, cap, counts=counts)
+    for r, _ in enumerate(spheres, 1):
         if target in dist:
             return r, counts[target]
-        sphere = nxt
     raise GraphError(f"target {vector} not reached within {cap} spheres")
 
 
@@ -545,33 +550,23 @@ class RingSymbol:
 
 
 def _cover_ball(g, base, radius):
-    start = (base, (0,) * g.rank)
-    dist = {start: 0}
-    sphere = [start]
-    order = [start]
-    for r in range(1, radius + 1):
-        nxt = []
-        for node in sphere:
-            for nb in g.cover_neighbors(node):
-                if nb not in dist:
-                    dist[nb] = r
-                    nxt.append(nb)
-                    order.append(nb)
-        sphere = nxt
-    return dist, order
+    """Distance from the base vertex of each cover node within radius,
+    in discovery order."""
+    entries = {_start(g, base): (0, 0)}
+    for _ in _expand(g.cover_steps, entries, radius):
+        pass
+    return {node: r for node, (r, _) in entries.items()}
 
 
 def _ball_edges(g, dist):
+    """Index of each cover edge inside the ball, in discovery order."""
     index = {}
-    edges = []
     for node in dist:
         for nb in g.cover_neighbors(node):
             if nb in dist:
-                key = (node, nb) if node <= nb else (nb, node)
-                if key not in index:
-                    index[key] = len(edges)
-                    edges.append(key)
-    return index, edges
+                index.setdefault((node, nb) if node <= nb else (nb, node),
+                                 len(index))
+    return index
 
 
 def _cycle_mask(nodes, edge_index):
@@ -584,7 +579,7 @@ def _cycle_mask(nodes, edge_index):
 
 def _base_cycles(g, base, max_size, dist, edge_index):
     """Simple cycles through the base cover vertex, deduplicated by edge set."""
-    start = (base, (0,) * g.rank)
+    start = _start(g, base)
     out = {}
 
     def dfs(path, on_path):
@@ -664,16 +659,17 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP, widen=False):
     A cycle is strong when it is not a GF(2) sum of strictly smaller
     cycles.  The decomposition basis for a cycle of length c consists of
     rooted shortest-path cycles of length < c whose vertices lie within
-    distance c (c + 2 with `widen`) of the base; this locality bound is
-    a heuristic, so results should be checked for stability under
-    widening.
+    distance c (c + 2 with `widen`) of the base, in the cover ball that
+    bfs._expand grows.  This locality bound is a heuristic, the one
+    bound left in the net analyses that no exact test replaces, so
+    results should be checked for stability under widening.
     """
     if max_size < 3:
         raise GraphError("max_size must be >= 3")
     extra = 2 if widen else 0
     radius = max_size + extra
-    dist, _ = _cover_ball(g, base, radius)
-    edge_index, _ = _ball_edges(g, dist)
+    dist = _cover_ball(g, base, radius)
+    edge_index = _ball_edges(g, dist)
     candidates = _base_cycles(g, base, max_size, dist, edge_index)
     horton = _horton_cycles(g, dist, edge_index, max_size)
 
@@ -755,97 +751,72 @@ def schlafli_symbol(g, max_size=DEFAULT_RING_CAP, widen=False):
 # Regular action check
 
 
-def regular_action_check(g, group_generators, base=0, radius=4,
-                         word_cap=None):
-    """Bounded test that a group acts freely and transitively on the net.
+def regular_action_check(g, group_generators, base=0):
+    """Exact test that a group H acts freely and transitively on the net.
 
-    Needs vertex coordinates.  The generators act on primitive-basis
-    coordinates; each must map ball vertices to vertices and preserve
-    edges (error otherwise).  The verdict is "pass" when the orbit of
-    the base vertex covers the distance-`radius` ball exactly once,
-    "fail" when some vertex is hit twice (nontrivial stabilizer) or
-    provably missed.
+    Needs vertex coordinates; the generators act on conventional
+    coordinates.  Each generator must preserve the net's lattice T
+    ("inconclusive" otherwise: the quotient cannot certify it), map
+    every quotient vertex to a cover vertex ("fail" otherwise) and every
+    quotient edge to a cover edge (GraphError otherwise), which makes it
+    an automorphism of the whole cover.  With L the translation lattice
+    harvested by bfs.shortest_translation_words, the verdict is "pass"
+    iff |H/L| equals the number n covol(L) / covol(T) of L-orbits of
+    vertices and the base vertex has pairwise distinct images mod L
+    under H/L.  This holds for any full-rank H-invariant L inside H's
+    translations.  A finite H fails; a harvest that reaches its radius
+    cap (bfs.DEFAULT_RADIUS_CAP) below full rank, or an L that is not
+    H-invariant, is "inconclusive".
     """
     if g.coords is None:
         raise GraphError("regular action check needs vertex coordinates")
-    dist, order = _cover_ball(g, base, radius)
-    # group elements act on conventional coordinates; vertex coordinates
-    # live in the primitive basis, so conjugate through the cell matrix
     cell = g.cell if g.cell is not None else identity_matrix(g.rank)
+    lattice = hnf_lattice(cell)
+    to_prim = mat_inverse_frac(cell)
+    vertex_at = {tuple(x % 1 for x in c): v for v, c in enumerate(g.coords)}
 
     def position(node):
         v, s = node
-        return vec_mat(
-            tuple(a + b for a, b in zip(g.coords[v], s)), cell
-        )
-
-    pos_of = {position(node): node for node in dist}
+        return vec_mat(tuple(a + b for a, b in zip(g.coords[v], s)), cell)
 
     def locate(point):
-        point = tuple(Fraction(x) for x in point)
-        return pos_of.get(point)
+        # the cover node at a conventional-coordinate point, or None
+        q = vec_mat(point, to_prim)
+        v = vertex_at.get(tuple(x % 1 for x in q))
+        return None if v is None else (
+            v, tuple(int(a - b) for a, b in zip(q, g.coords[v])))
 
-    # generators must preserve vertices and edges on the ball
     for h in group_generators:
-        for node in order:
-            img = h.apply(position(node))
-            inside = locate(img)
-            if inside is None:
-                continue  # image outside the tested ball: unverifiable here
-            for nb in g.cover_neighbors(node):
-                if nb not in dist:
-                    continue
-                nb_img = locate(h.apply(position(nb)))
-                if nb_img is None:
-                    continue
-                if nb_img not in set(g.cover_neighbors(inside)):
-                    raise GraphError(
-                        "group generator does not preserve the edge set"
-                    )
+        if not all(lattice.contains(mat_vec(h.linear, row)) for row in cell):
+            return "inconclusive"
+        image = [locate(h.apply(position(_start(g, v)))) for v in range(g.n)]
+        if None in image:
+            return "fail"
+        for u, v, s in g.edges:
+            if (locate(h.apply(position((v, s))))
+                    not in g.cover_neighbors(image[u])):
+                raise GraphError(
+                    "group generator does not preserve the edge set"
+                )
 
-    base_node = (base, (0,) * g.rank)
-    if word_cap is None:
-        word_cap = 4 * radius + 8
-    # the orbit walk runs on integer codes scaled by N (see bfs.WalkKernel),
-    # with N also clearing the denominators of every ball position
-    kernel = WalkKernel(list(group_generators), points=list(pos_of))
-    n = kernel.scale
-    at = {tuple(int(x * n) for x in p): node for p, node in pos_of.items()}
-    p0 = tuple(int(x * n) for x in position(base_node))
-    window = n * (radius + 2)
-    moved_p0 = {}  # linear id -> A (N p0)
-
-    def image(f):
-        lin_p0 = moved_p0.get(f[0])
-        if lin_p0 is None:
-            lin_p0 = moved_p0[f[0]] = mat_vec(kernel.linear(f), p0)
-        return tuple(a + b for a, b in zip(lin_p0, f[1:]))
-
-    seen_elements = {kernel.identity}
-    frontier = [kernel.identity]
-    hits = {base_node: 1}
-    for _ in range(word_cap):
-        nxt = []
-        for e in frontier:
-            for _, move in kernel.steps:
-                f = move(e)
-                if f in seen_elements:
-                    continue
-                seen_elements.add(f)
-                img = image(f)
-                node = at.get(img)
-                if node is not None:
-                    hits[node] = hits.get(node, 0) + 1
-                    nxt.append(f)
-                elif any(abs(a - b) <= window for a, b in zip(img, p0)):
-                    # keep exploring one step past the ball so orbits that
-                    # re-enter are not lost
-                    nxt.append(f)
-        if not nxt:
-            break
-        frontier = nxt
-    if any(c > 1 for c in hits.values()):
+    named = [(f"h{k}", h) for k, h in enumerate(group_generators, 1)]
+    try:
+        sub = shortest_translation_words(named, rank=g.rank).lattice
+    except FiniteGroup:
         return "fail"
-    if len(hits) != len(dist):
+    except LatticeNotFound:
+        return "inconclusive"
+    # full-rank HNF bases are triangular
+    covolume = [prod(row[i] for i, row in enumerate(x.basis))
+                for x in (sub, lattice)]
+    orbits = g.n * covolume[0] / covolume[1]
+    try:
+        reps = finite_closure(list(group_generators), sub, bound=orbits)
+    except ClosureBoundExceeded:
         return "fail"
-    return "pass"
+    except NotLatticeInvariant:
+        return "inconclusive"
+    p0 = position(_start(g, base))
+    images = {_reduce_mod_lattice(AffineIsometry(e.linear, e.residual)
+                                  .apply(p0), sub) for e in reps}
+    return "pass" if len(reps) == orbits == len(images) else "fail"

@@ -118,9 +118,6 @@ class Presentation:
             and self.relators == other.relators
         )
 
-    def total_length(self):
-        return sum(len(r) for r in self.relators)
-
     def with_relators(self, relators):
         return Presentation(self.generator_names, relators)
 

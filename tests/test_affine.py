@@ -10,7 +10,9 @@ from crystpres.affine import (
     AffineIsometry,
     ClosureBoundExceeded,
     DimensionMismatch,
+    InfiniteOrder,
     TranslationLattice,
+    check_finite_order,
     compose,
     finite_closure,
     hnf_lattice,
@@ -144,3 +146,42 @@ def test_finite_closure_bound():
     g = parse_symop("x, 1+y", 2)
     with pytest.raises(ClosureBoundExceeded):
         finite_closure([g], lat, bound=50)
+
+
+def _companion(coefficients):
+    """Companion matrix of x^d + c_{d-1} x^{d-1} + ... + c_0."""
+    d = len(coefficients)
+    return tuple(
+        tuple(int(j == i - 1) for j in range(d - 1)) + (-coefficients[i],)
+        for i in range(d)
+    )
+
+
+@pytest.mark.parametrize("order,coefficients", [
+    (2, (1,)),              # x + 1
+    (3, (1, 1)),            # x^2 + x + 1
+    (4, (1, 0)),            # x^2 + 1
+    (6, (1, -1)),           # x^2 - x + 1
+    (5, (1, 1, 1, 1)),      # x^4 + x^3 + x^2 + x + 1
+    (8, (1, 0, 0, 0)),      # x^4 + 1
+    (12, (1, 0, -1, 0)),    # x^4 - x^2 + 1
+])
+def test_finite_order_linear_parts(order, coefficients):
+    a = _companion(coefficients)
+    check_finite_order(a)
+    power = a
+    for _ in range(order - 1):
+        power = compose(AffineIsometry(power, (0,) * len(a)),
+                        AffineIsometry(a, (0,) * len(a))).linear
+    assert power == AffineIsometry.identity(len(a)).linear
+
+
+@pytest.mark.parametrize("linear", [
+    ((1, 1), (0, 1)),                    # shear
+    ((2, 1), (1, 1)),                    # hyperbolic
+    ((0, 0, 1), (1, 0, 1), (0, 1, 0)),   # x^3 - x - 1, no root of unity
+    ((-1, -1), (0, -1)),                 # -shear: order-2 parts multiplied
+])
+def test_infinite_order_linear_parts(linear):
+    with pytest.raises(InfiniteOrder):
+        check_finite_order(linear)

@@ -184,16 +184,8 @@ def test_catalog_env_override(tmp_path, capsys, monkeypatch):
     assert report["coordination_sequence"] == [1, 2, 2, 2]
 
 
-def test_threads_echoed(capsys):
-    code, report, _ = run(
-        capsys, "cseq", "--net", "pcu", "--radius", "2", "--threads", "4"
-    )
-    assert code == 0
-    assert report["config"]["threads"] == 4
-
-
 def _document(tmp_path, *xyz):
-    names = "abc"
+    names = "abcd"
     gens = ", ".join(
         f'{{"name": "{names[i]}", "xyz": "{s}"}}' for i, s in enumerate(xyz)
     )
@@ -220,9 +212,17 @@ def test_finite_group_is_input_error(tmp_path, capsys):
 
 
 def test_infinite_point_group_is_input_error(tmp_path, capsys):
-    # ClosureBoundExceeded: the shear has infinite order
+    # InfiniteOrder: the shear is rejected when the walk kernel is built
     err = _input_error(capsys, ["present", "--input", _document(
         tmp_path, "x+y, y", "1+x, y", "x, 1+y")])
+    assert "infinite order" in err
+
+
+def test_point_group_closure_bound_is_input_error(tmp_path, capsys):
+    # ClosureBoundExceeded: each linear part has order 2, but their
+    # product -x-y, -y has infinite order
+    err = _input_error(capsys, ["present", "--input", _document(
+        tmp_path, "-x, y", "x+y, -y", "1+x, y", "x, 1+y")])
     assert "closure exceeded" in err
 
 

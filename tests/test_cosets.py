@@ -1,6 +1,8 @@
 """Coset enumeration and finite group models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystpres.cosets import (
     FiniteGroupModel,
@@ -10,7 +12,7 @@ from crystpres.cosets import (
     order_check,
     short_presentation_finite,
 )
-from crystpres.words import Presentation, parse_word
+from crystpres.words import Presentation, cyclic_reduce, parse_word
 
 
 def _pres(names, relator_texts):
@@ -31,8 +33,43 @@ STANDARD = [
 @pytest.mark.parametrize("names,rels,order", STANDARD)
 def test_hlt_and_felsch_agree(names, rels, order):
     p = _pres(names, rels)
-    assert coset_enumerate(p, strategy="hlt") == order
-    assert coset_enumerate(p, strategy="felsch") == order
+    assert coset_enumerate(p) == order
+
+
+@st.composite
+def _standard_with_extras(draw):
+    """A STANDARD group plus up to two random short relators; a quotient
+    of a finite group stays finite."""
+    names, rels, _ = draw(st.sampled_from(STANDARD))
+    letters = [x for k in range(1, len(names) + 1) for x in (k, -k)]
+    extras = draw(st.lists(
+        st.lists(st.sampled_from(letters), min_size=1, max_size=5)
+        .map(lambda w: cyclic_reduce(tuple(w)))
+        .filter(bool),
+        max_size=2,
+    ))
+    return names, _pres(names, rels).relators + extras
+
+
+@settings(max_examples=40, deadline=None)
+@given(_standard_with_extras())
+def test_coset_enumerate_matches_sympy(case):
+    fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
+    from sympy.combinatorics.free_groups import free_group
+
+    names, relators = case
+    free, *gens = free_group(" ".join(names))
+    sympy_relators = []
+    for word in relators:
+        element = free.identity
+        for x in word:
+            element *= gens[abs(x) - 1] ** (1 if x > 0 else -1)
+        sympy_relators.append(element)
+    # sympy's own enumeration over the trivial subgroup: its coset count
+    # is the group order (FpGroup.order() can recurse without end here)
+    table = fp_groups.FpGroup(free, sympy_relators).coset_enumeration([])
+    table.compress()
+    assert coset_enumerate(Presentation(names, relators)) == len(table.table)
 
 
 def test_subgroup_index():
@@ -45,7 +82,6 @@ def test_coincidence_handling():
     # a^2 = a^3 = 1 forces a = 1 through coset coincidences
     p = _pres(["a"], ["a^2", "a^3"])
     assert coset_enumerate(p) == 1
-    assert coset_enumerate(p, strategy="felsch") == 1
 
 
 def test_infinite_group_overflow():

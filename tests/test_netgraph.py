@@ -1,9 +1,13 @@
 """Periodic nets: catalog, coordination, rings, quotients."""
 
+import os
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crystpres.netgraph import (
     GraphError,
@@ -26,9 +30,11 @@ from crystpres.netgraph import (
     topological_density,
 )
 from crystpres.netgraph import _ball_edges, _cover_ball, _cycle_mask, _horton_cycles
+from crystpres.affine import AffineIsometry
+from crystpres.pipeline import build_extension_data
 from crystpres.symop import parse_symop
 
-from conftest import load_document
+from conftest import CORPUS, load_document
 
 BUNDLED = ["dia", "gis", "hcb", "nbo", "pcu", "qtz", "sql", "srs", "ths"]
 
@@ -86,6 +92,70 @@ def test_coordination_sequences():
     assert net_coordination_sequence(dia, 0, 4) == [1, 4, 12, 24, 42]
     gis = catalog_load("gis")
     assert net_coordination_sequence(gis, 0, 5) == [1, 4, 9, 18, 32, 48]
+
+
+def _cover_bfs(g, base, radius):
+    """Distance and shortest-path count of every cover node within
+    radius, by a plain queue BFS over (vertex, shift) tuples."""
+    start = (base, (0,) * g.rank)
+    dist, count = {start: 0}, {start: 1}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if dist[node] == radius:
+            continue
+        v, shift = node
+        for w, s in g.adj[v]:
+            nb = (w, tuple(a + b for a, b in zip(shift, s)))
+            if nb not in dist:
+                dist[nb], count[nb] = dist[node] + 1, 0
+                queue.append(nb)
+            if dist[nb] == dist[node] + 1:
+                count[nb] += count[node]
+    return dist, count
+
+
+@st.composite
+def _small_quotient_graphs(draw):
+    """Connected labelled quotient graphs of rank 1-3 with shifts in
+    [-2, 2], a base vertex and a lattice vector."""
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    shift = st.tuples(*[st.integers(-2, 2)] * rank)
+    # a spanning tree plus unit-shift edges at vertex 0 make the cover
+    # connected; the extra edges vary it
+    edges = [(v, draw(st.integers(0, v - 1)), draw(shift))
+             for v in range(1, n)]
+    edges += [(0, 0, tuple(int(i == j) for j in range(rank)))
+              for i in range(rank)]
+    edges += draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), shift),
+        max_size=4,
+    ))
+    try:
+        g = LabeledQuotientGraph(rank, n, edges)
+    except GraphError:  # a loop or a duplicate edge
+        assume(False)
+    base = draw(st.integers(0, n - 1))
+    vector = draw(st.tuples(*[st.integers(-3, 3)] * rank))
+    return g, base, vector
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_quotient_graphs())
+def test_cover_walks_match_tuple_bfs(case):
+    g, base, vector = case
+    radius = 6
+    dist, _ = _cover_bfs(g, base, radius)
+    expected = [0] * (radius + 1)
+    for r in dist.values():
+        expected[r] += 1
+    assert net_coordination_sequence(g, base, radius) == expected
+    length, count = net_geodesics(g, vector, base=base)
+    dist, paths = _cover_bfs(g, base, length)
+    target = (base, vector)
+    assert dist.get(target) == length
+    assert paths[target] == count
 
 
 def test_topological_density():
@@ -163,8 +233,8 @@ def test_rejected_cycles_have_decomposition_witness():
     independently and check span membership for every rejected cycle."""
     g = catalog_load("gis")
     cap = 8
-    dist, _ = _cover_ball(g, 0, cap + 2)
-    edge_index, _ = _ball_edges(g, dist)
+    dist = _cover_ball(g, 0, cap + 2)
+    edge_index = _ball_edges(g, dist)
     strong_masks = {
         _cycle_mask(r.nodes, edge_index) for r in strong_rings(g, max_size=cap)
     }
@@ -300,6 +370,57 @@ def test_regular_action_check():
     assert regular_action_check(pcu, shifts) == "pass"
     # the inversion alone preserves edges but fixes the base vertex
     assert regular_action_check(pcu, [parse_symop("-x, -y, -z", 3)]) == "fail"
-    # a quarter shift maps every vertex off the net, so its orbit never
-    # covers the ball
+    # a quarter shift maps every vertex off the net
     assert regular_action_check(pcu, [parse_symop("1/4+x, y, z", 3)]) == "fail"
+    # a doubled x shift acts freely but leaves two vertex orbits
+    doubled = [parse_symop("2+x, y, z", 3)] + shifts[1:]
+    assert regular_action_check(pcu, doubled) == "fail"
+    # adding the inversion gives as many cosets mod L as vertex orbits,
+    # but the inversion fixes the base vertex
+    inversion = parse_symop("-x, -y, -z", 3)
+    assert regular_action_check(pcu, [inversion] + doubled) == "fail"
+
+
+def test_regular_action_inconclusive():
+    # pcu on a cell doubled along x: a quarter turn about z moves that
+    # cell's lattice, so the quotient cannot certify it
+    pcu2 = LabeledQuotientGraph(
+        3, 2,
+        [(0, 1, (0, 0, 0)), (1, 0, (1, 0, 0)), (0, 0, (0, 1, 0)),
+         (0, 0, (0, 0, 1)), (1, 1, (0, 1, 0)), (1, 1, (0, 0, 1))],
+        cell=[[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+        coords=[[0, 0, 0], [Fraction(1, 2), 0, 0]],
+    )
+    turn = parse_symop("-y, x, z", 3)
+    assert regular_action_check(pcu2, [turn]) == "inconclusive"
+    # one translation never reaches a rank-3 lattice within the radius cap
+    pcu = catalog_load("pcu")
+    assert regular_action_check(pcu, [parse_symop("1+x, y, z", 3)]) == (
+        "inconclusive"
+    )
+
+
+CORPUS_DOCS = sorted(f for f in os.listdir(CORPUS) if f.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", CORPUS_DOCS)
+def test_regular_action_on_cayley_nets(name):
+    """A group acts regularly on its own Cayley net; its translation
+    subgroup does too exactly when the point group is trivial."""
+    doc = load_document(name)
+    g = from_cayley(doc.generators)
+    assert regular_action_check(g, [op for _, op in doc.generators]) == "pass"
+    E = build_extension_data(doc.generators)
+    translations = [AffineIsometry.from_translation(row)
+                    for row in E.lattice.basis]
+    expected = "pass" if E.model.order == 1 else "fail"
+    assert regular_action_check(g, translations) == expected
+
+
+def test_regular_action_of_a_smaller_generating_set():
+    # H = <a, b> is all of G because c = a^2 b^2; words for far
+    # translates such as 4c stray far from the base vertex
+    doc = load_document("z2_diagonal_2.json")
+    ops = dict(doc.generators)
+    g = from_cayley(doc.generators)
+    assert regular_action_check(g, [ops["a"], ops["b"]]) == "pass"
