@@ -31,6 +31,7 @@ from .netgraph import (
     CATALOG_ENV,
     DEFAULT_RING_CAP,
     GraphError,
+    RingSymbol,
     catalog_load,
     catalog_names,
     from_cayley,
@@ -81,6 +82,18 @@ def _load_graph(args):
         doc = _load_document(args.input)
         return from_cayley(doc)
     raise InputError("one of --net or --input is required")
+
+
+def _check_base(g, base):
+    if not 0 <= base < g.n:
+        raise InputError(
+            f"--base {base} out of range: vertices are 0..{g.n - 1}"
+        )
+
+
+def _check_radius(radius):
+    if radius < 0:
+        raise InputError(f"--radius must be >= 0, got {radius}")
 
 
 def _parse_vector(text):
@@ -193,8 +206,10 @@ def cmd_verify(args):
 
 def cmd_cseq(args):
     radius = args.radius
+    _check_radius(radius)
     if args.net:
         g = _load_graph(args)
+        _check_base(g, args.base)
         seq = net_coordination_sequence(g, args.base, radius)
         source = {"net": args.net, "base": args.base}
     else:
@@ -216,6 +231,7 @@ def cmd_geodesics(args):
     cap = args.max if args.max else 200
     if args.net:
         g = _load_graph(args)
+        _check_base(g, args.base)
         length, count = net_geodesics(g, target, base=args.base, cap=cap)
     else:
         doc = _load_document(args.input)
@@ -236,34 +252,33 @@ def cmd_geodesics(args):
 
 def cmd_rings(args):
     g = _load_graph(args)
+    _check_base(g, args.base)
     max_size = args.max if args.max else DEFAULT_RING_CAP
     if args.all_vertices:
         symbol = schlafli_symbol(g, max_size=max_size, widen=args.widen)
-        counts = dict(symbol.counts)
-        sym_text = str(symbol)
     else:
-        counts = ring_size_counts(g, args.base, max_size, widen=args.widen)
-        sym_text = ".".join(
-            f"{s}^{c}" if c > 1 else str(s) for s, c in sorted(counts.items())
-        )
+        symbol = RingSymbol(
+            ring_size_counts(g, args.base, max_size, widen=args.widen))
     out = {
         "config": dict(
             command="rings", net=args.net, input=args.input,
             max_size=max_size, widen=bool(args.widen), base=args.base,
             all_vertices=bool(args.all_vertices),
         ),
-        "ring_counts": {str(k): v for k, v in sorted(counts.items())},
-        "symbol": sym_text,
+        "ring_counts": {str(k): v for k, v in symbol.counts},
+        "symbol": str(symbol),
     }
     _emit(out, args)
-    _summary(f"strong rings up to size {max_size}: {sym_text}")
+    _summary(f"strong rings up to size {max_size}: {symbol}")
     return EXIT_OK
 
 
 def cmd_quotient(args):
+    _check_radius(args.radius)
     g = _load_graph(args)
     vectors = [_parse_vector(v) for v in args.target.split(";")]
     q = quotient_by_sublattice(g, vectors)
+    _check_base(q, args.base)
     seq = net_coordination_sequence(q, args.base, args.radius)
     out = {
         "config": dict(

@@ -261,6 +261,8 @@ def catalog_load(name):
 
 
 def _start(g, base):
+    if not 0 <= base < g.n:
+        raise GraphError(f"base vertex {base} out of range 0..{g.n - 1}")
     return (base, (0,) * g.rank)
 
 
@@ -549,178 +551,126 @@ class RingSymbol:
         return f"RingSymbol({self})"
 
 
-def _cover_ball(g, base, radius):
-    """Distance from the base vertex of each cover node within radius,
-    in discovery order."""
+def _ball(g, base, radius):
+    """The cover ball about the base vertex as a small integer graph:
+    (nodes, dist, adj) with the cover nodes in discovery order (the base
+    is node 0), their distances from the base, and per node its
+    neighbours in the ball as (node, edge) pairs in cover_neighbors
+    order.  Edges are numbered in order of first sight along that scan."""
     entries = {_start(g, base): (0, 0)}
     for _ in _expand(g.cover_steps, entries, radius):
         pass
-    return {node: r for node, (r, _) in entries.items()}
-
-
-def _ball_edges(g, dist):
-    """Index of each cover edge inside the ball, in discovery order."""
-    index = {}
-    for node in dist:
+    index = {node: i for i, node in enumerate(entries)}
+    adj = [[] for _ in index]
+    edges = {}
+    for node, i in index.items():
         for nb in g.cover_neighbors(node):
-            if nb in dist:
-                index.setdefault((node, nb) if node <= nb else (nb, node),
-                                 len(index))
-    return index
+            j = index.get(nb)
+            if j is not None:
+                key = (i, j) if i < j else (j, i)
+                adj[i].append((j, edges.setdefault(key, len(edges))))
+    return list(entries), [r for r, _ in entries.values()], adj
 
 
-def _cycle_mask(nodes, edge_index):
-    mask = 0
-    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-        key = (a, b) if a <= b else (b, a)
-        mask |= 1 << edge_index[key]
-    return mask
-
-
-def _base_cycles(g, base, max_size, dist, edge_index):
-    """Simple cycles through the base cover vertex, deduplicated by edge set."""
-    start = _start(g, base)
+def _base_cycles(adj, dist, max_size):
+    """Simple cycles through node 0 of length <= max_size, as
+    {edge mask: node path}, keeping the first path found per edge set."""
     out = {}
+    path = [0]
 
-    def dfs(path, on_path):
-        cur = path[-1]
-        for nb in g.cover_neighbors(cur):
-            if nb == start and len(path) >= 3:
-                mask = _cycle_mask(path, edge_index)
-                if mask not in out:
-                    out[mask] = list(path)
+    def dfs(cur, mask):
+        for nb, e in adj[cur]:
+            if nb == 0:
+                if len(path) >= 3 and mask | (1 << e) not in out:
+                    out[mask | (1 << e)] = list(path)
                 continue
-            if nb in on_path or nb not in dist:
+            # path has len(path) - 1 edges; one more reaches nb and at
+            # least dist[nb] more are needed to close the cycle
+            if len(path) + dist[nb] > max_size or nb in path:
                 continue
-            # path currently has len(path) - 1 edges; one more reaches nb
-            # and at least dist[nb] more are needed to close the cycle
-            if len(path) + dist[nb] > max_size:
-                continue
-            on_path.add(nb)
             path.append(nb)
-            dfs(path, on_path)
+            dfs(nb, mask | (1 << e))
             path.pop()
-            on_path.remove(nb)
 
-    dfs([start], {start})
+    dfs(0, 0)
     return out
 
 
-def _horton_cycles(g, dist, edge_index, max_len):
-    """Edge masks of rooted shortest-path + edge cycles within the ball.
+def _horton_cycles(adj, dist, max_len):
+    """Rooted shortest-path + edge cycles of length <= max_len, as
+    {edge mask: least (length, max base distance over its vertices)}.
 
-    For every root the BFS tree is deterministic; each non-tree edge
-    closes a cycle whose mask is the XOR of the two tree paths and the
-    edge.  Returns (length, max distance from base over the cycle's
-    vertices, mask) triples, deduplicated.
+    Each root grows a BFS tree of depth max_len // 2 holding (depth,
+    path mask, max base distance) per node; each non-tree edge between
+    tree nodes closes a cycle, the XOR of two tree paths and the edge.
     """
-    nodes = list(dist)
-    node_dist = dist
     results = {}
-    half = max_len // 2
-    for root in nodes:
-        level = {root: 0}
-        pathmask = {root: 0}
-        maxbase = {root: node_dist[root]}
+    for root in range(len(adj)):
+        tree = {root: (0, 0, dist[root])}
         sphere = [root]
-        for depth in range(1, half + 1):
+        for depth in range(1, max_len // 2 + 1):
             nxt = []
-            for node in sphere:
-                for nb in g.cover_neighbors(node):
-                    if nb not in node_dist or nb in level:
-                        continue
-                    key = (node, nb) if node <= nb else (nb, node)
-                    level[nb] = depth
-                    pathmask[nb] = pathmask[node] | (1 << edge_index[key])
-                    maxbase[nb] = max(maxbase[node], node_dist[nb])
-                    nxt.append(nb)
+            for a in sphere:
+                _, mask, far = tree[a]
+                for b, e in adj[a]:
+                    if b not in tree:
+                        tree[b] = (depth, mask | (1 << e), max(far, dist[b]))
+                        nxt.append(b)
             sphere = nxt
-        for (a, b), ei in edge_index.items():
-            if a in level and b in level:
-                length = level[a] + level[b] + 1
-                if length > max_len:
-                    continue
-                mask = pathmask[a] ^ pathmask[b] ^ (1 << ei)
-                if mask == 0:
-                    continue
-                mdist = max(maxbase[a], maxbase[b])
-                prev = results.get(mask)
-                if prev is None or (length, mdist) < prev:
-                    results[mask] = (length, mdist)
-    return sorted(
-        (length, mdist, mask)
-        for mask, (length, mdist) in results.items()
-    )
+        for a, (da, ma, fa) in tree.items():
+            for b, e in adj[a]:
+                if a < b and b in tree and da + tree[b][0] < max_len:
+                    db, mb, fb = tree[b]
+                    mask = ma ^ mb ^ (1 << e)
+                    key = (da + db + 1, max(fa, fb))
+                    if mask and key < results.get(mask, (max_len + 1,)):
+                        results[mask] = key
+    return results
 
 
 def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP, widen=False):
     """All strong rings through the base vertex of size <= max_size.
 
     A cycle is strong when it is not a GF(2) sum of strictly smaller
-    cycles.  The decomposition basis for a cycle of length c consists of
-    rooted shortest-path cycles of length < c whose vertices lie within
-    distance c (c + 2 with `widen`) of the base, in the cover ball that
-    bfs._expand grows.  This locality bound is a heuristic, the one
-    bound left in the net analyses that no exact test replaces, so
-    results should be checked for stability under widening.
+    cycles.  The cover ball of radius max_size (+ 2 with `widen`) about
+    the base is numbered once as an integer graph, and cycles are edge
+    masks over it.  Candidates are the simple cycles through the base,
+    shortest first.  A rooted shortest-path cycle of length l whose
+    vertices lie within distance d of the base joins the decomposition
+    basis for candidates of length c >= max(l + 1, d - extra), extra = 2
+    with `widen` and 0 without: the basis for c holds the strictly
+    shorter such cycles inside radius c + extra.  This locality bound is
+    a heuristic, the one bound left in the net analyses that no exact
+    test replaces, so results should be checked for stability under
+    widening.
     """
     if max_size < 3:
         raise GraphError("max_size must be >= 3")
     extra = 2 if widen else 0
-    radius = max_size + extra
-    dist = _cover_ball(g, base, radius)
-    edge_index = _ball_edges(g, dist)
-    candidates = _base_cycles(g, base, max_size, dist, edge_index)
-    horton = _horton_cycles(g, dist, edge_index, max_size)
-
-    ordered = sorted(
-        (len(nodes), mask, nodes) for mask, nodes in candidates.items()
+    nodes, dist, adj = _ball(g, base, max_size + extra)
+    candidates = _base_cycles(adj, dist, max_size)
+    basis = sorted(
+        (max(length + 1, far - extra), mask)
+        for mask, (length, far) in _horton_cycles(adj, dist, max_size).items()
     )
     pivots = {}
 
-    def reduce_mask(mask):
-        while mask:
-            p = mask.bit_length() - 1
-            if p not in pivots:
-                return mask, p
-            mask ^= pivots[p]
-        return 0, None
-
-    def insert(mask):
-        mask, p = reduce_mask(mask)
-        if p is not None:
-            pivots[p] = mask
+    def reduce(mask):
+        while mask and mask.bit_length() - 1 in pivots:
+            mask ^= pivots[mask.bit_length() - 1]
+        return mask
 
     rings = []
-    hi = 0
-    for length, mask, nodes in ordered:
-        # admit basis cycles of length < current, local to radius length+extra
-        while hi < len(horton):
-            hl, hd, hm = horton[hi]
-            if hl < length and hd <= length + extra:
-                insert(hm)
-                hi += 1
-            elif hl >= length:
-                break
-            else:
-                # too far out for this cycle size but maybe not for larger;
-                # re-sort lazily by scanning ahead
-                admitted = False
-                for j in range(hi, len(horton)):
-                    jl, jd, jm = horton[j]
-                    if jl >= length:
-                        break
-                    if jd <= length + extra:
-                        insert(jm)
-                        horton[hi], horton[j] = horton[j], horton[hi]
-                        hi += 1
-                        admitted = True
-                        break
-                if not admitted:
-                    break
-        rem, _ = reduce_mask(mask)
-        if rem:
-            rings.append(Ring(nodes))
+    admitted = 0
+    for mask, path in sorted(candidates.items(),
+                             key=lambda item: (len(item[1]), item[0])):
+        while admitted < len(basis) and basis[admitted][0] <= len(path):
+            rem = reduce(basis[admitted][1])
+            if rem:
+                pivots[rem.bit_length() - 1] = rem
+            admitted += 1
+        if reduce(mask):
+            rings.append(Ring(nodes[i] for i in path))
     return rings
 
 

@@ -4,6 +4,19 @@ import pytest
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
+# per-net search caps chosen just past the largest strong ring expected
+RING_GOLDENS = {
+    "pcu": (6, {4: 12}),
+    "sql": (6, {4: 4}),
+    "hcb": (8, {6: 3}),
+    "dia": (8, {6: 12}),
+    "nbo": (8, {6: 8}),
+    "qtz": (8, {6: 6, 8: 40}),
+    "gis": (8, {4: 3, 8: 4}),
+    "ths": (12, {10: 10}),
+    "srs": (12, {10: 15}),
+}
+
 
 def corpus_path(name):
     return os.path.abspath(os.path.join(CORPUS, name))

@@ -172,6 +172,32 @@ def test_bad_m_list(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["cseq", "--net", "sql", "--base", "-1", "--radius", "3"],
+    ["cseq", "--net", "sql", "--base", "5"],
+    ["geodesics", "--net", "sql", "--target", "1,0", "--base", "5"],
+    ["rings", "--net", "sql", "--base", "-1"],
+    ["rings", "--net", "sql", "--base", "5"],
+    ["quotient", "--net", "sql", "--target", "4,12", "--base", "4"],
+    ["cseq", "--net", "sql", "--radius", "-1"],
+    ["cseq", "--input", corpus_path("hcb_p6.json"), "--radius", "-1"],
+    ["quotient", "--net", "sql", "--target", "4,12", "--radius", "-1"],
+])
+def test_bad_base_or_radius_is_input_error(capsys, argv):
+    code, report, err = run(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_quotient_base_checked_on_quotient(capsys):
+    # sql has one vertex; its (4,12) tube has four
+    code, report, _ = run(capsys, "quotient", "--net", "sql",
+                          "--target", "4,12", "--base", "3", "--radius", "2")
+    assert code == 0
+    assert report["coordination_sequence"] == [1, 4, 8]
+
+
 def test_catalog_env_override(tmp_path, capsys, monkeypatch):
     (tmp_path / "path2.lqg").write_text(
         "rank 1\nvertices 2\nedge 0 1 0\nedge 0 1 -1\n"

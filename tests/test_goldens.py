@@ -1,10 +1,12 @@
 """Byte-for-byte guards on discovery order.
 
-The goldens under tests/goldens/ were captured from the Fraction-valued
-breadth-first search that the integer walk kernel replaced.  Shortest
-words depend on the order in which a walk discovers elements (spheres
-in order, letters 1, -1, 2, -2, ...), so any change to that order
-shows up here as a byte difference.
+The harvest and cseq goldens under tests/goldens/ were captured from
+the Fraction-valued breadth-first search that the integer walk kernel
+replaced.  Shortest words depend on the order in which a walk discovers
+elements (spheres in order, letters 1, -1, 2, -2, ...), so any change
+to that order shows up here as a byte difference.  The strong-ring
+golden was captured from the ring search over (vertex, shift) tuples;
+it pins every ring's nodes and the order the rings come out in.
 """
 
 import json
@@ -14,9 +16,10 @@ import pytest
 
 from crystpres.bfs import shortest_translation_words
 from crystpres.cli import main
+from crystpres.netgraph import catalog_load, from_cayley, strong_rings
 from crystpres.pipeline import ndia_generators
 
-from conftest import load_document
+from conftest import RING_GOLDENS, load_document
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 GOLDENS = os.path.join(ROOT, "tests", "goldens")
@@ -27,6 +30,7 @@ CORPUS = sorted(
 )
 CSEQ_DOCS = ["pnna_acd.json", "elv.json", "gis_i41a.json"]
 CSEQ_RADIUS = 8
+PNNA_RING_CAP = 14
 
 
 def harvest_words(generators):
@@ -52,6 +56,21 @@ def cseq_stdout(capsys, name):
     return capsys.readouterr().out
 
 
+def render_rings():
+    """One line per strong ring at base 0: the net, then the ring's
+    (vertex, shift) nodes as JSON, in the order strong_rings returns."""
+    cases = [(name, catalog_load(name), cap)
+             for name, (cap, _) in sorted(RING_GOLDENS.items())]
+    pnna = from_cayley(load_document("pnna_acd.json"))
+    cases.append(("pnna_acd", pnna, PNNA_RING_CAP))
+    lines = []
+    for name, g, cap in cases:
+        for ring in strong_rings(g, 0, cap):
+            nodes = [[v, list(shift)] for v, shift in ring.nodes]
+            lines.append(f"{name} {json.dumps(nodes)}")
+    return "\n".join(lines) + "\n"
+
+
 def _golden(name):
     with open(os.path.join(GOLDENS, name)) as fh:
         return fh.read()
@@ -68,3 +87,7 @@ def test_cseq_input_golden(name, capsys, monkeypatch):
     assert cseq_stdout(capsys, name) == _golden(
         f"cseq_{stem}_r{CSEQ_RADIUS}.json"
     )
+
+
+def test_strong_rings_golden():
+    assert render_rings() == _golden("strong_rings.txt")

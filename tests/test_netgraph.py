@@ -29,27 +29,14 @@ from crystpres.netgraph import (
     strong_rings,
     topological_density,
 )
-from crystpres.netgraph import _ball_edges, _cover_ball, _cycle_mask, _horton_cycles
+from crystpres.netgraph import _ball, _base_cycles, _horton_cycles
 from crystpres.affine import AffineIsometry
 from crystpres.pipeline import build_extension_data
 from crystpres.symop import parse_symop
 
-from conftest import CORPUS, load_document
+from conftest import CORPUS, RING_GOLDENS, load_document
 
 BUNDLED = ["dia", "gis", "hcb", "nbo", "pcu", "qtz", "sql", "srs", "ths"]
-
-# per-net search caps chosen just past the largest strong ring expected
-RING_GOLDENS = {
-    "pcu": (6, {4: 12}),
-    "sql": (6, {4: 4}),
-    "hcb": (8, {6: 3}),
-    "dia": (8, {6: 12}),
-    "nbo": (8, {6: 8}),
-    "qtz": (8, {6: 6, 8: 40}),
-    "gis": (8, {4: 3, 8: 4}),
-    "ths": (12, {10: 10}),
-    "srs": (12, {10: 15}),
-}
 
 
 def test_catalog_names():
@@ -233,22 +220,17 @@ def test_rejected_cycles_have_decomposition_witness():
     independently and check span membership for every rejected cycle."""
     g = catalog_load("gis")
     cap = 8
-    dist = _cover_ball(g, 0, cap + 2)
-    edge_index = _ball_edges(g, dist)
-    strong_masks = {
-        _cycle_mask(r.nodes, edge_index) for r in strong_rings(g, max_size=cap)
-    }
+    nodes, dist, adj = _ball(g, 0, cap + 2)
+    strong = {r.nodes for r in strong_rings(g, max_size=cap)}
     # all simple cycles through the base, by brute DFS within the ball
-    from crystpres.netgraph import _base_cycles
-
-    cycles = _base_cycles(g, 0, cap, dist, edge_index)
-    horton = _horton_cycles(g, dist, edge_index, cap)
-    for mask, nodes in cycles.items():
-        if mask in strong_masks:
+    cycles = _base_cycles(adj, dist, cap)
+    horton = _horton_cycles(adj, dist, cap)
+    for mask, path in cycles.items():
+        if tuple(nodes[i] for i in path) in strong:
             continue
-        length = len(nodes)
+        length = len(path)
         pivots = {}
-        basis = [hm for hl, _, hm in horton if hl < length]
+        basis = [hm for hm, (hl, _) in horton.items() if hl < length]
         for bm in basis:
             while bm:
                 p = bm.bit_length() - 1
@@ -263,6 +245,44 @@ def test_rejected_cycles_have_decomposition_witness():
                 break
             rem ^= pivots[p]
         assert rem == 0, f"no witness for rejected {length}-cycle"
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_base_cycles_match_networkx(name):
+    """_base_cycles finds exactly the simple cycles through the base that
+    networkx enumerates in the same ball, with masks over its edges."""
+    nx = pytest.importorskip("networkx")
+    cap = RING_GOLDENS[name][0]
+    _, dist, adj = _ball(catalog_load(name), 0, cap // 2 + 1)
+    number = {(i, j): e for i, nbrs in enumerate(adj) for j, e in nbrs}
+    ball = nx.Graph(list(number))
+
+    def edge_set(path):
+        return frozenset(
+            frozenset(pair) for pair in zip(path, path[1:] + path[:1]))
+
+    expected = {
+        edge_set(cycle)
+        for cycle in nx.simple_cycles(ball, length_bound=cap) if 0 in cycle
+    }
+    found = _base_cycles(adj, dist, cap)
+    for mask, path in found.items():
+        assert path[0] == 0 and len(set(path)) == len(path)
+        assert mask == sum(
+            1 << number[pair] for pair in zip(path, path[1:] + path[:1]))
+    assert {edge_set(path) for path in found.values()} == expected
+    assert len(found) == len(expected)
+
+
+def test_base_vertex_out_of_range():
+    sql = catalog_load("sql")
+    for base in (-1, sql.n):
+        with pytest.raises(GraphError, match="out of range"):
+            net_coordination_sequence(sql, base, 3)
+        with pytest.raises(GraphError, match="out of range"):
+            strong_rings(sql, base, 6)
+        with pytest.raises(GraphError, match="out of range"):
+            net_geodesics(sql, (1, 0), base=base)
 
 
 def test_ths_quotients():
