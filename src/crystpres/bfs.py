@@ -252,13 +252,7 @@ class TranslationHarvest:
         self.radius_used = radius_used
 
 
-def shortest_translation_words(
-    generators,
-    rank=None,
-    stable_spheres=DEFAULT_STABLE_SPHERES,
-    radius_cap=DEFAULT_RADIUS_CAP,
-    max_elements=DEFAULT_MAX_ELEMENTS,
-):
+def shortest_translation_words(generators, rank=None):
     """Harvest shortest words with identity linear part from the Cayley ball.
 
     Expands sphere by sphere, recording, for each translation vector,
@@ -266,9 +260,10 @@ def shortest_translation_words(
     scan stops once the lattice spanned by the harvested vectors has
     reached `rank` (the ambient dimension when rank is None and full
     rank is achieved) and has not grown, nor dropped in index, for
-    `stable_spheres` consecutive spheres.  This is a completeness
-    heuristic only; soundness of anything built on the harvest is
-    checked downstream by coset enumeration.
+    DEFAULT_STABLE_SPHERES consecutive spheres, within radius
+    DEFAULT_RADIUS_CAP.  This is a completeness heuristic only;
+    soundness of anything built on the harvest is checked downstream by
+    coset enumeration.
     """
     kernel = _kernel(generators)
     d = kernel.dimension
@@ -282,7 +277,8 @@ def shortest_translation_words(
     stable = 0
     radius_used = 0
 
-    spheres = _expand(kernel.neighbours, entries, radius_cap, max_elements)
+    spheres = _expand(kernel.neighbours, entries, DEFAULT_RADIUS_CAP,
+                      DEFAULT_MAX_ELEMENTS)
     for r, sphere in enumerate(spheres, 1):
         for h in sphere:
             if h[0] == ident_linear:
@@ -296,7 +292,8 @@ def shortest_translation_words(
                 stable = 0
             current = new
             target_rank = d if rank is None else rank
-            if current.rank >= target_rank and stable >= stable_spheres:
+            if (current.rank >= target_rank
+                    and stable >= DEFAULT_STABLE_SPHERES):
                 break
         if not sphere:  # everything seen
             raise FiniteGroup(
@@ -305,7 +302,8 @@ def shortest_translation_words(
 
     if current is None or (rank is not None and current.rank < rank):
         raise LatticeNotFound(
-            f"no translation lattice of required rank within radius {radius_cap}"
+            "no translation lattice of required rank within radius "
+            f"{DEFAULT_RADIUS_CAP}"
         )
 
     pairs = [(w, v) for v, w in harvested.items()]

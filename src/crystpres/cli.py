@@ -96,6 +96,15 @@ def _check_radius(radius):
         raise InputError(f"--radius must be >= 0, got {radius}")
 
 
+def _check_max(value, default, least):
+    """--max as given, or `default` when the flag is absent."""
+    if value is None:
+        return default
+    if value < least:
+        raise InputError(f"--max must be >= {least}, got {value}")
+    return value
+
+
 def _parse_vector(text):
     try:
         return tuple(Fraction(x) for x in text.replace(" ", "").split(","))
@@ -129,7 +138,7 @@ def _summary(*lines):
 def cmd_present(args):
     doc = _load_document(args.input)
     ms = _parse_m_list(args.m)
-    max_cosets = args.max if args.max else DEFAULT_MAX_COSETS
+    max_cosets = _check_max(args.max, DEFAULT_MAX_COSETS, 1)
     orderings = [list(doc.generators)]
     if args.permute:
         from itertools import permutations
@@ -162,7 +171,7 @@ def cmd_present(args):
 def cmd_verify(args):
     doc = _load_document(args.input)
     ms = _parse_m_list(args.m)
-    max_cosets = args.max if args.max else DEFAULT_MAX_COSETS
+    max_cosets = _check_max(args.max, DEFAULT_MAX_COSETS, 1)
     report = present(doc, verify_orders=ms, max_cosets=max_cosets)
     d = report.to_dict()
     expectations = []
@@ -228,7 +237,7 @@ def cmd_cseq(args):
 
 def cmd_geodesics(args):
     target = _parse_vector(args.target)
-    cap = args.max if args.max else 200
+    cap = _check_max(args.max, 200, 1)
     if args.net:
         g = _load_graph(args)
         _check_base(g, args.base)
@@ -253,7 +262,7 @@ def cmd_geodesics(args):
 def cmd_rings(args):
     g = _load_graph(args)
     _check_base(g, args.base)
-    max_size = args.max if args.max else DEFAULT_RING_CAP
+    max_size = _check_max(args.max, DEFAULT_RING_CAP, 3)
     if args.all_vertices:
         symbol = schlafli_symbol(g, max_size=max_size, widen=args.widen)
     else:
@@ -275,6 +284,7 @@ def cmd_rings(args):
 
 def cmd_quotient(args):
     _check_radius(args.radius)
+    max_size = _check_max(args.max, None, 3)
     g = _load_graph(args)
     vectors = [_parse_vector(v) for v in args.target.split(";")]
     q = quotient_by_sublattice(g, vectors)
@@ -284,7 +294,7 @@ def cmd_quotient(args):
         "config": dict(
             command="quotient", net=args.net, input=args.input,
             target=[[str(x) for x in v] for v in vectors],
-            radius=args.radius, base=args.base, max_size=args.max,
+            radius=args.radius, base=args.base, max_size=max_size,
         ),
         "rank": q.rank,
         "vertices": q.n,
@@ -295,11 +305,11 @@ def cmd_quotient(args):
         f"quotient: rank {q.rank}, {q.n} vertices, "
         f"TD{args.radius} = {sum(seq)}",
     ]
-    if args.max:
-        symbol = schlafli_symbol(q, max_size=args.max, widen=args.widen)
+    if max_size is not None:
+        symbol = schlafli_symbol(q, max_size=max_size, widen=args.widen)
         out["symbol"] = str(symbol)
         out["ring_counts"] = {str(k): v for k, v in symbol.counts}
-        lines.append(f"ring symbol (cap {args.max}): {symbol}")
+        lines.append(f"ring symbol (cap {max_size}): {symbol}")
     _emit(out, args)
     _summary(*lines)
     return EXIT_OK

@@ -296,7 +296,7 @@ class FiniteGroupModel:
         return self.mult(g, i)
 
 
-def short_presentation_finite(model, names=None, max_cosets=None):
+def short_presentation_finite(model, names=None):
     """Cannon-style short presentation of a finite group on its generators.
 
     Candidate relators are spanning-tree cycle words of the Cayley graph
@@ -308,8 +308,7 @@ def short_presentation_finite(model, names=None, max_cosets=None):
     if names is None:
         names = [chr(ord("a") + i) for i in range(k)]
     order = model.order
-    if max_cosets is None:
-        max_cosets = max(4 * order, 16)
+    max_cosets = max(4 * order, 16)
 
     # BFS over the Cayley graph; deterministic generator order a, a^-1, b, ...
     move = {x: (lambda e, x=x: model.act(e, x))

@@ -87,8 +87,7 @@ class ExtensionData:
         return self.lattice.rank
 
 
-def build_extension_data(generators, rank=None, radius_cap=30,
-                         closure_bound=10000):
+def build_extension_data(generators, rank=None):
     """Find the translation lattice and present the point group.
 
     `rank` fixes the expected lattice rank for subperiodic groups; by
@@ -97,11 +96,10 @@ def build_extension_data(generators, rank=None, radius_cap=30,
     generators = _as_generator_list(generators)
     if not generators:
         raise PipelineError("empty generating set")
-    harvest = shortest_translation_words(generators, rank=rank,
-                                         radius_cap=radius_cap)
+    harvest = shortest_translation_words(generators, rank=rank)
     lattice = harvest.lattice
     ops = [op for _, op in generators]
-    elements = finite_closure(ops, lattice, bound=closure_bound)
+    elements = finite_closure(ops, lattice)
     index = {e: i for i, e in enumerate(elements)}
     images = [index[point_group_image(op, lattice)] for op in ops]
     model = FiniteGroupModel(
@@ -110,6 +108,14 @@ def build_extension_data(generators, rank=None, radius_cap=30,
     names = [name for name, _ in generators]
     point_pres = short_presentation_finite(model, names=names)
     return ExtensionData(generators, harvest, model, point_pres)
+
+
+def _combine(coeffs, words):
+    """The word w_1^c_1 w_2^c_2 ... for integer coefficients c_i."""
+    out = ()
+    for c, w in zip(coeffs, words):
+        out += w * c if c >= 0 else invert_word(w) * -c
+    return out
 
 
 def _lattice_word_for(E, vector):
@@ -148,13 +154,7 @@ def _lattice_word_for(E, vector):
                         else:
                             break
         coeffs = tuple(coeffs)
-    out = ()
-    for c, (w, _) in zip(coeffs, E.lattice_words):
-        if c > 0:
-            out += w * c
-        elif c < 0:
-            out += invert_word(w) * (-c)
-    return out
+    return _combine(coeffs, [w for w, _ in E.lattice_words])
 
 
 def lift_point_relators(E):
@@ -201,13 +201,7 @@ def lattice_relators(E):
             if rel:
                 out.append(rel)
     for row in left_kernel(vectors):
-        word = ()
-        for c, w in zip(row, words):
-            if c > 0:
-                word += w * c
-            elif c < 0:
-                word += invert_word(w) * (-c)
-        rel = cyclic_reduce(word)
+        rel = cyclic_reduce(_combine(row, words))
         if rel:
             out.append(rel)
     return out
@@ -279,8 +273,7 @@ class PresentationReport:
 
 
 def present(generators, rank=None, simplify=True, prune=True,
-            verify_orders=(2, 3), max_cosets=DEFAULT_MAX_COSETS,
-            tietze_budget=10000):
+            verify_orders=(2, 3), max_cosets=DEFAULT_MAX_COSETS):
     """Full pipeline: extension data, relators, simplification, checks.
 
     Every relator is checked to evaluate to the identity (always on).
@@ -315,7 +308,7 @@ def present(generators, rank=None, simplify=True, prune=True,
 
     steps = 0
     if simplify:
-        result = tietze_simplify(pres, budget=tietze_budget, tags=tags)
+        result = tietze_simplify(pres, tags=tags)
         pres, tags, steps = result.presentation, result.tags, result.steps
 
     # removal trials only need to distinguish pass from anything else, so
@@ -357,7 +350,7 @@ def present(generators, rank=None, simplify=True, prune=True,
         pres = pres.with_relators([pres.relators[j] for j in keep])
         tags = [tags[j] for j in keep]
         if simplify:
-            result = tietze_simplify(pres, budget=tietze_budget, tags=tags)
+            result = tietze_simplify(pres, tags=tags)
             pres, tags = result.presentation, result.tags
             steps += result.steps
 

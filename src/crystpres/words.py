@@ -5,6 +5,8 @@ Relators are cyclic words; two relators are considered the same when one
 is a rotation of the other or of its inverse.
 """
 
+import functools
+
 from .affine import AffineIsometry, inverse as affine_inverse
 
 
@@ -42,19 +44,15 @@ def word_sort_key(w):
     return (len(w), tuple(_letter_key(x) for x in w))
 
 
+def _forms(w):
+    """The distinct rotations of w and of w^-1, in word_sort_key order."""
+    forms = {v[i:] + v[:i] for v in (w, invert_word(w)) for i in range(len(w))}
+    return sorted(forms, key=word_sort_key) or [w]
+
+
 def relator_class_key(w):
-    """Canonical key of a relator up to rotation and inversion."""
-    w = cyclic_reduce(w)
-    if not w:
-        return ()
-    best = None
-    for v in (w, invert_word(w)):
-        for i in range(len(v)):
-            rot = v[i:] + v[:i]
-            key = tuple(_letter_key(x) for x in rot)
-            if best is None or key < best:
-                best = key
-    return best
+    """Canonical word of a relator up to rotation and inversion."""
+    return _forms(cyclic_reduce(w))[0]
 
 
 def evaluate(w, assignment):
@@ -92,19 +90,11 @@ class Presentation:
 
     def __init__(self, generator_names, relators):
         self.generator_names = list(generator_names)
-        seen = set()
-        cleaned = []
-        for r in relators:
-            r = cyclic_reduce(r)
-            if not r:
-                continue
-            key = relator_class_key(r)
-            if key in seen:
-                continue
-            seen.add(key)
-            cleaned.append(r)
-        cleaned.sort(key=word_sort_key)
-        self.relators = cleaned
+        first = {}
+        for r in map(cyclic_reduce, relators):
+            if r:
+                first.setdefault(relator_class_key(r), r)
+        self.relators = sorted(first.values(), key=word_sort_key)
 
     def __repr__(self):
         rels = ", ".join(format_word(r, self.generator_names) for r in self.relators)
@@ -126,68 +116,37 @@ class Presentation:
 # Tietze simplification
 
 
-def _involution_generators(relators):
-    invs = set()
-    for r in relators:
-        if len(r) == 2 and r[0] == r[1] and r[0] > 0:
-            invs.add(r[0])
-    return invs
+def _rewrite_once(relators, forms):
+    """Apply the first shortening rewrite; None if none applies.
 
-
-def _rotations_and_inverse_rotations(w):
-    forms = []
-    for v in (w, invert_word(w)):
-        for i in range(len(v)):
-            forms.append(v[i:] + v[:i])
-    # deterministic, deduplicated order
-    seen = set()
-    out = []
-    for f in sorted(forms, key=word_sort_key):
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    return out
-
-
-def _find_cyclic_substring(r, s):
-    """Start index of s in the cyclic word r, or None."""
-    if len(s) > len(r):
-        return None
-    doubled = r + r
-    for i in range(len(r)):
-        if doubled[i : i + len(s)] == s:
-            return i
-    return None
-
-
-def _rewrite_once(relators):
-    """Apply the first strictly shortening rewrite; None if none applies.
-
-    Targets are scanned longest-first; sources shortest-first; splits of
-    a source u = s * t with |s| > |t| are tried with longest s first.
+    `relators` are distinct and sorted by word_sort_key, `forms` is
+    _forms.  Targets r go longest first, sources u != r with |u| <= |r|
+    shortest first, then the forms f of u in order.  The first f with a
+    prefix longer than |f| // 2 occurring in the cyclic word r applies:
+    take the longest such prefix s, at its first start in r + r; reading
+    r = s v from there and f = s t, r becomes the cyclic reduction of
+    t^-1 v, which is shorter than r.  Returns (target index, new word).
     """
-    order = sorted(range(len(relators)), key=lambda i: word_sort_key(relators[i]))
-    for ti in reversed(order):
+    for ti in range(len(relators) - 1, -1, -1):
         r = relators[ti]
-        for si in order:
-            if si == ti:
+        n = len(r)
+        doubled = r + r
+        for u in relators:
+            if len(u) > n:
+                break
+            if u == r:
                 continue
-            u = relators[si]
-            if len(u) > len(r):
-                break  # sources are sorted; all further are longer
-            for form in _rotations_and_inverse_rotations(u):
-                max_s = min(len(form), len(r))
-                min_s = len(form) // 2 + 1
-                for ls in range(max_s, min_s - 1, -1):
-                    s, t = form[:ls], form[ls:]
-                    pos = _find_cyclic_substring(r, s)
-                    if pos is None:
-                        continue
-                    rotated = r[pos:] + r[:pos]
-                    new_r = invert_word(t) + rotated[ls:]
-                    new_r = cyclic_reduce(new_r)
-                    if len(new_r) < len(r):
-                        return ti, new_r
+            for f in forms(u):
+                best, at = len(f) // 2, None
+                for i in range(n):
+                    k = 0
+                    while k < len(f) and doubled[i + k] == f[k]:
+                        k += 1
+                    if k > best:
+                        best, at = k, i
+                if at is not None:
+                    rest = doubled[at + best:at + n]
+                    return ti, cyclic_reduce(invert_word(f[best:]) + rest)
     return None
 
 
@@ -202,10 +161,16 @@ class TietzeResult:
 def tietze_simplify(p, budget=10000, tags=None):
     """Deterministic relator-level simplification.
 
-    Only free/cyclic reduction, inversion/rotation identification,
-    strictly shortening substring replacement, and duplicate removal are
-    used, so the presented group is unchanged and the total relator
-    length never increases.
+    Each pass reads a generator x with a relator x^2 as an involution
+    (x^-1 -> x), replaces every relator by its canonical word
+    (relator_class_key), sorts by word_sort_key and drops duplicates.
+    It then applies one rewrite (_rewrite_once): for the first (target,
+    source, form) that admits one, the longest prefix of the form that
+    is longer than half of it, at its first cyclic occurrence in the
+    target, is replaced by the inverse of the rest of the form.  Every
+    rewrite shortens a relator, so the presented group is unchanged and
+    the total relator length never increases.  The loop stops when no
+    rewrite applies or after `budget` rewrites.
 
     `tags` is an optional list parallel to p.relators of opaque
     provenance markers; each surviving relator keeps the tag of the
@@ -213,37 +178,23 @@ def tietze_simplify(p, budget=10000, tags=None):
     order).  The result carries the surviving tags in the same order as
     the final relators.
     """
-    if tags is None:
-        pairs = [(cyclic_reduce(r), None) for r in p.relators]
-    else:
-        if len(tags) != len(p.relators):
-            raise ValueError("tags and relators differ in length")
-        pairs = [(cyclic_reduce(r), t) for r, t in zip(p.relators, tags)]
+    if tags is not None and len(tags) != len(p.relators):
+        raise ValueError("tags and relators differ in length")
+    given = [None] * len(p.relators) if tags is None else tags
+    pairs = [(cyclic_reduce(r), t) for r, t in zip(p.relators, given)]
+    forms = functools.lru_cache(maxsize=None)(_forms)
     steps = 0
-    exhausted = False
     while True:
-        invs = _involution_generators(
-            [_rotations_and_inverse_rotations(r)[0] for r, _ in pairs if r]
-        )
-        normed = []
+        invs = {abs(r[0]) for r, _ in pairs if len(r) == 2 and r[0] == r[1]}
+        first = {}
         for r, t in pairs:
-            if invs:
-                r = cyclic_reduce(tuple(abs(x) if abs(x) in invs else x for x in r))
+            r = cyclic_reduce(tuple(abs(x) if abs(x) in invs else x for x in r))
             if r:
-                # canonical representative of the rotation/inversion class
-                normed.append((_rotations_and_inverse_rotations(r)[0], t))
-        # dedup up to rotation/inversion
-        seen = set()
-        pairs = []
-        for r, t in sorted(normed, key=lambda p_: word_sort_key(p_[0])):
-            key = relator_class_key(r)
-            if key not in seen:
-                seen.add(key)
-                pairs.append((r, t))
+                first.setdefault(forms(r)[0], t)
+        pairs = sorted(first.items(), key=lambda rt: word_sort_key(rt[0]))
         if steps >= budget:
-            exhausted = True
             break
-        hit = _rewrite_once([r for r, _ in pairs])
+        hit = _rewrite_once([r for r, _ in pairs], forms)
         if hit is None:
             break
         ti, new_r = hit
@@ -251,7 +202,7 @@ def tietze_simplify(p, budget=10000, tags=None):
         steps += 1
     result = Presentation(p.generator_names, [r for r, _ in pairs])
     out_tags = None if tags is None else [t for _, t in pairs]
-    return TietzeResult(result, steps, exhausted, out_tags)
+    return TietzeResult(result, steps, steps >= budget, out_tags)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,14 @@ def test_bad_m_list(capsys):
     ["cseq", "--net", "sql", "--radius", "-1"],
     ["cseq", "--input", corpus_path("hcb_p6.json"), "--radius", "-1"],
     ["quotient", "--net", "sql", "--target", "4,12", "--radius", "-1"],
+    ["present", "--input", corpus_path("hcb_p6.json"), "--max", "-5"],
+    ["present", "--input", corpus_path("hcb_p6.json"), "--max", "0"],
+    ["verify", "--input", corpus_path("hcb_p6.json"), "--max", "0"],
+    ["geodesics", "--net", "sql", "--target", "1,0", "--max", "-1"],
+    ["geodesics", "--net", "sql", "--target", "1,0", "--max", "0"],
+    ["rings", "--net", "sql", "--max", "0"],
+    ["rings", "--net", "sql", "--max", "2"],
+    ["quotient", "--net", "sql", "--target", "4,12", "--max", "2"],
 ])
 def test_bad_base_or_radius_is_input_error(capsys, argv):
     code, report, err = run(capsys, *argv)

@@ -6,7 +6,10 @@ replaced.  Shortest words depend on the order in which a walk discovers
 elements (spheres in order, letters 1, -1, 2, -2, ...), so any change
 to that order shows up here as a byte difference.  The strong-ring
 golden was captured from the ring search over (vertex, shift) tuples;
-it pins every ring's nodes and the order the rings come out in.
+it pins every ring's nodes and the order the rings come out in.  The
+present goldens were captured before Tietze simplification moved onto
+one canonical relator form and a longest-match rewrite scan; they pin
+every relator, provenance tag and simplification step count.
 """
 
 import json
@@ -17,7 +20,7 @@ import pytest
 from crystpres.bfs import shortest_translation_words
 from crystpres.cli import main
 from crystpres.netgraph import catalog_load, from_cayley, strong_rings
-from crystpres.pipeline import ndia_generators
+from crystpres.pipeline import ndia_generators, present
 
 from conftest import RING_GOLDENS, load_document
 
@@ -71,6 +74,13 @@ def render_rings():
     return "\n".join(lines) + "\n"
 
 
+def present_stdout(capsys, name):
+    """stdout of `present --input corpus/<name>` run from the repository root."""
+    code = main(["present", "--input", f"corpus/{name}"])
+    assert code == 0
+    return capsys.readouterr().out
+
+
 def _golden(name):
     with open(os.path.join(GOLDENS, name)) as fh:
         return fh.read()
@@ -91,3 +101,17 @@ def test_cseq_input_golden(name, capsys, monkeypatch):
 
 def test_strong_rings_golden():
     assert render_rings() == _golden("strong_rings.txt")
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_present_input_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    stem = name[:-len(".json")]
+    assert present_stdout(capsys, name) == _golden(f"present_{stem}.json")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_present_ndia_golden(n):
+    report = present(ndia_generators(n)).to_dict()
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert text == _golden(f"present_ndia_{n}.json")

@@ -22,6 +22,17 @@ from crystpres.words import (
 NAMES = ["a", "b", "c"]
 
 
+def _presentations(max_gens=3, max_relators=6, max_len=10):
+    """Random presentations on 1..max_gens generators."""
+    def build(k):
+        letters = st.sampled_from([s * g for g in range(1, k + 1)
+                                   for s in (1, -1)])
+        words = st.lists(letters, min_size=1, max_size=max_len).map(tuple)
+        return st.lists(words, min_size=1, max_size=max_relators).map(
+            lambda rels: Presentation(NAMES[:k], rels))
+    return st.integers(1, max_gens).flatmap(build)
+
+
 def test_parse_word_forms():
     assert parse_word("ab", NAMES) == (1, 2)
     assert parse_word("a^-1 b^2", NAMES) == (-1, 2, 2)
@@ -143,3 +154,31 @@ def test_relator_class_key_symmetry():
 def test_presentation_deduplicates():
     p = Presentation(NAMES, [(1, 2), (2, 1), (1, 2)])
     assert len(p.relators) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_presentations())
+def test_tietze_output_is_canonical_and_no_longer(p):
+    tags = list(range(len(p.relators)))
+    once = tietze_simplify(p, tags=tags)
+    assert not once.budget_exhausted
+    assert len(once.tags) == len(once.presentation.relators)
+    for r in once.presentation.relators:
+        assert relator_class_key(r) == r
+    assert _total_length(once.presentation) <= _total_length(p)
+    again = tietze_simplify(once.presentation, tags=once.tags)
+    assert _total_length(again.presentation) <= _total_length(once.presentation)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the canonical word of a relator can bring back the inverse of an "
+    "involution generator, which the next run rewrites"))
+def test_tietze_output_is_a_fixed_point():
+    # <a, b | a^-1 b, b^2> simplifies to <a, b | a b^-1, b^2>; a second
+    # run reads b^-1 as b and returns <a, b | ab, b^2>
+    p = Presentation(NAMES[:2], [(-1, 2), (2, 2)])
+    once = tietze_simplify(p, tags=[0, 1])
+    again = tietze_simplify(once.presentation, tags=once.tags)
+    assert again.steps == 0
+    assert again.presentation.relators == once.presentation.relators
+    assert again.tags == once.tags
