@@ -246,44 +246,43 @@ class PointGroupElement:
         return self.linear == identity_matrix(d) and all(x == 0 for x in self.residual)
 
 
-def _reduce_mod_lattice(vector, lattice):
-    """Canonical residual of `vector` modulo the lattice.
+def lattice_frame(lattice):
+    """Rows whose dot products with a vector give its lattice coordinates.
 
-    Decomposes the vector over an extension of the lattice basis by unit
-    vectors and reduces the lattice coordinates into [0, 1).
+    The lattice basis is extended greedily by unit vectors to a basis of
+    Q^d; the rows are those of the inverse basis matrix that belong to
+    the lattice vectors.  Compute it once per lattice and pass it to the
+    functions below.
     """
-    vector = tuple(Fraction(x) for x in vector)
-    if lattice.rank == 0:
-        return vector
     d = lattice.dimension
-    # extend the basis with unit vectors (greedy, deterministic)
     ext = [list(map(Fraction, row)) for row in lattice.basis]
-    used = []
     for j in range(d):
         if len(ext) == d:
             break
-        unit = [Fraction(int(i == j)) for i in range(d)]
-        trial = ext + [unit]
+        trial = ext + [[Fraction(int(i == j)) for i in range(d)]]
         if len(hnf(scale_to_int(trial)[0])) == len(trial):
             ext = trial
-            used.append(j)
-    basis_mat = tuple(tuple(row) for row in ext)
-    inv = mat_inverse_frac(tuple(zip(*basis_mat)))  # columns are basis vectors
-    coords = mat_vec(inv, vector)
-    red = []
-    for i, c in enumerate(coords):
-        if i < lattice.rank:
-            red.append(c - (c.numerator // c.denominator))  # frac(c) in [0,1)
-        else:
-            red.append(c)
-    out = [Fraction(0)] * d
-    for c, b in zip(red, basis_mat):
-        for j in range(d):
-            out[j] += c * b[j]
+    return mat_inverse_frac(tuple(zip(*ext)))[:lattice.rank]
+
+
+def _reduce_mod_lattice(vector, lattice, frame=None):
+    """Canonical residual of `vector` modulo the lattice.
+
+    Moves the vector by lattice vectors until its coordinates along them
+    (rows of `frame`, default `lattice_frame(lattice)`) lie in [0, 1);
+    the part transverse to the lattice is kept.
+    """
+    out = [Fraction(x) for x in vector]
+    if frame is None:
+        frame = lattice_frame(lattice)
+    for row, b in zip(frame, lattice.basis):
+        k = math.floor(sum(a * x for a, x in zip(row, vector)))
+        if k:
+            out = [x - k * y for x, y in zip(out, b)]
     return tuple(out)
 
 
-def point_group_image(g, lattice):
+def point_group_image(g, lattice, frame=None):
     """Canonical representative of the coset g*T in G/T."""
     for row in lattice.basis:
         image = mat_vec(g.linear, row)
@@ -291,15 +290,16 @@ def point_group_image(g, lattice):
             raise NotLatticeInvariant(
                 f"linear part {g.linear} does not preserve the lattice"
             )
-    return PointGroupElement(g.linear, _reduce_mod_lattice(g.translation, lattice))
+    return PointGroupElement(
+        g.linear, _reduce_mod_lattice(g.translation, lattice, frame))
 
 
-def point_group_compose(a, b, lattice):
+def point_group_compose(a, b, lattice, frame=None):
     lin = mat_mul_int(a.linear, b.linear)
     tr = tuple(
         x + y for x, y in zip(mat_vec(a.linear, b.residual), a.residual)
     )
-    return PointGroupElement(lin, _reduce_mod_lattice(tr, lattice))
+    return PointGroupElement(lin, _reduce_mod_lattice(tr, lattice, frame))
 
 
 def finite_closure(generators, lattice, bound=10000):
@@ -310,7 +310,8 @@ def finite_closure(generators, lattice, bound=10000):
     """
     d = lattice.dimension
     ident = PointGroupElement(identity_matrix(d), (0,) * d)
-    gens = [point_group_image(g, lattice) for g in generators]
+    frame = lattice_frame(lattice)
+    gens = [point_group_image(g, lattice, frame) for g in generators]
     elements = [ident]
     seen = {ident}
     frontier = [ident]
@@ -318,7 +319,7 @@ def finite_closure(generators, lattice, bound=10000):
         new = []
         for x in frontier:
             for s in gens:
-                y = point_group_compose(x, s, lattice)
+                y = point_group_compose(x, s, lattice, frame)
                 if y not in seen:
                     seen.add(y)
                     elements.append(y)

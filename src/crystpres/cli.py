@@ -9,8 +9,9 @@ stable for fixed inputs.
 
 Exit codes: 0 success, 2 input error (including generating sets that
 do not describe a crystallographic group: no full-rank lattice, an
-infinite point group, a non-unimodular linear part), 3 inconclusive
-verification, 4 verification failure or analysis error.
+infinite point group, a non-unimodular linear part or one that does not
+preserve the lattice), 3 inconclusive verification, 4 verification
+failure or analysis error.
 """
 
 import argparse
@@ -18,7 +19,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .affine import ClosureBoundExceeded, InfiniteOrder, NotUnimodular
+from .affine import (
+    ClosureBoundExceeded,
+    InfiniteOrder,
+    NotLatticeInvariant,
+    NotUnimodular,
+)
 from .bfs import (
     BallBoundExceeded,
     LatticeNotFound,
@@ -432,7 +438,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (InputError, LatticeNotFound, ClosureBoundExceeded, ModelNotClosed,
-            NotUnimodular, InfiniteOrder) as exc:
+            NotUnimodular, InfiniteOrder, NotLatticeInvariant) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except VerificationFailure as exc:

@@ -2,7 +2,13 @@
 
 Enumeration is used as a verification oracle: a completed table gives
 the exact index of a finitely generated subgroup, an overflow means
-"inconclusive", never "wrong".
+"inconclusive", never "wrong".  The table is one flat list of ints with
+a row per coset (see CosetTable).
+
+Cosets are defined in plain HLT order, which is frozen: the prune stage
+keeps a relator whenever its order check overflows the cap, so the point
+of overflow decides the emitted presentation, and a Felsch or lookahead
+order would change the `present` reports.
 """
 
 from .bfs import _expand, _word
@@ -21,166 +27,162 @@ class ModelNotClosed(ValueError):
     pass
 
 
-def _col(x):
-    return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
-
-
-def _inv_col(col):
-    return col ^ 1
+def _cols(word):
+    """Forward and inverse table columns of a word's letters."""
+    return ([2 * abs(x) - (x > 0) for x in word],
+            [2 * abs(x) - (x < 0) for x in word])
 
 
 class CosetTable:
-    """Mutable Todd-Coxeter state over a symmetrized alphabet.
+    """Mutable Todd-Coxeter state on one flat list of ints.
 
-    `status` is "complete" or "overflow" after run(); a complete table
-    acts on live cosets by permutations (one per generator).
+    With k generators a row holds 2k + 1 ints, and a coset is named by
+    the offset r of its row: `cells[r]` is its union-find parent (r
+    itself while the coset is live) and `cells[r + col]`, col = 1 .. 2k,
+    the coset reached by the letter a, A, b, B, ... (-1 while undefined).
+    An entry may name a coset merged away since; its root is found
+    through the parents.  Merges keep the smaller offset, so coset 0,
+    the subgroup, stays live.  `live_cosets` and `trace` speak in coset
+    numbers r // (2k + 1).  `status` is "complete" or "overflow" after
+    run_hlt(); a complete table acts on the live cosets by permutations.
     """
 
     def __init__(self, ngens, relators, subgroup_words, max_cosets=DEFAULT_MAX_COSETS):
-        self.ngens = ngens
-        self.relators = [cyclic_reduce(r) for r in relators if cyclic_reduce(r)]
-        self.subgroup_words = list(subgroup_words)
+        if max_cosets < 1:
+            raise ValueError("max_cosets must be >= 1")
+        self.width = 2 * ngens + 1
+        # inverse[col]: the column of the inverse letter
+        self.inverse = [0] + [c + 1 if c % 2 else c - 1 for c in range(1, self.width)]
+        relators = [_cols(cyclic_reduce(r)) for r in relators if cyclic_reduce(r)]
+        # column lists scanned at coset 0 (subgroup words first) and elsewhere
+        self.scans = ([_cols(w) for w in subgroup_words] + relators, relators)
         self.max_cosets = max_cosets
-        self.table = []  # per coset: list of 2*ngens entries (None or coset)
-        self.parent = []  # union-find
+        self.cells = [0] + [-1] * (2 * ngens)
         self.status = None
-        self._new_coset()
 
-    # -- union-find ---------------------------------------------------------
+    @property
+    def table(self):
+        """Row offsets of the cosets defined, live or merged away."""
+        return range(0, len(self.cells), self.width)
 
-    def _find(self, c):
-        while self.parent[c] != c:
-            self.parent[c] = self.parent[self.parent[c]]
-            c = self.parent[c]
-        return c
-
-    def _new_coset(self):
-        if len(self.table) >= self.max_cosets:
-            raise _Overflow()
-        self.table.append([None] * (2 * self.ngens))
-        self.parent.append(len(self.table) - 1)
-        return len(self.table) - 1
-
-    # -- edges and coincidences ---------------------------------------------
-
-    def _set_edge(self, a, col, b):
-        queue = [(a, col, b)]
-        while queue:
-            a, col, b = queue.pop()
-            a, b = self._find(a), self._find(b)
-            cur = self.table[a][col]
-            if cur is not None and self._find(cur) != b:
-                self._merge(self._find(cur), b)
-                continue
-            self.table[a][col] = b
-            back = self.table[b][_inv_col(col)]
-            if back is None:
-                self.table[b][_inv_col(col)] = a
-            elif self._find(back) != a:
-                self._merge(self._find(back), a)
+    def _find(self, r):
+        cells = self.cells
+        while cells[r] != r:
+            cells[r] = cells[cells[r]]
+            r = cells[r]
+        return r
 
     def _merge(self, a, b):
+        cells, inverse, find = self.cells, self.inverse, self._find
         stack = [(a, b)]
         while stack:
             a, b = stack.pop()
-            a, b = self._find(a), self._find(b)
+            if cells[a] != a:
+                a = find(a)
+            if cells[b] != b:
+                b = find(b)
             if a == b:
                 continue
             if b < a:
                 a, b = b, a
-            self.parent[b] = a
-            for col in range(2 * self.ngens):
-                t = self.table[b][col]
-                if t is None:
+            cells[b] = a
+            for col in range(1, self.width):
+                t = cells[b + col]
+                if t < 0:
                     continue
-                t = self._find(t)
-                cur = self.table[a][col]
-                if cur is None:
-                    self.table[a][col] = t
-                    back = self.table[t][_inv_col(col)]
-                    if back is None:
-                        self.table[t][_inv_col(col)] = a
-                    elif self._find(back) != a:
-                        stack.append((self._find(back), a))
-                elif self._find(cur) != t:
-                    stack.append((self._find(cur), t))
-
-    # -- scanning ------------------------------------------------------------
-
-    def _scan_and_fill(self, coset, word):
-        f = self._find(coset)
-        b = self._find(coset)
-        i, j = 0, len(word) - 1
-        while True:
-            # scan forward as far as possible
-            while i <= j:
-                nxt = self.table[f][_col(word[i])]
-                if nxt is None:
-                    break
-                f = self._find(nxt)
-                i += 1
-            if i > j:
-                # full forward scan; close the cycle
-                if f != b:
-                    self._merge(f, b)
-                return
-            # scan backward
-            while j >= i:
-                prv = self.table[b][_col(-word[j])]
-                if prv is None:
-                    break
-                b = self._find(prv)
-                j -= 1
-            if j < i:
-                # both scans consumed the whole word
-                if f != b:
-                    self._merge(f, b)
-                return
-            if i == j:
-                self._set_edge(f, _col(word[i]), b)
-                return
-            # define a new coset to extend the forward scan
-            c = self._new_coset()
-            self._set_edge(f, _col(word[i]), c)
-            f = self._find(self.table[f][_col(word[i])])
-            i += 1
+                if cells[t] != t:
+                    t = find(t)
+                cur = cells[a + col]
+                if cur < 0:
+                    cells[a + col] = t
+                    back = cells[t + inverse[col]]
+                    if back < 0:
+                        cells[t + inverse[col]] = a
+                    elif find(back) != a:
+                        stack.append((find(back), a))
+                elif find(cur) != t:
+                    stack.append((find(cur), t))
 
     def live_cosets(self):
-        return [c for c in range(len(self.table)) if self._find(c) == c]
+        return [r // self.width for r in self.table if self.cells[r] == r]
 
     def trace(self, coset, word):
         """Follow `word` from a live coset; None if the path is undefined."""
-        c = self._find(coset)
-        for x in word:
-            nxt = self.table[c][_col(x)]
-            if nxt is None:
+        cells = self.cells
+        r = coset * self.width
+        for col in _cols(word)[0]:
+            r = cells[r + col]
+            if r < 0:
                 return None
-            c = self._find(nxt)
-        return c
-
-    # -- HLT enumeration -----------------------------------------------------
+            r = self._find(r)
+        return r // self.width
 
     def run_hlt(self):
+        """HLT enumeration: at each live coset in turn, scan every relator
+        (at coset 0 the subgroup words first), defining cosets until the
+        scan closes, then give the coset's undefined entries new cosets."""
+        cells, w, inverse = self.cells, self.width, self.inverse
+        find, merge = self._find, self._merge
+        first, rest = self.scans
+        blank = [-1] * (w - 1)
+        limit = w * self.max_cosets
+        c = 0
         try:
-            for w in self.subgroup_words:
-                self._scan_and_fill(self._find(0), w)
-            c = 0
-            while c < len(self.table):
-                if self._find(c) != c:
-                    c += 1
-                    continue
-                for r in self.relators:
-                    if self._find(c) != c:
+            while c < len(cells):
+                for fw, bw in rest if c else first:
+                    if cells[c] != c:
                         break
-                    self._scan_and_fill(c, r)
-                if self._find(c) == c:
-                    for col in range(2 * self.ngens):
-                        if self._find(c) != c:
+                    f = b = c
+                    i, j = 0, len(fw) - 1
+                    while True:
+                        # scan forward as far as possible, then backward;
+                        # an entry naming a merged coset is set to its root
+                        while i <= j:
+                            x = cells[f + fw[i]]
+                            if x < 0:
+                                break
+                            if cells[x] != x:
+                                x = cells[f + fw[i]] = find(x)
+                            f = x
+                            i += 1
+                        while j >= i:
+                            x = cells[b + bw[j]]
+                            if x < 0:
+                                break
+                            if cells[x] != x:
+                                x = cells[b + bw[j]] = find(x)
+                            b = x
+                            j -= 1
+                        if j < i:
+                            if f != b:
+                                merge(f, b)
                             break
-                        if self.table[c][col] is None:
-                            d = self._new_coset()
-                            self._set_edge(c, col, d)
-                c += 1
+                        # both scans stopped at undefined entries: a gap of
+                        # one letter is a deduction, a longer one a new coset
+                        if i == j:
+                            cells[f + fw[i]] = b
+                            cells[b + bw[i]] = f
+                            break
+                        d = len(cells)
+                        if d >= limit:
+                            raise _Overflow()
+                        cells.append(d)
+                        cells += blank
+                        cells[f + fw[i]] = d
+                        cells[d + bw[i]] = f
+                        f = d
+                        i += 1
+                if cells[c] == c:
+                    for col in range(1, w):
+                        if cells[c + col] < 0:
+                            d = len(cells)
+                            if d >= limit:
+                                raise _Overflow()
+                            cells.append(d)
+                            cells += blank
+                            cells[c + col] = d
+                            cells[d + inverse[col]] = c
+                c += w
             self.status = "complete"
         except _Overflow:
             self.status = "overflow"
@@ -198,8 +200,6 @@ class _Overflow(Exception):
 
 def coset_enumerate(p, subgroup=(), max_cosets=DEFAULT_MAX_COSETS):
     """Index of <subgroup> in the presented group, or None on overflow."""
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be >= 1")
     table = CosetTable(len(p.generator_names), p.relators, list(subgroup), max_cosets)
     return table.run_hlt().index()
 
@@ -230,8 +230,7 @@ def is_consequence(p, word, max_cosets=DEFAULT_MAX_COSETS):
         # index finite and word trivial there would still be inconclusive,
         # so just report inconclusive.
         return None
-    end = table.trace(0, word)
-    return end == table._find(0)
+    return table.trace(0, word) == 0
 
 
 class FiniteGroupModel:

@@ -19,6 +19,7 @@ from .affine import (
     _reduce_mod_lattice,
     finite_closure,
     hnf_lattice,
+    lattice_frame,
     point_group_image,
 )
 from .bfs import (
@@ -323,6 +324,7 @@ def from_cayley(generators, base_point=None, rank=None):
     reps = [
         AffineIsometry(e.linear, e.residual) for e in model.elements
     ]
+    frame = lattice_frame(lat)
     edges = []
     edge_sources = {}
     # edges join g to g*x so that translations (acting on the left) move
@@ -330,7 +332,7 @@ def from_cayley(generators, base_point=None, rank=None):
     for gi, (gname, op) in enumerate(generators):
         for i, rep in enumerate(reps):
             target = rep * op
-            pt = point_group_image(target, lat)
+            pt = point_group_image(target, lat, frame)
             j = model.index[pt]
             diff = tuple(
                 a - b for a, b in zip(target.translation, reps[j].translation)
@@ -767,6 +769,7 @@ def regular_action_check(g, group_generators, base=0):
     except NotLatticeInvariant:
         return "inconclusive"
     p0 = position(_start(g, base))
+    frame = lattice_frame(sub)
     images = {_reduce_mod_lattice(AffineIsometry(e.linear, e.residual)
-                                  .apply(p0), sub) for e in reps}
+                                  .apply(p0), sub, frame) for e in reps}
     return "pass" if len(reps) == orbits == len(images) else "fail"

@@ -13,6 +13,7 @@ from .affine import (
     AffineIsometry,
     finite_closure,
     inverse as affine_inverse,
+    lattice_frame,
     point_group_compose,
     point_group_image,
 )
@@ -101,9 +102,11 @@ def build_extension_data(generators, rank=None):
     ops = [op for _, op in generators]
     elements = finite_closure(ops, lattice)
     index = {e: i for i, e in enumerate(elements)}
-    images = [index[point_group_image(op, lattice)] for op in ops]
+    frame = lattice_frame(lattice)
+    images = [index[point_group_image(op, lattice, frame)] for op in ops]
     model = FiniteGroupModel(
-        elements, images, lambda a, b: point_group_compose(a, b, lattice)
+        elements, images,
+        lambda a, b: point_group_compose(a, b, lattice, frame)
     )
     names = [name for name, _ in generators]
     point_pres = short_presentation_finite(model, names=names)

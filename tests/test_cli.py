@@ -268,6 +268,20 @@ def test_non_unimodular_is_input_error(tmp_path, capsys):
     _input_error(capsys, ["present", "--input", _document(tmp_path, "2x, y")])
 
 
+def test_not_lattice_invariant_is_input_error(capsys, monkeypatch):
+    # no input is known to reach it; fake the pipeline failure
+    import crystpres.cli as cli
+    from crystpres.affine import NotLatticeInvariant
+
+    def broken(*args, **kwargs):
+        raise NotLatticeInvariant("linear part does not preserve the lattice")
+
+    monkeypatch.setattr(cli, "present", broken)
+    err = _input_error(capsys, ["present", "--input",
+                                corpus_path("i42d.json")])
+    assert "does not preserve the lattice" in err
+
+
 def test_model_not_closed_is_input_error(capsys, monkeypatch):
     # no corpus-style input is known to reach it; fake the pipeline failure
     import crystpres.cli as cli

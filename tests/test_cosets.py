@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystpres.cosets import (
+    CosetTable,
     FiniteGroupModel,
     ModelNotClosed,
     coset_enumerate,
@@ -70,6 +71,197 @@ def test_coset_enumerate_matches_sympy(case):
     table = fp_groups.FpGroup(free, sympy_relators).coset_enumeration([])
     table.compress()
     assert coset_enumerate(Presentation(names, relators)) == len(table.table)
+
+
+class _Overflow(Exception):
+    pass
+
+
+def _col(x):
+    return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
+
+
+def _inv_col(col):
+    return col ^ 1
+
+
+class ListCosetTable:
+    """Oracle: the list-of-rows HLT table that the flat table replaced,
+    copied verbatim apart from its name, `trace` and the default cap."""
+
+    def __init__(self, ngens, relators, subgroup_words, max_cosets):
+        self.ngens = ngens
+        self.relators = [cyclic_reduce(r) for r in relators if cyclic_reduce(r)]
+        self.subgroup_words = list(subgroup_words)
+        self.max_cosets = max_cosets
+        self.table = []  # per coset: list of 2*ngens entries (None or coset)
+        self.parent = []  # union-find
+        self.status = None
+        self._new_coset()
+
+    # -- union-find ---------------------------------------------------------
+
+    def _find(self, c):
+        while self.parent[c] != c:
+            self.parent[c] = self.parent[self.parent[c]]
+            c = self.parent[c]
+        return c
+
+    def _new_coset(self):
+        if len(self.table) >= self.max_cosets:
+            raise _Overflow()
+        self.table.append([None] * (2 * self.ngens))
+        self.parent.append(len(self.table) - 1)
+        return len(self.table) - 1
+
+    # -- edges and coincidences ---------------------------------------------
+
+    def _set_edge(self, a, col, b):
+        queue = [(a, col, b)]
+        while queue:
+            a, col, b = queue.pop()
+            a, b = self._find(a), self._find(b)
+            cur = self.table[a][col]
+            if cur is not None and self._find(cur) != b:
+                self._merge(self._find(cur), b)
+                continue
+            self.table[a][col] = b
+            back = self.table[b][_inv_col(col)]
+            if back is None:
+                self.table[b][_inv_col(col)] = a
+            elif self._find(back) != a:
+                self._merge(self._find(back), a)
+
+    def _merge(self, a, b):
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            a, b = self._find(a), self._find(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            self.parent[b] = a
+            for col in range(2 * self.ngens):
+                t = self.table[b][col]
+                if t is None:
+                    continue
+                t = self._find(t)
+                cur = self.table[a][col]
+                if cur is None:
+                    self.table[a][col] = t
+                    back = self.table[t][_inv_col(col)]
+                    if back is None:
+                        self.table[t][_inv_col(col)] = a
+                    elif self._find(back) != a:
+                        stack.append((self._find(back), a))
+                elif self._find(cur) != t:
+                    stack.append((self._find(cur), t))
+
+    # -- scanning ------------------------------------------------------------
+
+    def _scan_and_fill(self, coset, word):
+        f = self._find(coset)
+        b = self._find(coset)
+        i, j = 0, len(word) - 1
+        while True:
+            # scan forward as far as possible
+            while i <= j:
+                nxt = self.table[f][_col(word[i])]
+                if nxt is None:
+                    break
+                f = self._find(nxt)
+                i += 1
+            if i > j:
+                # full forward scan; close the cycle
+                if f != b:
+                    self._merge(f, b)
+                return
+            # scan backward
+            while j >= i:
+                prv = self.table[b][_col(-word[j])]
+                if prv is None:
+                    break
+                b = self._find(prv)
+                j -= 1
+            if j < i:
+                # both scans consumed the whole word
+                if f != b:
+                    self._merge(f, b)
+                return
+            if i == j:
+                self._set_edge(f, _col(word[i]), b)
+                return
+            # define a new coset to extend the forward scan
+            c = self._new_coset()
+            self._set_edge(f, _col(word[i]), c)
+            f = self._find(self.table[f][_col(word[i])])
+            i += 1
+
+    # -- HLT enumeration -----------------------------------------------------
+
+    def run_hlt(self):
+        try:
+            for w in self.subgroup_words:
+                self._scan_and_fill(self._find(0), w)
+            c = 0
+            while c < len(self.table):
+                if self._find(c) != c:
+                    c += 1
+                    continue
+                for r in self.relators:
+                    if self._find(c) != c:
+                        break
+                    self._scan_and_fill(c, r)
+                if self._find(c) == c:
+                    for col in range(2 * self.ngens):
+                        if self._find(c) != c:
+                            break
+                        if self.table[c][col] is None:
+                            d = self._new_coset()
+                            self._set_edge(c, col, d)
+                c += 1
+            self.status = "complete"
+        except _Overflow:
+            self.status = "overflow"
+        return self
+
+    def live_cosets(self):
+        return [c for c in range(len(self.table)) if self._find(c) == c]
+
+    def index(self):
+        if self.status != "complete":
+            return None
+        return len(self.live_cosets())
+
+
+@st.composite
+def _enumeration(draw):
+    """Random presentation on <= 3 generators, up to two subgroup words
+    (neither kind reduced) and a coset cap."""
+    ngens = draw(st.integers(1, 3))
+    letters = [x for k in range(1, ngens + 1) for x in (k, -k)]
+    word = st.lists(st.sampled_from(letters), max_size=8).map(tuple)
+    return (ngens, draw(st.lists(word, max_size=4)),
+            draw(st.lists(word, max_size=2)), draw(st.integers(1, 500)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_enumeration())
+def test_flat_table_matches_list_table(case):
+    ngens, relators, subgroup, cap = case
+    old = ListCosetTable(ngens, relators, subgroup, cap).run_hlt()
+    new = CosetTable(ngens, relators, subgroup, cap).run_hlt()
+    assert new.index() == old.index()
+    assert len(new.table) == len(old.table)  # cosets defined
+    # the same live cosets with the same rows, also where an overflow
+    # stopped both enumerations
+    w = new.width
+    assert new.live_cosets() == old.live_cosets()
+    for c in old.live_cosets():
+        row = [-1 if x < 0 else new._find(x) // w
+               for x in new.cells[c * w + 1:c * w + w]]
+        assert row == [-1 if x is None else old._find(x) for x in old.table[c]]
 
 
 def test_subgroup_index():
