@@ -29,10 +29,14 @@ a4 = a * a * a * a
 print("a^4   =", format_symop(a4), "-> translation", a4.translation)
 
 # reduce the generators modulo the integer lattice; the result is the
-# finite quotient G / Z^3.  Note that the full translation subgroup of
-# this group is strictly larger than Z^3 (products of the screw and the
-# involution produce fractional shifts), so this quotient is bigger
-# than the point group itself.
+# finite quotient G / Z^3.  finite_closure returns (kernel, reduce,
+# elements): the elements are integer codes of one WalkKernel, an
+# interned linear part plus N times the translation (N the lcm of the
+# translation denominators), reduced to lattice coordinates in [0, 1);
+# kernel.decode turns a code back into an exact map.  Note that the
+# full translation subgroup of this group is strictly larger than Z^3
+# (products of the screw and the involution produce fractional shifts),
+# so this quotient is bigger than the point group itself.
 lat = hnf_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-elements = finite_closure([a, b], lat)
+_, _, elements = finite_closure([a, b], lat)
 print("order of the finite quotient modulo Z^3:", len(elements))

@@ -3,12 +3,11 @@
 from .affine import (
     AffineIsometry,
     TranslationLattice,
-    PointGroupElement,
+    WalkKernel,
     compose,
     inverse,
     translation_of,
     hnf_lattice,
-    point_group_image,
     finite_closure,
 )
 from .symop import (
@@ -38,7 +37,6 @@ from .bfs import (
     BallIndex,
     GeodesicSet,
     TranslationHarvest,
-    WalkKernel,
     ball,
     coordination_sequence,
     geodesics,

@@ -1,14 +1,21 @@
-"""Exact affine isometries, translation lattices and point-group images.
+"""Exact affine isometries, translation lattices and integer element codes.
 
 Linear parts are integer matrices in the working (lattice) basis;
 translations are exact rationals.  Everything is immutable and hashable,
 so group elements deduplicate exactly in breadth-first searches.
+
+WalkKernel is the one integer element code: x -> A x + t is the int
+tuple (id(A), N t), id(A) an interned linear part and N the lcm of the
+translation denominators.  Products and the reduction modulo a lattice
+are integer-only.  The Cayley walks (bfs), the point-group closure and
+model (pipeline) and the Cayley quotient (netgraph) all run on codes.
 """
 
 import math
 from fractions import Fraction
 
 from .intmat import (
+    common_denominator,
     frac_rows,
     hnf,
     identity_matrix,
@@ -209,124 +216,169 @@ def hnf_lattice(vectors, dimension=None):
     return TranslationLattice(d, basis)
 
 
-class PointGroupElement:
-    """Image of a group element in G/T: linear part plus residual shift.
+class WalkKernel:
+    """Integer codes of the group generated by `isometries`, N = `scale`.
 
-    The residual translation is reduced so that its lattice coordinates
-    lie in [0, 1); components transverse to the lattice are kept exactly
-    (needed for subperiodic groups, where the quotient map must stay
-    faithful on the residual part).
+    Signed letter k (-k) stands for isometries[k-1] (its inverse).
+    `steps` lists (letter, move) in the walk order 1, -1, 2, -2, ...,
+    where move(g) is the code of image(letter) * g; `move` maps each
+    letter to its move.  Denominators of the vectors in `points` are
+    folded into the scale so those vectors encode exactly as well.
+    Raises NotUnimodular when a generator has no integer inverse.
     """
 
-    __slots__ = ("linear", "residual", "_hash")
+    def __init__(self, isometries, points=()):
+        self.dimension = d = isometries[0].dimension
+        images = {}
+        for k, g in enumerate(isometries, start=1):
+            images[k], images[-k] = g, inverse(g)
+        self.scale = common_denominator(
+            [g.translation for g in images.values()] + list(points)
+        )
+        self._linears = []
+        self._ids = {}
+        self._products = {}  # (linear id, linear id) -> linear id
+        self.identity = self.encode(AffineIsometry.identity(d))
+        self.steps = [(x, self._mover(self.encode(images[x]))) for x in images]
+        self.move = dict(self.steps)
 
-    def __init__(self, linear, residual):
-        linear = tuple(tuple(int(x) for x in row) for row in linear)
-        residual = tuple(Fraction(x) for x in residual)
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "_hash", hash((linear, residual)))
+    def neighbours(self, g):
+        """(letter, image(letter) * g) for every letter, in walk order."""
+        return [(x, move(g)) for x, move in self.steps]
 
-    def __setattr__(self, *args):
-        raise AttributeError("PointGroupElement is immutable")
+    def _intern(self, linear):
+        lid = self._ids.get(linear)
+        if lid is None:
+            lid = self._ids[linear] = len(self._linears)
+            self._linears.append(linear)
+        return lid
 
-    def __eq__(self, other):
-        if not isinstance(other, PointGroupElement):
-            return NotImplemented
-        return self.linear == other.linear and self.residual == other.residual
+    def _mover(self, code):
+        """g -> code * g: product with a fixed left factor, on sparse rows
+        and a memo per factor, which keeps the walks fast."""
+        lin = self._linears[code[0]]
+        linears, intern = self._linears, self._intern
+        products = {}  # linear id of g -> linear id of lin * g
+        # sparse rows indexed into the code (offset 1 skips the linear id)
+        rows = tuple(
+            (tuple((j + 1, c) for j, c in enumerate(row) if c), s)
+            for row, s in zip(lin, code[1:])
+        )
 
-    def __hash__(self):
-        return self._hash
+        def move(g):
+            p = products.get(g[0])
+            if p is None:
+                p = products[g[0]] = intern(mat_mul_int(lin, linears[g[0]]))
+            return (p, *[sum([c * g[j] for j, c in terms]) + s
+                         for terms, s in rows])
 
-    def __repr__(self):
-        return f"PointGroupElement(linear={self.linear}, residual={self.residual})"
+        return move
 
-    def is_identity(self):
-        d = len(self.residual)
-        return self.linear == identity_matrix(d) and all(x == 0 for x in self.residual)
+    def product(self, a, b):
+        """Code of decode(a) * decode(b)."""
+        lin = self._linears[a[0]]
+        p = self._products.get((a[0], b[0]))
+        if p is None:
+            p = self._products[a[0], b[0]] = self._intern(
+                mat_mul_int(lin, self._linears[b[0]]))
+        t = b[1:]
+        return (p, *[sum([c * x for c, x in zip(row, t)]) + s
+                     for row, s in zip(lin, a[1:])])
 
+    def modulo(self, lattice):
+        """The reduction of codes modulo N L: code -> (residual, shift).
 
-def lattice_frame(lattice):
-    """Rows whose dot products with a vector give its lattice coordinates.
+        The residual codes the canonical representative of the coset
+        g L: its translation has coordinates in [0, 1) along the basis
+        of L, and its part transverse to L is kept (subperiodic groups
+        need it for a faithful quotient).  `shift` holds the integer
+        coordinates of g's translation minus the residual's in that
+        basis.  The basis must lie on the kernel's scale (pass it among
+        `points`).
+        """
+        # extend the basis of L by unit vectors to a basis of Q^d; the
+        # first rows of the inverse give coordinates along L
+        d = self.dimension
+        ext = list(lattice.basis)
+        for unit in identity_matrix(d):
+            if (len(ext) < d
+                    and len(hnf(scale_to_int(ext + [unit])[0])) > len(ext)):
+                ext.append(unit)
+        inv = mat_inverse_frac(tuple(zip(*ext)))
+        frame, den = scale_to_int(inv[:lattice.rank])
+        den *= self.scale
+        terms = [(row, self.encode(AffineIsometry.from_translation(b))[1:])
+                 for row, b in zip(frame, lattice.basis)]
 
-    The lattice basis is extended greedily by unit vectors to a basis of
-    Q^d; the rows are those of the inverse basis matrix that belong to
-    the lattice vectors.  Compute it once per lattice and pass it to the
-    functions below.
-    """
-    d = lattice.dimension
-    ext = [list(map(Fraction, row)) for row in lattice.basis]
-    for j in range(d):
-        if len(ext) == d:
-            break
-        trial = ext + [[Fraction(int(i == j)) for i in range(d)]]
-        if len(hnf(scale_to_int(trial)[0])) == len(trial):
-            ext = trial
-    return mat_inverse_frac(tuple(zip(*ext)))[:lattice.rank]
+        def reduce(code):
+            t = code[1:]
+            shift = tuple(sum([a * x for a, x in zip(row, t)]) // den
+                          for row, _ in terms)
+            for k, (_, b) in zip(shift, terms):
+                if k:
+                    t = [x - k * y for x, y in zip(t, b)]
+            return (code[0], *t), shift
 
+        return reduce
 
-def _reduce_mod_lattice(vector, lattice, frame=None):
-    """Canonical residual of `vector` modulo the lattice.
+    def encode(self, g):
+        t = [x * self.scale for x in g.translation]
+        if any(x.denominator != 1 for x in t):
+            raise ValueError("translation outside the kernel's scale")
+        return (self._intern(g.linear), *map(int, t))
 
-    Moves the vector by lattice vectors until its coordinates along them
-    (rows of `frame`, default `lattice_frame(lattice)`) lie in [0, 1);
-    the part transverse to the lattice is kept.
-    """
-    out = [Fraction(x) for x in vector]
-    if frame is None:
-        frame = lattice_frame(lattice)
-    for row, b in zip(frame, lattice.basis):
-        k = math.floor(sum(a * x for a, x in zip(row, vector)))
-        if k:
-            out = [x - k * y for x, y in zip(out, b)]
-    return tuple(out)
+    def lookup(self, g):
+        """Code of g without interning, or None when g cannot be a
+        group element (unknown linear part or off-scale translation)."""
+        if g.dimension != self.dimension or g.linear not in self._ids:
+            return None
+        try:
+            return self.encode(g)
+        except ValueError:
+            return None
 
+    def linear(self, code):
+        return self._linears[code[0]]
 
-def point_group_image(g, lattice, frame=None):
-    """Canonical representative of the coset g*T in G/T."""
-    for row in lattice.basis:
-        image = mat_vec(g.linear, row)
-        if not lattice.contains(image):
-            raise NotLatticeInvariant(
-                f"linear part {g.linear} does not preserve the lattice"
-            )
-    return PointGroupElement(
-        g.linear, _reduce_mod_lattice(g.translation, lattice, frame))
+    def vector(self, code):
+        return tuple(Fraction(v, self.scale) for v in code[1:])
 
-
-def point_group_compose(a, b, lattice, frame=None):
-    lin = mat_mul_int(a.linear, b.linear)
-    tr = tuple(
-        x + y for x, y in zip(mat_vec(a.linear, b.residual), a.residual)
-    )
-    return PointGroupElement(lin, _reduce_mod_lattice(tr, lattice, frame))
+    def decode(self, code):
+        return AffineIsometry(self.linear(code), self.vector(code))
 
 
 def finite_closure(generators, lattice, bound=10000):
-    """Closure of point-group generator images under multiplication.
+    """The finite quotient G/L of the group generated by `generators`.
 
-    Returns the list of PointGroupElements in deterministic BFS order
-    (identity first).  Raises ClosureBoundExceeded past `bound` elements.
+    Returns (kernel, reduce, elements): the WalkKernel of the generators
+    (its scale covers the basis of L), reduce = kernel.modulo(lattice),
+    and the residual codes of G/L in deterministic order: breadth-first
+    from the identity, right-multiplying by the generators in order.
+    Raises NotLatticeInvariant when a linear part does not map L into
+    itself, ClosureBoundExceeded past `bound` elements.
     """
-    d = lattice.dimension
-    ident = PointGroupElement(identity_matrix(d), (0,) * d)
-    frame = lattice_frame(lattice)
-    gens = [point_group_image(g, lattice, frame) for g in generators]
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
+    for g in generators:
+        if not all(lattice.contains(mat_vec(g.linear, b))
+                   for b in lattice.basis):
+            raise NotLatticeInvariant(
+                f"linear part {g.linear} does not preserve the lattice"
+            )
+    kernel = WalkKernel(generators, points=lattice.basis)
+    reduce = kernel.modulo(lattice)
+    gens = [reduce(kernel.encode(g))[0] for g in generators]
+    elements = {kernel.identity: None}  # an insertion-ordered set
+    frontier = [kernel.identity]
     while frontier:
         new = []
         for x in frontier:
             for s in gens:
-                y = point_group_compose(x, s, lattice, frame)
-                if y not in seen:
-                    seen.add(y)
-                    elements.append(y)
+                y = reduce(kernel.product(x, s))[0]
+                if y not in elements:
+                    elements[y] = None
                     new.append(y)
                     if len(elements) > bound:
                         raise ClosureBoundExceeded(
                             f"point-group closure exceeded {bound} elements"
                         )
         frontier = new
-    return elements
+    return kernel, reduce, list(elements)

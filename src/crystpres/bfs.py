@@ -7,14 +7,9 @@ Provides distance balls, coordination sequences, geodesic counting and
 the harvest of shortest translation words that feeds the presentation
 pipeline.
 
-Every walk runs on one exact integer encoding (WalkKernel).  With N the
-lcm of the translation denominators of the generators (and of any
-target or point the walk must recognise), every element of the
-generated group has its translation in (1/N)Z^d, so x -> A x + t is
-stored as the int tuple (id(A), N t_1, ..., N t_d), where id(A) indexes
-a per-walk table of interned integer linear parts.  Composition is a
-memoised product lookup plus small integer dot products: still exact
-and free of floating point, and elements are converted to and from
+Every walk runs on the integer element codes of affine.WalkKernel (an
+interned linear part plus N times the translation, N also covering any
+target the walk must recognise); elements are converted to and from
 AffineIsometry only at the API boundary.
 
 Every walk, here, on the periodic covers of netgraph and over the
@@ -25,8 +20,7 @@ _expand, given a neighbours function.
 import math
 from fractions import Fraction
 
-from .affine import AffineIsometry, check_finite_order, hnf_lattice, inverse
-from .intmat import common_denominator, mat_mul_int
+from .affine import AffineIsometry, WalkKernel, check_finite_order, hnf_lattice
 from .words import free_reduce
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
@@ -44,88 +38,6 @@ class LatticeNotFound(RuntimeError):
 
 class FiniteGroup(LatticeNotFound):
     """The harvest saw the whole group: it is finite, with no translations."""
-
-
-class WalkKernel:
-    """Integer-coded elements of the group generated by `isometries`.
-
-    Signed letter k (-k) stands for isometries[k-1] (its inverse).
-    `steps` lists (letter, move) in the walk order 1, -1, 2, -2, ...,
-    where move(g) is the code of image(letter) * g; `move` maps each
-    letter to its move.  Denominators of the vectors in `points` are
-    folded into the scale so those vectors encode exactly as well.
-    Raises affine.NotUnimodular when a generator has no integer inverse.
-    """
-
-    def __init__(self, isometries, points=()):
-        self.dimension = d = isometries[0].dimension
-        images = {}
-        for k, g in enumerate(isometries, start=1):
-            images[k], images[-k] = g, inverse(g)
-        self.scale = common_denominator(
-            [g.translation for g in images.values()] + list(points)
-        )
-        self._linears = []
-        self._ids = {}
-        self.identity = self.encode(AffineIsometry.identity(d))
-        self.steps = [(x, self._mover(self.encode(images[x]))) for x in images]
-        self.move = dict(self.steps)
-
-    def neighbours(self, g):
-        """(letter, image(letter) * g) for every letter, in walk order."""
-        return [(x, move(g)) for x, move in self.steps]
-
-    def _intern(self, linear):
-        lid = self._ids.get(linear)
-        if lid is None:
-            lid = self._ids[linear] = len(self._linears)
-            self._linears.append(linear)
-        return lid
-
-    def _mover(self, code):
-        """The map g -> code * g on codes."""
-        lin = self._linears[code[0]]
-        linears, intern = self._linears, self._intern
-        products = {}  # linear id of g -> linear id of lin * g
-        # sparse rows indexed into the code (offset 1 skips the linear id)
-        rows = tuple(
-            (tuple((j + 1, c) for j, c in enumerate(row) if c), s)
-            for row, s in zip(lin, code[1:])
-        )
-
-        def move(g):
-            p = products.get(g[0])
-            if p is None:
-                p = products[g[0]] = intern(mat_mul_int(lin, linears[g[0]]))
-            return (p, *[sum([c * g[j] for j, c in terms]) + s
-                         for terms, s in rows])
-
-        return move
-
-    def encode(self, g):
-        t = [x * self.scale for x in g.translation]
-        if any(x.denominator != 1 for x in t):
-            raise ValueError("translation outside the kernel's scale")
-        return (self._intern(g.linear), *map(int, t))
-
-    def lookup(self, g):
-        """Code of g without interning, or None when g cannot be a
-        group element (unknown linear part or off-scale translation)."""
-        if g.dimension != self.dimension or g.linear not in self._ids:
-            return None
-        try:
-            return self.encode(g)
-        except ValueError:
-            return None
-
-    def linear(self, code):
-        return self._linears[code[0]]
-
-    def vector(self, code):
-        return tuple(Fraction(v, self.scale) for v in code[1:])
-
-    def decode(self, code):
-        return AffineIsometry(self.linear(code), self.vector(code))
 
 
 def _kernel(generators, points=()):

@@ -15,6 +15,7 @@ failure or analysis error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -78,16 +79,19 @@ def _load_document(path):
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _check_source(args):
+    if (args.net is None) == (args.input is None):
+        raise InputError("exactly one of --net or --input is required")
+
+
 def _load_graph(args):
-    if getattr(args, "net", None):
-        try:
-            return catalog_load(args.net)
-        except GraphError as exc:
-            raise InputError(str(exc)) from exc
-    if getattr(args, "input", None):
-        doc = _load_document(args.input)
-        return from_cayley(doc)
-    raise InputError("one of --net or --input is required")
+    _check_source(args)
+    if args.input is not None:
+        return from_cayley(_load_document(args.input))
+    try:
+        return catalog_load(args.net)
+    except GraphError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _check_base(g, base):
@@ -222,7 +226,8 @@ def cmd_verify(args):
 def cmd_cseq(args):
     radius = args.radius
     _check_radius(radius)
-    if args.net:
+    _check_source(args)
+    if args.net is not None:
         g = _load_graph(args)
         _check_base(g, args.base)
         seq = net_coordination_sequence(g, args.base, radius)
@@ -244,7 +249,8 @@ def cmd_cseq(args):
 def cmd_geodesics(args):
     target = _parse_vector(args.target)
     cap = _check_max(args.max, 200, 1)
-    if args.net:
+    _check_source(args)
+    if args.net is not None:
         g = _load_graph(args)
         _check_base(g, args.base)
         length, count = net_geodesics(g, target, base=args.base, cap=cap)
@@ -432,9 +438,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built once per process: a parser is a web of reference cycles that
+    # only a full garbage collection would free
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, LatticeNotFound, ClosureBoundExceeded, ModelNotClosed,

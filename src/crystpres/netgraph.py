@@ -16,11 +16,9 @@ from .affine import (
     AffineIsometry,
     ClosureBoundExceeded,
     NotLatticeInvariant,
-    _reduce_mod_lattice,
     finite_closure,
     hnf_lattice,
-    lattice_frame,
-    point_group_image,
+    inverse,
 )
 from .bfs import (
     FiniteGroup,
@@ -321,25 +319,16 @@ def from_cayley(generators, base_point=None, rank=None):
     E = build_extension_data(generators, rank=rank)
     lat = E.lattice
     model = E.model
-    reps = [
-        AffineIsometry(e.linear, e.residual) for e in model.elements
-    ]
-    frame = lattice_frame(lat)
     edges = []
     edge_sources = {}
     # edges join g to g*x so that translations (acting on the left) move
-    # cover vertices by plain shift addition
+    # cover vertices by plain shift addition; the shift is the lattice
+    # part the reduction takes off g*x
     for gi, (gname, op) in enumerate(generators):
-        for i, rep in enumerate(reps):
-            target = rep * op
-            pt = point_group_image(target, lat, frame)
-            j = model.index[pt]
-            diff = tuple(
-                a - b for a, b in zip(target.translation, reps[j].translation)
-            )
-            shift = lat.coordinates(diff)
-            if shift is None:
-                raise GraphError("edge shift outside the harvested lattice")
+        x = E.kernel.encode(op)
+        for i, rep in enumerate(model.elements):
+            target, shift = E.reduce(E.kernel.product(rep, x))
+            j = model.index[target]
             key = _canonical_edge(i, j, shift)
             if key[0] == key[1] and all(s == 0 for s in key[2]):
                 raise GraphError(
@@ -364,11 +353,10 @@ def from_cayley(generators, base_point=None, rank=None):
                 Fraction(1, p) for p in (7, 11, 13, 17, 19, 23)[:d]
             )
         inv = mat_inverse_frac(lat.basis)
-        coords = [
-            vec_mat(rep.apply(base_point), inv) for rep in reps
-        ]
+        coords = [vec_mat(E.kernel.decode(rep).apply(base_point), inv)
+                  for rep in model.elements]
     cell = lat.basis if lat.rank == d else None
-    return LabeledQuotientGraph(lat.rank, len(reps), edges, coords=coords,
+    return LabeledQuotientGraph(lat.rank, model.order, edges, coords=coords,
                                 cell=cell)
 
 
@@ -762,14 +750,17 @@ def regular_action_check(g, group_generators, base=0):
     covolume = [prod(row[i] for i, row in enumerate(x.basis))
                 for x in (sub, lattice)]
     orbits = g.n * covolume[0] / covolume[1]
+    # h p0 - p0 is the translation of h conjugated by the shift to p0,
+    # so the images of p0 are distinct mod L iff the conjugates' residual
+    # translations are
+    to_p0 = AffineIsometry.from_translation(position(_start(g, base)))
     try:
-        reps = finite_closure(list(group_generators), sub, bound=orbits)
+        _, _, reps = finite_closure(
+            [inverse(to_p0) * h * to_p0 for h in group_generators], sub,
+            bound=orbits)
     except ClosureBoundExceeded:
         return "fail"
     except NotLatticeInvariant:
         return "inconclusive"
-    p0 = position(_start(g, base))
-    frame = lattice_frame(sub)
-    images = {_reduce_mod_lattice(AffineIsometry(e.linear, e.residual)
-                                  .apply(p0), sub, frame) for e in reps}
+    images = {code[1:] for code in reps}
     return "pass" if len(reps) == orbits == len(images) else "fail"

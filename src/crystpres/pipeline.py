@@ -9,14 +9,7 @@ result against finite quotients.
 
 from fractions import Fraction
 
-from .affine import (
-    AffineIsometry,
-    finite_closure,
-    inverse as affine_inverse,
-    lattice_frame,
-    point_group_compose,
-    point_group_image,
-)
+from .affine import AffineIsometry, finite_closure, inverse as affine_inverse
 from .bfs import shortest_translation_words
 from .cosets import (
     DEFAULT_MAX_COSETS,
@@ -65,12 +58,16 @@ class ExtensionData:
     vectors generate the translation lattice (shortest first; may exceed
     the rank when no rank-sized subset of shortest words suffices).
     model: the point group as a finite group of lattice-coset
-    representatives.  point_presentation: short presentation of the
-    point group on the images of X.
+    representatives, as residual codes of `kernel` (an affine.WalkKernel
+    of X); `reduce` is kernel.modulo(lattice).  point_presentation:
+    short presentation of the point group on the images of X.
     """
 
-    def __init__(self, generators, harvest, model, point_presentation):
+    def __init__(self, generators, harvest, kernel, reduce, model,
+                 point_presentation):
         self.generators = generators
+        self.kernel = kernel
+        self.reduce = reduce
         self.names = [name for name, _ in generators]
         self.assignment = {i + 1: op for i, (_, op) in enumerate(generators)}
         self.harvest = harvest
@@ -100,17 +97,14 @@ def build_extension_data(generators, rank=None):
     harvest = shortest_translation_words(generators, rank=rank)
     lattice = harvest.lattice
     ops = [op for _, op in generators]
-    elements = finite_closure(ops, lattice)
-    index = {e: i for i, e in enumerate(elements)}
-    frame = lattice_frame(lattice)
-    images = [index[point_group_image(op, lattice, frame)] for op in ops]
+    kernel, reduce, elements = finite_closure(ops, lattice)
+    images = [elements.index(reduce(kernel.encode(op))[0]) for op in ops]
     model = FiniteGroupModel(
-        elements, images,
-        lambda a, b: point_group_compose(a, b, lattice, frame)
-    )
+        elements, images, lambda a, b: reduce(kernel.product(a, b))[0])
     names = [name for name, _ in generators]
     point_pres = short_presentation_finite(model, names=names)
-    return ExtensionData(generators, harvest, model, point_pres)
+    return ExtensionData(generators, harvest, kernel, reduce, model,
+                         point_pres)
 
 
 def _combine(coeffs, words):

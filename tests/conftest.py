@@ -1,4 +1,6 @@
+import math
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -39,28 +41,108 @@ def elv():
     return load_document("elv.json")
 
 
+# -- Fraction reference for the point-group reduction ------------------------
+#
+# The reduction modulo a lattice as it was computed before the point group
+# moved onto integer walk-kernel codes: elements of G/L are pairs
+# (linear part, residual translation) with exact Fraction arithmetic.  Tests
+# compare affine.finite_closure and the Cayley quotient against it.
+
+
+def lattice_frame(lattice):
+    """Rows whose dot products with a vector give its lattice coordinates.
+
+    The lattice basis is extended greedily by unit vectors to a basis of
+    Q^d; the rows are those of the inverse basis matrix that belong to
+    the lattice vectors.
+    """
+    from crystpres.intmat import hnf, mat_inverse_frac, scale_to_int
+
+    d = lattice.dimension
+    ext = [list(map(Fraction, row)) for row in lattice.basis]
+    for j in range(d):
+        if len(ext) == d:
+            break
+        trial = ext + [[Fraction(int(i == j)) for i in range(d)]]
+        if len(hnf(scale_to_int(trial)[0])) == len(trial):
+            ext = trial
+    return mat_inverse_frac(tuple(zip(*ext)))[:lattice.rank]
+
+
+def reduce_mod_lattice(vector, lattice, frame):
+    """Canonical residual of `vector`: lattice coordinates in [0, 1),
+    the part transverse to the lattice kept."""
+    out = [Fraction(x) for x in vector]
+    for row, b in zip(frame, lattice.basis):
+        k = math.floor(sum(a * x for a, x in zip(row, vector)))
+        if k:
+            out = [x - k * y for x, y in zip(out, b)]
+    return tuple(out)
+
+
+def point_group_image(g, lattice, frame):
+    """(linear, residual) of the coset g L; None when the linear part
+    does not preserve the lattice."""
+    from crystpres.intmat import mat_vec
+
+    if not all(lattice.contains(mat_vec(g.linear, row))
+               for row in lattice.basis):
+        return None
+    return g.linear, reduce_mod_lattice(g.translation, lattice, frame)
+
+
+def point_group_compose(a, b, lattice, frame):
+    from crystpres.intmat import mat_mul_int, mat_vec
+
+    tr = tuple(x + y for x, y in zip(mat_vec(a[0], b[1]), a[1]))
+    return (mat_mul_int(a[0], b[0]),
+            reduce_mod_lattice(tr, lattice, frame))
+
+
+def fraction_closure(generators, lattice, bound):
+    """Breadth-first closure in G/L, right-multiplying by the generators
+    in order; None past `bound` elements, "not invariant" when a linear
+    part does not preserve the lattice."""
+    from crystpres.intmat import identity_matrix
+
+    frame = lattice_frame(lattice)
+    gens = [point_group_image(g, lattice, frame) for g in generators]
+    if None in gens:
+        return "not invariant"
+    d = lattice.dimension
+    ident = (identity_matrix(d), (Fraction(0),) * d)
+    elements, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for s in gens:
+                y = point_group_compose(x, s, lattice, frame)
+                if y not in seen:
+                    seen.add(y)
+                    elements.append(y)
+                    new.append(y)
+                    if len(elements) > bound:
+                        return None
+        frontier = new
+    return elements
+
+
 def quotient_coordination_sequence(doc, m, radius):
     """Sphere sizes in the coset graph of G/mT on the same generators."""
-    from crystpres.affine import (
-        TranslationLattice,
-        inverse,
-        point_group_compose,
-        point_group_image,
-    )
+    from crystpres.affine import TranslationLattice, inverse
+    from crystpres.intmat import identity_matrix
     from crystpres.pipeline import build_extension_data
 
     E = build_extension_data(doc.generators)
     sub = TranslationLattice(
         doc.dimension, [[m * x for x in row] for row in E.lattice.basis]
     )
+    frame = lattice_frame(sub)
     steps = []
     for _, op in doc.generators:
-        steps.append(point_group_image(op, sub))
-        steps.append(point_group_image(inverse(op), sub))
-    from crystpres.intmat import identity_matrix
-    from crystpres.affine import PointGroupElement
-
-    ident = PointGroupElement(identity_matrix(doc.dimension), (0,) * doc.dimension)
+        steps.append(point_group_image(op, sub, frame))
+        steps.append(point_group_image(inverse(op), sub, frame))
+    ident = (identity_matrix(doc.dimension), (Fraction(0),) * doc.dimension)
     seen = {ident}
     sphere = [ident]
     sizes = [1]
@@ -68,7 +150,7 @@ def quotient_coordination_sequence(doc, m, radius):
         nxt = []
         for g in sphere:
             for s in steps:
-                h = point_group_compose(s, g, sub)
+                h = point_group_compose(s, g, sub, frame)
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from crystpres.affine import (
@@ -11,16 +11,19 @@ from crystpres.affine import (
     ClosureBoundExceeded,
     DimensionMismatch,
     InfiniteOrder,
+    NotLatticeInvariant,
     TranslationLattice,
+    WalkKernel,
     check_finite_order,
     compose,
     finite_closure,
     hnf_lattice,
     inverse,
-    point_group_image,
     translation_of,
 )
 from crystpres.symop import parse_symop
+
+from conftest import fraction_closure
 
 
 def _signed_perm(dim):
@@ -115,12 +118,20 @@ def test_rank_deficient_lattice():
     assert not lat.contains((0, 1, 0))
 
 
+def _reduced(g, lattice):
+    """Decoded residual of g modulo the lattice, and the shift taken off."""
+    kernel = WalkKernel([g], points=lattice.basis)
+    residual, shift = kernel.modulo(lattice)(kernel.encode(g))
+    return kernel.decode(residual), shift
+
+
 def test_point_group_image_reduces_residual():
     lat = hnf_lattice([(1, 0), (0, 1)])
     g = parse_symop("3/2-x, 2+y", 2)
-    p = point_group_image(g, lat)
-    assert p.residual == (Fraction(1, 2), 0)
+    p, shift = _reduced(g, lat)
+    assert p.translation == (Fraction(1, 2), 0)
     assert p.linear == ((-1, 0), (0, 1))
+    assert shift == (1, 2)
 
 
 def test_point_group_image_keeps_transverse_part():
@@ -128,15 +139,16 @@ def test_point_group_image_keeps_transverse_part():
     # survive reduction or the quotient map would not be faithful
     lat = hnf_lattice([(0, 0, 1)], dimension=3)
     g = parse_symop("1/2+x, y, 2+z", 3)
-    p = point_group_image(g, lat)
-    assert p.residual == (Fraction(1, 2), 0, 0)
+    p, shift = _reduced(g, lat)
+    assert p.translation == (Fraction(1, 2), 0, 0)
+    assert shift == (2,)
 
 
 def test_finite_closure_point_group():
     lat = hnf_lattice([(1, 0), (0, 1)])
     r4 = parse_symop("-y, x", 2)
     m = parse_symop("y, x", 2)
-    elems = finite_closure([r4, m], lat)
+    _, _, elems = finite_closure([r4, m], lat)
     assert len(elems) == 8
 
 
@@ -146,6 +158,93 @@ def test_finite_closure_bound():
     g = parse_symop("x, 1+y", 2)
     with pytest.raises(ClosureBoundExceeded):
         finite_closure([g], lat, bound=50)
+
+
+def _shears(draw, d):
+    """A product of up to two elementary shears: a unimodular matrix."""
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 2)) if d > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(st.sampled_from([1, -1]))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return AffineIsometry(m, (0,) * d)
+
+
+@st.composite
+def closure_cases(draw):
+    """Generators, lattice and bound for a point-group closure.
+
+    Linear parts are signed permutations conjugated by shears, so each
+    has finite order; with one shared conjugator the group they generate
+    is finite too and the lattice is spanned by the orbit of a few
+    random vectors (rank 0..d), otherwise it is Z^d.  Translations lie
+    in (1/8)Z^d, lattice vectors in (1/4)Z^d, and the lattice is scaled
+    by m = 1, 2 or 3.
+    """
+    d = draw(st.integers(1, 3))
+    shared = draw(st.booleans())
+    u = _shears(draw, d)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if not shared:
+            u = _shears(draw, d)
+        perm = draw(st.permutations(range(d)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d,
+                              max_size=d))
+        p = AffineIsometry([[signs[i] * (j == perm[i]) for j in range(d)]
+                            for i in range(d)], (0,) * d)
+        t = draw(st.lists(st.integers(-16, 16), min_size=d, max_size=d))
+        gens.append(AffineIsometry((u * p * inverse(u)).linear,
+                                   [Fraction(x, 8) for x in t]))
+    # mostly zero coordinates, so that orbits often span a proper subspace
+    coordinate = st.sampled_from([0, 0, 0, 0, 1, -2, 4, 6])
+    vectors = [tuple(Fraction(x, 4) for x in v) for v in draw(st.lists(
+        st.lists(coordinate, min_size=d, max_size=d).filter(any),
+        max_size=d))]
+    group = [AffineIsometry.identity(d).linear]
+    for a in group:  # the linear group, while it stays small
+        for g in gens:
+            b = compose(AffineIsometry(a, (0,) * d), g).linear
+            if b not in group and len(group) <= 48:
+                group.append(b)
+    if len(group) > 48:
+        vectors = AffineIsometry.identity(d).linear
+    else:
+        vectors = [tuple(sum(r * x for r, x in zip(row, v)) for row in a)
+                   for a in group for v in vectors]
+    m = draw(st.integers(1, 3))
+    lattice = hnf_lattice([[m * x for x in v] for v in vectors], dimension=d)
+    return gens, lattice, draw(st.integers(1, 2000))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=closure_cases())
+def test_finite_closure_matches_fraction_reference(case):
+    gens, lattice, bound = case
+    expect = fraction_closure(gens, lattice, bound)
+    event(f"d={lattice.dimension} rank={lattice.rank}")
+    event("bound exceeded" if expect is None else "closed")
+    try:
+        kernel, reduce, codes = finite_closure(gens, lattice, bound=bound)
+    except ClosureBoundExceeded:
+        assert expect is None
+        return
+    except NotLatticeInvariant:
+        assert expect == "not invariant"
+        return
+    elements = [kernel.decode(c) for c in codes]
+    assert [(g.linear, g.translation) for g in elements] == expect
+    # the shift the reduction takes off is the lattice part of the product
+    for code, g in zip(codes, elements):
+        for s in gens:
+            residual, shift = reduce(kernel.product(code, kernel.encode(s)))
+            full, rest = g * s, kernel.decode(residual)
+            assert full.linear == rest.linear
+            assert tuple(a - b for a, b in zip(full.translation,
+                                                rest.translation)) == tuple(
+                sum(k * b[j] for k, b in zip(shift, lattice.basis))
+                for j in range(lattice.dimension))
 
 
 def _companion(coefficients):

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, reports, exit codes."""
 
+import gc
 import json
 
 import pytest
@@ -236,6 +237,39 @@ def _input_error(capsys, argv):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     return captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["cseq"],
+    ["geodesics", "--target", "1,0"],
+    ["rings"],
+    ["quotient", "--target", "4,12"],
+])
+@pytest.mark.parametrize("sources", [
+    [],
+    ["--net", "sql", "--input", corpus_path("i42d.json")],
+])
+def test_exactly_one_source_is_required(capsys, command, sources):
+    err = _input_error(capsys, command + sources)
+    assert "exactly one of --net or --input is required" in err
+
+
+def test_repeated_main_leaves_no_argparse_garbage(capsys):
+    argv = ["cseq", "--net", "sql", "--radius", "3"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            assert main(argv) == 0
+        gc.collect()
+        leaked = sum(type(o).__module__ == "argparse" for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert leaked == 0
 
 
 def test_finite_group_is_input_error(tmp_path, capsys):
