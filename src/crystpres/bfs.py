@@ -14,7 +14,11 @@ AffineIsometry only at the API boundary.
 
 Every walk, here, on the periodic covers of netgraph and over the
 finite Cayley graphs of cosets, grows its spheres with the one routine
-_expand, given a neighbours function.
+_expand, given a neighbours function.  The cover walks give it packed
+int nodes (netgraph.CoverCode): node (v, s) of a quotient graph on n
+vertices is v + n * sum_i s_i * B**i, with the radix B = 2 * radius *
+max|edge shift component| + 1 so that no two nodes within the walk's
+radius share a code, and one edge step is one int addition.
 """
 
 import math

@@ -297,6 +297,8 @@ def cmd_rings(args):
 def cmd_quotient(args):
     _check_radius(args.radius)
     max_size = _check_max(args.max, None, 3)
+    if args.widen and max_size is None:
+        raise InputError("--widen needs --max")
     g = _load_graph(args)
     vectors = [_parse_vector(v) for v in args.target.split(";")]
     q = quotient_by_sublattice(g, vectors)
@@ -429,7 +431,9 @@ def build_parser():
                    help="coordination sequence radius for the quotient")
     p.add_argument("--max", type=int,
                    help="also compute the ring symbol up to this size")
-    p.add_argument("--widen", action="store_true")
+    p.add_argument("--widen", action="store_true",
+                   help="with --max, widen the decomposition locality "
+                        "ball by 2")
     p.add_argument("--base", type=int, default=0)
 
     p = add("catalog", cmd_catalog, help="list or show bundled nets")

@@ -5,6 +5,14 @@ one edge per edge orbit, each edge carrying the lattice shift between
 its endpoints' cells.  Covers are explored lazily, so coordination
 sequences, ring searches and sublattice quotients all work directly on
 the finite description.
+
+The walks on the cover (coordination sequences, geodesic counts, the
+ring-search ball) run through bfs._expand on packed node codes: cover
+node (v, s) is the int v + n * E(s), E(s) = sum_i s_i * B**i (see
+CoverCode).  The radix B is sized from the walk's radius and the
+largest edge-shift component, so every node the walk can reach has a
+code of its own, and one step along an edge is one int addition.
+Nodes are decoded to (v, s) only where a result reports them.
 """
 
 import os
@@ -49,6 +57,11 @@ class QuotientNotSimple(GraphError):
 
 class NonVertexTransitive(GraphError):
     """Per-vertex ring counts disagree; no single symbol exists."""
+
+
+def _vector_text(vector):
+    """A vector as written on the command line, e.g. 5/2,-1."""
+    return ",".join(map(str, vector))
 
 
 def _canonical_edge(u, v, shift):
@@ -150,10 +163,6 @@ class LabeledQuotientGraph:
             for w, s in self.adj[v]
         ]
 
-    def cover_steps(self, node):
-        """Cover neighbours labelled by adjacency index, for bfs._expand."""
-        return enumerate(self.cover_neighbors(node))
-
     def to_text(self):
         lines = []
         if self.name:
@@ -186,7 +195,8 @@ class LabeledQuotientGraph:
             x = Fraction(x)
             if x.denominator != 1:
                 raise GraphError(
-                    f"{vector} is not a lattice translation of this net"
+                    f"{_vector_text(vector)} is not a lattice translation"
+                    " of this net"
                 )
             out.append(int(x))
         return tuple(out)
@@ -265,11 +275,52 @@ def _start(g, base):
     return (base, (0,) * g.rank)
 
 
+class CoverCode:
+    """Cover nodes within `radius` edges of cell 0, packed into ints.
+
+    Node (v, s) is the int v + n * E(s), E(s) = sum_i s_i * B**i.  A
+    node r edges away from a vertex of cell 0 has every |s_i| <= r * S,
+    S the largest |component| of an edge shift, so with the radix
+    B = 2 * radius * S + 1 each coordinate is one signed digit in
+    [-radius * S, radius * S] and no two such nodes share a code.
+    p % n is the vertex of code p, and its k-th neighbour in g.adj
+    order is p + steps[p % n][k][1].
+    """
+
+    def __init__(self, g, radius):
+        self.n = g.n
+        self.reach = max(radius, 1) * max(
+            abs(x) for _, _, s in g.edges for x in s)
+        self.radix = 2 * self.reach + 1
+        self.weights = [g.n * self.radix ** i for i in range(g.rank)]
+        self.steps = [
+            [(k, self.encode(w, t) - v) for k, (w, t) in enumerate(nbrs)]
+            for v, nbrs in enumerate(g.adj)
+        ]
+
+    def encode(self, v, shift):
+        return v + sum(w * x for w, x in zip(self.weights, shift))
+
+    def decode(self, p):
+        v, e = p % self.n, p // self.n
+        shift = []
+        for _ in self.weights:
+            digit = (e + self.reach) % self.radix - self.reach
+            shift.append(digit)
+            e = (e - digit) // self.radix
+        return v, tuple(shift)
+
+    def neighbours(self, p):
+        """(adjacency index, neighbour code) pairs, for bfs._expand."""
+        return [(k, p + d) for k, d in self.steps[p % self.n]]
+
+
 def net_coordination_sequence(g, base, radius):
     """Sphere sizes around a base vertex in the periodic cover."""
-    start = _start(g, base)
+    cover = CoverCode(g, radius)
+    start = cover.encode(*_start(g, base))
     entries, sizes, spheres = {start: (0, 0)}, [1], [[start]]
-    for sphere in _expand(g.cover_steps, entries, radius):
+    for sphere in _expand(cover.neighbours, entries, radius):
         sizes.append(len(sphere))
         spheres.append(sphere)
         if len(spheres) > 2:  # undirected: sphere r - 2 is never met again
@@ -285,18 +336,23 @@ def topological_density(g, base=0, radius=10):
 def net_geodesics(g, vector, base=0, cap=200):
     """(length, count) of shortest cover paths from a vertex to its
     translate by a lattice vector (conventional coordinates when the
-    graph has a cell matrix)."""
+    graph has a cell matrix).  A target with a coordinate beyond the
+    reach of `cap` steps is reported unreached without a walk; every
+    other target lies in the box the cover code is sized for."""
     start = _start(g, base)
-    target = (base, g.conventional_to_primitive(vector))
-    if target == start:
+    shift = g.conventional_to_primitive(vector)
+    if not any(shift):
         return 0, 1
-    dist = {start: (0, 0)}
-    counts = {start: 1}
-    spheres = _expand(g.cover_steps, dist, cap, counts=counts)
-    for r, _ in enumerate(spheres, 1):
-        if target in dist:
-            return r, counts[target]
-    raise GraphError(f"target {vector} not reached within {cap} spheres")
+    cover = CoverCode(g, cap)
+    if max(map(abs, shift)) <= cover.reach:
+        origin, target = cover.encode(*start), cover.encode(base, shift)
+        dist, counts = {origin: (0, 0)}, {origin: 1}
+        spheres = _expand(cover.neighbours, dist, cap, counts=counts)
+        for r, _ in enumerate(spheres, 1):
+            if target in dist:
+                return r, counts[target]
+    raise GraphError(
+        f"target {_vector_text(vector)} not reached within {cap} spheres")
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +532,7 @@ def quotient_by_sublattice(g, vectors):
     def vertex_id(v, tors):
         return v * len(combos) + combo_index[tors]
 
+    written = ";".join(map(_vector_text, vectors))
     edges = set()
     for u, v, s in g.edges:
         tors, free = transform(s)
@@ -486,11 +543,11 @@ def quotient_by_sublattice(g, vectors):
             key = _canonical_edge(vertex_id(u, c), vertex_id(v, shifted), free)
             if key[0] == key[1] and all(x == 0 for x in key[2]):
                 raise QuotientNotSimple(
-                    f"quotient by {vectors} creates a loop"
+                    f"quotient by {written} creates a loop"
                 )
             if key in edges:
                 raise QuotientNotSimple(
-                    f"quotient by {vectors} creates parallel edges"
+                    f"quotient by {written} creates parallel edges"
                 )
             edges.add(key)
     name = None
@@ -543,23 +600,28 @@ class RingSymbol:
 
 def _ball(g, base, radius):
     """The cover ball about the base vertex as a small integer graph:
-    (nodes, dist, adj) with the cover nodes in discovery order (the base
-    is node 0), their distances from the base, and per node its
-    neighbours in the ball as (node, edge) pairs in cover_neighbors
-    order.  Edges are numbered in order of first sight along that scan."""
-    entries = {_start(g, base): (0, 0)}
-    for _ in _expand(g.cover_steps, entries, radius):
+    (cover, nodes, dist, adj) with the CoverCode of the walk, the node
+    codes in discovery order (the base is node 0), their distances from
+    the base, and per node its neighbours in the ball as (node, edge)
+    pairs in g.adj order.  Edges are numbered in order of first sight
+    along that scan.  The scan looks at the neighbours of the boundary
+    sphere too, one step past the walk, so the code is sized for
+    radius + 1: a code sized for the radius could give such an outside
+    neighbour the code of a node inside the ball."""
+    cover = CoverCode(g, radius + 1)
+    entries = {cover.encode(*_start(g, base)): (0, 0)}
+    for _ in _expand(cover.neighbours, entries, radius):
         pass
-    index = {node: i for i, node in enumerate(entries)}
+    index = {p: i for i, p in enumerate(entries)}
     adj = [[] for _ in index]
     edges = {}
-    for node, i in index.items():
-        for nb in g.cover_neighbors(node):
-            j = index.get(nb)
+    for p, i in index.items():
+        for _, q in cover.neighbours(p):
+            j = index.get(q)
             if j is not None:
                 key = (i, j) if i < j else (j, i)
                 adj[i].append((j, edges.setdefault(key, len(edges))))
-    return list(entries), [r for r, _ in entries.values()], adj
+    return cover, list(entries), [r for r, _ in entries.values()], adj
 
 
 def _base_cycles(adj, dist, max_size):
@@ -637,7 +699,7 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP, widen=False):
     if max_size < 3:
         raise GraphError("max_size must be >= 3")
     extra = 2 if widen else 0
-    nodes, dist, adj = _ball(g, base, max_size + extra)
+    cover, nodes, dist, adj = _ball(g, base, max_size + extra)
     candidates = _base_cycles(adj, dist, max_size)
     basis = sorted(
         (max(length + 1, far - extra), mask)
@@ -660,7 +722,7 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP, widen=False):
                 pivots[rem.bit_length() - 1] = rem
             admitted += 1
         if reduce(mask):
-            rings.append(Ring(nodes[i] for i in path))
+            rings.append(Ring(cover.decode(nodes[i]) for i in path))
     return rings
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -157,3 +158,30 @@ def quotient_coordination_sequence(doc, m, radius):
         sizes.append(len(nxt))
         sphere = nxt
     return sizes
+
+
+# -- Tuple-node reference for the cover walks ---------------------------------
+#
+# The periodic cover walked as it was before cover nodes were packed into
+# ints: nodes are (vertex, shift tuple) pairs, one fresh tuple per edge.
+
+
+def cover_bfs(g, base, radius):
+    """Distance and shortest-path count of every cover node within
+    radius, by a plain queue BFS over (vertex, shift) tuples."""
+    start = (base, (0,) * g.rank)
+    dist, count = {start: 0}, {start: 1}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if dist[node] == radius:
+            continue
+        v, shift = node
+        for w, s in g.adj[v]:
+            nb = (w, tuple(a + b for a, b in zip(shift, s)))
+            if nb not in dist:
+                dist[nb], count[nb] = dist[node] + 1, 0
+                queue.append(nb)
+            if dist[nb] == dist[node] + 1:
+                count[nb] += count[node]
+    return dist, count

@@ -199,6 +199,22 @@ def test_bad_base_or_radius_is_input_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_geodesics_net_target_out_of_reach(capsys):
+    # (6, -1) is 7 steps away; a cover code sized for 5 steps must not
+    # mistake it for a node it reaches
+    code, report, err = run(capsys, "geodesics", "--net", "sql",
+                            "--target", "6,-1", "--max", "5")
+    assert code == 4
+    assert report is None
+    assert err == "error: target 6,-1 not reached within 5 spheres\n"
+
+
+def test_quotient_widen_needs_max(capsys):
+    err = _input_error(
+        capsys, ["quotient", "--net", "ths", "--target", "0,0,2", "--widen"])
+    assert err == "error: --widen needs --max\n"
+
+
 def test_quotient_base_checked_on_quotient(capsys):
     # sql has one vertex; its (4,12) tube has four
     code, report, _ = run(capsys, "quotient", "--net", "sql",

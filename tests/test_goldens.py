@@ -9,7 +9,10 @@ golden was captured from the ring search over (vertex, shift) tuples;
 it pins every ring's nodes and the order the rings come out in.  The
 present goldens were captured before Tietze simplification moved onto
 one canonical relator form and a longest-match rewrite scan; they pin
-every relator, provenance tag and simplification step count.
+every relator, provenance tag and simplification step count.  The net
+goldens (radius-40 `cseq` on every bundled net, net `geodesics` and the
+ths layer `quotient` reports) were captured while cover nodes were
+(vertex, shift) tuples, before they were packed into single ints.
 """
 
 import json
@@ -34,6 +37,11 @@ CORPUS = sorted(
 CSEQ_DOCS = ["pnna_acd.json", "elv.json", "gis_i41a.json"]
 CSEQ_RADIUS = 8
 PNNA_RING_CAP = 14
+NET_CSEQ_RADIUS = 40
+# net -> translation target (conventional coordinates)
+GEODESIC_TARGETS = {"dia": "3/2,-2,1/2", "pcu": "6,6,6", "sql": "4,12"}
+# the layer vectors of acceptance criterion 6
+THS_LAYERS = ["5/2,5/2,1/2", "2,2,1", "1/2,1/2,-3/2"]
 
 
 def harvest_words(generators):
@@ -81,6 +89,11 @@ def present_stdout(capsys, name):
     return capsys.readouterr().out
 
 
+def cli_stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
 def _golden(name):
     with open(os.path.join(GOLDENS, name)) as fh:
         return fh.read()
@@ -115,3 +128,25 @@ def test_present_ndia_golden(n):
     report = present(ndia_generators(n)).to_dict()
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert text == _golden(f"present_ndia_{n}.json")
+
+
+@pytest.mark.parametrize("name", sorted(RING_GOLDENS))
+def test_cseq_net_golden(name, capsys):
+    last = catalog_load(name).n - 1
+    out = cli_stdout(capsys, "cseq", "--net", name, "--radius",
+                     str(NET_CSEQ_RADIUS), "--base", str(last))
+    assert out == _golden(f"cseq_net_{name}_r{NET_CSEQ_RADIUS}.json")
+
+
+@pytest.mark.parametrize("name", sorted(GEODESIC_TARGETS))
+def test_geodesics_net_golden(name, capsys):
+    out = cli_stdout(capsys, "geodesics", "--net", name,
+                     "--target", GEODESIC_TARGETS[name])
+    assert out == _golden(f"geodesics_net_{name}.json")
+
+
+@pytest.mark.parametrize("layer", range(len(THS_LAYERS)))
+def test_quotient_ths_golden(layer, capsys):
+    out = cli_stdout(capsys, "quotient", "--net", "ths", "--target",
+                     THS_LAYERS[layer], "--radius", "10", "--max", "12")
+    assert out == _golden(f"quotient_ths_{layer}.json")

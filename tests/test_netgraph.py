@@ -2,11 +2,10 @@
 
 import os
 import random
-from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crystpres.netgraph import (
@@ -34,7 +33,7 @@ from crystpres.affine import AffineIsometry
 from crystpres.pipeline import build_extension_data
 from crystpres.symop import parse_symop
 
-from conftest import CORPUS, RING_GOLDENS, load_document
+from conftest import CORPUS, RING_GOLDENS, cover_bfs, load_document
 
 BUNDLED = ["dia", "gis", "hcb", "nbo", "pcu", "qtz", "sql", "srs", "ths"]
 
@@ -81,40 +80,21 @@ def test_coordination_sequences():
     assert net_coordination_sequence(gis, 0, 5) == [1, 4, 9, 18, 32, 48]
 
 
-def _cover_bfs(g, base, radius):
-    """Distance and shortest-path count of every cover node within
-    radius, by a plain queue BFS over (vertex, shift) tuples."""
-    start = (base, (0,) * g.rank)
-    dist, count = {start: 0}, {start: 1}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if dist[node] == radius:
-            continue
-        v, shift = node
-        for w, s in g.adj[v]:
-            nb = (w, tuple(a + b for a, b in zip(shift, s)))
-            if nb not in dist:
-                dist[nb], count[nb] = dist[node] + 1, 0
-                queue.append(nb)
-            if dist[nb] == dist[node] + 1:
-                count[nb] += count[node]
-    return dist, count
-
-
 @st.composite
 def _small_quotient_graphs(draw):
     """Connected labelled quotient graphs of rank 1-3 with shifts in
-    [-2, 2], a base vertex and a lattice vector."""
+    [-3, 3], a base vertex and a lattice vector."""
     rank = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4))
-    shift = st.tuples(*[st.integers(-2, 2)] * rank)
-    # a spanning tree plus unit-shift edges at vertex 0 make the cover
-    # connected; the extra edges vary it
+    shift = st.tuples(*[st.integers(-3, 3)] * rank)
+    # a spanning tree plus a loop of shift +-e_i for each axis make the
+    # cover connected; the extra edges vary it
     edges = [(v, draw(st.integers(0, v - 1)), draw(shift))
              for v in range(1, n)]
-    edges += [(0, 0, tuple(int(i == j) for j in range(rank)))
-              for i in range(rank)]
+    for i in range(rank):
+        u = draw(st.integers(0, n - 1))
+        sign = draw(st.sampled_from((1, -1)))
+        edges.append((u, u, tuple(sign * int(i == j) for j in range(rank))))
     edges += draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), shift),
         max_size=4,
@@ -133,16 +113,70 @@ def _small_quotient_graphs(draw):
 def test_cover_walks_match_tuple_bfs(case):
     g, base, vector = case
     radius = 6
-    dist, _ = _cover_bfs(g, base, radius)
+    dist, _ = cover_bfs(g, base, radius)
     expected = [0] * (radius + 1)
     for r in dist.values():
         expected[r] += 1
     assert net_coordination_sequence(g, base, radius) == expected
     length, count = net_geodesics(g, vector, base=base)
-    dist, paths = _cover_bfs(g, base, length)
+    dist, paths = cover_bfs(g, base, length)
     target = (base, vector)
     assert dist.get(target) == length
     assert paths[target] == count
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_quotient_graphs(), st.integers(1, 4), st.data())
+def test_capped_net_geodesics_match_tuple_bfs(case, cap, data):
+    """Targets anywhere within three times the reach of `cap` steps, and
+    targets t + B e_i - e_(i+1) for a reached translate t of the base,
+    B the radix of the cover code: a target past the reach must come
+    out unreached, never as the node whose packed code it shares."""
+    g, base, _ = case
+    reach = cap * max(abs(x) for _, _, s in g.edges for x in s)
+    dist, paths = cover_bfs(g, base, cap)
+    if g.rank > 1 and data.draw(st.booleans()):
+        reached = sorted(s for v, s in dist if v == base)
+        vector = list(data.draw(st.sampled_from(reached)))
+        i = data.draw(st.integers(0, g.rank - 2))
+        vector[i] += 2 * reach + 1
+        vector[i + 1] -= 1
+        vector = tuple(vector)
+    else:
+        vector = data.draw(st.tuples(
+            *[st.integers(-3 * reach, 3 * reach)] * g.rank))
+    assume(any(vector))
+    target = (base, vector)
+    if target in dist:
+        assert net_geodesics(g, vector, base=base, cap=cap) == (
+            dist[target], paths[target])
+    else:
+        with pytest.raises(GraphError, match="not reached"):
+            net_geodesics(g, vector, base=base, cap=cap)
+
+
+# the neighbour (2, 0) of boundary node (1, 0) has the packed code of
+# the ball node (-1, 1) when the code is sized for radius 1 only
+_DIAGONAL_SQL = LabeledQuotientGraph(
+    2, 1, [(0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (-1, 1))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_quotient_graphs(), st.integers(1, 4))
+@example((_DIAGONAL_SQL, 0, (0, 0)), 1)
+def test_ring_ball_matches_tuple_bfs(case, radius):
+    """_ball lists the cover nodes within radius in tuple-BFS order, and
+    links each exactly to its cover neighbours inside the ball, also at
+    the boundary, whose outside neighbours lie past the walk's radius."""
+    g, base, _ = case
+    dist, _ = cover_bfs(g, base, radius)
+    cover, nodes, ball_dist, adj = _ball(g, base, radius)
+    decoded = [cover.decode(p) for p in nodes]
+    assert decoded == list(dist)
+    assert ball_dist == list(dist.values())
+    for node, nbrs in zip(decoded, adj):
+        assert [decoded[j] for j, _ in nbrs] == [
+            nb for nb in g.cover_neighbors(node) if nb in dist]
 
 
 def test_topological_density():
@@ -220,13 +254,13 @@ def test_rejected_cycles_have_decomposition_witness():
     independently and check span membership for every rejected cycle."""
     g = catalog_load("gis")
     cap = 8
-    nodes, dist, adj = _ball(g, 0, cap + 2)
+    cover, nodes, dist, adj = _ball(g, 0, cap + 2)
     strong = {r.nodes for r in strong_rings(g, max_size=cap)}
     # all simple cycles through the base, by brute DFS within the ball
     cycles = _base_cycles(adj, dist, cap)
     horton = _horton_cycles(adj, dist, cap)
     for mask, path in cycles.items():
-        if tuple(nodes[i] for i in path) in strong:
+        if tuple(cover.decode(nodes[i]) for i in path) in strong:
             continue
         length = len(path)
         pivots = {}
@@ -253,7 +287,7 @@ def test_base_cycles_match_networkx(name):
     networkx enumerates in the same ball, with masks over its edges."""
     nx = pytest.importorskip("networkx")
     cap = RING_GOLDENS[name][0]
-    _, dist, adj = _ball(catalog_load(name), 0, cap // 2 + 1)
+    _, _, dist, adj = _ball(catalog_load(name), 0, cap // 2 + 1)
     number = {(i, j): e for i, nbrs in enumerate(adj) for j, e in nbrs}
     ball = nx.Graph(list(number))
 
