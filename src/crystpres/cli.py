@@ -276,14 +276,13 @@ def cmd_rings(args):
     _check_base(g, args.base)
     max_size = _check_max(args.max, DEFAULT_RING_CAP, 3)
     if args.all_vertices:
-        symbol = schlafli_symbol(g, max_size=max_size, widen=args.widen)
+        symbol = schlafli_symbol(g, max_size=max_size)
     else:
-        symbol = RingSymbol(
-            ring_size_counts(g, args.base, max_size, widen=args.widen))
+        symbol = RingSymbol(ring_size_counts(g, args.base, max_size))
     out = {
         "config": dict(
             command="rings", net=args.net, input=args.input,
-            max_size=max_size, widen=bool(args.widen), base=args.base,
+            max_size=max_size, base=args.base,
             all_vertices=bool(args.all_vertices),
         ),
         "ring_counts": {str(k): v for k, v in symbol.counts},
@@ -297,8 +296,6 @@ def cmd_rings(args):
 def cmd_quotient(args):
     _check_radius(args.radius)
     max_size = _check_max(args.max, None, 3)
-    if args.widen and max_size is None:
-        raise InputError("--widen needs --max")
     g = _load_graph(args)
     vectors = [_parse_vector(v) for v in args.target.split(";")]
     q = quotient_by_sublattice(g, vectors)
@@ -320,7 +317,7 @@ def cmd_quotient(args):
         f"TD{args.radius} = {sum(seq)}",
     ]
     if max_size is not None:
-        symbol = schlafli_symbol(q, max_size=max_size, widen=args.widen)
+        symbol = schlafli_symbol(q, max_size=max_size)
         out["symbol"] = str(symbol)
         out["ring_counts"] = {str(k): v for k, v in symbol.counts}
         lines.append(f"ring symbol (cap {max_size}): {symbol}")
@@ -414,8 +411,6 @@ def build_parser():
     p.add_argument("--input")
     p.add_argument("--net")
     p.add_argument("--max", type=int, help="ring size cap")
-    p.add_argument("--widen", action="store_true",
-                   help="widen the decomposition locality ball by 2")
     p.add_argument("--base", type=int, default=0)
     p.add_argument("--all-vertices", action="store_true",
                    help="aggregate over all vertices (Schlafli symbol)")
@@ -431,9 +426,6 @@ def build_parser():
                    help="coordination sequence radius for the quotient")
     p.add_argument("--max", type=int,
                    help="also compute the ring symbol up to this size")
-    p.add_argument("--widen", action="store_true",
-                   help="with --max, widen the decomposition locality "
-                        "ball by 2")
     p.add_argument("--base", type=int, default=0)
 
     p = add("catalog", cmd_catalog, help="list or show bundled nets")

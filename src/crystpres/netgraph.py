@@ -16,6 +16,7 @@ Nodes are decoded to (v, s) only where a result reports them.
 """
 
 import os
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -29,6 +30,7 @@ from .affine import (
     inverse,
 )
 from .bfs import (
+    BallBoundExceeded,
     FiniteGroup,
     LatticeNotFound,
     _expand,
@@ -44,6 +46,9 @@ from .intmat import (
 )
 
 DEFAULT_RING_CAP = 14
+# Horton cycle masks one ring search may hold, in bits: (cycles) x (ball
+# edges).  pnna_acd at cap 14, the largest bundled search, needs 4.4e6.
+HORTON_BIT_BUDGET = 1 << 28
 CATALOG_ENV = "CRYSTPRES_CATALOG"
 
 
@@ -336,15 +341,18 @@ def topological_density(g, base=0, radius=10):
 def net_geodesics(g, vector, base=0, cap=200):
     """(length, count) of shortest cover paths from a vertex to its
     translate by a lattice vector (conventional coordinates when the
-    graph has a cell matrix).  A target with a coordinate beyond the
-    reach of `cap` steps is reported unreached without a walk; every
-    other target lies in the box the cover code is sized for."""
+    graph has a cell matrix).  Each step moves the cell by one edge
+    shift, so a target with a coordinate beyond the reach of `cap` steps,
+    or a larger 1-norm than `cap` edge shifts can add up to, is reported
+    unreached without a walk; every other target lies in the box the
+    cover code is sized for."""
     start = _start(g, base)
     shift = g.conventional_to_primitive(vector)
     if not any(shift):
         return 0, 1
     cover = CoverCode(g, cap)
-    if max(map(abs, shift)) <= cover.reach:
+    span = cap * max(sum(map(abs, s)) for _, _, s in g.edges)
+    if max(map(abs, shift)) <= cover.reach and sum(map(abs, shift)) <= span:
         origin, target = cover.encode(*start), cover.encode(base, shift)
         dist, counts = {origin: (0, 0)}, {origin: 1}
         spheres = _expand(cover.neighbours, dist, cap, counts=counts)
@@ -648,63 +656,65 @@ def _base_cycles(adj, dist, max_size):
     return out
 
 
-def _horton_cycles(adj, dist, max_len):
-    """Rooted shortest-path + edge cycles of length <= max_len, as
-    {edge mask: least (length, max base distance over its vertices)}.
-
-    Each root grows a BFS tree of depth max_len // 2 holding (depth,
-    path mask, max base distance) per node; each non-tree edge between
-    tree nodes closes a cycle, the XOR of two tree paths and the edge.
+def _horton_cycles(adj, max_len):
+    """Horton cycles of at most max_len edges, as a set of edge masks:
+    each root grows a BFS tree of depth max_len // 2, (depth, path mask)
+    per node, and each non-tree edge between tree nodes closes the XOR
+    of its two tree paths and itself.  Raises BallBoundExceeded once
+    (masks held) x (ball edges) passes HORTON_BIT_BUDGET.
     """
-    results = {}
+    n_edges = sum(map(len, adj)) // 2
+    masks = set()
     for root in range(len(adj)):
-        tree = {root: (0, 0, dist[root])}
+        tree = {root: (0, 0)}
         sphere = [root]
         for depth in range(1, max_len // 2 + 1):
             nxt = []
             for a in sphere:
-                _, mask, far = tree[a]
+                mask = tree[a][1]
                 for b, e in adj[a]:
                     if b not in tree:
-                        tree[b] = (depth, mask | (1 << e), max(far, dist[b]))
+                        tree[b] = (depth, mask | (1 << e))
                         nxt.append(b)
             sphere = nxt
-        for a, (da, ma, fa) in tree.items():
+        for a, (da, ma) in tree.items():
             for b, e in adj[a]:
                 if a < b and b in tree and da + tree[b][0] < max_len:
-                    db, mb, fb = tree[b]
-                    mask = ma ^ mb ^ (1 << e)
-                    key = (da + db + 1, max(fa, fb))
-                    if mask and key < results.get(mask, (max_len + 1,)):
-                        results[mask] = key
-    return results
+                    masks.add(ma ^ tree[b][1] ^ (1 << e))
+        if len(masks) * n_edges > HORTON_BIT_BUDGET:
+            raise BallBoundExceeded(
+                f"ring basis exceeded {HORTON_BIT_BUDGET} bits: "
+                f"{len(masks)} cycles over {n_edges} ball edges")
+    masks.discard(0)  # a tree edge closes no cycle
+    return masks
 
 
-def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP, widen=False):
+def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP):
     """All strong rings through the base vertex of size <= max_size.
 
     A cycle is strong when it is not a GF(2) sum of strictly smaller
-    cycles.  The cover ball of radius max_size (+ 2 with `widen`) about
-    the base is numbered once as an integer graph, and cycles are edge
-    masks over it.  Candidates are the simple cycles through the base,
-    shortest first.  A rooted shortest-path cycle of length l whose
-    vertices lie within distance d of the base joins the decomposition
-    basis for candidates of length c >= max(l + 1, d - extra), extra = 2
-    with `widen` and 0 without: the basis for c holds the strictly
-    shorter such cycles inside radius c + extra.  This locality bound is
-    a heuristic, the one bound left in the net analyses that no exact
-    test replaces, so results should be checked for stability under
-    widening.
+    cycles.  The test is exact on the cover ball of radius max_size about
+    the base, numbered once as an integer graph with cycles as edge
+    masks: a simple cycle through the base with c edges is a ring unless
+    it is a sum of ball cycles shorter than c.  Candidates go shortest
+    first; before each, every Horton cycle (tree path + edge + tree path
+    from one root) with fewer than c edges joins the basis.  Such a mask
+    is an Eulerian edge set, a sum of ball cycles no longer than it; and
+    a ball cycle D of length l is the sum over its edges uv of the
+    Horton cycles P_x(u) + uv + P_x(v) rooted at any x on D, each of at
+    most d(x, u) + d(x, v) + 1 <= l edges.  So the basis spans exactly
+    the ball's cycles shorter than c, in any order, and Horton cycles of
+    up to max_size - 1 edges suffice.  The ball is the bound: a cycle
+    whose decompositions all leave it is reported.  To check against a
+    larger ball, raise max_size (`--max`); counts of sizes <= the old
+    cap can only fall.
     """
     if max_size < 3:
         raise GraphError("max_size must be >= 3")
-    extra = 2 if widen else 0
-    cover, nodes, dist, adj = _ball(g, base, max_size + extra)
+    cover, nodes, dist, adj = _ball(g, base, max_size)
     candidates = _base_cycles(adj, dist, max_size)
-    basis = sorted(
-        (max(length + 1, far - extra), mask)
-        for mask, (length, far) in _horton_cycles(adj, dist, max_size).items()
-    )
+    basis = sorted((mask.bit_count(), mask)
+                   for mask in _horton_cycles(adj, max_size - 1))
     pivots = {}
 
     def reduce(mask):
@@ -716,7 +726,7 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP, widen=False):
     admitted = 0
     for mask, path in sorted(candidates.items(),
                              key=lambda item: (len(item[1]), item[0])):
-        while admitted < len(basis) and basis[admitted][0] <= len(path):
+        while admitted < len(basis) and basis[admitted][0] < len(path):
             rem = reduce(basis[admitted][1])
             if rem:
                 pivots[rem.bit_length() - 1] = rem
@@ -726,18 +736,15 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP, widen=False):
     return rings
 
 
-def ring_size_counts(g, base=0, max_size=DEFAULT_RING_CAP, widen=False):
-    counts = {}
-    for r in strong_rings(g, base, max_size, widen=widen):
-        counts[len(r)] = counts.get(len(r), 0) + 1
-    return counts
+def ring_size_counts(g, base=0, max_size=DEFAULT_RING_CAP):
+    return dict(Counter(map(len, strong_rings(g, base, max_size))))
 
 
-def schlafli_symbol(g, max_size=DEFAULT_RING_CAP, widen=False):
+def schlafli_symbol(g, max_size=DEFAULT_RING_CAP):
     """Strong-ring size symbol, checked for vertex transitivity."""
     reference = None
     for v in range(g.n):
-        counts = ring_size_counts(g, v, max_size, widen=widen)
+        counts = ring_size_counts(g, v, max_size)
         if reference is None:
             reference = counts
         elif counts != reference:

@@ -209,10 +209,47 @@ def test_geodesics_net_target_out_of_reach(capsys):
     assert err == "error: target 6,-1 not reached within 5 spheres\n"
 
 
-def test_quotient_widen_needs_max(capsys):
-    err = _input_error(
-        capsys, ["quotient", "--net", "ths", "--target", "0,0,2", "--widen"])
-    assert err == "error: --widen needs --max\n"
+def test_geodesics_net_far_target_exits_without_a_walk(capsys, monkeypatch):
+    # every step moves the cell by one unit shift, so (30, 30, 30) is at
+    # least 90 steps away
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr("crystpres.netgraph._expand", no_walk)
+    code, report, err = run(capsys, "geodesics", "--net", "pcu",
+                            "--target", "30,30,30", "--max", "60")
+    assert code == 4
+    assert report is None
+    assert err == "error: target 30,30,30 not reached within 60 spheres\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rings", "--net", "sql", "--max", "6", "--widen"],
+    ["quotient", "--net", "ths", "--target", "0,0,2", "--max", "12",
+     "--widen"],
+])
+def test_widen_flag_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --widen" in capsys.readouterr().err
+
+
+def test_ring_basis_bound_exits_4(tmp_path, capsys, monkeypatch):
+    # two vertices, rank 3: the radius-8 ball has about 16,000 edges and
+    # far more short cycles than the ring basis budget holds
+    (tmp_path / "dense.lqg").write_text(
+        "rank 3\nvertices 2\nedge 0 0 -2 1 -1\nedge 0 0 -1 0 0\n"
+        "edge 0 0 0 -1 0\nedge 0 0 0 0 -1\nedge 0 1 -2 -2 -1\n"
+        "edge 0 1 2 2 -1\n")
+    monkeypatch.setenv("CRYSTPRES_CATALOG", str(tmp_path))
+    for base in ("0", "1"):
+        code, report, err = run(capsys, "rings", "--net", "dense",
+                                "--base", base, "--max", "8")
+        assert code == 4
+        assert report is None
+        assert err.startswith("error: ring basis exceeded ")
+        assert err.count("\n") == 1
 
 
 def test_quotient_base_checked_on_quotient(capsys):

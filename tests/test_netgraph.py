@@ -2,13 +2,16 @@
 
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from crystpres.bfs import BallBoundExceeded
 from crystpres.netgraph import (
+    HORTON_BIT_BUDGET,
     GraphError,
     LabeledQuotientGraph,
     NonVertexTransitive,
@@ -81,12 +84,13 @@ def test_coordination_sequences():
 
 
 @st.composite
-def _small_quotient_graphs(draw):
-    """Connected labelled quotient graphs of rank 1-3 with shifts in
-    [-3, 3], a base vertex and a lattice vector."""
+def _small_quotient_graphs(draw, max_n=4, max_shift=3, max_extra=4):
+    """Connected labelled quotient graphs of rank 1-3 on at most max_n
+    vertices with shifts in [-max_shift, max_shift], a base vertex and a
+    lattice vector."""
     rank = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 4))
-    shift = st.tuples(*[st.integers(-3, 3)] * rank)
+    n = draw(st.integers(1, max_n))
+    shift = st.tuples(*[st.integers(-max_shift, max_shift)] * rank)
     # a spanning tree plus a loop of shift +-e_i for each axis make the
     # cover connected; the extra edges vary it
     edges = [(v, draw(st.integers(0, v - 1)), draw(shift))
@@ -97,7 +101,7 @@ def _small_quotient_graphs(draw):
         edges.append((u, u, tuple(sign * int(i == j) for j in range(rank))))
     edges += draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), shift),
-        max_size=4,
+        max_size=max_extra,
     ))
     try:
         g = LabeledQuotientGraph(rank, n, edges)
@@ -188,11 +192,14 @@ def test_topological_density():
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_ring_goldens_and_widen_stability(name):
+    """The golden counts, unchanged when the ball is widened by 2: counts
+    of sizes <= cap can only fall as the cap rises, and these do not."""
     g = catalog_load(name)
     cap, expected = RING_GOLDENS[name]
     counts = ring_size_counts(g, max_size=cap)
     assert counts == expected
-    assert ring_size_counts(g, max_size=cap, widen=True) == expected
+    wider = ring_size_counts(g, max_size=cap + 2)
+    assert {k: v for k, v in wider.items() if k <= cap} == expected
     assert schlafli_symbol(g, max_size=cap).counts == tuple(
         sorted(expected.items())
     )
@@ -254,17 +261,17 @@ def test_rejected_cycles_have_decomposition_witness():
     independently and check span membership for every rejected cycle."""
     g = catalog_load("gis")
     cap = 8
-    cover, nodes, dist, adj = _ball(g, 0, cap + 2)
+    cover, nodes, dist, adj = _ball(g, 0, cap)
     strong = {r.nodes for r in strong_rings(g, max_size=cap)}
     # all simple cycles through the base, by brute DFS within the ball
     cycles = _base_cycles(adj, dist, cap)
-    horton = _horton_cycles(adj, dist, cap)
+    horton = _horton_cycles(adj, cap)
     for mask, path in cycles.items():
         if tuple(cover.decode(nodes[i]) for i in path) in strong:
             continue
         length = len(path)
         pivots = {}
-        basis = [hm for hm, (hl, _) in horton.items() if hl < length]
+        basis = [hm for hm in horton if hm.bit_count() < length]
         for bm in basis:
             while bm:
                 p = bm.bit_length() - 1
@@ -281,6 +288,103 @@ def test_rejected_cycles_have_decomposition_witness():
         assert rem == 0, f"no witness for rejected {length}-cycle"
 
 
+def _edge_set(path):
+    return frozenset(
+        frozenset(pair) for pair in zip(path, path[1:] + path[:1]))
+
+
+# the triangular lattice: its 4-rings are sums of triangles, which only
+# Horton cycles of cap - 1 edges supply at cap 4
+_TRIANGULAR = LabeledQuotientGraph(
+    2, 1, [(0, 0, (1, 0)), (0, 0, (1, -1)), (0, 0, (0, 1))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_quotient_graphs(max_n=3, max_shift=1, max_extra=1),
+       st.integers(3, 6))
+@example((_TRIANGULAR, 0, (0, 0)), 4)
+def test_strong_rings_match_networkx_span_oracle(case, cap):
+    """A simple cycle through the base of length c <= cap is a strong
+    ring exactly when it is not a GF(2) sum of the cycles shorter than c
+    that networkx finds in the radius-cap ball (rank 3 stops at cap 4,
+    where listing the ball's short cycles is still quick)."""
+    nx = pytest.importorskip("networkx")
+    g, base, _ = case
+    assume(g.rank < 3 or cap <= 4)
+    dist, _ = cover_bfs(g, base, cap)
+    ball = nx.Graph(
+        (a, b) for a in dist for b in g.cover_neighbors(a) if b in dist)
+    number = {}
+    for a, b in ball.edges:
+        number[frozenset((a, b))] = number[frozenset((b, a))] = len(number)
+    by_length = {}
+    for cycle in nx.simple_cycles(ball, length_bound=cap):
+        mask = sum(1 << number[e] for e in _edge_set(cycle))
+        by_length.setdefault(len(cycle), []).append((mask, cycle))
+    pivots = {}
+
+    def reduce(mask):
+        while mask and mask.bit_length() in pivots:
+            mask ^= pivots[mask.bit_length()]
+        return mask
+
+    origin = (base, (0,) * g.rank)
+    expected = set()
+    for length in sorted(by_length):
+        expected |= {_edge_set(cycle) for mask, cycle in by_length[length]
+                     if origin in cycle and reduce(mask)}
+        for mask, _ in by_length[length]:
+            if rem := reduce(mask):
+                pivots[rem.bit_length()] = rem
+    rings = strong_rings(g, base, cap)
+    assert len(rings) == len(expected)
+    assert {_edge_set(list(r.nodes)) for r in rings} == expected
+
+
+def _box_chain(k):
+    """Rank-1 chain of 2 x 2 x k box surfaces (8k + 10 vertices each),
+    the top-cap centre of each bridged to the bottom-cap centre of the
+    next, and the base vertex (0, 1, k/2) midway up one side."""
+    points = [(x, y, z) for z in range(k + 1) for y in range(3)
+              for x in range(3) if x != 1 or y != 1 or z in (0, k)]
+    index = {p: i for i, p in enumerate(points)}
+    edges = [(i, index[q], (0,)) for (x, y, z), i in index.items()
+             for q in ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1))
+             if q in index]
+    edges.append((index[1, 1, k], index[1, 1, 0], (1,)))
+    return LabeledQuotientGraph(1, len(points), edges), index[0, 1, k // 2]
+
+
+def test_box_waist_is_not_strong_inside_its_ball():
+    """The box's waist (8 edges) is the sum of the squares of either half
+    of the box.  With k = 12 those squares lie in the radius-10 ball, so
+    the waist is no ring; with k = 26 each half leaves the radius-14
+    ball, and the ball is the bound: the waist is reported at cap 14 and
+    rejected once cap 16 takes in a half."""
+    g, base = _box_chain(12)
+    assert g.n == 8 * 12 + 10
+    assert ring_size_counts(g, base, 10) == {4: 4}
+    g, base = _box_chain(26)
+    assert ring_size_counts(g, base, 14) == {4: 4, 8: 1}
+    assert ring_size_counts(g, base, 16) == {4: 4}
+
+
+def test_ring_basis_bit_budget():
+    """A dense net raises BallBoundExceeded before its Horton cycles
+    outgrow the bit budget, instead of exhausting memory."""
+    g = LabeledQuotientGraph(3, 2, [
+        (0, 0, (-2, 1, -1)), (0, 0, (-1, 0, 0)), (0, 0, (0, -1, 0)),
+        (0, 0, (0, 0, -1)), (0, 1, (-2, -2, -1)), (0, 1, (2, 2, -1))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallBoundExceeded, match="ring basis exceeded"):
+            strong_rings(g, 1, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < HORTON_BIT_BUDGET // 8 * 2
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_base_cycles_match_networkx(name):
     """_base_cycles finds exactly the simple cycles through the base that
@@ -290,13 +394,8 @@ def test_base_cycles_match_networkx(name):
     _, _, dist, adj = _ball(catalog_load(name), 0, cap // 2 + 1)
     number = {(i, j): e for i, nbrs in enumerate(adj) for j, e in nbrs}
     ball = nx.Graph(list(number))
-
-    def edge_set(path):
-        return frozenset(
-            frozenset(pair) for pair in zip(path, path[1:] + path[:1]))
-
     expected = {
-        edge_set(cycle)
+        _edge_set(cycle)
         for cycle in nx.simple_cycles(ball, length_bound=cap) if 0 in cycle
     }
     found = _base_cycles(adj, dist, cap)
@@ -304,7 +403,7 @@ def test_base_cycles_match_networkx(name):
         assert path[0] == 0 and len(set(path)) == len(path)
         assert mask == sum(
             1 << number[pair] for pair in zip(path, path[1:] + path[:1]))
-    assert {edge_set(path) for path in found.values()} == expected
+    assert {_edge_set(path) for path in found.values()} == expected
     assert len(found) == len(expected)
 
 
