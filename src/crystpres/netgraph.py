@@ -46,8 +46,9 @@ from .intmat import (
 )
 
 DEFAULT_RING_CAP = 14
-# Horton cycle masks one ring search may hold, in bits: (cycles) x (ball
-# edges).  pnna_acd at cap 14, the largest bundled search, needs 4.4e6.
+# Cycle masks one ring search may hold, in bits: (cycles) x (ball edges),
+# checked on the Horton set and on the candidates apart.  pnna_acd at cap
+# 14, the largest bundled search, needs 4.4e6 and 1.6e5.
 HORTON_BIT_BUDGET = 1 << 28
 CATALOG_ENV = "CRYSTPRES_CATALOG"
 
@@ -634,7 +635,10 @@ def _ball(g, base, radius):
 
 def _base_cycles(adj, dist, max_size):
     """Simple cycles through node 0 of length <= max_size, as
-    {edge mask: node path}, keeping the first path found per edge set."""
+    {edge mask: node path}, keeping the first path found per edge set.
+    Raises BallBoundExceeded once (cycles held) x (ball edges) passes
+    HORTON_BIT_BUDGET."""
+    n_edges = sum(map(len, adj)) // 2
     out = {}
     path = [0]
 
@@ -643,6 +647,11 @@ def _base_cycles(adj, dist, max_size):
             if nb == 0:
                 if len(path) >= 3 and mask | (1 << e) not in out:
                     out[mask | (1 << e)] = list(path)
+                    if len(out) * n_edges > HORTON_BIT_BUDGET:
+                        raise BallBoundExceeded(
+                            f"ring candidates exceeded {HORTON_BIT_BUDGET}"
+                            f" bits: {len(out)} cycles over {n_edges}"
+                            " ball edges")
                 continue
             # path has len(path) - 1 edges; one more reaches nb and at
             # least dist[nb] more are needed to close the cycle
@@ -657,35 +666,57 @@ def _base_cycles(adj, dist, max_size):
 
 
 def _horton_cycles(adj, max_len):
-    """Horton cycles of at most max_len edges, as a set of edge masks:
-    each root grows a BFS tree of depth max_len // 2, (depth, path mask)
-    per node, and each non-tree edge between tree nodes closes the XOR
-    of its two tree paths and itself.  Raises BallBoundExceeded once
+    """Horton cycles of at most max_len edges, as a set of edge masks.
+
+    Each root r grows a BFS tree of depth max_len // 2 over the ball
+    nodes numbered above r only, recording per node (depth, path mask,
+    branch), the branch being the first node after r on its path.  A
+    non-tree edge a-b between tree nodes on different branches closes
+    the simple cycle P_r(a) + ab + P_r(b) of da + db + 1 edges; it is
+    kept when that is at most max_len.  Raises BallBoundExceeded once
     (masks held) x (ball edges) passes HORTON_BIT_BUDGET.
+
+    At each length l <= max_len the masks of at most l edges span every
+    ball cycle of at most l edges, as Horton's full set (every root,
+    every closing edge; SIAM J. Comput. 16, 1987) does; rooting each
+    cycle at its lowest node is Vismara's rule (Electron. J. Combin. 4,
+    1997).  By induction on l: take a ball cycle D of length l and let x
+    be its lowest-numbered node.  D lies in the subgraph on
+    nodes >= x, so x's tree reaches every u on D at depth
+    <= d_D(x, u) <= l // 2, and D is the sum over its edges uv of the
+    terms P_x(u) + uv + P_x(v), each of at most l edges.  A term whose
+    two paths lie on different branches is a kept mask (a tree edge
+    gives the empty term).  A term whose paths share a first edge is an
+    Eulerian set of at most l - 2 edges, so a sum of strictly shorter
+    ball cycles, spanned by kept masks by induction.  Every kept mask is
+    a simple ball cycle with bit_count() edges.  Roots never close an
+    edge themselves: each ball edge from r to a higher node is the tree
+    edge that reaches it, so no mask is empty.
     """
     n_edges = sum(map(len, adj)) // 2
     masks = set()
     for root in range(len(adj)):
-        tree = {root: (0, 0)}
-        sphere = [root]
-        for depth in range(1, max_len // 2 + 1):
+        tree = {b: (1, 1 << e, b) for b, e in adj[root] if b > root}
+        sphere = list(tree)
+        for depth in range(2, max_len // 2 + 1):
             nxt = []
             for a in sphere:
-                mask = tree[a][1]
+                _, mask, branch = tree[a]
                 for b, e in adj[a]:
-                    if b not in tree:
-                        tree[b] = (depth, mask | (1 << e))
+                    if b > root and b not in tree:
+                        tree[b] = (depth, mask | (1 << e), branch)
                         nxt.append(b)
             sphere = nxt
-        for a, (da, ma) in tree.items():
+        for a, (da, ma, ba) in tree.items():
             for b, e in adj[a]:
-                if a < b and b in tree and da + tree[b][0] < max_len:
-                    masks.add(ma ^ tree[b][1] ^ (1 << e))
+                if a < b and b in tree:
+                    db, mb, bb = tree[b]
+                    if ba != bb and da + db < max_len:
+                        masks.add(ma | mb | (1 << e))
         if len(masks) * n_edges > HORTON_BIT_BUDGET:
             raise BallBoundExceeded(
                 f"ring basis exceeded {HORTON_BIT_BUDGET} bits: "
                 f"{len(masks)} cycles over {n_edges} ball edges")
-    masks.discard(0)  # a tree edge closes no cycle
     return masks
 
 
@@ -697,24 +728,31 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP):
     the base, numbered once as an integer graph with cycles as edge
     masks: a simple cycle through the base with c edges is a ring unless
     it is a sum of ball cycles shorter than c.  Candidates go shortest
-    first; before each, every Horton cycle (tree path + edge + tree path
-    from one root) with fewer than c edges joins the basis.  Such a mask
-    is an Eulerian edge set, a sum of ball cycles no longer than it; and
-    a ball cycle D of length l is the sum over its edges uv of the
-    Horton cycles P_x(u) + uv + P_x(v) rooted at any x on D, each of at
-    most d(x, u) + d(x, v) + 1 <= l edges.  So the basis spans exactly
-    the ball's cycles shorter than c, in any order, and Horton cycles of
-    up to max_size - 1 edges suffice.  The ball is the bound: a cycle
-    whose decompositions all leave it is reported.  To check against a
-    larger ball, raise max_size (`--max`); counts of sizes <= the old
-    cap can only fall.
+    first; before each, every Horton cycle with fewer than c edges joins
+    the basis.  A Horton cycle of root r is P_r(a) + ab + P_r(b) for a
+    non-tree edge ab of r's BFS tree, grown over the nodes numbered
+    above r only, with the two paths leaving r by different first
+    nodes: a simple ball cycle of bit_count() edges.  Those of at most l
+    edges span every ball cycle of at most l edges: root a cycle D at
+    its lowest node x, sum the terms P_x(u) + uv + P_x(v) over its edges
+    uv, and each term is either a Horton cycle or an Eulerian set of at
+    most l - 2 edges, a sum of shorter ball cycles (the full argument is
+    in _horton_cycles).  So the basis spans exactly the ball's cycles
+    shorter than c, admitted in any order within a length, and Horton
+    cycles of up to max_size - 1 edges suffice.  The ball is the bound: a cycle whose decompositions all leave it is
+    reported.  To check against a larger ball, raise max_size (`--max`);
+    counts of sizes <= the old cap can only fall.
+
+    Both the Horton set and the candidates are held to HORTON_BIT_BUDGET
+    (BallBoundExceeded).  The Horton set is built first: on a dense ball
+    it passes the budget long before the candidate walk would.
     """
     if max_size < 3:
         raise GraphError("max_size must be >= 3")
     cover, nodes, dist, adj = _ball(g, base, max_size)
-    candidates = _base_cycles(adj, dist, max_size)
     basis = sorted((mask.bit_count(), mask)
                    for mask in _horton_cycles(adj, max_size - 1))
+    candidates = _base_cycles(adj, dist, max_size)
     pivots = {}
 
     def reduce(mask):

@@ -252,6 +252,32 @@ def test_ring_basis_bound_exits_4(tmp_path, capsys, monkeypatch):
         assert err.count("\n") == 1
 
 
+def test_ring_basis_bound_exits_before_the_candidate_walk(capsys,
+                                                         monkeypatch):
+    # the Horton set is built first, so a ball whose basis passes the
+    # budget stops before the slower walk over candidate cycles
+    def no_walk(*args):
+        raise AssertionError("candidate walk ran")
+
+    monkeypatch.setattr("crystpres.netgraph._base_cycles", no_walk)
+    code, report, err = run(capsys, "rings", "--net", "pcu", "--max", "12")
+    assert code == 4
+    assert report is None
+    assert err.startswith("error: ring basis exceeded ")
+
+
+def test_ring_candidate_bound_exits_4(capsys, monkeypatch):
+    # pcu's radius-12 ball holds 406,968 cycles through the base of at
+    # most 12 edges; the candidate walk stops at the same bit budget
+    monkeypatch.setattr("crystpres.netgraph._horton_cycles",
+                        lambda adj, max_len: set())
+    code, report, err = run(capsys, "rings", "--net", "pcu", "--max", "12")
+    assert code == 4
+    assert report is None
+    assert err.startswith("error: ring candidates exceeded ")
+    assert err.count("\n") == 1
+
+
 def test_quotient_base_checked_on_quotient(capsys):
     # sql has one vertex; its (4,12) tube has four
     code, report, _ = run(capsys, "quotient", "--net", "sql",

@@ -1,5 +1,6 @@
 """Periodic nets: catalog, coordination, rings, quotients."""
 
+import itertools
 import os
 import random
 import tracemalloc
@@ -367,6 +368,101 @@ def test_box_waist_is_not_strong_inside_its_ball():
     g, base = _box_chain(26)
     assert ring_size_counts(g, base, 14) == {4: 4, 8: 1}
     assert ring_size_counts(g, base, 16) == {4: 4}
+
+
+def _full_horton_cycles(adj, max_len):
+    """Oracle: the Horton set that the lowest-root trees replaced, a tree
+    at every ball node with every closing edge kept, copied verbatim
+    apart from its name."""
+    n_edges = sum(map(len, adj)) // 2
+    masks = set()
+    for root in range(len(adj)):
+        tree = {root: (0, 0)}
+        sphere = [root]
+        for depth in range(1, max_len // 2 + 1):
+            nxt = []
+            for a in sphere:
+                mask = tree[a][1]
+                for b, e in adj[a]:
+                    if b not in tree:
+                        tree[b] = (depth, mask | (1 << e))
+                        nxt.append(b)
+            sphere = nxt
+        for a, (da, ma) in tree.items():
+            for b, e in adj[a]:
+                if a < b and b in tree and da + tree[b][0] < max_len:
+                    masks.add(ma ^ tree[b][1] ^ (1 << e))
+        if len(masks) * n_edges > HORTON_BIT_BUDGET:
+            raise BallBoundExceeded(
+                f"ring basis exceeded {HORTON_BIT_BUDGET} bits: "
+                f"{len(masks)} cycles over {n_edges} ball edges")
+    masks.discard(0)  # a tree edge closes no cycle
+    return masks
+
+
+def _ranks_up_to(masks, max_len):
+    """ranks[l]: the GF(2) rank of the masks with at most l edges."""
+    pivots = {}
+    ranks = [0] * (max_len + 1)
+    for mask in sorted(masks, key=int.bit_count):
+        length = mask.bit_count()
+        while mask and mask.bit_length() in pivots:
+            mask ^= pivots[mask.bit_length()]
+        if mask:
+            pivots[mask.bit_length()] = mask
+            ranks[length] += 1
+    return list(itertools.accumulate(ranks))
+
+
+def _is_simple_cycle(mask, ends):
+    """The edges of mask form one simple cycle: every node has degree 2
+    and the edges are connected."""
+    edges = [ends[e] for e in range(mask.bit_length()) if mask >> e & 1]
+    degree = {}
+    for a, b in edges:
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    if set(degree.values()) != {2}:
+        return False
+    seen = {edges[0][0]}
+    grown = True
+    while grown:
+        grown = False
+        for a, b in edges:
+            if (a in seen) != (b in seen):
+                seen |= {a, b}
+                grown = True
+    return len(seen) == len(degree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_quotient_graphs(), st.integers(3, 7))
+@example((_TRIANGULAR, 0, (0, 0)), 4)
+@example((*_box_chain(12), ()), 10)
+def test_lowest_root_horton_set_spans_like_the_full_set(case, cap):
+    """At every length l, the Horton cycles of at most l edges rooted at
+    their lowest node span the same cycles as the full Horton set with
+    at most l edges, and each is a simple cycle of the ball."""
+    g, base, _ = case
+    assume(g.rank < 3 or cap <= 5)
+    _, _, _, adj = _ball(g, base, cap)
+    ends = {e: (i, j) for i, nbrs in enumerate(adj) for j, e in nbrs}
+    new = _horton_cycles(adj, cap - 1)
+    old = _full_horton_cycles(adj, cap - 1)
+    ranks = _ranks_up_to(new, cap - 1)
+    assert ranks == _ranks_up_to(old, cap - 1)
+    assert ranks == _ranks_up_to(new | old, cap - 1)
+    assert all(_is_simple_cycle(mask, ends) for mask in new)
+
+
+def test_budget_freed_ring_searches():
+    """Searches whose full Horton set passed the bit budget now answer,
+    as the full set does with the budget lifted."""
+    g = LabeledQuotientGraph(3, 1, [
+        (0, 0, (-1, 0, 0)), (0, 0, (0, -1, 0)), (0, 0, (0, 0, -1)),
+        (0, 0, (0, 0, -2)), (0, 0, (0, 1, -2))])
+    assert ring_size_counts(g, 0, 7) == {3: 9, 4: 28}
+    assert ring_size_counts(catalog_load("qtz"), 0, 14) == {6: 6, 8: 40}
 
 
 def test_ring_basis_bit_budget():
