@@ -246,6 +246,13 @@ class WalkKernel:
         """(letter, image(letter) * g) for every letter, in walk order."""
         return [(x, move(g)) for x, move in self.steps]
 
+    def evaluate(self, word):
+        """Code of the element a word evaluates to (words.evaluate)."""
+        code, move = self.identity, self.move
+        for x in word:
+            code = move[x](code)
+        return code
+
     def _intern(self, linear):
         lid = self._ids.get(linear)
         if lid is None:

@@ -24,7 +24,8 @@ radius share a code, and one edge step is one int addition.
 import math
 from fractions import Fraction
 
-from .affine import AffineIsometry, WalkKernel, check_finite_order, hnf_lattice
+from .affine import AffineIsometry, TranslationLattice, WalkKernel, check_finite_order
+from .intmat import hnf
 from .words import free_reduce
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
@@ -179,36 +180,33 @@ def shortest_translation_words(generators, rank=None):
     DEFAULT_STABLE_SPHERES consecutive spheres, within radius
     DEFAULT_RADIUS_CAP.  This is a completeness heuristic only;
     soundness of anything built on the harvest is checked downstream by
-    coset enumeration.
+    coset enumeration.  The lattice is kept as the integer HNF of N L (N
+    the kernel's scale), each sphere's new vectors folded in.
     """
     kernel = _kernel(generators)
     d = kernel.dimension
     ident_linear = kernel.identity[0]
     entries = {kernel.identity: (0, 0)}
 
-    # vector -> word in harvest order; distinct elements with the identity
+    # code -> word in harvest order; distinct elements with the identity
     # linear part are distinct translations, so each is new when found
     harvested = {}
-    current = None  # TranslationLattice spanned so far
+    basis = None  # integer HNF rows of N L, L the lattice spanned so far
     stable = 0
     radius_used = 0
 
     spheres = _expand(kernel.neighbours, entries, DEFAULT_RADIUS_CAP,
                       DEFAULT_MAX_ELEMENTS)
     for r, sphere in enumerate(spheres, 1):
-        for h in sphere:
-            if h[0] == ident_linear:
-                harvested[kernel.vector(h)] = _word(kernel.move, entries, h)
+        found = [h for h in sphere if h[0] == ident_linear]
+        for h in found:
+            harvested[h] = _word(kernel.move, entries, h)
         radius_used = r
         if harvested:
-            new = hnf_lattice(list(harvested), dimension=d)
-            if current is not None and new.basis == current.basis:
-                stable += 1
-            else:
-                stable = 0
-            current = new
-            target_rank = d if rank is None else rank
-            if (current.rank >= target_rank
+            new = hnf(list(basis or ()) + [h[1:] for h in found])
+            stable = stable + 1 if new == basis else 0
+            basis = new
+            if (len(basis) >= (d if rank is None else rank)
                     and stable >= DEFAULT_STABLE_SPHERES):
                 break
         if not sphere:  # everything seen
@@ -216,29 +214,31 @@ def shortest_translation_words(generators, rank=None):
                 f"finite group of order {len(entries)}: no translation lattice"
             )
 
-    if current is None or (rank is not None and current.rank < rank):
+    if basis is None or (rank is not None and len(basis) < rank):
         raise LatticeNotFound(
             "no translation lattice of required rank within radius "
             f"{DEFAULT_RADIUS_CAP}"
         )
 
-    pairs = [(w, v) for v, w in harvested.items()]
-    pairs.sort(key=lambda p: (len(p[0]), p[0]))
+    pairs = sorted(((w, kernel.vector(h), h[1:]) for h, w in harvested.items()),
+                   key=lambda p: (len(p[0]), p[0]))
 
     # greedy shortest-first subset generating the whole lattice
-    chosen = []
-    span = None
-    for w, v in pairs:
-        cand = hnf_lattice([q for _, q in chosen] + [v], dimension=d)
-        if span is None or cand.basis != span.basis:
+    chosen, span = [], ()
+    for w, v, t in pairs:
+        cand = hnf(span + (t,))
+        if cand != span:
             chosen.append((w, v))
             span = cand
-        if span.basis == current.basis:
+        if span == basis:
             break
-    if span is None or span.basis != current.basis:
+    if span != basis:
         raise LatticeNotFound("harvested words fail to generate their own lattice")
 
-    return TranslationHarvest(pairs, chosen, current, radius_used)
+    lattice = TranslationLattice(
+        d, [[Fraction(x, kernel.scale) for x in row] for row in basis])
+    return TranslationHarvest([(w, v) for w, v, _ in pairs], chosen, lattice,
+                              radius_used)
 
 
 class GeodesicSet:

@@ -8,7 +8,11 @@ a row per coset (see CosetTable).
 Cosets are defined in plain HLT order, which is frozen: the prune stage
 keeps a relator whenever its order check overflows the cap, so the point
 of overflow decides the emitted presentation, and a Felsch or lookahead
-order would change the `present` reports.
+order would change the `present` reports.  The trials may check the m
+in any order, since a relator goes only if every m passes; they take the
+largest first, which overflows most often.  run_hlt reads the cap only to
+stop, so a complete table stands for a run under any cap of at least its
+defined cosets (quotient_table's `reuse`).
 """
 
 from .bfs import _expand, _word
@@ -51,6 +55,7 @@ class CosetTable:
         if max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
         self.width = 2 * ngens + 1
+        self.presented = (relators, subgroup_words)
         # inverse[col]: the column of the inverse letter
         self.inverse = [0] + [c + 1 if c % 2 else c - 1 for c in range(1, self.width)]
         relators = [_cols(cyclic_reduce(r)) for r in relators if cyclic_reduce(r)]
@@ -186,6 +191,16 @@ class CosetTable:
             self.status = "complete"
         except _Overflow:
             self.status = "overflow"
+        self.defined = len(self.table)
+        return self
+
+    def compact(self):
+        """Renumber the live cosets of a complete table 0, 1, ... in order."""
+        w, cells, find = self.width, self.cells, self._find
+        live = [r for r in self.table if cells[r] == r]
+        new = {r: i * w for i, r in enumerate(live)}
+        self.cells = [new[find(cells[r + c])] if c else new[r]
+                      for r in live for c in range(w)]
         return self
 
     def index(self):
@@ -204,33 +219,40 @@ def coset_enumerate(p, subgroup=(), max_cosets=DEFAULT_MAX_COSETS):
     return table.run_hlt().index()
 
 
+def quotient_table(p, extra=(), max_cosets=DEFAULT_MAX_COSETS, reuse=None):
+    """The run table of the trivial subgroup in p plus `extra` relators;
+    `reuse` instead, if it is a complete table of the same relators that
+    defined at most `max_cosets` cosets (a new run would repeat it)."""
+    q = Presentation(p.generator_names, list(p.relators) + list(extra))
+    if (reuse is not None and reuse.status == "complete"
+            and reuse.presented == (q.relators, [])
+            and reuse.defined <= max_cosets):
+        return reuse
+    return CosetTable(len(q.generator_names), q.relators, [], max_cosets).run_hlt()
+
+
+def order_verdict(table, expected):
+    n = table.index()
+    return "inconclusive" if n is None else "pass" if n == expected else "fail"
+
+
 def order_check(p, extra=(), expected=None, max_cosets=DEFAULT_MAX_COSETS):
     """Enumerate p plus extra relators; verdict against `expected`."""
-    q = Presentation(p.generator_names, list(p.relators) + list(extra))
-    n = coset_enumerate(q, (), max_cosets)
-    if n is None:
-        return "inconclusive"
-    return "pass" if n == expected else "fail"
+    return order_verdict(quotient_table(p, extra, max_cosets), expected)
 
 
-def is_consequence(p, word, max_cosets=DEFAULT_MAX_COSETS):
+def is_consequence(p, word, max_cosets=DEFAULT_MAX_COSETS, reuse=None):
     """Bounded check that `word` is trivial in the group presented by p.
 
     Returns True (witnessed), False (witnessed nontrivial in a finite
     quotient that the enumeration happened to complete), or None
-    (inconclusive).
+    (inconclusive).  `reuse` is passed to quotient_table.
     """
     word = cyclic_reduce(word)
     if not word:
         return True
-    table = CosetTable(len(p.generator_names), p.relators, [], max_cosets)
-    table.run_hlt()
-    if table.status != "complete":
-        # enumerate over the cyclic subgroup generated by the word instead:
-        # index finite and word trivial there would still be inconclusive,
-        # so just report inconclusive.
-        return None
-    return table.trace(0, word) == 0
+    table = quotient_table(p, (), max_cosets, reuse)
+    return table.trace(0, word) == 0 if table.status == "complete" else None
 
 
 class FiniteGroupModel:

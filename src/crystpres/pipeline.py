@@ -15,15 +15,15 @@ from .cosets import (
     DEFAULT_MAX_COSETS,
     FiniteGroupModel,
     is_consequence,
-    order_check,
+    order_verdict,
+    quotient_table,
     short_presentation_finite,
 )
-from .intmat import identity_matrix, left_kernel, mat_vec, solve_in_rowspan
+from .intmat import left_kernel, mat_vec, solve_in_rowspan
 from .symop import GeneratingSetDocument, format_symop
 from .words import (
     Presentation,
     cyclic_reduce,
-    evaluate,
     format_word,
     invert_word,
     relator_class_key,
@@ -161,21 +161,16 @@ def lift_point_relators(E):
     translation; the lifted relator divides it out by a lattice word.
     Returns (lifted word, point relator word, vector) triples.
     """
-    ident = identity_matrix(E.lattice.dimension)
     out = []
     for r in E.point_presentation.relators:
-        g = evaluate(r, E.assignment)
-        if g.linear != ident:
+        code = E.kernel.evaluate(r)
+        if code[0] != E.kernel.identity[0]:
             raise PipelineError(
                 "point relator has non-identity linear part; model mismatch"
             )
-        t = g.translation
-        if all(x == 0 for x in t):
-            out.append((r, r, t))
-            continue
-        w = _lattice_word_for(E, t)
-        lifted = cyclic_reduce(r + invert_word(w))
-        out.append((lifted, r, t))
+        t = E.kernel.vector(code)
+        w = _lattice_word_for(E, t) if any(t) else ()
+        out.append((cyclic_reduce(r + invert_word(w)), r, t))
     return out
 
 
@@ -230,12 +225,14 @@ def quotient_relators(E, m):
 
 class PresentationReport:
     def __init__(self, presentation, provenance, verification, extension,
-                 simplification_steps):
+                 simplification_steps, tables=None):
         self.presentation = presentation
         self.provenance = provenance
         self.verification = verification
         self.extension = extension
         self.simplification_steps = simplification_steps
+        # m -> the complete table of the final G/mT order check
+        self.tables = tables or {}
 
     def to_dict(self):
         names = self.presentation.generator_names
@@ -275,12 +272,15 @@ def present(generators, rank=None, simplify=True, prune=True,
 
     Every relator is checked to evaluate to the identity (always on).
     Quotient order checks enumerate G/mT for m in verify_orders and
-    compare with |P| * m^rank.  `prune` removes relators that the order
-    checks certify redundant in those quotients; the commutator and
-    dependence relators of the lattice words are the usual casualties.
+    compare with |P| * m^rank.  `prune` drops a relator when those order
+    checks still pass without it; the commutator and dependence relators
+    of the lattice words are the usual casualties.  A trial checks the
+    largest m first, which overflows most often: the relator goes only if
+    every m passes, so the order is free.  The final check of m reuses
+    the table of the latest trial that passed at m if the relators match.
     """
     E = build_extension_data(generators, rank=rank)
-    ident = AffineIsometry.identity(E.lattice.dimension)
+    identity = E.kernel.identity
 
     tagged = []
     for lifted, source, _ in lift_point_relators(E):
@@ -291,7 +291,7 @@ def present(generators, rank=None, simplify=True, prune=True,
         tagged.append((rel, ("conjugation relator", rel)))
 
     for rel, tag in tagged:
-        if not evaluate(rel, E.assignment) == ident:
+        if E.kernel.evaluate(rel) != identity:
             raise VerificationFailure(
                 f"relator from {tag[0]} does not evaluate to the identity"
             )
@@ -308,24 +308,21 @@ def present(generators, rank=None, simplify=True, prune=True,
         result = tietze_simplify(pres, tags=tags)
         pres, tags, steps = result.presentation, result.tags, result.steps
 
+    expected = {m: E.point_order * m ** E.rank for m in verify_orders}
     # removal trials only need to distinguish pass from anything else, so
     # a tight coset bound keeps them cheap; overflow means "keep it"
-    prune_cap = max(
-        64 * max(
-            (E.point_order * m ** E.rank for m in verify_orders), default=1
-        ),
-        2000,
-    )
+    prune_cap = min(max(64 * max(expected.values(), default=1), 2000),
+                    max_cosets)
+    passed = {}  # m -> the table of the latest trial that passed at m
 
-    def orders_ok(candidate):
-        for m in sorted(verify_orders):
-            expected = E.point_order * m ** E.rank
-            extra = quotient_relators(E, m)
-            verdict = order_check(candidate, extra, expected,
-                                  min(prune_cap, max_cosets))
-            if verdict != "pass":
-                return verdict
-        return "pass"
+    def trial_passes(candidate):
+        for m in sorted(verify_orders, reverse=True):
+            table = quotient_table(candidate, quotient_relators(E, m),
+                                   prune_cap)
+            if order_verdict(table, expected[m]) != "pass":
+                return False
+            passed[m] = table.compact()
+        return True
 
     if prune and verify_orders:
         # longest first, deterministic; keep a relator unless the
@@ -341,7 +338,7 @@ def present(generators, rank=None, simplify=True, prune=True,
                 break
             trial = [j for j in keep if j != i]
             candidate = pres.with_relators([pres.relators[j] for j in trial])
-            if orders_ok(candidate) == "pass":
+            if trial_passes(candidate):
                 keep = trial
         keep.sort()
         pres = pres.with_relators([pres.relators[j] for j in keep])
@@ -353,30 +350,31 @@ def present(generators, rank=None, simplify=True, prune=True,
 
     verification = {"identity_checks": len(tagged), "order_checks": {}}
     for rel in pres.relators:
-        if not evaluate(rel, E.assignment) == ident:
+        if E.kernel.evaluate(rel) != identity:
             raise VerificationFailure(
                 "simplified relator does not evaluate to the identity"
             )
-    final_verdict = "pass"
+    tables, verdicts = {}, set()
     for m in verify_orders:
-        expected = E.point_order * m ** E.rank
-        verdict = order_check(pres, quotient_relators(E, m), expected,
-                              max_cosets)
+        table = quotient_table(pres, quotient_relators(E, m), max_cosets,
+                               passed.get(m))
+        verdict = order_verdict(table, expected[m])
+        if verdict == "pass":
+            tables[m] = table.compact()
         verification["order_checks"][str(m)] = {
-            "expected": expected,
+            "expected": expected[m],
             "verdict": verdict,
         }
-        if verdict == "fail":
-            final_verdict = "fail"
-        elif verdict == "inconclusive" and final_verdict == "pass":
-            final_verdict = "inconclusive"
+        verdicts.add(verdict)
+    final_verdict = ("fail" if "fail" in verdicts else "inconclusive"
+                     if "inconclusive" in verdicts else "pass")
     verification["verdict"] = final_verdict
     if final_verdict == "fail":
         raise VerificationFailure(
             "quotient order check failed for the final presentation"
         )
 
-    return PresentationReport(pres, tags, verification, E, steps)
+    return PresentationReport(pres, tags, verification, E, steps, tables)
 
 
 class RingCensusEntry:
@@ -397,18 +395,19 @@ def bounded_consequence_check(report, word, ms=(2, 3),
     must be trivial in every finite quotient G/mT enumerated from the
     emitted relators.  Returns "pass" (all bounded witnesses found),
     "fail" (a witness refutes it), or "inconclusive" (some enumeration
-    overflowed).
+    overflowed).  Words are traced through the report's own tables when
+    they could stand for the enumeration (cosets.quotient_table).
     """
     E = report.extension
     p = report.presentation
-    if not evaluate(word, E.assignment).is_identity():
+    if E.kernel.evaluate(word) != E.kernel.identity:
         return "fail"
     verdict = "pass"
     for m in ms:
         q = Presentation(
             p.generator_names, list(p.relators) + quotient_relators(E, m)
         )
-        res = is_consequence(q, word, max_cosets=max_cosets)
+        res = is_consequence(q, word, max_cosets, report.tables.get(m))
         if res is False:
             return "fail"
         if res is None:

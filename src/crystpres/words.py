@@ -35,13 +35,14 @@ def cyclic_reduce(w):
     return tuple(w)
 
 
-def _letter_key(x):
-    # a < a^-1 < b < b^-1 < ...
-    return (abs(x) - 1) * 2 + (0 if x > 0 else 1)
-
-
 def word_sort_key(w):
-    return (len(w), tuple(_letter_key(x) for x in w))
+    # letters a < a^-1 < b < b^-1 < ...
+    return (len(w), tuple([2 * abs(x) - (x > 0) for x in w]))
+
+
+def _text(w):
+    """One character per letter, so str.find matches whole letters."""
+    return "".join([chr(2 * abs(x) - (x > 0)) for x in w])
 
 
 def _forms(w):
@@ -119,34 +120,38 @@ class Presentation:
 def _rewrite_once(relators, forms):
     """Apply the first shortening rewrite; None if none applies.
 
-    `relators` are distinct and sorted by word_sort_key, `forms` is
-    _forms.  Targets r go longest first, sources u != r with |u| <= |r|
-    shortest first, then the forms f of u in order.  The first f with a
-    prefix longer than |f| // 2 occurring in the cyclic word r applies:
-    take the longest such prefix s, at its first start in r + r; reading
-    r = s v from there and f = s t, r becomes the cyclic reduction of
-    t^-1 v, which is shorter than r.  Returns (target index, new word).
+    `relators` are distinct and sorted by word_sort_key, `forms(u)` the
+    (f, _text(f)) of _forms(u).  Targets r go longest first, sources u !=
+    r with |u| <= |r| shortest first, then the forms f of u in order.
+    The first f with a prefix longer than |f| // 2 occurring in the
+    cyclic word r applies: take the longest such prefix s, at its first
+    start in r + r; reading r = s v from there and f = s t, r becomes
+    the cyclic reduction of t^-1 v, which is shorter than r.  Returns
+    (target index, new word).
     """
     for ti in range(len(relators) - 1, -1, -1):
         r = relators[ti]
         n = len(r)
-        doubled = r + r
+        text = _text(r) * 2
         for u in relators:
             if len(u) > n:
                 break
             if u == r:
                 continue
-            for f in forms(u):
-                best, at = len(f) // 2, None
-                for i in range(n):
-                    k = 0
-                    while k < len(f) and doubled[i + k] == f[k]:
-                        k += 1
-                    if k > best:
-                        best, at = k, i
-                if at is not None:
-                    rest = doubled[at + best:at + n]
-                    return ti, cyclic_reduce(invert_word(f[best:]) + rest)
+            for f, s in forms(u):
+                # a prefix of length k starts at some i < n iff it occurs
+                # in text[:n - 1 + k]; its first start grows with k
+                k = len(f) // 2 + 1
+                at = text.find(s[:k], 0, n - 1 + k)
+                if at < 0:
+                    continue
+                while k < len(f):
+                    i = text.find(s[:k + 1], at, n + k)
+                    if i < 0:
+                        break
+                    at, k = i, k + 1
+                rest = (r + r)[at + k:at + n]
+                return ti, cyclic_reduce(invert_word(f[k:]) + rest)
     return None
 
 
@@ -182,7 +187,11 @@ def tietze_simplify(p, budget=10000, tags=None):
         raise ValueError("tags and relators differ in length")
     given = [None] * len(p.relators) if tags is None else tags
     pairs = [(cyclic_reduce(r), t) for r, t in zip(p.relators, given)]
-    forms = functools.lru_cache(maxsize=None)(_forms)
+
+    @functools.lru_cache(maxsize=None)
+    def forms(w):
+        return [(f, _text(f)) for f in _forms(w)]
+
     steps = 0
     while True:
         invs = {abs(r[0]) for r, _ in pairs if len(r) == 2 and r[0] == r[1]}
@@ -190,7 +199,7 @@ def tietze_simplify(p, budget=10000, tags=None):
         for r, t in pairs:
             r = cyclic_reduce(tuple(abs(x) if abs(x) in invs else x for x in r))
             if r:
-                first.setdefault(forms(r)[0], t)
+                first.setdefault(forms(r)[0][0], t)
         pairs = sorted(first.items(), key=lambda rt: word_sort_key(rt[0]))
         if steps >= budget:
             break

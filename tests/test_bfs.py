@@ -1,14 +1,17 @@
 """Cayley-graph exploration: balls, translation harvest, geodesics."""
 
+import os
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crystpres.affine import AffineIsometry, hnf_lattice
 from crystpres.bfs import (
     BallBoundExceeded,
+    LatticeNotFound,
     TargetUnreachable,
     ball,
     coordination_sequence,
@@ -20,7 +23,7 @@ from crystpres.bfs import (
 from crystpres.symop import parse_symop
 from crystpres.words import evaluate
 
-from conftest import load_document
+from conftest import CORPUS, load_document
 
 
 def _translations(dim):
@@ -87,6 +90,58 @@ def test_harvest_shortest_translation_words(elv):
         assert all(
             g.linear[i][j] == (i == j) for i in range(3) for j in range(3)
         )
+
+
+def _fraction_harvest_reference(h):
+    """The lattice and greedy word subset of a harvest, recomputed with
+    Fraction HNFs of the harvested vectors (the pre-integer harvest)."""
+    d = h.lattice.dimension
+    lattice = hnf_lattice([v for _, v in h.words], dimension=d)
+    chosen, span = [], None
+    for w, v in h.words:
+        cand = hnf_lattice([q for _, q in chosen] + [v], dimension=d)
+        if span is None or cand != span:
+            chosen.append((w, v))
+            span = cand
+        if span == lattice:
+            break
+    return lattice, chosen
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(CORPUS) if f.endswith(".json")))
+def test_integer_harvest_matches_fraction_reference_on_corpus(name):
+    h = shortest_translation_words(load_document(name).generators)
+    assert (h.lattice, h.lattice_words) == _fraction_harvest_reference(h)
+
+
+@st.composite
+def _generating_sets(draw):
+    """1-3 isometries of Z or Z^2: signed permutation linear parts and
+    translations in (1/4)Z^d."""
+    d = draw(st.integers(1, 2))
+    gens = []
+    for k in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(d)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d,
+                              max_size=d))
+        t = draw(st.lists(st.integers(-8, 8), min_size=d, max_size=d))
+        g = AffineIsometry([[signs[i] * (j == perm[i]) for j in range(d)]
+                            for i in range(d)], [Fraction(x, 4) for x in t])
+        if not g.is_identity():
+            gens.append(("abc"[k], g))
+    assume(gens)
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=_generating_sets())
+def test_integer_harvest_matches_fraction_reference(gens):
+    try:
+        h = shortest_translation_words(gens)
+    except LatticeNotFound:  # finite groups among them
+        return
+    assert (h.lattice, h.lattice_words) == _fraction_harvest_reference(h)
 
 
 def test_harvest_trivial_group():

@@ -1,7 +1,7 @@
 """Coset enumeration and finite group models."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crystpres.cosets import (
@@ -11,6 +11,7 @@ from crystpres.cosets import (
     coset_enumerate,
     is_consequence,
     order_check,
+    quotient_table,
     short_presentation_finite,
 )
 from crystpres.words import Presentation, cyclic_reduce, parse_word
@@ -262,6 +263,54 @@ def test_flat_table_matches_list_table(case):
         row = [-1 if x < 0 else new._find(x) // w
                for x in new.cells[c * w + 1:c * w + w]]
         assert row == [-1 if x is None else old._find(x) for x in old.table[c]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_enumeration())
+def test_complete_table_stands_for_every_cap_it_fits(case):
+    # run_hlt reads the cap only to stop: a complete run repeats step for
+    # step under any cap of at least its defined cosets, and overflows
+    # under any smaller one
+    ngens, relators, subgroup, cap = case
+    table = CosetTable(ngens, relators, subgroup, cap).run_hlt()
+    assume(table.status == "complete")
+    defined = table.defined
+    for c in (defined, defined + 7):
+        again = CosetTable(ngens, relators, subgroup, c).run_hlt()
+        assert again.cells == table.cells
+    if defined > 1:
+        smaller = CosetTable(ngens, relators, subgroup, defined - 1)
+        assert smaller.run_hlt().status == "overflow"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_enumeration(), st.lists(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
+                                         max_size=8), max_size=6))
+def test_compact_table_acts_like_the_full_one(case, words):
+    ngens, relators, subgroup, cap = case
+    full = CosetTable(ngens, relators, subgroup, cap).run_hlt()
+    assume(full.status == "complete")
+    small = CosetTable(ngens, relators, subgroup, cap).run_hlt().compact()
+    assert (small.index(), small.defined) == (full.index(), full.defined)
+    assert small.live_cosets() == list(range(full.index()))
+    # the live cosets in order, each reached by the same words
+    order = full.live_cosets()
+    for w in words:
+        w = tuple(x for x in w if abs(x) <= ngens)
+        for c in range(full.index()):
+            assert small.trace(c, w) == order.index(full.trace(order[c], w))
+
+
+def test_quotient_table_reuse():
+    p = _pres(["a", "b"], ["a^2", "b^2", "(ab)^3"])
+    table = quotient_table(p)
+    defined = table.defined
+    assert quotient_table(p, (), defined, reuse=table) is table
+    tight = quotient_table(p, (), defined - 1, reuse=table)
+    assert tight is not table and tight.index() is None
+    other = quotient_table(p, [(1, 2, 1, 2)], reuse=table)
+    assert other is not table and other.index() == 2
+    assert is_consequence(p, parse_word("(ab)^3", ["a", "b"]), reuse=table)
 
 
 def test_subgroup_index():

@@ -1,8 +1,10 @@
 """Presentation pipeline: relator construction, verification, census."""
 
+from unittest import mock
+
 import pytest
 
-from crystpres.cosets import coset_enumerate, order_check
+from crystpres.cosets import CosetTable, coset_enumerate, order_check
 from crystpres.netgraph import (
     from_cayley,
     net_coordination_sequence,
@@ -118,6 +120,27 @@ def test_tietze_preserves_quotient_orders(name):
     assert sum(len(r) for r in slim.presentation.relators) <= sum(
         len(r) for r in raw.presentation.relators
     )
+
+
+@pytest.mark.parametrize("name", ["elv", "i42d", "pnna_bcd", "ndia_3"])
+def test_quotient_order_does_not_change_report(name):
+    # a prune trial drops a relator only when every m passes, so the order
+    # of the checks cannot change a verdict
+    gens = (ndia_generators(3) if name == "ndia_3"
+            else load_document(name + ".json"))
+    assert (present(gens, verify_orders=(3, 2)).to_dict()
+            == present(gens, verify_orders=(2, 3)).to_dict())
+
+
+def test_consequence_checks_trace_the_final_tables(i42d):
+    rep = present(i42d.generators)
+    assert sorted(rep.tables) == [2, 3]
+    names = rep.presentation.generator_names
+    with mock.patch.object(CosetTable, "run_hlt",
+                           side_effect=AssertionError("enumerated again")):
+        for text in ("c^4", "abcabac^-1b"):
+            word = parse_word(text, names)
+            assert bounded_consequence_check(rep, word) == "pass"
 
 
 def test_present_deterministic(i42d):

@@ -1,9 +1,12 @@
 """Words, relators, and Tietze simplification."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystpres import words
 from crystpres.affine import AffineIsometry
 from crystpres.symop import parse_symop
 from crystpres.words import (
@@ -17,6 +20,7 @@ from crystpres.words import (
     parse_word,
     relator_class_key,
     tietze_simplify,
+    word_sort_key,
 )
 
 NAMES = ["a", "b", "c"]
@@ -182,3 +186,66 @@ def test_tietze_output_is_a_fixed_point():
     assert again.steps == 0
     assert again.presentation.relators == once.presentation.relators
     assert again.tags == once.tags
+
+
+# -- position-scan reference for the Tietze rewrite search -------------------
+
+
+def _reference_rewrite_once(relators, forms):
+    """The rewrite search as a scan over every start position of r + r.
+
+    Same contract as words._rewrite_once, except that forms(u) lists the
+    forms alone.  For each form f it takes the longest prefix longer
+    than |f| // 2 at its first start i < |r|.
+    """
+    for ti in range(len(relators) - 1, -1, -1):
+        r = relators[ti]
+        n = len(r)
+        doubled = r + r
+        for u in relators:
+            if len(u) > n:
+                break
+            if u == r:
+                continue
+            for f in forms(u):
+                best, at = len(f) // 2, None
+                for i in range(n):
+                    k = 0
+                    while k < len(f) and doubled[i + k] == f[k]:
+                        k += 1
+                    if k > best:
+                        best, at = k, i
+                if at is not None:
+                    rest = doubled[at + best:at + n]
+                    return ti, cyclic_reduce(invert_word(f[best:]) + rest)
+    return None
+
+
+def _encoded_forms(u):
+    return [(f, words._text(f)) for f in words._forms(u)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_presentations())
+def test_rewrite_search_matches_position_scan(p):
+    # the input tietze_simplify passes: distinct canonical words, sorted
+    relators = sorted({relator_class_key(r) for r in p.relators},
+                      key=word_sort_key)
+    assert (words._rewrite_once(relators, _encoded_forms)
+            == _reference_rewrite_once(relators, words._forms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_presentations())
+def test_tietze_matches_position_scan(p):
+    tags = list(range(len(p.relators)))
+    got = tietze_simplify(p, tags=tags)
+
+    def scan(relators, forms):
+        return _reference_rewrite_once(
+            relators, lambda u: [f for f, _ in forms(u)])
+
+    with mock.patch.object(words, "_rewrite_once", scan):
+        want = tietze_simplify(p, tags=tags)
+    assert got.presentation.relators == want.presentation.relators
+    assert (got.steps, got.tags) == (want.steps, want.tags)
