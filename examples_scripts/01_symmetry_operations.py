@@ -28,15 +28,17 @@ print("a^-1  =", format_symop(inverse(a)))
 a4 = a * a * a * a
 print("a^4   =", format_symop(a4), "-> translation", a4.translation)
 
-# reduce the generators modulo the integer lattice; the result is the
-# finite quotient G / Z^3.  finite_closure returns (kernel, reduce,
-# elements): the elements are integer codes of one WalkKernel, an
-# interned linear part plus N times the translation (N the lcm of the
-# translation denominators), reduced to lattice coordinates in [0, 1);
-# kernel.decode turns a code back into an exact map.  Note that the
-# full translation subgroup of this group is strictly larger than Z^3
-# (products of the screw and the involution produce fractional shifts),
-# so this quotient is bigger than the point group itself.
-lat = hnf_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-_, _, elements = finite_closure([a, b], lat)
-print("order of the finite quotient modulo Z^3:", len(elements))
+# one closure over the linear parts gives the point group P = G / T and
+# the translation lattice T exactly.  finite_closure returns (kernel,
+# reduce, elements, lattice): the elements are integer codes of one
+# WalkKernel, an interned linear part plus N times the translation (N
+# the lcm of the translation denominators), reduced to lattice
+# coordinates in [0, 1); kernel.decode turns a code back into an exact
+# map.  Note that T is strictly larger than Z^3: products of the screw
+# and the involution produce fractional shifts.
+_, _, elements, lattice = finite_closure([a, b])
+print("point group order:", len(elements))
+print("translation lattice basis:",
+      [[str(x) for x in row] for row in lattice.basis])
+print("index of Z^3 in T:", hnf_lattice(
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1)]).index_in(lattice))

@@ -27,7 +27,6 @@ from .words import (
 )
 from .cosets import (
     CosetTable,
-    FiniteGroupModel,
     coset_enumerate,
     is_consequence,
     order_check,

@@ -7,8 +7,9 @@ so group elements deduplicate exactly in breadth-first searches.
 WalkKernel is the one integer element code: x -> A x + t is the int
 tuple (id(A), N t), id(A) an interned linear part and N the lcm of the
 translation denominators.  Products and the reduction modulo a lattice
-are integer-only.  The Cayley walks (bfs), the point-group closure and
-model (pipeline) and the Cayley quotient (netgraph) all run on codes.
+are integer-only.  The Cayley walks (bfs), the point-group closure
+(finite_closure: P, its action and the lattice T) and the Cayley
+quotient (netgraph) all run on codes.
 """
 
 import math
@@ -31,20 +32,13 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class NotLatticeInvariant(ValueError):
-    """The linear part of an element does not map the lattice into itself."""
-
-
-class ClosureBoundExceeded(RuntimeError):
-    """Finite closure did not terminate within the configured bound."""
-
-
 class NotUnimodular(ValueError):
     """A linear part has no inverse over the integers."""
 
 
 class InfiniteOrder(ValueError):
-    """A linear part has infinite order: no crystallographic group has it."""
+    """A linear part, or the point group, is infinite: no crystallographic
+    group has it."""
 
 
 def check_finite_order(linear):
@@ -354,38 +348,62 @@ class WalkKernel:
         return AffineIsometry(self.linear(code), self.vector(code))
 
 
-def finite_closure(generators, lattice, bound=10000):
-    """The finite quotient G/L of the group generated by `generators`.
+def minkowski_bound(d):
+    """Minkowski's bound M(d): the order of every finite subgroup of
+    GL(d, Z) divides the product over primes p of p^e, e the sum of
+    floor(d / (p^k (p - 1))) over k >= 0.  M(1..4) = 2, 24, 48, 5760."""
+    bound = 1
+    for p in range(2, d + 2):
+        if all(p % q for q in range(2, p)):
+            q = p - 1
+            while q <= d:
+                bound *= p ** (d // q)
+                q *= p
+    return bound
 
-    Returns (kernel, reduce, elements): the WalkKernel of the generators
-    (its scale covers the basis of L), reduce = kernel.modulo(lattice),
-    and the residual codes of G/L in deterministic order: breadth-first
-    from the identity, right-multiplying by the generators in order.
-    Raises NotLatticeInvariant when a linear part does not map L into
-    itself, ClosureBoundExceeded past `bound` elements.
+
+def finite_closure(generators):
+    """The point group P and the translation lattice T of G = <generators>.
+
+    One breadth-first closure from the identity, right-multiplying by the
+    generators in order, keyed on the linear part: the first code u_p
+    that reaches a linear part p stands for the coset T u_p.  Each
+    product x * s whose linear part p was seen before gives the Schreier
+    translation tau = t(x * s) - t(u_p), so that x * s = tau * u_p; by
+    Schreier's lemma these generate T, which is their HNF.  (The order
+    matters: the conjugate u_p^-1 * x * s can span a proper sublattice.)
+    More than minkowski_bound(d) linear parts prove P infinite and raise
+    InfiniteOrder.
+
+    Returns (kernel, reduce, elements, lattice): the WalkKernel of the
+    generators, reduce = kernel.modulo(lattice), the residual codes of
+    P = G/T in discovery order (the identity first) and T, of rank 0
+    when G is finite.
     """
-    for g in generators:
-        if not all(lattice.contains(mat_vec(g.linear, b))
-                   for b in lattice.basis):
-            raise NotLatticeInvariant(
-                f"linear part {g.linear} does not preserve the lattice"
-            )
-    kernel = WalkKernel(generators, points=lattice.basis)
-    reduce = kernel.modulo(lattice)
-    gens = [reduce(kernel.encode(g))[0] for g in generators]
-    elements = {kernel.identity: None}  # an insertion-ordered set
+    kernel = WalkKernel(generators)
+    bound = minkowski_bound(kernel.dimension)
+    gens = [kernel.encode(g) for g in generators]
+    first = {kernel.identity[0]: kernel.identity}  # linear id -> u_p
+    taus = {}  # an insertion-ordered set of nonzero Schreier translations
     frontier = [kernel.identity]
     while frontier:
         new = []
         for x in frontier:
             for s in gens:
-                y = reduce(kernel.product(x, s))[0]
-                if y not in elements:
-                    elements[y] = None
+                y = kernel.product(x, s)
+                u = first.get(y[0])
+                if u is None:
+                    first[y[0]] = y
                     new.append(y)
-                    if len(elements) > bound:
-                        raise ClosureBoundExceeded(
-                            f"point-group closure exceeded {bound} elements"
+                    if len(first) > bound:
+                        raise InfiniteOrder(
+                            f"infinite point group: more than {bound} "
+                            "linear parts"
                         )
+                elif y != u:
+                    taus[tuple(a - b for a, b in zip(y[1:], u[1:]))] = None
         frontier = new
-    return kernel, reduce, list(elements)
+    lattice = TranslationLattice(kernel.dimension, [
+        [Fraction(x, kernel.scale) for x in row] for row in hnf(list(taus))])
+    reduce = kernel.modulo(lattice)
+    return kernel, reduce, [reduce(u)[0] for u in first.values()], lattice

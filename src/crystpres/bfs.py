@@ -24,7 +24,7 @@ radius share a code, and one edge step is one int addition.
 import math
 from fractions import Fraction
 
-from .affine import AffineIsometry, TranslationLattice, WalkKernel, check_finite_order
+from .affine import AffineIsometry, WalkKernel, check_finite_order, finite_closure
 from .intmat import hnf
 from .words import free_reduce
 
@@ -158,33 +158,42 @@ class TranslationHarvest:
 
     words: list of (word, vector) for every pure translation found, one
     shortest word per vector, ordered by (length, word).  lattice_words
-    is a greedy shortest-first subset whose vectors generate the full
-    harvested lattice (it may need more than rank(L) words).
+    is a greedy shortest-first subset whose vectors generate the
+    lattice (it may need more than rank(L) words).  closure is the
+    affine.finite_closure of the generators and lattice its T.
     """
 
-    def __init__(self, words, lattice_words, lattice, radius_used):
+    def __init__(self, words, lattice_words, closure, radius_used):
         self.words = words
         self.lattice_words = lattice_words
-        self.lattice = lattice
+        self.closure = closure
+        self.lattice = closure[3]
         self.radius_used = radius_used
 
 
-def shortest_translation_words(generators, rank=None):
+def shortest_translation_words(generators):
     """Harvest shortest words with identity linear part from the Cayley ball.
 
-    Expands sphere by sphere, recording, for each translation vector,
-    the first (shortest, discovery-ordered) word evaluating to it.  The
-    scan stops once the lattice spanned by the harvested vectors has
-    reached `rank` (the ambient dimension when rank is None and full
-    rank is achieved) and has not grown, nor dropped in index, for
-    DEFAULT_STABLE_SPHERES consecutive spheres, within radius
-    DEFAULT_RADIUS_CAP.  This is a completeness heuristic only;
-    soundness of anything built on the harvest is checked downstream by
-    coset enumeration.  The lattice is kept as the integer HNF of N L (N
-    the kernel's scale), each sphere's new vectors folded in.
+    The translation lattice T comes exactly from affine.finite_closure.
+    The walk expands sphere by sphere, recording, for each translation
+    vector, the first (shortest, discovery-ordered) word evaluating to
+    it, and stops once the harvested vectors span T and have not grown
+    for DEFAULT_STABLE_SPHERES consecutive spheres.  The lattice words
+    come from the spheres up to the first that spans T, so the stable
+    spheres only add to `words`.  The span is kept as the integer HNF of
+    N L (N the kernel's scale), each sphere's new vectors folded in.
+    Raises FiniteGroup when T = 0, LatticeNotFound when the walk reaches
+    DEFAULT_RADIUS_CAP before spanning T.
     """
     kernel = _kernel(generators)
-    d = kernel.dimension
+    closure = finite_closure([g for _, g in generators])
+    elements, lattice = closure[2:]
+    if not lattice.rank:
+        raise FiniteGroup(
+            f"finite group of order {len(elements)}: no translation lattice"
+        )
+    target = tuple(tuple(int(x * kernel.scale) for x in row)
+                   for row in lattice.basis)
     ident_linear = kernel.identity[0]
     entries = {kernel.identity: (0, 0)}
 
@@ -206,18 +215,13 @@ def shortest_translation_words(generators, rank=None):
             new = hnf(list(basis or ()) + [h[1:] for h in found])
             stable = stable + 1 if new == basis else 0
             basis = new
-            if (len(basis) >= (d if rank is None else rank)
-                    and stable >= DEFAULT_STABLE_SPHERES):
+            if basis == target and stable >= DEFAULT_STABLE_SPHERES:
                 break
-        if not sphere:  # everything seen
-            raise FiniteGroup(
-                f"finite group of order {len(entries)}: no translation lattice"
-            )
 
-    if basis is None or (rank is not None and len(basis) < rank):
+    if basis != target:
         raise LatticeNotFound(
-            "no translation lattice of required rank within radius "
-            f"{DEFAULT_RADIUS_CAP}"
+            "the harvested words do not span the translation lattice "
+            f"within radius {DEFAULT_RADIUS_CAP}"
         )
 
     pairs = sorted(((w, kernel.vector(h), h[1:]) for h, w in harvested.items()),
@@ -232,12 +236,8 @@ def shortest_translation_words(generators, rank=None):
             span = cand
         if span == basis:
             break
-    if span != basis:
-        raise LatticeNotFound("harvested words fail to generate their own lattice")
 
-    lattice = TranslationLattice(
-        d, [[Fraction(x, kernel.scale) for x in row] for row in basis])
-    return TranslationHarvest([(w, v) for w, v, _ in pairs], chosen, lattice,
+    return TranslationHarvest([(w, v) for w, v, _ in pairs], chosen, closure,
                               radius_used)
 
 

@@ -8,10 +8,9 @@ effective option values so runs are reproducible, and their bytes are
 stable for fixed inputs.
 
 Exit codes: 0 success, 2 input error (including generating sets that
-do not describe a crystallographic group: no full-rank lattice, an
-infinite point group, a non-unimodular linear part or one that does not
-preserve the lattice), 3 inconclusive verification, 4 verification
-failure or analysis error.
+do not describe a crystallographic group: no translations, an infinite
+point group or a non-unimodular linear part), 3 inconclusive
+verification, 4 verification failure or analysis error.
 """
 
 import argparse
@@ -20,12 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .affine import (
-    ClosureBoundExceeded,
-    InfiniteOrder,
-    NotLatticeInvariant,
-    NotUnimodular,
-)
+from .affine import InfiniteOrder, NotUnimodular
 from .bfs import (
     BallBoundExceeded,
     LatticeNotFound,
@@ -445,8 +439,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, LatticeNotFound, ClosureBoundExceeded, ModelNotClosed,
-            NotUnimodular, InfiniteOrder, NotLatticeInvariant) as exc:
+    except (InputError, LatticeNotFound, ModelNotClosed, NotUnimodular,
+            InfiniteOrder) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except VerificationFailure as exc:

@@ -223,7 +223,7 @@ def quotient_table(p, extra=(), max_cosets=DEFAULT_MAX_COSETS, reuse=None):
     """The run table of the trivial subgroup in p plus `extra` relators;
     `reuse` instead, if it is a complete table of the same relators that
     defined at most `max_cosets` cosets (a new run would repeat it)."""
-    q = Presentation(p.generator_names, list(p.relators) + list(extra))
+    q = p.with_relators(list(p.relators) + list(extra))
     if (reuse is not None and reuse.status == "complete"
             and reuse.presented == (q.relators, [])
             and reuse.defined <= max_cosets):
@@ -255,100 +255,37 @@ def is_consequence(p, word, max_cosets=DEFAULT_MAX_COSETS, reuse=None):
     return table.trace(0, word) == 0 if table.status == "complete" else None
 
 
-class FiniteGroupModel:
-    """A finite group given by a closed element list and generator images."""
-
-    def __init__(self, elements, generator_images, multiply):
-        self.elements = list(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise ModelNotClosed("duplicate elements in model")
-        self.generator_images = list(generator_images)
-        self._multiply = multiply
-        self._mul_cache = {}
-        self._inv = {}
-        self._identity = None
-        # verify closure under the generators and the identity axiom
-        for i in range(len(self.elements)):
-            if self.mult(i, i) == i:
-                self._identity = i
-                break
-        if self._identity is None:
-            raise ModelNotClosed("no identity element")
-        for i in range(len(self.elements)):
-            for g in self.generator_images:
-                self.mult(i, g)
-            for j in range(len(self.elements)):
-                if self.mult(i, j) == self._identity:
-                    self._inv[i] = j
-                    break
-            if i not in self._inv:
-                raise ModelNotClosed("element without inverse")
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def mult(self, i, j):
-        key = (i, j)
-        if key not in self._mul_cache:
-            prod = self._multiply(self.elements[i], self.elements[j])
-            k = self.index.get(prod)
-            if k is None:
-                raise ModelNotClosed(f"product of elements {i}, {j} not in model")
-            self._mul_cache[key] = k
-        return self._mul_cache[key]
-
-    def identity_index(self):
-        return self._identity
-
-    def inverse(self, i):
-        return self._inv[i]
-
-    def act(self, i, letter):
-        """Element reached by appending `letter` to a word for element i.
-
-        Letters act in reading order (words.evaluate), so appending a
-        letter left-multiplies by its image.
-        """
-        g = self.generator_images[abs(letter) - 1]
-        if letter < 0:
-            g = self.inverse(g)
-        return self.mult(g, i)
-
-
-def short_presentation_finite(model, names=None):
+def short_presentation_finite(tables, names):
     """Cannon-style short presentation of a finite group on its generators.
 
+    `tables` gives the action of each letter 1, -1, 2, -2, ... (in that
+    order) on the elements 0 .. n-1, element 0 the identity:
+    tables[x][e] is the element a word for e reaches with x appended.
     Candidate relators are spanning-tree cycle words of the Cayley graph
     (one per non-tree edge), adopted in (length, lex) order; a candidate
     is skipped only once bounded enumeration certifies the adopted set
     already presents the group.
     """
-    k = len(model.generator_images)
-    if names is None:
-        names = [chr(ord("a") + i) for i in range(k)]
-    order = model.order
+    order = len(tables[1])
     max_cosets = max(4 * order, 16)
 
-    # BFS over the Cayley graph; deterministic generator order a, a^-1, b, ...
-    move = {x: (lambda e, x=x: model.act(e, x))
-            for i in range(1, k + 1) for x in (i, -i)}
-    entries = {model.identity_index(): (0, 0)}
-    spheres = _expand(lambda e: [(x, m(e)) for x, m in move.items()],
+    # BFS over the Cayley graph in the letter order of `tables`
+    move = {x: table.__getitem__ for x, table in tables.items()}
+    entries = {0: (0, 0)}
+    spheres = _expand(lambda e: [(x, table[e]) for x, table in tables.items()],
                       entries, order)
     for sphere in spheres:
         if not sphere:
             break
     if len(entries) != order:
-        raise ModelNotClosed("generators do not generate the model")
+        raise ModelNotClosed("the generators do not generate the group")
     tree_word = {e: _word(move, entries, e) for e in entries}
 
     seen = set()
     candidates = []
     for e in entries:
-        for x, m in move.items():
-            f = m(e)
+        for x, table in tables.items():
+            f = table[e]
             w = cyclic_reduce(tree_word[e] + (x,) + invert_word(tree_word[f]))
             if not w:
                 continue

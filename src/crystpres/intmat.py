@@ -116,24 +116,32 @@ def solve_in_rowspan(rows, target):
         return () if all(x == 0 for x in target) else None
     den = common_denominator(list(rows) + [target])
     a = [[int(x * den) for x in row] for row in rows]
-    t = [int(x * den) for x in target]
-    h, u = hnf_with_transform(a)
-    n = len(a)
-    m = len(t)
+    return solve_hnf(hnf_with_transform(a), [int(x * den) for x in target])
+
+
+def solve_hnf(transform, target):
+    """solve_in_rowspan for integer rows A, given (H, U) =
+    hnf_with_transform(A), and an integer target on the scale of A.
+
+    Scaling A and the target by one positive integer changes no Euclid
+    quotient, so U and the solution stay the same: one transform serves
+    every target.
+    """
+    h, u = transform
     # back-substitute against echelon rows of h
     y = [0] * len(h)
-    rem = list(t)
+    rem = list(target)
     for i, row in enumerate(h):
-        col = next(j for j in range(m) if row[j] != 0)
+        col = next(j for j in range(len(rem)) if row[j] != 0)
         if rem[col] % row[col] != 0:
             return None
         y[i] = rem[col] // row[col]
         rem = [x - y[i] * z for x, z in zip(rem, row)]
     if any(rem):
         return None
-    x = [0] * n
+    x = [0] * len(u)
     for i, yi in enumerate(y):
-        for j in range(n):
+        for j in range(len(u)):
             x[j] += yi * u[i][j]
     return tuple(x)
 

@@ -21,21 +21,8 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .affine import (
-    AffineIsometry,
-    ClosureBoundExceeded,
-    NotLatticeInvariant,
-    finite_closure,
-    hnf_lattice,
-    inverse,
-)
-from .bfs import (
-    BallBoundExceeded,
-    FiniteGroup,
-    LatticeNotFound,
-    _expand,
-    shortest_translation_words,
-)
+from .affine import AffineIsometry, finite_closure, hnf_lattice, inverse
+from .bfs import BallBoundExceeded, _expand
 from .intmat import (
     frac_rows,
     identity_matrix,
@@ -368,7 +355,7 @@ def net_geodesics(g, vector, base=0, cap=200):
 # Cayley graph of a crystallographic group as a labeled quotient graph
 
 
-def from_cayley(generators, base_point=None, rank=None):
+def from_cayley(generators):
     """Quotient graph of the Cayley graph by the translation lattice.
 
     Vertices are the point-group cosets; each generator contributes one
@@ -381,9 +368,9 @@ def from_cayley(generators, base_point=None, rank=None):
     from .pipeline import _as_generator_list, build_extension_data
 
     generators = _as_generator_list(generators)
-    E = build_extension_data(generators, rank=rank)
+    E = build_extension_data(generators)
     lat = E.lattice
-    model = E.model
+    index = {e: i for i, e in enumerate(E.elements)}
     edges = []
     edge_sources = {}
     # edges join g to g*x so that translations (acting on the left) move
@@ -391,9 +378,9 @@ def from_cayley(generators, base_point=None, rank=None):
     # part the reduction takes off g*x
     for gi, (gname, op) in enumerate(generators):
         x = E.kernel.encode(op)
-        for i, rep in enumerate(model.elements):
+        for i, rep in enumerate(E.elements):
             target, shift = E.reduce(E.kernel.product(rep, x))
-            j = model.index[target]
+            j = index[target]
             key = _canonical_edge(i, j, shift)
             if key[0] == key[1] and all(s == 0 for s in key[2]):
                 raise GraphError(
@@ -413,15 +400,12 @@ def from_cayley(generators, base_point=None, rank=None):
     coords = None
     d = generators[0][1].dimension
     if lat.rank == d:
-        if base_point is None:
-            base_point = tuple(
-                Fraction(1, p) for p in (7, 11, 13, 17, 19, 23)[:d]
-            )
+        base_point = tuple(Fraction(1, p) for p in (7, 11, 13, 17, 19, 23)[:d])
         inv = mat_inverse_frac(lat.basis)
         coords = [vec_mat(E.kernel.decode(rep).apply(base_point), inv)
-                  for rep in model.elements]
+                  for rep in E.elements]
     cell = lat.basis if lat.rank == d else None
-    return LabeledQuotientGraph(lat.rank, model.order, edges, coords=coords,
+    return LabeledQuotientGraph(lat.rank, E.point_order, edges, coords=coords,
                                 cell=cell)
 
 
@@ -806,14 +790,13 @@ def regular_action_check(g, group_generators, base=0):
     ("inconclusive" otherwise: the quotient cannot certify it), map
     every quotient vertex to a cover vertex ("fail" otherwise) and every
     quotient edge to a cover edge (GraphError otherwise), which makes it
-    an automorphism of the whole cover.  With L the translation lattice
-    harvested by bfs.shortest_translation_words, the verdict is "pass"
-    iff |H/L| equals the number n covol(L) / covol(T) of L-orbits of
-    vertices and the base vertex has pairwise distinct images mod L
-    under H/L.  This holds for any full-rank H-invariant L inside H's
-    translations.  A finite H fails; a harvest that reaches its radius
-    cap (bfs.DEFAULT_RADIUS_CAP) below full rank, or an L that is not
-    H-invariant, is "inconclusive".
+    an automorphism of the whole cover.  One affine.finite_closure of
+    the generators conjugated to the base point gives H's translation
+    lattice L exactly and the residual codes of H/L.  A finite H (L = 0)
+    fails, and an L of rank below the net's is "inconclusive".
+    Otherwise the verdict is "pass" iff |H/L| equals the number
+    n covol(L) / covol(T) of L-orbits of vertices and the base vertex
+    has pairwise distinct images mod L under H/L.
     """
     if g.coords is None:
         raise GraphError("regular action check needs vertex coordinates")
@@ -846,28 +829,19 @@ def regular_action_check(g, group_generators, base=0):
                     "group generator does not preserve the edge set"
                 )
 
-    named = [(f"h{k}", h) for k, h in enumerate(group_generators, 1)]
-    try:
-        sub = shortest_translation_words(named, rank=g.rank).lattice
-    except FiniteGroup:
+    # h p0 - p0 is the translation of h conjugated by the shift to p0,
+    # so the images of p0 are distinct mod L iff the conjugates' residual
+    # translations are; conjugating by a translation keeps L
+    to_p0 = AffineIsometry.from_translation(position(_start(g, base)))
+    _, _, reps, sub = finite_closure(
+        [inverse(to_p0) * h * to_p0 for h in group_generators])
+    if sub.rank == 0:
         return "fail"
-    except LatticeNotFound:
+    if sub.rank < g.rank:
         return "inconclusive"
     # full-rank HNF bases are triangular
     covolume = [prod(row[i] for i, row in enumerate(x.basis))
                 for x in (sub, lattice)]
     orbits = g.n * covolume[0] / covolume[1]
-    # h p0 - p0 is the translation of h conjugated by the shift to p0,
-    # so the images of p0 are distinct mod L iff the conjugates' residual
-    # translations are
-    to_p0 = AffineIsometry.from_translation(position(_start(g, base)))
-    try:
-        _, _, reps = finite_closure(
-            [inverse(to_p0) * h * to_p0 for h in group_generators], sub,
-            bound=orbits)
-    except ClosureBoundExceeded:
-        return "fail"
-    except NotLatticeInvariant:
-        return "inconclusive"
     images = {code[1:] for code in reps}
     return "pass" if len(reps) == orbits == len(images) else "fail"

@@ -9,17 +9,16 @@ result against finite quotients.
 
 from fractions import Fraction
 
-from .affine import AffineIsometry, finite_closure, inverse as affine_inverse
+from .affine import AffineIsometry, inverse as affine_inverse
 from .bfs import shortest_translation_words
 from .cosets import (
     DEFAULT_MAX_COSETS,
-    FiniteGroupModel,
     is_consequence,
     order_verdict,
     quotient_table,
     short_presentation_finite,
 )
-from .intmat import left_kernel, mat_vec, solve_in_rowspan
+from .intmat import hnf_with_transform, mat_vec, scale_to_int, solve_hnf
 from .symop import GeneratingSetDocument, format_symop
 from .words import (
     Presentation,
@@ -57,54 +56,59 @@ class ExtensionData:
     presentation.  lattice_words: list of (word-in-X, vector) whose
     vectors generate the translation lattice (shortest first; may exceed
     the rank when no rank-sized subset of shortest words suffices).
-    model: the point group as a finite group of lattice-coset
-    representatives, as residual codes of `kernel` (an affine.WalkKernel
-    of X); `reduce` is kernel.modulo(lattice).  point_presentation:
+    kernel, reduce, elements: the affine.finite_closure of X, the point
+    group as residual codes of lattice cosets.  point_presentation:
     short presentation of the point group on the images of X.
     """
 
-    def __init__(self, generators, harvest, kernel, reduce, model,
-                 point_presentation):
+    def __init__(self, generators, harvest, point_presentation):
         self.generators = generators
-        self.kernel = kernel
-        self.reduce = reduce
+        self.kernel, self.reduce, self.elements, self.lattice = harvest.closure
         self.names = [name for name, _ in generators]
         self.assignment = {i + 1: op for i, (_, op) in enumerate(generators)}
         self.harvest = harvest
-        self.lattice = harvest.lattice
         self.lattice_words = harvest.lattice_words
-        self.model = model
         self.point_presentation = point_presentation
+        # one HNF transform of the lattice-word vectors serves every
+        # lattice word and the dependences among them
+        rows, self._scale = scale_to_int([v for _, v in self.lattice_words])
+        self._transform = hnf_with_transform(rows)
+        self.dependences = self._transform[1][len(self._transform[0]):]
+
+    def lattice_coefficients(self, vector):
+        """Integer c with sum_i c_i v_i = vector over the lattice-word
+        vectors v_i (zero along the dependences), or None."""
+        target = [x * self._scale for x in vector]
+        if any(x.denominator != 1 for x in target):
+            return None
+        return solve_hnf(self._transform, [int(x) for x in target])
 
     @property
     def point_order(self):
-        return self.model.order
+        return len(self.elements)
 
     @property
     def rank(self):
         return self.lattice.rank
 
 
-def build_extension_data(generators, rank=None):
+def build_extension_data(generators):
     """Find the translation lattice and present the point group.
 
-    `rank` fixes the expected lattice rank for subperiodic groups; by
-    default full rank in the ambient dimension is required.
+    The point group acts on its elements by left multiplication with
+    the letters in the kernel's walk order 1, -1, 2, -2, ...
     """
     generators = _as_generator_list(generators)
     if not generators:
         raise PipelineError("empty generating set")
-    harvest = shortest_translation_words(generators, rank=rank)
-    lattice = harvest.lattice
-    ops = [op for _, op in generators]
-    kernel, reduce, elements = finite_closure(ops, lattice)
-    images = [elements.index(reduce(kernel.encode(op))[0]) for op in ops]
-    model = FiniteGroupModel(
-        elements, images, lambda a, b: reduce(kernel.product(a, b))[0])
-    names = [name for name, _ in generators]
-    point_pres = short_presentation_finite(model, names=names)
-    return ExtensionData(generators, harvest, kernel, reduce, model,
-                         point_pres)
+    harvest = shortest_translation_words(generators)
+    kernel, reduce, elements, _ = harvest.closure
+    index = {e: i for i, e in enumerate(elements)}
+    tables = {x: [index[reduce(move(e))[0]] for e in elements]
+              for x, move in kernel.steps}
+    point_pres = short_presentation_finite(
+        tables, [name for name, _ in generators])
+    return ExtensionData(generators, harvest, point_pres)
 
 
 def _combine(coeffs, words):
@@ -121,17 +125,15 @@ def _lattice_word_for(E, vector):
     Solves for integer coefficients over the harvested generating
     vectors; any block order works because the blocks are translations.
     """
-    rows = [v for _, v in E.lattice_words]
-    coeffs = solve_in_rowspan(rows, vector)
+    coeffs = E.lattice_coefficients(vector)
     if coeffs is None:
         raise PipelineError(
             f"translation {vector} is not in the harvested lattice"
         )
     # when the harvested words outnumber the rank the solution is only
-    # unique modulo the kernel; descend along kernel directions to keep
-    # the emitted word short
-    kernel = left_kernel(rows)
-    if kernel:
+    # unique modulo the dependences; descend along them to keep the
+    # emitted word short
+    if E.dependences:
         lengths = [len(w) for w, _ in E.lattice_words]
 
         def cost(cs):
@@ -141,7 +143,7 @@ def _lattice_word_for(E, vector):
         improved = True
         while improved:
             improved = False
-            for k in kernel:
+            for k in E.dependences:
                 for sign in (1, -1):
                     while True:
                         trial = [c - sign * x for c, x in zip(coeffs, k)]
@@ -166,7 +168,7 @@ def lift_point_relators(E):
         code = E.kernel.evaluate(r)
         if code[0] != E.kernel.identity[0]:
             raise PipelineError(
-                "point relator has non-identity linear part; model mismatch"
+                "point relator has non-identity linear part; closure mismatch"
             )
         t = E.kernel.vector(code)
         w = _lattice_word_for(E, t) if any(t) else ()
@@ -182,7 +184,6 @@ def lattice_relators(E):
     the rank were harvested).
     """
     words = [w for w, _ in E.lattice_words]
-    vectors = [v for _, v in E.lattice_words]
     out = []
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
@@ -192,7 +193,7 @@ def lattice_relators(E):
             )
             if rel:
                 out.append(rel)
-    for row in left_kernel(vectors):
+    for row in E.dependences:
         rel = cyclic_reduce(_combine(row, words))
         if rel:
             out.append(rel)
@@ -266,7 +267,7 @@ class PresentationReport:
         }
 
 
-def present(generators, rank=None, simplify=True, prune=True,
+def present(generators, simplify=True, prune=True,
             verify_orders=(2, 3), max_cosets=DEFAULT_MAX_COSETS):
     """Full pipeline: extension data, relators, simplification, checks.
 
@@ -279,7 +280,7 @@ def present(generators, rank=None, simplify=True, prune=True,
     every m passes, so the order is free.  The final check of m reuses
     the table of the latest trial that passed at m if the relators match.
     """
-    E = build_extension_data(generators, rank=rank)
+    E = build_extension_data(generators)
     identity = E.kernel.identity
 
     tagged = []
@@ -404,9 +405,7 @@ def bounded_consequence_check(report, word, ms=(2, 3),
         return "fail"
     verdict = "pass"
     for m in ms:
-        q = Presentation(
-            p.generator_names, list(p.relators) + quotient_relators(E, m)
-        )
+        q = p.with_relators(list(p.relators) + quotient_relators(E, m))
         res = is_consequence(q, word, max_cosets, report.tables.get(m))
         if res is False:
             return "fail"

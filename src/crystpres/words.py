@@ -91,10 +91,21 @@ class Presentation:
 
     def __init__(self, generator_names, relators):
         self.generator_names = list(generator_names)
+        self._canonicalise(relators, {})
+
+    def _canonicalise(self, relators, keys):
+        """Keep the first relator of each class, sorted; `keys` maps
+        relators already cyclically reduced to their class keys."""
         first = {}
-        for r in map(cyclic_reduce, relators):
-            if r:
-                first.setdefault(relator_class_key(r), r)
+        for r in relators:
+            key = keys.get(r)
+            if key is None:
+                r = cyclic_reduce(r)
+                if not r:
+                    continue
+                key = relator_class_key(r)
+            first.setdefault(key, r)
+        self._keys = {r: key for key, r in first.items()}
         self.relators = sorted(first.values(), key=word_sort_key)
 
     def __repr__(self):
@@ -110,7 +121,11 @@ class Presentation:
         )
 
     def with_relators(self, relators):
-        return Presentation(self.generator_names, relators)
+        """Presentation(generator_names, relators); the relators of this
+        presentation among them are not canonicalised again."""
+        p = Presentation(self.generator_names, ())
+        p._canonicalise(relators, self._keys)
+        return p
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from crystpres.affine import (
     AffineIsometry,
-    ClosureBoundExceeded,
     DimensionMismatch,
     InfiniteOrder,
-    NotLatticeInvariant,
     TranslationLattice,
     WalkKernel,
     check_finite_order,
@@ -19,8 +17,10 @@ from crystpres.affine import (
     finite_closure,
     hnf_lattice,
     inverse,
+    minkowski_bound,
     translation_of,
 )
+from crystpres.bfs import _expand
 from crystpres.symop import parse_symop
 
 from conftest import fraction_closure
@@ -145,19 +145,28 @@ def test_point_group_image_keeps_transverse_part():
 
 
 def test_finite_closure_point_group():
-    lat = hnf_lattice([(1, 0), (0, 1)])
     r4 = parse_symop("-y, x", 2)
     m = parse_symop("y, x", 2)
-    _, _, elems = finite_closure([r4, m], lat)
+    _, _, elems, lattice = finite_closure([r4, m])
     assert len(elems) == 8
+    assert lattice.rank == 0
 
 
-def test_finite_closure_bound():
-    lat = hnf_lattice([(1, 0)], dimension=2)
-    # y-translation maps to an infinite-order residual in the quotient
-    g = parse_symop("x, 1+y", 2)
-    with pytest.raises(ClosureBoundExceeded):
-        finite_closure([g], lat, bound=50)
+def test_finite_closure_schreier_order():
+    # pnna_acd: the conjugates u^-1 x s of the Schreier translations span
+    # an index-3 sublattice; the closure must use x s u^-1
+    from conftest import load_document
+    from crystpres.bfs import shortest_translation_words
+
+    gens = load_document("pnna_acd.json").generators
+    _, _, elems, lattice = finite_closure([g for _, g in gens])
+    assert lattice == shortest_translation_words(gens).lattice
+    assert lattice.rank == 3
+
+
+def test_minkowski_bound():
+    assert [minkowski_bound(d) for d in range(1, 5)] == [2, 24, 48, 5760]
+    assert minkowski_bound(6) == 2903040
 
 
 def _shears(draw, d):
@@ -173,14 +182,13 @@ def _shears(draw, d):
 
 @st.composite
 def closure_cases(draw):
-    """Generators, lattice and bound for a point-group closure.
+    """Generators of a group, and whether its point group is finite.
 
     Linear parts are signed permutations conjugated by shears, so each
     has finite order; with one shared conjugator the group they generate
-    is finite too and the lattice is spanned by the orbit of a few
-    random vectors (rank 0..d), otherwise it is Z^d.  Translations lie
-    in (1/8)Z^d, lattice vectors in (1/4)Z^d, and the lattice is scaled
-    by m = 1, 2 or 3.
+    is finite too, otherwise it may be infinite.  Translations lie in
+    (1/8)Z^d.  Up to d pure translations in (1/4)Z^d join them, so that
+    the lattice takes ranks 0..d.
     """
     d = draw(st.integers(1, 3))
     shared = draw(st.booleans())
@@ -197,44 +205,39 @@ def closure_cases(draw):
         t = draw(st.lists(st.integers(-16, 16), min_size=d, max_size=d))
         gens.append(AffineIsometry((u * p * inverse(u)).linear,
                                    [Fraction(x, 8) for x in t]))
-    # mostly zero coordinates, so that orbits often span a proper subspace
+    # mostly zero coordinates, so that translations often span a proper
+    # subspace
     coordinate = st.sampled_from([0, 0, 0, 0, 1, -2, 4, 6])
-    vectors = [tuple(Fraction(x, 4) for x in v) for v in draw(st.lists(
-        st.lists(coordinate, min_size=d, max_size=d).filter(any),
-        max_size=d))]
+    gens += [AffineIsometry.from_translation([Fraction(x, 4) for x in v])
+             for v in draw(st.lists(st.lists(coordinate, min_size=d,
+                                             max_size=d).filter(any),
+                                    max_size=d))]
     group = [AffineIsometry.identity(d).linear]
     for a in group:  # the linear group, while it stays small
         for g in gens:
             b = compose(AffineIsometry(a, (0,) * d), g).linear
             if b not in group and len(group) <= 48:
                 group.append(b)
-    if len(group) > 48:
-        vectors = AffineIsometry.identity(d).linear
-    else:
-        vectors = [tuple(sum(r * x for r, x in zip(row, v)) for row in a)
-                   for a in group for v in vectors]
-    m = draw(st.integers(1, 3))
-    lattice = hnf_lattice([[m * x for x in v] for v in vectors], dimension=d)
-    return gens, lattice, draw(st.integers(1, 2000))
+    # a finite subgroup of GL(d, Z), d <= 3, has at most 48 elements
+    return gens, len(group) <= 48
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=closure_cases())
 def test_finite_closure_matches_fraction_reference(case):
-    gens, lattice, bound = case
-    expect = fraction_closure(gens, lattice, bound)
+    gens, finite = case
+    event("finite" if finite else "infinite point group")
+    if not finite:
+        with pytest.raises(InfiniteOrder, match="infinite point group"):
+            finite_closure(gens)
+        return
+    kernel, reduce, codes, lattice = finite_closure(gens)
     event(f"d={lattice.dimension} rank={lattice.rank}")
-    event("bound exceeded" if expect is None else "closed")
-    try:
-        kernel, reduce, codes = finite_closure(gens, lattice, bound=bound)
-    except ClosureBoundExceeded:
-        assert expect is None
-        return
-    except NotLatticeInvariant:
-        assert expect == "not invariant"
-        return
     elements = [kernel.decode(c) for c in codes]
-    assert [(g.linear, g.translation) for g in elements] == expect
+    # a lattice short of T would leave G/T infinite: past 48 elements
+    # the reference gives up
+    assert fraction_closure(gens, lattice, 48) == [
+        (g.linear, g.translation) for g in elements]
     # the shift the reduction takes off is the lattice part of the product
     for code, g in zip(codes, elements):
         for s in gens:
@@ -245,6 +248,35 @@ def test_finite_closure_matches_fraction_reference(case):
                                                 rest.translation)) == tuple(
                 sum(k * b[j] for k, b in zip(shift, lattice.basis))
                 for j in range(lattice.dimension))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=closure_cases())
+def test_finite_closure_lattice_is_spanned_by_ball_translations(case):
+    """T against a harvest with no radius cap: every pure translation in
+    the Cayley ball lies in T, and they span T by radius 2|P| - 1, since
+    each Schreier generator u_p s u_ps^-1 is that short (a u_p has
+    length below |P|).  A finite group has no translation at all."""
+    gens, finite = case
+    # more letters make balls of 10^5 elements within a few spheres
+    assume(finite and len(gens) <= 4)
+    _, _, codes, lattice = finite_closure(gens)
+    d = lattice.dimension
+    kernel = WalkKernel(gens)
+    span = hnf_lattice([], dimension=d)
+    spheres = _expand(kernel.neighbours, {kernel.identity: (0, 0)},
+                      2 * len(codes) - 1)
+    for sphere in spheres:
+        for h in sphere:
+            if h[0] == kernel.identity[0]:
+                v = kernel.vector(h)
+                assert lattice.contains(v)
+                if not span.contains(v):
+                    span = hnf_lattice(span.basis + (v,), dimension=d)
+        if span == lattice and (lattice.rank or not sphere):
+            break
+    else:
+        pytest.fail("the ball translations do not span T")
 
 
 def _companion(coefficients):

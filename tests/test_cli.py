@@ -366,11 +366,11 @@ def test_infinite_point_group_is_input_error(tmp_path, capsys):
 
 
 def test_point_group_closure_bound_is_input_error(tmp_path, capsys):
-    # ClosureBoundExceeded: each linear part has order 2, but their
-    # product -x-y, -y has infinite order
+    # each linear part has order 2, but their product -x-y, -y has
+    # infinite order: the closure passes Minkowski's bound M(2) = 24
     err = _input_error(capsys, ["present", "--input", _document(
         tmp_path, "-x, y", "x+y, -y", "1+x, y", "x, 1+y")])
-    assert "closure exceeded" in err
+    assert "infinite point group" in err
 
 
 def test_non_unimodular_is_input_error(tmp_path, capsys):
@@ -379,20 +379,6 @@ def test_non_unimodular_is_input_error(tmp_path, capsys):
                                 _document(tmp_path, "2x, y")])
     assert "not invertible over the integers" in err
     _input_error(capsys, ["present", "--input", _document(tmp_path, "2x, y")])
-
-
-def test_not_lattice_invariant_is_input_error(capsys, monkeypatch):
-    # no input is known to reach it; fake the pipeline failure
-    import crystpres.cli as cli
-    from crystpres.affine import NotLatticeInvariant
-
-    def broken(*args, **kwargs):
-        raise NotLatticeInvariant("linear part does not preserve the lattice")
-
-    monkeypatch.setattr(cli, "present", broken)
-    err = _input_error(capsys, ["present", "--input",
-                                corpus_path("i42d.json")])
-    assert "does not preserve the lattice" in err
 
 
 def test_model_not_closed_is_input_error(capsys, monkeypatch):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from crystpres.cosets import (
     CosetTable,
-    FiniteGroupModel,
     ModelNotClosed,
     coset_enumerate,
     is_consequence,
@@ -349,28 +348,20 @@ def test_is_consequence():
     assert is_consequence(free, ()) is True
 
 
-def _zn_model(n):
-    return FiniteGroupModel(range(n), [1 % n], lambda x, y: (x + y) % n)
+def _zn_tables(n):
+    """Left action of the letters a, a^-1 on Z/n, element 0 the identity."""
+    return {1: [(e + 1) % n for e in range(n)],
+            -1: [(e - 1) % n for e in range(n)]}
 
 
-def test_finite_group_model_basics():
-    m = _zn_model(6)
-    assert m.order == 6
-    e = m.identity_index()
-    assert m.mult(2, 4) == e
-    assert m.inverse(2) == 4
-    # appending a letter left-multiplies by its image
-    assert m.act(3, 1) == 4
-    assert m.act(3, -1) == 2
-
-
-def test_finite_group_model_not_closed():
+def test_short_presentation_tables_must_generate():
+    # the letter fixes both elements, so element 1 is never reached
     with pytest.raises(ModelNotClosed):
-        FiniteGroupModel([0, 1], [1], lambda x, y: x + y)
+        short_presentation_finite({1: [0, 1], -1: [0, 1]}, ["a"])
 
 
 def test_short_presentation_cyclic():
-    p = short_presentation_finite(_zn_model(5))
+    p = short_presentation_finite(_zn_tables(5), ["a"])
     assert coset_enumerate(p) == 5
     assert p.relators == [(1, 1, 1, 1, 1)]
 
@@ -378,14 +369,19 @@ def test_short_presentation_cyclic():
 def test_short_presentation_symmetric_group():
     import itertools
 
-    elems = list(itertools.permutations(range(4)))
+    elems = list(itertools.permutations(range(4)))  # the identity first
 
     def mul(p, q):  # appending acts in reading order
         return tuple(p[q[i]] for i in range(4))
 
-    gens = [elems.index((1, 0, 2, 3)), elems.index((1, 2, 3, 0))]
-    model = FiniteGroupModel(elems, gens, mul)
-    p = short_presentation_finite(model)
+    def inv(p):
+        return tuple(sorted(range(4), key=p.__getitem__))
+
+    tables = {}
+    for k, g in enumerate([(1, 0, 2, 3), (1, 2, 3, 0)], start=1):
+        for x, h in ((k, g), (-k, inv(g))):
+            tables[x] = [elems.index(mul(h, e)) for e in elems]
+    p = short_presentation_finite(tables, ["a", "b"])
     assert coset_enumerate(p) == 24
     # relators stay short: a Cannon-style set from tree cycles
     assert max(len(r) for r in p.relators) <= 12

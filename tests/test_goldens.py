@@ -12,14 +12,22 @@ one canonical relator form and a longest-match rewrite scan; they pin
 every relator, provenance tag and simplification step count.  The net
 goldens (radius-40 `cseq` on every bundled net, net `geodesics` and the
 ths layer `quotient` reports) were captured while cover nodes were
-(vertex, shift) tuples, before they were packed into single ints.
+(vertex, shift) tuples, before they were packed into single ints.  The
+subperiodic present goldens (documents under tests/data, outside the
+corpus) and the harvest golden were captured while the translation
+lattice was the span of the harvest, which stopped after 3 stable
+spheres or at its radius cap; the lattice is now exact (Schreier
+translations of the point-group closure).
 """
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
+from crystpres import bfs
+from crystpres.affine import finite_closure, hnf_lattice
 from crystpres.bfs import shortest_translation_words
 from crystpres.cli import main
 from crystpres.netgraph import catalog_load, from_cayley, strong_rings
@@ -34,6 +42,8 @@ CORPUS = sorted(
     name for name in os.listdir(os.path.join(ROOT, "corpus"))
     if name.endswith(".json")
 )
+NDIA = ["ndia_2", "ndia_3", "ndia_4"]
+SUBPERIODIC = ["layer_p1bar", "rod_p2cc"]
 CSEQ_DOCS = ["pnna_acd.json", "elv.json", "gis_i41a.json"]
 CSEQ_RADIUS = 8
 PNNA_RING_CAP = 14
@@ -103,6 +113,17 @@ def test_harvest_words_golden():
     assert render_harvests() == _golden("harvest_words.json")
 
 
+def test_closure_lattice_is_the_golden_harvest_span():
+    golden = json.loads(_golden("harvest_words.json"))
+    docs = {name: load_document(name).generators for name in CORPUS}
+    docs.update({name: ndia_generators(int(name[-1])).generators
+                 for name in NDIA})
+    for name, gens in docs.items():
+        spanned = hnf_lattice([[Fraction(x) for x in v]
+                               for _, v in golden[name]])
+        assert finite_closure([g for _, g in gens])[3] == spanned, name
+
+
 @pytest.mark.parametrize("name", CSEQ_DOCS)
 def test_cseq_input_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
@@ -123,11 +144,35 @@ def test_present_input_golden(name, capsys, monkeypatch):
     assert present_stdout(capsys, name) == _golden(f"present_{stem}.json")
 
 
+def present_ndia_text(n):
+    report = present(ndia_generators(n)).to_dict()
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_present_ndia_golden(n):
-    report = present(ndia_generators(n)).to_dict()
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert text == _golden(f"present_ndia_{n}.json")
+    assert present_ndia_text(n) == _golden(f"present_ndia_{n}.json")
+
+
+@pytest.mark.parametrize("name", SUBPERIODIC)
+def test_present_subperiodic_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = cli_stdout(capsys, "present", "--input", f"tests/data/{name}.json")
+    assert out == _golden(f"present_{name}.json")
+
+
+@pytest.mark.parametrize("name", CORPUS + NDIA)
+def test_present_goldens_without_stable_spheres(name, capsys, monkeypatch):
+    # the harvest stops at the first sphere that spans T; the extra
+    # stable spheres only add harvested words that no report shows
+    monkeypatch.setattr(bfs, "DEFAULT_STABLE_SPHERES", 0)
+    if name in NDIA:
+        assert present_ndia_text(int(name[-1])) == _golden(
+            f"present_{name}.json")
+    else:
+        monkeypatch.chdir(ROOT)
+        assert present_stdout(capsys, name) == _golden(
+            f"present_{name[:-len('.json')]}.json")
 
 
 @pytest.mark.parametrize("name", sorted(RING_GOLDENS))

@@ -662,7 +662,7 @@ def test_regular_action_on_cayley_nets(name):
     E = build_extension_data(doc.generators)
     translations = [AffineIsometry.from_translation(row)
                     for row in E.lattice.basis]
-    expected = "pass" if E.model.order == 1 else "fail"
+    expected = "pass" if E.point_order == 1 else "fail"
     assert regular_action_check(g, translations) == expected
 
 
