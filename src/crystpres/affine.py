@@ -380,6 +380,12 @@ def finite_closure(generators):
     P = G/T in discovery order (the identity first) and T, of rank 0
     when G is finite.
     """
+    return _closure(generators, math.inf)
+
+
+def _closure(generators, max_parts):
+    """finite_closure, or None once it holds more than max_parts linear
+    parts short of Minkowski's bound: a cap on its cost."""
     kernel = WalkKernel(generators)
     bound = minkowski_bound(kernel.dimension)
     gens = [kernel.encode(g) for g in generators]
@@ -400,6 +406,8 @@ def finite_closure(generators):
                             f"infinite point group: more than {bound} "
                             "linear parts"
                         )
+                    if len(first) > max_parts:
+                        return None
                 elif y != u:
                     taus[tuple(a - b for a, b in zip(y[1:], u[1:]))] = None
         frontier = new

@@ -12,19 +12,20 @@ interned linear part plus N times the translation, N also covering any
 target the walk must recognise); elements are converted to and from
 AffineIsometry only at the API boundary.
 
-Every walk, here, on the periodic covers of netgraph and over the
-finite Cayley graphs of cosets, grows its spheres with the one routine
-_expand, given a neighbours function.  The cover walks give it packed
-int nodes (netgraph.CoverCode): node (v, s) of a quotient graph on n
-vertices is v + n * sum_i s_i * B**i, with the radix B = 2 * radius *
-max|edge shift component| + 1 so that no two nodes within the walk's
-radius share a code, and one edge step is one int addition.
+Coordination sequences need sphere sizes only: shell_sizes walks the
+periodic cover of a labelled quotient graph on packed int nodes
+(CoverCode), two spheres at a time.  Every walk that needs words,
+letters, path counts or discovery order (balls, the harvest, geodesics
+and girths here, net geodesics and the ring ball in netgraph, the
+finite Cayley graphs of cosets) grows its spheres with the one routine
+_expand, given a neighbours function.
 """
 
 import math
 from fractions import Fraction
 
-from .affine import AffineIsometry, WalkKernel, check_finite_order, finite_closure
+from .affine import (AffineIsometry, WalkKernel, _closure, check_finite_order,
+                     finite_closure)
 from .intmat import hnf
 from .words import free_reduce
 
@@ -110,6 +111,68 @@ def _word(move, entries, h):
         h = move[-x](h)
 
 
+class CoverCode:
+    """Cover nodes within `radius` edges of cell 0, packed into ints.
+
+    adj[v] lists the arcs (w, shift) leaving quotient vertex v, n =
+    len(adj).  Node (v, s) is the int v + n * sum_i s_i * B**i.  A node
+    r edges from cell 0 has every |s_i| <= r * S, S the largest |shift
+    component|, so with B = 2 * radius * S + 1 no two such nodes share
+    a code.  Arc k of vertex p % n leads to node p + steps[p % n][k][1].
+    """
+
+    def __init__(self, adj, radius):
+        self.n = len(adj)
+        shifts = [x for arcs in adj for _, s in arcs for x in s]
+        self.reach = max(radius, 1) * max(map(abs, shifts), default=0)
+        self.radix = 2 * self.reach + 1
+        self.weights = [self.n * self.radix ** i
+                        for i in range(len(adj[0][0][1]))]
+        self.steps = [[(w, self.encode(w, t) - v) for w, t in arcs]
+                      for v, arcs in enumerate(adj)]
+
+    def encode(self, v, shift):
+        return v + sum(w * x for w, x in zip(self.weights, shift))
+
+    def decode(self, p):
+        v, e = p % self.n, p // self.n
+        shift = []
+        for _ in self.weights:
+            digit = (e + self.reach) % self.radix - self.reach
+            shift.append(digit)
+            e = (e - digit) // self.radix
+        return v, tuple(shift)
+
+    def neighbours(self, p):
+        """(arc target vertex, neighbour code) pairs, for _expand."""
+        return [(w, p + d) for w, d in self.steps[p % self.n]]
+
+
+def shell_sizes(adj, base, radius, max_elements=math.inf):
+    """Sphere sizes |S_0|, ..., |S_radius| about node (base, 0) of the
+    cover of adj (see CoverCode), whose arcs must all have their reverse
+    in adj: then S_(r+1) is the neighbourhood of S_r minus S_r and
+    S_(r-1), so two spheres are kept, as node sets per quotient vertex.
+    Raises BallBoundExceeded once the ball passes max_elements nodes.
+    """
+    steps = CoverCode(adj, radius).steps
+    prev, sphere, sizes = [set() for _ in adj], [set() for _ in adj], [1]
+    sphere[base].add(base)
+    for r in range(1, radius + 1):
+        nxt = [set() for _ in adj]
+        for v, nodes in enumerate(sphere):
+            for w, d in steps[v]:
+                nxt[w].update(map(d.__add__, nodes))
+        for w, nodes in enumerate(nxt):
+            nodes.difference_update(sphere[w], prev[w])
+        prev, sphere = sphere, nxt
+        sizes.append(sum(map(len, nxt)))
+        if sum(sizes) > max_elements:
+            raise BallBoundExceeded(
+                f"ball exceeded {max_elements} elements at radius {r}")
+    return sizes
+
+
 class BallIndex:
     """All elements within a word-length radius of the identity.
 
@@ -124,8 +187,6 @@ class BallIndex:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         self.kernel = kernel = _kernel(generators)
-        self.generator_names = [name for name, _ in generators]
-        self.radius = radius
         self.entries = {kernel.identity: (0, 0)}
         self.sphere_sizes = [1] + [
             len(sphere) for sphere in
@@ -149,8 +210,31 @@ def ball(generators, radius, max_elements=DEFAULT_MAX_ELEMENTS):
 
 
 def coordination_sequence(generators, radius, max_elements=DEFAULT_MAX_ELEMENTS):
-    """Sphere sizes of the Cayley graph ball: |S_0|, |S_1|, ..., |S_r|."""
-    return ball(generators, radius, max_elements=max_elements).sphere_sizes
+    """Sphere sizes of the Cayley graph ball: |S_0|, |S_1|, ..., |S_r|.
+
+    shell_sizes on the cover of G/T: vertex i is the coset representative
+    u_i of affine.finite_closure, letter x the arc i -> (j, s) with
+    u_i * image(x) = t_s * u_j, t_s in T.  T acts on the left, so this
+    is g -> g * image(x), which g -> g^-1 maps onto g -> image(x) * g
+    (the other walks here) fixing 1: the sphere sizes agree.  Letters
+    come in inverse pairs, so every arc has its reverse.  A finite group
+    is the cover of rank 0; an infinite point group raises InfiniteOrder.
+    The coset representatives count against max_elements too, which caps
+    the closure where Minkowski's bound does not (2,903,040 for d = 6).
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    _kernel(generators)
+    closure = _closure([g for _, g in generators], max_elements)
+    if closure is None:
+        raise BallBoundExceeded(f"point group exceeded {max_elements} elements")
+    kernel, reduce, elements, _ = closure
+    index = {u: i for i, u in enumerate(elements)}
+    letters = [move(kernel.identity) for _, move in kernel.steps]
+    adj = [[(index[j], s) for j, s in
+            (reduce(kernel.product(u, x)) for x in letters)]
+           for u in elements]
+    return shell_sizes(adj, 0, radius, max_elements)
 
 
 class TranslationHarvest:
@@ -303,26 +387,14 @@ def lattice_geodesic_count(vector):
     """Monotone lattice paths from 0 to `vector` with unit steps.
 
     Independent oracle for geodesic counts on Z^d with the standard
-    generators: dynamic programming, count(v) = sum_i count(v - sign(v_i) e_i).
+    generators: the multinomial (sum_i |v_i|)! / prod_i |v_i|!, one
+    binomial per coordinate.
     """
-    vector = tuple(int(v) for v in vector)
-    memo = {}
-
-    def rec(v):
-        if all(c == 0 for c in v):
-            return 1
-        if v in memo:
-            return memo[v]
-        total = 0
-        for i, c in enumerate(v):
-            if c:
-                step = list(v)
-                step[i] -= 1 if c > 0 else -1
-                total += rec(tuple(step))
-        memo[v] = total
-        return total
-
-    return rec(vector)
+    count, total = 1, 0
+    for c in (abs(int(v)) for v in vector):
+        total += c
+        count *= math.comb(total, c)
+    return count
 
 
 def odd_cycle_girth(generators, marked_name, cap=DEFAULT_RADIUS_CAP,

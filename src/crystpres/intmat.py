@@ -35,8 +35,7 @@ def hnf(rows):
     pivot reduced into [0, pivot).  The result is the canonical basis of
     the integer row span.
     """
-    h, _ = hnf_with_transform(rows)
-    return h
+    return _hnf(rows, False)[0]
 
 
 def hnf_with_transform(rows):
@@ -46,19 +45,20 @@ def hnf_with_transform(rows):
     tuple of nonzero rows of H_full (zero rows of H_full come last, and
     the corresponding rows of U span the left kernel of A).
     """
+    return _hnf(rows, True)
+
+
+def _hnf(rows, transform):
     a = [list(map(int, row)) for row in rows]
     n = len(a)
     m = len(a[0]) if n else 0
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    # without the transform U's rows stay empty: row operations cost O(m)
+    u = [[int(i == j) for j in range(n * transform)] for i in range(n)]
     piv_row = 0
     pivots = []
     for col in range(m):
         # find a row at or below piv_row with a nonzero entry in col
-        k = None
-        for i in range(piv_row, n):
-            if a[i][col] != 0:
-                k = i
-                break
+        k = next((i for i in range(piv_row, n) if a[i][col]), None)
         if k is None:
             continue
         a[piv_row], a[k] = a[k], a[piv_row]

@@ -6,13 +6,10 @@ its endpoints' cells.  Covers are explored lazily, so coordination
 sequences, ring searches and sublattice quotients all work directly on
 the finite description.
 
-The walks on the cover (coordination sequences, geodesic counts, the
-ring-search ball) run through bfs._expand on packed node codes: cover
-node (v, s) is the int v + n * E(s), E(s) = sum_i s_i * B**i (see
-CoverCode).  The radix B is sized from the walk's radius and the
-largest edge-shift component, so every node the walk can reach has a
-code of its own, and one step along an edge is one int addition.
-Nodes are decoded to (v, s) only where a result reports them.
+Cover walks run on packed int nodes (bfs.CoverCode): coordination
+sequences keep two spheres (bfs.shell_sizes), geodesic counts and the
+ring-search ball run through bfs._expand.  Nodes are decoded to (v, s)
+only where a result reports them.
 """
 
 import os
@@ -22,7 +19,7 @@ from itertools import product
 from math import prod
 
 from .affine import AffineIsometry, finite_closure, hnf_lattice, inverse
-from .bfs import BallBoundExceeded, _expand
+from .bfs import BallBoundExceeded, CoverCode, _expand, shell_sizes
 from .intmat import (
     frac_rows,
     identity_matrix,
@@ -268,58 +265,9 @@ def _start(g, base):
     return (base, (0,) * g.rank)
 
 
-class CoverCode:
-    """Cover nodes within `radius` edges of cell 0, packed into ints.
-
-    Node (v, s) is the int v + n * E(s), E(s) = sum_i s_i * B**i.  A
-    node r edges away from a vertex of cell 0 has every |s_i| <= r * S,
-    S the largest |component| of an edge shift, so with the radix
-    B = 2 * radius * S + 1 each coordinate is one signed digit in
-    [-radius * S, radius * S] and no two such nodes share a code.
-    p % n is the vertex of code p, and its k-th neighbour in g.adj
-    order is p + steps[p % n][k][1].
-    """
-
-    def __init__(self, g, radius):
-        self.n = g.n
-        self.reach = max(radius, 1) * max(
-            abs(x) for _, _, s in g.edges for x in s)
-        self.radix = 2 * self.reach + 1
-        self.weights = [g.n * self.radix ** i for i in range(g.rank)]
-        self.steps = [
-            [(k, self.encode(w, t) - v) for k, (w, t) in enumerate(nbrs)]
-            for v, nbrs in enumerate(g.adj)
-        ]
-
-    def encode(self, v, shift):
-        return v + sum(w * x for w, x in zip(self.weights, shift))
-
-    def decode(self, p):
-        v, e = p % self.n, p // self.n
-        shift = []
-        for _ in self.weights:
-            digit = (e + self.reach) % self.radix - self.reach
-            shift.append(digit)
-            e = (e - digit) // self.radix
-        return v, tuple(shift)
-
-    def neighbours(self, p):
-        """(adjacency index, neighbour code) pairs, for bfs._expand."""
-        return [(k, p + d) for k, d in self.steps[p % self.n]]
-
-
 def net_coordination_sequence(g, base, radius):
     """Sphere sizes around a base vertex in the periodic cover."""
-    cover = CoverCode(g, radius)
-    start = cover.encode(*_start(g, base))
-    entries, sizes, spheres = {start: (0, 0)}, [1], [[start]]
-    for sphere in _expand(cover.neighbours, entries, radius):
-        sizes.append(len(sphere))
-        spheres.append(sphere)
-        if len(spheres) > 2:  # undirected: sphere r - 2 is never met again
-            for node in spheres.pop(0):
-                del entries[node]
-    return sizes
+    return shell_sizes(g.adj, _start(g, base)[0], radius)
 
 
 def topological_density(g, base=0, radius=10):
@@ -338,7 +286,7 @@ def net_geodesics(g, vector, base=0, cap=200):
     shift = g.conventional_to_primitive(vector)
     if not any(shift):
         return 0, 1
-    cover = CoverCode(g, cap)
+    cover = CoverCode(g.adj, cap)
     span = cap * max(sum(map(abs, s)) for _, _, s in g.edges)
     if max(map(abs, shift)) <= cover.reach and sum(map(abs, shift)) <= span:
         origin, target = cover.encode(*start), cover.encode(base, shift)
@@ -601,7 +549,7 @@ def _ball(g, base, radius):
     sphere too, one step past the walk, so the code is sized for
     radius + 1: a code sized for the radius could give such an outside
     neighbour the code of a node inside the ball."""
-    cover = CoverCode(g, radius + 1)
+    cover = CoverCode(g.adj, radius + 1)
     entries = {cover.encode(*_start(g, base)): (0, 0)}
     for _ in _expand(cover.neighbours, entries, radius):
         pass

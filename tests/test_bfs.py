@@ -193,6 +193,8 @@ def test_lattice_geodesic_count_binomials():
     assert lattice_geodesic_count((4, 12)) == comb(16, 4)
     assert lattice_geodesic_count((5, 12)) == comb(17, 5)
     assert lattice_geodesic_count((0, 0)) == 1
+    # past the interpreter's recursion limit
+    assert lattice_geodesic_count((600, -600)) == comb(1200, 600)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -373,6 +373,24 @@ def test_point_group_closure_bound_is_input_error(tmp_path, capsys):
     assert "infinite point group" in err
 
 
+def test_cseq_infinite_point_group_is_input_error(tmp_path, capsys):
+    # two involutions whose product has infinite order: the Cayley graph
+    # is a line, but the group is not crystallographic
+    err = _input_error(capsys, ["cseq", "--input", _document(
+        tmp_path, "y, x", "-x, 2*x+y")])
+    assert "infinite point group" in err
+
+
+def test_cseq_finite_group(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension": 3, "generators": [
+        {"name": "a", "xyz": "-y, x, z"}, {"name": "b", "xyz": "-x, -y, -z"}]}))
+    code, report, _ = run(capsys, "cseq", "--input", str(path),
+                          "--radius", "4")
+    assert code == 0
+    assert report["coordination_sequence"] == [1, 3, 3, 1, 0]
+
+
 def test_non_unimodular_is_input_error(tmp_path, capsys):
     # NotUnimodular, raised while the walk kernel inverts the generators
     err = _input_error(capsys, ["cseq", "--input",

@@ -17,7 +17,10 @@ subperiodic present goldens (documents under tests/data, outside the
 corpus) and the harvest golden were captured while the translation
 lattice was the span of the harvest, which stopped after 3 stable
 spheres or at its radius cap; the lattice is now exact (Schreier
-translations of the point-group closure).
+translations of the point-group closure).  The radius-16 `cseq`
+goldens of the corpus and of ndia 2-4 (documents under tests/data)
+were captured while group coordination sequences walked the whole
+Cayley ball, before they became the shell walk on the cover of G/T.
 """
 
 import json
@@ -44,8 +47,16 @@ CORPUS = sorted(
 )
 NDIA = ["ndia_2", "ndia_3", "ndia_4"]
 SUBPERIODIC = ["layer_p1bar", "rod_p2cc"]
-CSEQ_DOCS = ["pnna_acd.json", "elv.json", "gis_i41a.json"]
-CSEQ_RADIUS = 8
+# cseq --input (document, radius): radius 8 on three corpus documents,
+# 16 on the whole corpus and ndia 2-4
+CSEQ_CASES = [
+    pytest.param(f"corpus/{name}", 8, id=name)
+    for name in ["pnna_acd.json", "elv.json", "gis_i41a.json"]
+] + [
+    pytest.param(path, 16, id=f"{os.path.basename(path)}-r16")
+    for path in [f"corpus/{name}" for name in CORPUS]
+    + [f"tests/data/{name}.json" for name in NDIA]
+]
 PNNA_RING_CAP = 14
 NET_CSEQ_RADIUS = 40
 # net -> translation target (conventional coordinates)
@@ -67,14 +78,6 @@ def render_harvests():
     for n in (2, 3, 4):
         out[f"ndia_{n}"] = harvest_words(ndia_generators(n).generators)
     return json.dumps(out, sort_keys=True) + "\n"
-
-
-def cseq_stdout(capsys, name):
-    """stdout of `cseq --input corpus/<name>` run from the repository root."""
-    code = main(["cseq", "--input", f"corpus/{name}",
-                 "--radius", str(CSEQ_RADIUS)])
-    assert code == 0
-    return capsys.readouterr().out
 
 
 def render_rings():
@@ -124,13 +127,12 @@ def test_closure_lattice_is_the_golden_harvest_span():
         assert finite_closure([g for _, g in gens])[3] == spanned, name
 
 
-@pytest.mark.parametrize("name", CSEQ_DOCS)
-def test_cseq_input_golden(name, capsys, monkeypatch):
+@pytest.mark.parametrize("path, radius", CSEQ_CASES)
+def test_cseq_input_golden(path, radius, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
-    stem = name[:-len(".json")]
-    assert cseq_stdout(capsys, name) == _golden(
-        f"cseq_{stem}_r{CSEQ_RADIUS}.json"
-    )
+    stem = os.path.basename(path)[:-len(".json")]
+    out = cli_stdout(capsys, "cseq", "--input", path, "--radius", str(radius))
+    assert out == _golden(f"cseq_{stem}_r{radius}.json")
 
 
 def test_strong_rings_golden():

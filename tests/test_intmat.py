@@ -65,6 +65,15 @@ def test_hnf_transform_is_unimodular(a):
     assert all(f.denominator == 1 for row in inv for f in row)
 
 
+@settings(max_examples=40, deadline=None)
+@given(a=st.integers(min_value=1, max_value=4).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-50, 50), min_size=m,
+                                max_size=m).map(tuple),
+                       min_size=1, max_size=200)))
+def test_hnf_without_transform_is_the_same_form(a):
+    assert hnf(a) == hnf_with_transform(a)[0]
+
+
 def test_left_kernel_fraction_rows():
     rows = [(Fraction(1, 2), Fraction(1, 2)), (1, 1), (0, 3)]
     k = left_kernel(rows)

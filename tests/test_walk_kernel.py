@@ -9,7 +9,7 @@ including which shortest words it finds and in what order.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crystpres.affine import AffineIsometry, compose, inverse
@@ -242,6 +242,20 @@ def test_odd_cycle_girth_matches_oracle(gens):
 # -- edge cases -----------------------------------------------------------------
 
 
+@settings(max_examples=60, deadline=None)
+@given(gens=generating_sets())
+# a finite group (rank 0), a rod group in the plane (rank 1 of 2) and a
+# layer group (rank 2 of 3)
+@example(gens=[("a", parse_symop("-y, x, z", 3)),
+               ("b", parse_symop("-x, -y, -z", 3))])
+@example(gens=[("a", parse_symop("1/2+x, -y", 2))])
+@example(gens=[("a", parse_symop("x+1, y, z", 3)),
+               ("b", parse_symop("-y, x+1/2, -z", 3))])
+def test_coordination_sequence_is_the_ball_on_the_quotient_cover(gens):
+    # the shell walk on the cover of G/T against the whole Cayley ball
+    assert coordination_sequence(gens, 6) == ball(gens, 6).sphere_sizes
+
+
 def _square_lattice():
     return [("a", parse_symop("1+x, y", 2)), ("b", parse_symop("x, 1+y", 2))]
 
@@ -253,6 +267,30 @@ def test_ball_bound_fires_at_same_count():
     assert ball(gens, 5, max_elements=n).sphere_sizes == sizes
     with pytest.raises(BallBoundExceeded, match=f"{n - 1} elements at radius 5"):
         ball(gens, 5, max_elements=n - 1)
+
+
+def test_coordination_sequence_bound_fires_at_same_count():
+    gens = _square_lattice()
+    sizes, _ = oracle_ball(gens, 5)
+    n = sum(sizes)
+    assert coordination_sequence(gens, 5, max_elements=n) == sizes
+    with pytest.raises(BallBoundExceeded, match=f"{n - 1} elements at radius 5"):
+        coordination_sequence(gens, 5, max_elements=n - 1)
+
+
+def test_coordination_sequence_bound_caps_the_point_group_closure():
+    # the coset representatives of G/T count against max_elements
+    gens = [("a", parse_symop("-y, x, z", 3)),
+            ("b", parse_symop("-x, -y, -z", 3))]
+    assert coordination_sequence(gens, 4, max_elements=8) == [1, 3, 3, 1, 0]
+    with pytest.raises(BallBoundExceeded, match="point group exceeded 7"):
+        coordination_sequence(gens, 1, max_elements=7)
+    # two involutions with an infinite product, in dimension 6: Minkowski's
+    # bound (2,903,040) is far off, the element bound stops the closure
+    gens = [("a", parse_symop("x2, x1, x3, x4, x5, x6", 6)),
+            ("b", parse_symop("-x1, 2*x1+x2, x3, x4, x5, x6", 6))]
+    with pytest.raises(BallBoundExceeded, match="point group exceeded 1000"):
+        coordination_sequence(gens, 4, max_elements=1000)
 
 
 def test_geodesics_target_with_ungenerated_denominator():
