@@ -380,15 +380,15 @@ def finite_closure(generators):
     P = G/T in discovery order (the identity first) and T, of rank 0
     when G is finite.
     """
-    return _closure(generators, math.inf)
+    return _closure(WalkKernel(generators), math.inf)
 
 
-def _closure(generators, max_parts):
-    """finite_closure, or None once it holds more than max_parts linear
-    parts short of Minkowski's bound: a cap on its cost."""
-    kernel = WalkKernel(generators)
+def _closure(kernel, max_parts):
+    """finite_closure on the kernel's generators (its positive letters),
+    or None once it holds more than max_parts linear parts short of
+    Minkowski's bound: a cap on its cost."""
     bound = minkowski_bound(kernel.dimension)
-    gens = [kernel.encode(g) for g in generators]
+    gens = [move(kernel.identity) for x, move in kernel.steps if x > 0]
     first = {kernel.identity[0]: kernel.identity}  # linear id -> u_p
     taus = {}  # an insertion-ordered set of nonzero Schreier translations
     frontier = [kernel.identity]

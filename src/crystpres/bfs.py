@@ -14,7 +14,8 @@ AffineIsometry only at the API boundary.
 
 Coordination sequences need sphere sizes only: shell_sizes walks the
 periodic cover of a labelled quotient graph on packed int nodes
-(CoverCode), two spheres at a time.  Every walk that needs words,
+(CoverCode), two spheres at a time; for a group it is _cayley_quotient,
+which netgraph.from_cayley reads as a net.  Every walk that needs words,
 letters, path counts or discovery order (balls, the harvest, geodesics
 and girths here, net geodesics and the ring ball in netgraph, the
 finite Cayley graphs of cosets) grows its spheres with the one routine
@@ -24,9 +25,9 @@ _expand, given a neighbours function.
 import math
 from fractions import Fraction
 
-from .affine import (AffineIsometry, WalkKernel, _closure, check_finite_order,
-                     finite_closure)
+from .affine import AffineIsometry, WalkKernel, _closure, check_finite_order
 from .intmat import hnf
+from .symop import format_symop
 from .words import free_reduce
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
@@ -43,25 +44,59 @@ class LatticeNotFound(RuntimeError):
 
 
 class FiniteGroup(LatticeNotFound):
-    """The harvest saw the whole group: it is finite, with no translations."""
+    """The group is finite, of the given order: it has no translations."""
+
+    def __init__(self, order):
+        super().__init__(f"finite group of order {order}: no translation lattice")
+
+
+class BadGenerators(ValueError):
+    """An empty generating list, a non-isometry or the identity."""
 
 
 def _kernel(generators, points=()):
     """Kernel of named generators: a list of (name, AffineIsometry).
 
-    Rejects linear parts with no integer inverse (affine.NotUnimodular),
-    then those of infinite order (affine.InfiniteOrder): no
-    crystallographic group contains either.
+    Rejects an empty list, a non-isometry or the identity (BadGenerators),
+    linear parts with no integer inverse (affine.NotUnimodular), then
+    those of infinite order (affine.InfiniteOrder).
     """
+    if not generators:
+        raise BadGenerators("empty generating set")
     for name, g in generators:
         if not isinstance(g, AffineIsometry):
-            raise TypeError(f"generator {name!r} is not an affine isometry")
+            raise BadGenerators(f"generator {name!r} is not an affine isometry")
         if g.is_identity():
-            raise ValueError(f"generator {name!r} is the identity")
+            raise BadGenerators(f"generator {name!r} is the identity")
     kernel = WalkKernel([g for _, g in generators], points)
     for _, g in generators:
         check_finite_order(g.linear)
     return kernel
+
+
+def _group(generators, max_elements, points=()):
+    """affine.finite_closure on _kernel(generators, points), raising
+    BallBoundExceeded past max_elements linear parts (M(6) = 2,903,040)."""
+    closure = _closure(_kernel(generators, points), max_elements)
+    if closure is None:
+        raise BallBoundExceeded(f"point group exceeded {max_elements} elements")
+    return closure
+
+
+def _cayley_quotient(generators, max_elements=DEFAULT_MAX_ELEMENTS):
+    """(closure, adj): the closure of _group and the Cayley graph modulo
+    T.  adj[i] lists per letter x, in walk order, the arc (j, s) with
+    u_i * image(x) = t_s * u_j, t_s in T, u_i the coset representatives.
+    T acts on the left, so this covers g -> g * image(x), which g -> g^-1
+    maps onto g -> image(x) * g (the walks here) fixing 1: sphere sizes
+    agree.  Each arc has its reverse (the inverse letter)."""
+    kernel, reduce, elements, _ = closure = _group(generators, max_elements)
+    index = {u: i for i, u in enumerate(elements)}
+    letters = [move(kernel.identity) for _, move in kernel.steps]
+    adj = [[(index[j], s) for j, s in
+            (reduce(kernel.product(u, x)) for x in letters)]
+           for u in elements]
+    return closure, adj
 
 
 def _expand(neighbours, entries, radius, max_elements=math.inf,
@@ -212,28 +247,12 @@ def ball(generators, radius, max_elements=DEFAULT_MAX_ELEMENTS):
 def coordination_sequence(generators, radius, max_elements=DEFAULT_MAX_ELEMENTS):
     """Sphere sizes of the Cayley graph ball: |S_0|, |S_1|, ..., |S_r|.
 
-    shell_sizes on the cover of G/T: vertex i is the coset representative
-    u_i of affine.finite_closure, letter x the arc i -> (j, s) with
-    u_i * image(x) = t_s * u_j, t_s in T.  T acts on the left, so this
-    is g -> g * image(x), which g -> g^-1 maps onto g -> image(x) * g
-    (the other walks here) fixing 1: the sphere sizes agree.  Letters
-    come in inverse pairs, so every arc has its reverse.  A finite group
-    is the cover of rank 0; an infinite point group raises InfiniteOrder.
-    The coset representatives count against max_elements too, which caps
-    the closure where Minkowski's bound does not (2,903,040 for d = 6).
+    shell_sizes on the cover of _cayley_quotient, whose coset
+    representatives count against max_elements too.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    _kernel(generators)
-    closure = _closure([g for _, g in generators], max_elements)
-    if closure is None:
-        raise BallBoundExceeded(f"point group exceeded {max_elements} elements")
-    kernel, reduce, elements, _ = closure
-    index = {u: i for i, u in enumerate(elements)}
-    letters = [move(kernel.identity) for _, move in kernel.steps]
-    adj = [[(index[j], s) for j, s in
-            (reduce(kernel.product(u, x)) for x in letters)]
-           for u in elements]
+    _, adj = _cayley_quotient(generators, max_elements)
     return shell_sizes(adj, 0, radius, max_elements)
 
 
@@ -244,7 +263,7 @@ class TranslationHarvest:
     shortest word per vector, ordered by (length, word).  lattice_words
     is a greedy shortest-first subset whose vectors generate the
     lattice (it may need more than rank(L) words).  closure is the
-    affine.finite_closure of the generators and lattice its T.
+    point-group closure of the generators (see _group) and lattice its T.
     """
 
     def __init__(self, words, lattice_words, closure, radius_used):
@@ -258,7 +277,7 @@ class TranslationHarvest:
 def shortest_translation_words(generators):
     """Harvest shortest words with identity linear part from the Cayley ball.
 
-    The translation lattice T comes exactly from affine.finite_closure.
+    The translation lattice T comes exactly from the closure of _group.
     The walk expands sphere by sphere, recording, for each translation
     vector, the first (shortest, discovery-ordered) word evaluating to
     it, and stops once the harvested vectors span T and have not grown
@@ -269,13 +288,9 @@ def shortest_translation_words(generators):
     Raises FiniteGroup when T = 0, LatticeNotFound when the walk reaches
     DEFAULT_RADIUS_CAP before spanning T.
     """
-    kernel = _kernel(generators)
-    closure = finite_closure([g for _, g in generators])
-    elements, lattice = closure[2:]
+    kernel, _, elements, lattice = closure = _group(generators, math.inf)
     if not lattice.rank:
-        raise FiniteGroup(
-            f"finite group of order {len(elements)}: no translation lattice"
-        )
+        raise FiniteGroup(len(elements))
     target = tuple(tuple(int(x * kernel.scale) for x in row)
                    for row in lattice.basis)
     ident_linear = kernel.identity[0]
@@ -342,25 +357,28 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000,
     """Count (and optionally list) the shortest words evaluating to target.
 
     Layered counting: the number of geodesics to h at distance r is the
-    sum over predecessors g at distance r-1 with h = image(x) * g.
+    sum over predecessors g at distance r-1 with h = image(x) * g.  A
+    target outside G raises TargetUnreachable before any walk.
     """
     if not isinstance(target, AffineIsometry):
         target = AffineIsometry.from_translation([Fraction(t) for t in target])
-    kernel = _kernel(generators, [target.translation])
+    kernel, reduce, elements, _ = _group(generators, max_elements,
+                                         [target.translation])
     goal = kernel.encode(target)
     if goal == kernel.identity:
         return GeodesicSet(target, 0, 1, [()] if with_words else None)
+    if reduce(goal)[0] not in elements:
+        raise TargetUnreachable(
+            f"target {format_symop(target)} is not an element of the group")
     dist = {kernel.identity: (0, 0)}
     count = {kernel.identity: 1}
     spheres = _expand(kernel.neighbours, dist, cap, max_elements, counts=count)
-    for r, sphere in enumerate(spheres, 1):
+    for r, _ in enumerate(spheres, 1):
         if goal in dist:
             words = None
             if with_words:
                 words = _enumerate_geodesics(goal, dist, kernel, max_words)
             return GeodesicSet(target, r, count[goal], words)
-        if not sphere:
-            break
     raise TargetUnreachable(f"target not reached within length cap {cap}")
 
 

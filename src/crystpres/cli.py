@@ -7,10 +7,11 @@ short human-readable summary goes to stderr.  Reports echo all
 effective option values so runs are reproducible, and their bytes are
 stable for fixed inputs.
 
-Exit codes: 0 success, 2 input error (including generating sets that
-do not describe a crystallographic group: no translations, an infinite
-point group or a non-unimodular linear part), 3 inconclusive
-verification, 4 verification failure or analysis error.
+Exit codes: 0 success, 2 input error (including malformed documents
+and generating sets that do not describe a crystallographic group: no
+translations, an infinite point group, a non-unimodular linear part or
+an identity generator), 3 inconclusive verification, 4 verification
+failure or analysis error.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from fractions import Fraction
 
 from .affine import InfiniteOrder, NotUnimodular
 from .bfs import (
+    BadGenerators,
     BallBoundExceeded,
     LatticeNotFound,
     TargetUnreachable,
@@ -322,7 +324,7 @@ def cmd_quotient(args):
 
 def cmd_catalog(args):
     if args.net:
-        g = catalog_load(args.net)
+        g = _load_graph(args)
         out = {
             "config": dict(command="catalog", net=args.net),
             "name": args.net,
@@ -424,6 +426,7 @@ def build_parser():
 
     p = add("catalog", cmd_catalog, help="list or show bundled nets")
     p.add_argument("--net", help="show one net in full")
+    p.set_defaults(input=None)  # _load_graph reads it; catalog has no --input
 
     return parser
 
@@ -440,7 +443,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (InputError, LatticeNotFound, ModelNotClosed, NotUnimodular,
-            InfiniteOrder) as exc:
+            InfiniteOrder, BadGenerators) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except VerificationFailure as exc:

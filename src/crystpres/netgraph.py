@@ -9,7 +9,8 @@ the finite description.
 Cover walks run on packed int nodes (bfs.CoverCode): coordination
 sequences keep two spheres (bfs.shell_sizes), geodesic counts and the
 ring-search ball run through bfs._expand.  Nodes are decoded to (v, s)
-only where a result reports them.
+only where a result reports them.  from_cayley reads the net of a
+group off bfs._cayley_quotient, the quotient `cseq --input` walks.
 """
 
 import os
@@ -19,7 +20,8 @@ from itertools import product
 from math import prod
 
 from .affine import AffineIsometry, finite_closure, hnf_lattice, inverse
-from .bfs import BallBoundExceeded, CoverCode, _expand, shell_sizes
+from .bfs import (BallBoundExceeded, CoverCode, FiniteGroup, _cayley_quotient,
+                  _expand, shell_sizes)
 from .intmat import (
     frac_rows,
     identity_matrix,
@@ -304,56 +306,34 @@ def net_geodesics(g, vector, base=0, cap=200):
 
 
 def from_cayley(generators):
-    """Quotient graph of the Cayley graph by the translation lattice.
+    """Quotient graph of the Cayley graph by the translation lattice T.
 
-    Vertices are the point-group cosets; each generator contributes one
-    edge orbit per coset, with shifts in the harvested lattice basis.
-    Parallel edges or loops mean the Cayley graph is not simple and
-    raise an error.  When the lattice has full rank, vertex coordinates
-    (the orbit of a generic base point, in lattice-basis coordinates)
-    are attached for embedding-aware checks.
+    Its edges are the arcs of the generators (positive letters) in
+    bfs._cayley_quotient, shifts in the basis of T: only the point-group
+    closure is needed.  Parallel edges mean the Cayley graph is not
+    simple and raise GraphError (no generator is the identity, so there
+    are no loops); a finite group raises FiniteGroup.  When T has full
+    rank, vertex coordinates (the orbit of a generic base point, in
+    T-basis coordinates) are attached for embedding-aware checks.
     """
-    from .pipeline import _as_generator_list, build_extension_data
-
-    generators = _as_generator_list(generators)
-    E = build_extension_data(generators)
-    lat = E.lattice
-    index = {e: i for i, e in enumerate(E.elements)}
-    edges = []
-    edge_sources = {}
-    # edges join g to g*x so that translations (acting on the left) move
-    # cover vertices by plain shift addition; the shift is the lattice
-    # part the reduction takes off g*x
-    for gi, (gname, op) in enumerate(generators):
-        x = E.kernel.encode(op)
-        for i, rep in enumerate(E.elements):
-            target, shift = E.reduce(E.kernel.product(rep, x))
-            j = index[target]
-            key = _canonical_edge(i, j, shift)
-            if key[0] == key[1] and all(s == 0 for s in key[2]):
-                raise GraphError(
-                    f"generator {gname!r} fixes a coset: Cayley graph has a loop"
-                )
-            prev = edge_sources.get(key)
-            if prev is not None:
-                if prev != gi:
-                    raise GraphError(
-                        "parallel Cayley edges from distinct generators; "
-                        "graph is not simple"
-                    )
-                continue
-            edge_sources[key] = gi
-            edges.append(key)
-
-    coords = None
-    d = generators[0][1].dimension
+    (kernel, _, elements, lat), adj = _cayley_quotient(generators)
+    if not lat.rank:
+        raise FiniteGroup(len(elements))
+    edges = {}  # canonical edge -> index of the generator giving it
+    for i, arcs in enumerate(adj):
+        for k, (j, shift) in enumerate(arcs[::2]):
+            if edges.setdefault(_canonical_edge(i, j, shift), k) != k:
+                raise GraphError("parallel Cayley edges from distinct "
+                                 "generators; graph is not simple")
+    coords = cell = None
+    d = kernel.dimension
     if lat.rank == d:
         base_point = tuple(Fraction(1, p) for p in (7, 11, 13, 17, 19, 23)[:d])
         inv = mat_inverse_frac(lat.basis)
-        coords = [vec_mat(E.kernel.decode(rep).apply(base_point), inv)
-                  for rep in E.elements]
-    cell = lat.basis if lat.rank == d else None
-    return LabeledQuotientGraph(lat.rank, E.point_order, edges, coords=coords,
+        coords = [vec_mat(kernel.decode(rep).apply(base_point), inv)
+                  for rep in elements]
+        cell = lat.basis
+    return LabeledQuotientGraph(lat.rank, len(elements), edges, coords=coords,
                                 cell=cell)
 
 

@@ -9,8 +9,8 @@ result against finite quotients.
 
 from fractions import Fraction
 
-from .affine import AffineIsometry, inverse as affine_inverse
-from .bfs import shortest_translation_words
+from .affine import AffineIsometry
+from .bfs import _kernel, shortest_translation_words
 from .cosets import (
     DEFAULT_MAX_COSETS,
     is_consequence,
@@ -41,12 +41,6 @@ class VerificationFailure(PipelineError):
     This signals an internal inconsistency or an incomplete lattice, not
     a property of the input, so it is an error rather than a warning.
     """
-
-
-def _as_generator_list(generators):
-    if isinstance(generators, GeneratingSetDocument):
-        return list(generators.generators)
-    return [(name, op) for name, op in generators]
 
 
 class ExtensionData:
@@ -98,9 +92,7 @@ def build_extension_data(generators):
     The point group acts on its elements by left multiplication with
     the letters in the kernel's walk order 1, -1, 2, -2, ...
     """
-    generators = _as_generator_list(generators)
-    if not generators:
-        raise PipelineError("empty generating set")
+    generators = list(generators)
     harvest = shortest_translation_words(generators)
     kernel, reduce, elements, _ = harvest.closure
     index = {e: i for i, e in enumerate(elements)}
@@ -425,22 +417,18 @@ def relator_ring_census(p, generators, cell_order):
     number of group elements per conventional cell (point order times
     the centering index).
     """
-    generators = _as_generator_list(generators)
-    assignment = {i + 1: op for i, (_, op) in enumerate(generators)}
+    kernel = _kernel(list(generators))
     out = []
     for r in p.relators:
         c = len(r)
         if c < 3:
             raise PipelineError("ring census needs relators of length >= 3")
         verts = []
-        cur = AffineIsometry.identity(generators[0][1].dimension)
+        cur = kernel.identity
         for x in r:
             verts.append(cur)
-            g = assignment[abs(x)]
-            if x < 0:
-                g = affine_inverse(g)
-            cur = g * cur
-        if not cur.is_identity():
+            cur = kernel.move[x](cur)
+        if cur != kernel.identity:
             raise PipelineError("relator does not close a cycle")
         vset = set(verts)
         if len(vset) != c:
@@ -448,10 +436,8 @@ def relator_ring_census(p, generators, cell_order):
                 f"relator cycle revisits a vertex (length {c}, "
                 f"{len(vset)} distinct)"
             )
-        stab = 0
-        for f in verts:
-            if {v * f for v in verts} == vset:
-                stab += 1
+        stab = sum({kernel.product(v, f) for v in verts} == vset
+                   for f in verts)
         if c % stab != 0 or cell_order % stab != 0:
             raise PipelineError("stabilizer order does not divide cycle data")
         out.append(RingCensusEntry(r, c, stab, c // stab, cell_order // stab))

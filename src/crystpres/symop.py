@@ -58,6 +58,8 @@ def _tokenize(text):
                     k += 1
                 if k == j + 1:
                     raise SymopSyntaxError("expected denominator", j + 1)
+                if not int(text[j + 1:k]):
+                    raise SymopSyntaxError("zero denominator", j + 1)
                 tokens.append(("num", Fraction(num, int(text[j + 1:k])), i))
                 i = k
             else:
@@ -214,6 +216,8 @@ def _parse_matrix_rows(rows, dimension):
             f"matrix must have {dimension} rows of {dimension + 1} rationals"
         )
     linear = [r[:-1] for r in entries]
+    if any(x.denominator != 1 for r in linear for x in r):
+        raise DocumentError("linear coefficients must be integers")
     translation = [r[-1] for r in entries]
     return AffineIsometry(linear, translation)
 
@@ -237,6 +241,9 @@ class GeneratingSetDocument:
         self.dimension = dimension
         self.generators = list(generators)
         self.label = label
+
+    def __iter__(self):
+        return iter(self.generators)
 
     @property
     def names(self):
@@ -274,17 +281,23 @@ def parse_generating_set(document):
         data = document
     if "dimension" not in data:
         raise DocumentError("missing 'dimension'")
-    dimension = int(data["dimension"])
+    try:
+        dimension = int(data["dimension"])
+    except (TypeError, ValueError):
+        raise DocumentError("dimension must be an integer") from None
     gens = []
     for entry in data.get("generators", []):
         name = entry.get("name")
         if not name:
             raise DocumentError("generator without a name")
-        if "xyz" in entry:
-            op = parse_symop(entry["xyz"], dimension)
-        elif "matrix" in entry:
-            op = _parse_matrix_rows(entry["matrix"], dimension)
-        else:
-            raise DocumentError(f"generator {name!r} has neither 'xyz' nor 'matrix'")
+        try:
+            if "xyz" in entry:
+                op = parse_symop(entry["xyz"], dimension)
+            elif "matrix" in entry:
+                op = _parse_matrix_rows(entry["matrix"], dimension)
+            else:
+                raise DocumentError("neither 'xyz' nor 'matrix' given")
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(f"generator {name!r}: {exc}") from exc
         gens.append((name, op))
     return GeneratingSetDocument(dimension, gens, label=data.get("label"))

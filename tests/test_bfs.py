@@ -1,6 +1,7 @@
 """Cayley-graph exploration: balls, translation harvest, geodesics."""
 
 import os
+import time
 from fractions import Fraction
 from math import comb
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from crystpres.affine import AffineIsometry, hnf_lattice
 from crystpres.bfs import (
+    BadGenerators,
     BallBoundExceeded,
     LatticeNotFound,
     TargetUnreachable,
@@ -176,6 +178,34 @@ def test_geodesics_unreachable():
     gens = [("a", parse_symop("2+x, y", 2)), ("b", parse_symop("x, 1+y", 2))]
     with pytest.raises(TargetUnreachable):
         geodesics(gens, (1, 0), 10)
+
+
+def test_geodesics_target_outside_the_group_answers_without_a_walk(
+        elv, monkeypatch):
+    # (1/3, 0, 0) is no translation of elv, nor (1/3, 0) of p2: the
+    # point-group closure tells, and no walk is needed
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr("crystpres.bfs._expand", no_walk)
+    p2 = _translations(2) + [("c", parse_symop("-x, -y", 2))]
+    start = time.perf_counter()
+    for gens, target in [(elv.generators, (Fraction(1, 3), 0, 0)),
+                         (p2, (Fraction(1, 3), 0))]:
+        with pytest.raises(TargetUnreachable,
+                           match="is not an element of the group"):
+            geodesics(gens, target, 200)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: ball([], 1),
+    lambda: coordination_sequence([], 1),
+    lambda: geodesics([], (1, 0), 3),
+], ids=["ball", "coordination_sequence", "geodesics"])
+def test_empty_generating_set_is_rejected(walk):
+    with pytest.raises(BadGenerators, match="empty generating set"):
+        walk()
 
 
 @settings(max_examples=40, deadline=None)

@@ -318,6 +318,40 @@ def _input_error(capsys, argv):
     return captured.err
 
 
+@pytest.mark.parametrize("doc", [
+    {"dimension": 2, "generators": [{"name": "a", "xyz": "x, q"}]},
+    {"dimension": 2, "generators": [{"name": "a", "xyz": "x+1/0, y"}]},
+    {"dimension": "two", "generators": [{"name": "a", "xyz": "1+x, y"}]},
+    {"dimension": 1, "generators": [{"name": "a", "matrix": [["x", "1"]]}]},
+    {"dimension": 1, "generators": [{"name": "a", "matrix": [["1/2", "1"]]}]},
+    {"dimension": 2, "generators": [{"name": "a", "xyz": "x, y"}]},
+], ids=["unknown-variable", "zero-denominator", "dimension-text",
+        "matrix-text", "matrix-fraction", "identity"])
+def test_malformed_document_is_input_error(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    _input_error(capsys, ["present", "--input", str(path)])
+
+
+def test_catalog_unknown_net_is_input_error(capsys):
+    err = _input_error(capsys, ["catalog", "--net", "nosuchnet"])
+    assert "unknown net 'nosuchnet'" in err
+
+
+def test_geodesics_infinite_point_group_is_input_error(tmp_path, capsys):
+    err = _input_error(capsys, ["geodesics", "--target", "1,0", "--input",
+                                _document(tmp_path, "y, x", "-x, 2*x+y")])
+    assert "infinite point group" in err
+
+
+def test_geodesics_target_outside_the_group_exits_4(capsys):
+    code, report, err = run(capsys, "geodesics", "--input",
+                            corpus_path("elv.json"), "--target", "1/3,0,0")
+    assert (code, report) == (4, None)
+    assert err == ("error: target 1/3+x, y, z is not an element of the "
+                   "group\n")
+
+
 @pytest.mark.parametrize("command", [
     ["cseq"],
     ["geodesics", "--target", "1,0"],

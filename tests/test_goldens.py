@@ -21,6 +21,10 @@ translations of the point-group closure).  The radius-16 `cseq`
 goldens of the corpus and of ndia 2-4 (documents under tests/data)
 were captured while group coordination sequences walked the whole
 Cayley ball, before they became the shell walk on the cover of G/T.
+The Cayley net golden (`from_cayley(...).to_text()` of the corpus, ndia
+2-4 and the subperiodic documents) was captured while from_cayley built
+the whole presentation pipeline's extension data (harvest and point
+presentation), before it read the Cayley quotient that cseq walks.
 """
 
 import json
@@ -35,6 +39,7 @@ from crystpres.bfs import shortest_translation_words
 from crystpres.cli import main
 from crystpres.netgraph import catalog_load, from_cayley, strong_rings
 from crystpres.pipeline import ndia_generators, present
+from crystpres.symop import parse_generating_set
 
 from conftest import RING_GOLDENS, load_document
 
@@ -95,6 +100,17 @@ def render_rings():
     return "\n".join(lines) + "\n"
 
 
+def render_cayley_nets():
+    """from_cayley(...).to_text() per document, as JSON keyed by name."""
+    docs = {name[:-len(".json")]: load_document(name) for name in CORPUS}
+    docs.update({name: ndia_generators(int(name[-1])) for name in NDIA})
+    for name in SUBPERIODIC:
+        with open(os.path.join(ROOT, "tests", "data", f"{name}.json")) as fh:
+            docs[name] = parse_generating_set(fh.read())
+    out = {name: from_cayley(doc).to_text() for name, doc in docs.items()}
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+
+
 def present_stdout(capsys, name):
     """stdout of `present --input corpus/<name>` run from the repository root."""
     code = main(["present", "--input", f"corpus/{name}"])
@@ -133,6 +149,10 @@ def test_cseq_input_golden(path, radius, capsys, monkeypatch):
     stem = os.path.basename(path)[:-len(".json")]
     out = cli_stdout(capsys, "cseq", "--input", path, "--radius", str(radius))
     assert out == _golden(f"cseq_{stem}_r{radius}.json")
+
+
+def test_cayley_nets_golden():
+    assert render_cayley_nets() == _golden("from_cayley.json")
 
 
 def test_strong_rings_golden():

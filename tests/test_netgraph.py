@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crystpres.bfs import BallBoundExceeded
+from crystpres.bfs import BallBoundExceeded, FiniteGroup
 from crystpres.netgraph import (
     HORTON_BIT_BUDGET,
     GraphError,
@@ -446,6 +446,10 @@ def test_lowest_root_horton_set_spans_like_the_full_set(case, cap):
     g, base, _ = case
     assume(g.rank < 3 or cap <= 5)
     _, _, _, adj = _ball(g, base, cap)
+    # either Horton set holds at most one mask per (root, edge), and the
+    # ball has at most edges + 1 nodes, so a ball of at most 600 edges
+    # stays under the bit budget: 601 * 600**2 < HORTON_BIT_BUDGET
+    assume(sum(map(len, adj)) // 2 <= 600)
     ends = {e: (i, j) for i, nbrs in enumerate(adj) for j, e in nbrs}
     new = _horton_cycles(adj, cap - 1)
     old = _full_horton_cycles(adj, cap - 1)
@@ -604,6 +608,20 @@ def test_from_cayley_matches_catalog_invariants():
         cat, 0, 5
     )
     assert schlafli_symbol(g, max_size=8) == "4^3.8^4"
+
+
+def test_from_cayley_rejects_a_generator_with_its_inverse():
+    gens = [(name, parse_symop(t, 2))
+            for name, t in zip("abc", ["1+x, y", "-1+x, y", "x, 1+y"])]
+    with pytest.raises(GraphError, match="parallel Cayley edges"):
+        from_cayley(gens)
+
+
+def test_from_cayley_of_a_finite_group():
+    gens = [("a", parse_symop("-y, x, z", 3)),
+            ("b", parse_symop("-x, -y, -z", 3))]
+    with pytest.raises(FiniteGroup, match="finite group of order 8"):
+        from_cayley(gens)
 
 
 def test_regular_action_check():
