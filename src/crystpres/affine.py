@@ -59,13 +59,22 @@ def check_finite_order(linear):
     raise InfiniteOrder(f"linear part {linear} has infinite order")
 
 
+def _integer(x):
+    """A linear part entry as an int; ValueError unless it is integral."""
+    q = Fraction(x)
+    if q.denominator != 1:
+        raise ValueError(f"linear part entry {x} is not an integer")
+    return int(q)
+
+
 class AffineIsometry:
     """An affine map x -> A x + t with integer A and rational t."""
 
     __slots__ = ("dimension", "linear", "translation", "_hash")
 
     def __init__(self, linear, translation):
-        linear = tuple(tuple(int(x) for x in row) for row in linear)
+        linear = tuple(tuple(x if type(x) is int else _integer(x) for x in row)
+                       for row in linear)
         translation = tuple(Fraction(x) for x in translation)
         d = len(translation)
         if len(linear) != d or any(len(row) != d for row in linear):

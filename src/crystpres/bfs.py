@@ -262,8 +262,9 @@ class TranslationHarvest:
     words: list of (word, vector) for every pure translation found, one
     shortest word per vector, ordered by (length, word).  lattice_words
     is a greedy shortest-first subset whose vectors generate the
-    lattice (it may need more than rank(L) words).  closure is the
-    point-group closure of the generators (see _group) and lattice its T.
+    lattice (it may need more than rank(L) words), none longer than
+    2|P| - 1 letters, P the point group.  closure is the point-group
+    closure of the generators (see _group) and lattice its T.
     """
 
     def __init__(self, words, lattice_words, closure, radius_used):
@@ -277,16 +278,17 @@ class TranslationHarvest:
 def shortest_translation_words(generators):
     """Harvest shortest words with identity linear part from the Cayley ball.
 
-    The translation lattice T comes exactly from the closure of _group.
-    The walk expands sphere by sphere, recording, for each translation
-    vector, the first (shortest, discovery-ordered) word evaluating to
-    it, and stops once the harvested vectors span T and have not grown
-    for DEFAULT_STABLE_SPHERES consecutive spheres.  The lattice words
-    come from the spheres up to the first that spans T, so the stable
-    spheres only add to `words`.  The span is kept as the integer HNF of
-    N L (N the kernel's scale), each sphere's new vectors folded in.
-    Raises FiniteGroup when T = 0, LatticeNotFound when the walk reaches
-    DEFAULT_RADIUS_CAP before spanning T.
+    T comes exactly from the closure of _group.  Sphere by sphere, the
+    walk appends each translation's first-discovered shortest word to
+    `words`, sorted by word within the sphere.  One span, the integer
+    HNF of N L (N the kernel's scale, L spanned so far), takes in each
+    vector until it equals T; a word that grows it is a lattice word.
+    The walk stops DEFAULT_STABLE_SPHERES spheres later, so those only
+    add to `words`.  T is spanned by radius 2|P| - 1, P the point group:
+    a coset representative u_p of the closure has a word shorter than
+    |P|, so each Schreier generator u_p s u_ps^-1 of T is at most that
+    long, and the radius limit 2|P| - 1 + DEFAULT_STABLE_SPHERES never
+    cuts the walk short.  Raises FiniteGroup when T = 0.
     """
     kernel, _, elements, lattice = closure = _group(generators, math.inf)
     if not lattice.rank:
@@ -295,49 +297,32 @@ def shortest_translation_words(generators):
                    for row in lattice.basis)
     ident_linear = kernel.identity[0]
     entries = {kernel.identity: (0, 0)}
-
-    # code -> word in harvest order; distinct elements with the identity
-    # linear part are distinct translations, so each is new when found
-    harvested = {}
-    basis = None  # integer HNF rows of N L, L the lattice spanned so far
-    stable = 0
-    radius_used = 0
-
-    spheres = _expand(kernel.neighbours, entries, DEFAULT_RADIUS_CAP,
+    words, lattice_words, span = [], [], ()
+    # the last sphere: DEFAULT_STABLE_SPHERES after the first to span T
+    stop = 1 + DEFAULT_STABLE_SPHERES
+    spheres = _expand(kernel.neighbours, entries,
+                      2 * len(elements) - 1 + DEFAULT_STABLE_SPHERES,
                       DEFAULT_MAX_ELEMENTS)
-    for r, sphere in enumerate(spheres, 1):
-        found = [h for h in sphere if h[0] == ident_linear]
-        for h in found:
-            harvested[h] = _word(kernel.move, entries, h)
-        radius_used = r
-        if harvested:
-            new = hnf(list(basis or ()) + [h[1:] for h in found])
-            stable = stable + 1 if new == basis else 0
-            basis = new
-            if basis == target and stable >= DEFAULT_STABLE_SPHERES:
-                break
-
-    if basis != target:
-        raise LatticeNotFound(
-            "the harvested words do not span the translation lattice "
-            f"within radius {DEFAULT_RADIUS_CAP}"
-        )
-
-    pairs = sorted(((w, kernel.vector(h), h[1:]) for h, w in harvested.items()),
-                   key=lambda p: (len(p[0]), p[0]))
-
-    # greedy shortest-first subset generating the whole lattice
-    chosen, span = [], ()
-    for w, v, t in pairs:
-        cand = hnf(span + (t,))
-        if cand != span:
-            chosen.append((w, v))
-            span = cand
-        if span == basis:
+    # distinct elements with the identity linear part are distinct
+    # translations, so each found here is new
+    for radius_used, sphere in enumerate(spheres, 1):
+        for w, h in sorted((_word(kernel.move, entries, h), h)
+                           for h in sphere if h[0] == ident_linear):
+            words.append((w, kernel.vector(h)))
+            if span != target:
+                grown = hnf(span + (h[1:],))
+                if grown != span:
+                    lattice_words.append(words[-1])
+                    span = grown
+        if span != target:
+            stop = radius_used + 1 + DEFAULT_STABLE_SPHERES
+        elif radius_used == stop:
             break
 
-    return TranslationHarvest([(w, v) for w, v, _ in pairs], chosen, closure,
-                              radius_used)
+    if span != target:
+        raise LatticeNotFound(
+            "the harvested words do not span the translation lattice")
+    return TranslationHarvest(words, lattice_words, closure, radius_used)
 
 
 class GeodesicSet:

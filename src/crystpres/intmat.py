@@ -5,7 +5,7 @@ the rows of a basis matrix are the generating vectors.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
 def frac_rows(rows):
@@ -247,10 +247,3 @@ def mat_inverse_frac(a):
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     return tuple(tuple(row[d:]) for row in m)
-
-
-def is_primitive_vector(v):
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
-    return g == 1

@@ -60,7 +60,6 @@ class ExtensionData:
         self.kernel, self.reduce, self.elements, self.lattice = harvest.closure
         self.names = [name for name, _ in generators]
         self.assignment = {i + 1: op for i, (_, op) in enumerate(generators)}
-        self.harvest = harvest
         self.lattice_words = harvest.lattice_words
         self.point_presentation = point_presentation
         # one HNF transform of the lattice-word vectors serves every

@@ -279,17 +279,25 @@ def parse_generating_set(document):
             raise DocumentError(f"not valid JSON: {exc}") from exc
     else:
         data = document
+    if not isinstance(data, dict):
+        raise DocumentError("the document is not a JSON object")
     if "dimension" not in data:
         raise DocumentError("missing 'dimension'")
-    try:
-        dimension = int(data["dimension"])
-    except (TypeError, ValueError):
-        raise DocumentError("dimension must be an integer") from None
+    dimension = data["dimension"]
+    if type(dimension) is not int:  # not a bool, float or text either
+        raise DocumentError("dimension must be an integer")
+    entries = data.get("generators", [])
+    if not isinstance(entries, list):
+        raise DocumentError("'generators' is not a list")
     gens = []
-    for entry in data.get("generators", []):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise DocumentError(f"generator entry {entry!r} is not an object")
         name = entry.get("name")
         if not name:
             raise DocumentError("generator without a name")
+        if not isinstance(name, str):
+            raise DocumentError(f"generator name {name!r} is not a string")
         try:
             if "xyz" in entry:
                 op = parse_symop(entry["xyz"], dimension)

@@ -71,6 +71,21 @@ def test_dimension_mismatch():
         compose(parse_symop("x, y", 2), parse_symop("x, y, z", 3))
 
 
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, Fraction(-3, 2)],
+                         ids=["1/2", "0.5", "-3/2"])
+def test_non_integral_linear_entry_is_rejected(entry):
+    with pytest.raises(ValueError, match="linear part entry"):
+        AffineIsometry([[entry, 0], [0, 1]], [0, 0])
+
+
+@pytest.mark.parametrize("entry", [1, Fraction(2), 2.0],
+                         ids=["1", "Fraction(2)", "2.0"])
+def test_integral_linear_entry_is_kept(entry):
+    g = AffineIsometry([[entry, 0], [0, 1]], [0, 0])
+    assert g.linear == ((int(entry), 0), (0, 1))
+    assert all(type(x) is int for row in g.linear for x in row)
+
+
 @settings(max_examples=120)
 @given(g=_signed_perm(3), h=_signed_perm(3), k=_signed_perm(3))
 def test_composition_associative(g, h, k):

@@ -115,6 +115,7 @@ def _fraction_harvest_reference(h):
 def test_integer_harvest_matches_fraction_reference_on_corpus(name):
     h = shortest_translation_words(load_document(name).generators)
     assert (h.lattice, h.lattice_words) == _fraction_harvest_reference(h)
+    assert max(len(w) for w, _ in h.lattice_words) <= 2 * len(h.closure[2]) - 1
 
 
 @st.composite
@@ -144,6 +145,7 @@ def test_integer_harvest_matches_fraction_reference(gens):
     except LatticeNotFound:  # finite groups among them
         return
     assert (h.lattice, h.lattice_words) == _fraction_harvest_reference(h)
+    assert max(len(w) for w, _ in h.lattice_words) <= 2 * len(h.closure[2]) - 1
 
 
 def test_harvest_trivial_group():

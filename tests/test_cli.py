@@ -325,8 +325,15 @@ def _input_error(capsys, argv):
     {"dimension": 1, "generators": [{"name": "a", "matrix": [["x", "1"]]}]},
     {"dimension": 1, "generators": [{"name": "a", "matrix": [["1/2", "1"]]}]},
     {"dimension": 2, "generators": [{"name": "a", "xyz": "x, y"}]},
+    3,
+    {"dimension": 2, "generators": {"a": "x"}},
+    {"dimension": 2, "generators": ["1+x, y"]},
+    {"dimension": 2, "generators": [{"name": ["a"], "xyz": "1+x, y"}]},
+    {"dimension": True, "generators": [{"name": "a", "xyz": "1+x"}]},
 ], ids=["unknown-variable", "zero-denominator", "dimension-text",
-        "matrix-text", "matrix-fraction", "identity"])
+        "matrix-text", "matrix-fraction", "identity", "not-an-object",
+        "generators-not-a-list", "entry-not-an-object", "name-not-a-string",
+        "dimension-bool"])
 def test_malformed_document_is_input_error(tmp_path, capsys, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -9,7 +9,6 @@ from crystpres.intmat import (
     hnf,
     hnf_with_transform,
     identity_matrix,
-    is_primitive_vector,
     left_kernel,
     mat_inverse_frac,
     mat_mul_int,
@@ -156,9 +155,3 @@ def test_vector_matrix_products():
     assert mat_vec(a, (1, 1)) == (3, 7)
     assert vec_mat((1, 1), a) == (4, 6)
     assert identity_matrix(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def test_is_primitive_vector():
-    assert is_primitive_vector((2, 3))
-    assert not is_primitive_vector((2, 4))
-    assert not is_primitive_vector((0, 0))
