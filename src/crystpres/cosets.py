@@ -13,6 +13,11 @@ in any order, since a relator goes only if every m passes; they take the
 largest first, which overflows most often.  run_hlt reads the cap only to
 stop, so a complete table stands for a run under any cap of at least its
 defined cosets (quotient_table's `reuse`).
+
+SchreierRank refutes a relator set with no enumeration: a GF(2) rank test
+on its Reidemeister-Schreier rewrite (Holt, Eick, O'Brien, ch. 5).  The
+prune trials ask it first; that changes no verdict, as the check of a
+refuted set at the table's m could only overflow or fail.
 """
 
 from .bfs import _expand, _word
@@ -211,6 +216,67 @@ class CosetTable:
 
 class _Overflow(Exception):
     pass
+
+
+class SchreierRank:
+    """Reidemeister-Schreier over GF(2) on a complete table of N cosets.
+
+    With k generators a BFS Schreier transversal leaves N(k - 1) + 1
+    non-tree (coset, positive letter) edges, one bit each: the free
+    generators of the stabiliser U of coset 0.  A relator traced from
+    each coset rewrites to N rows (cached), the mod-2 exponent sums of
+    its conjugates.  If the rows span less than GF(2)^(N(k - 1) + 1), U
+    over their normal closure is nontrivial: the group exceeds N.
+    """
+
+    def __init__(self, table):
+        self.table = table.compact()
+        cells, w = table.cells, table.width
+        self.ngens = n = len(cells) // w * (w // 2 - 1) + 1
+        # bits[r + col]: the bit crossed from offset r along column col
+        self.bits = bits = [None] * len(cells)
+        seen, queue = {0}, [0]
+        for r in queue:
+            for col in range(1, w):
+                d = cells[r + col]
+                if d not in seen:  # a tree edge, bit 0 both ways
+                    seen.add(d)
+                    queue.append(d)
+                    bits[r + col] = bits[d + table.inverse[col]] = 0
+        for r in table.table:
+            for col in range(1, w, 2):
+                if bits[r + col] is None:
+                    n -= 1
+                    bits[r + col] = bits[cells[r + col] + col + 1] = 1 << n
+        self.rows = {}
+
+    def _rewrite(self, start, cols):
+        cells, bits, row, r = self.table.cells, self.bits, 0, start
+        for col in cols:
+            row ^= bits[r + col]
+            r = cells[r + col]
+        return row if r == start else None  # None: the relator fails here
+
+    def refutes(self, relators):
+        """True if the relators' rows span less than GF(2)^ngens, which
+        proves the group they present larger than N; False is no verdict."""
+        basis = {}
+        for w in relators:
+            if w not in self.rows:
+                cols = _cols(w)[0]
+                self.rows[w] = [self._rewrite(r, cols) for r in self.table.table]
+            for row in self.rows[w]:
+                if row is None:
+                    return False
+                while row:
+                    top = row.bit_length()
+                    if top not in basis:
+                        basis[top] = row
+                        if len(basis) == self.ngens:
+                            return False
+                        break
+                    row ^= basis[top]
+        return True
 
 
 def coset_enumerate(p, subgroup=(), max_cosets=DEFAULT_MAX_COSETS):

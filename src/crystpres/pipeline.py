@@ -13,6 +13,7 @@ from .affine import AffineIsometry
 from .bfs import _kernel, shortest_translation_words
 from .cosets import (
     DEFAULT_MAX_COSETS,
+    SchreierRank,
     is_consequence,
     order_verdict,
     quotient_table,
@@ -270,6 +271,11 @@ def present(generators, simplify=True, prune=True,
     largest m first, which overflows most often: the relator goes only if
     every m passes, so the order is free.  The final check of m reuses
     the table of the latest trial that passed at m if the relators match.
+
+    A trial first asks a cosets.SchreierRank on the table of G/m0T (m0
+    the least m) from the unpruned relators whether the candidate plus
+    the m0-th lattice powers presents a larger group; if so its check
+    at m0 could only overflow or fail, and it fails with no enumeration.
     """
     E = build_extension_data(generators)
     identity = E.kernel.identity
@@ -308,6 +314,8 @@ def present(generators, simplify=True, prune=True,
     passed = {}  # m -> the table of the latest trial that passed at m
 
     def trial_passes(candidate):
+        if refuter and refuter.refutes(candidate.relators + powers):
+            return False
         for m in sorted(verify_orders, reverse=True):
             table = quotient_table(candidate, quotient_relators(E, m),
                                    prune_cap)
@@ -317,6 +325,10 @@ def present(generators, simplify=True, prune=True,
         return True
 
     if prune and verify_orders:
+        m0 = min(verify_orders)
+        powers = quotient_relators(E, m0)
+        table = quotient_table(pres, powers, prune_cap)
+        refuter = SchreierRank(table) if table.index() == expected[m0] else None
         # longest first, deterministic; keep a relator unless the
         # quotient checks still pass without it
         order_idx = sorted(

@@ -300,6 +300,8 @@ def parse_generating_set(document):
             raise DocumentError(f"generator name {name!r} is not a string")
         try:
             if "xyz" in entry:
+                if not isinstance(entry["xyz"], str):
+                    raise DocumentError(f"'xyz' {entry['xyz']!r} is not a string")
                 op = parse_symop(entry["xyz"], dimension)
             elif "matrix" in entry:
                 op = _parse_matrix_rows(entry["matrix"], dimension)

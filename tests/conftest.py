@@ -42,6 +42,34 @@ def elv():
     return load_document("elv.json")
 
 
+def sympy_order(names, relators, max_cosets=None):
+    """Order of <names | relators> by sympy's coset enumeration over the
+    trivial subgroup, or None if it defines more than max_cosets cosets
+    (sympy's own limit when None)."""
+    fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
+    from sympy.combinatorics.free_groups import free_group
+
+    free, *gens = free_group(" ".join(names))
+    elements = []
+    for word in relators:
+        element = free.identity
+        for x in word:
+            element *= gens[abs(x) - 1] ** (1 if x > 0 else -1)
+        elements.append(element)
+    # FpGroup(free, elements) would first build a rewriting system, which
+    # can take seconds and which the enumeration does not read
+    group = fp_groups.FpGroup(free, [])
+    group.relators = elements
+    try:
+        table = group.coset_enumeration([], max_cosets=max_cosets)
+    except ValueError:
+        return None
+    # its coset count is the group order (FpGroup.order() can recurse
+    # without end on these presentations)
+    table.compress()
+    return len(table.table)
+
+
 # -- Fraction reference for the point-group reduction ------------------------
 #
 # The reduction modulo a lattice as it was computed before the point group

@@ -340,6 +340,15 @@ def test_malformed_document_is_input_error(tmp_path, capsys, doc):
     _input_error(capsys, ["present", "--input", str(path)])
 
 
+@pytest.mark.parametrize("xyz", [3, ["1+x", "y"]], ids=["int", "list"])
+def test_non_string_xyz_is_input_error_naming_the_field(tmp_path, capsys, xyz):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(
+        {"dimension": 2, "generators": [{"name": "a", "xyz": xyz}]}))
+    err = _input_error(capsys, ["present", "--input", str(path)])
+    assert err.endswith(f"generator 'a': 'xyz' {xyz!r} is not a string\n")
+
+
 def test_catalog_unknown_net_is_input_error(capsys):
     err = _input_error(capsys, ["catalog", "--net", "nosuchnet"])
     assert "unknown net 'nosuchnet'" in err

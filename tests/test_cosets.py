@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from crystpres.cosets import (
     CosetTable,
     ModelNotClosed,
+    SchreierRank,
     coset_enumerate,
     is_consequence,
     order_check,
@@ -14,6 +15,8 @@ from crystpres.cosets import (
     short_presentation_finite,
 )
 from crystpres.words import Presentation, cyclic_reduce, parse_word
+
+from conftest import sympy_order
 
 
 def _pres(names, relator_texts):
@@ -55,22 +58,9 @@ def _standard_with_extras(draw):
 @settings(max_examples=40, deadline=None)
 @given(_standard_with_extras())
 def test_coset_enumerate_matches_sympy(case):
-    fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
-    from sympy.combinatorics.free_groups import free_group
-
     names, relators = case
-    free, *gens = free_group(" ".join(names))
-    sympy_relators = []
-    for word in relators:
-        element = free.identity
-        for x in word:
-            element *= gens[abs(x) - 1] ** (1 if x > 0 else -1)
-        sympy_relators.append(element)
-    # sympy's own enumeration over the trivial subgroup: its coset count
-    # is the group order (FpGroup.order() can recurse without end here)
-    table = fp_groups.FpGroup(free, sympy_relators).coset_enumeration([])
-    table.compress()
-    assert coset_enumerate(Presentation(names, relators)) == len(table.table)
+    assert (coset_enumerate(Presentation(names, relators))
+            == sympy_order(names, relators))
 
 
 class _Overflow(Exception):
@@ -310,6 +300,20 @@ def test_quotient_table_reuse():
     other = quotient_table(p, [(1, 2, 1, 2)], reuse=table)
     assert other is not table and other.index() == 2
     assert is_consequence(p, parse_word("(ab)^3", ["a", "b"]), reuse=table)
+
+
+def test_schreier_rank_on_the_regular_s3_table():
+    names = ["a", "b"]
+    a2, b2, ab3 = [parse_word(t, names) for t in ["a^2", "b^2", "(ab)^3"]]
+    rank = SchreierRank(CosetTable(2, [a2, b2, ab3], []).run_hlt())
+    assert rank.ngens == 6 * (2 - 1) + 1
+    # <a, b | a^2, b^2> is the infinite dihedral group, larger than S3
+    assert rank.refutes([a2, b2])
+    assert rank.refutes([b2, ab3]) and rank.refutes([a2, ab3])
+    assert not rank.refutes([a2, b2, ab3])
+    assert not rank.refutes([ab3, a2, b2, parse_word("(ba)^3", names)])
+    # a relator that fails in the table proves nothing
+    assert not rank.refutes([(1,)])
 
 
 def test_subgroup_index():

@@ -660,7 +660,8 @@ def test_regular_action_inconclusive():
     )
     turn = parse_symop("-y, x, z", 3)
     assert regular_action_check(pcu2, [turn]) == "inconclusive"
-    # one translation never reaches a rank-3 lattice within the radius cap
+    # one translation spans a rank-1 lattice, below the net's rank 3,
+    # and a lower rank is answered "inconclusive", not "fail"
     pcu = catalog_load("pcu")
     assert regular_action_check(pcu, [parse_symop("1+x, y, z", 3)]) == (
         "inconclusive"

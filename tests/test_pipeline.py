@@ -1,10 +1,19 @@
 """Presentation pipeline: relator construction, verification, census."""
 
+import functools
+import os
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from crystpres.cosets import CosetTable, coset_enumerate, order_check
+from crystpres.cosets import (
+    CosetTable,
+    SchreierRank,
+    coset_enumerate,
+    order_check,
+)
 from crystpres.netgraph import (
     from_cayley,
     net_coordination_sequence,
@@ -24,9 +33,14 @@ from crystpres.pipeline import (
     relator_ring_census,
 )
 from crystpres.affine import AffineIsometry
+from crystpres.symop import parse_generating_set
 from crystpres.words import Presentation, evaluate, parse_word
 
-from conftest import load_document, quotient_coordination_sequence
+from conftest import (
+    load_document,
+    quotient_coordination_sequence,
+    sympy_order,
+)
 
 CORPUS_DOCS = [
     "i42d.json",
@@ -222,3 +236,67 @@ def test_bounded_consequence_inconclusive(i42d):
     assert bounded_consequence_check(rep, word) == "pass"
     # starving the enumeration must be reported, never silently passed
     assert bounded_consequence_check(rep, word, max_cosets=40) == "inconclusive"
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+# every corpus document and every document under tests/data
+ALL_DOCS = sorted(
+    f"{folder}/{name}" for folder in ("corpus", "tests/data")
+    for name in os.listdir(os.path.join(ROOT, folder))
+    if name.endswith(".json")
+)
+
+
+def _generators(path):
+    with open(os.path.join(ROOT, path)) as fh:
+        return parse_generating_set(fh.read()).generators
+
+
+@functools.lru_cache(maxsize=None)
+def _unpruned(path):
+    """A document's Tietze output, the rank test on its G/2T table, the
+    order of G/2T and the squares of the lattice words."""
+    rep = present(_generators(path), prune=False)
+    E = rep.extension
+    return (rep.presentation, SchreierRank(rep.tables[2]),
+            E.point_order * 2 ** E.rank, quotient_relators(E, 2))
+
+
+@pytest.mark.parametrize("path", ALL_DOCS)
+def test_unpruned_relators_are_never_refuted(path):
+    pres, rank, _, squares = _unpruned(path)
+    assert not rank.refutes(pres.relators + squares)
+    # without the squares they present G, infinite: 2T is the kernel
+    assert rank.refutes(pres.relators)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ALL_DOCS), st.data())
+def test_refuted_relator_sets_do_not_present_g_mod_2t(path, data):
+    # a refuted subset of the Tietze output (with the squares) presents
+    # a group larger than G/2T, so no enumeration finishes at |G/2T|:
+    # neither sympy's (bounded to keep it fast) nor the prune trials' own
+    pres, rank, order, squares = _unpruned(path)
+    n = len(pres.relators)
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    relators = [r for r, k in zip(pres.relators, keep) if k] + squares
+    assume(rank.refutes(relators))
+    assert sympy_order(pres.generator_names, relators, 8 * order) != order
+    table = CosetTable(len(pres.generator_names), relators, [], 64 * order)
+    assert table.run_hlt().index() != order
+
+
+@pytest.mark.parametrize("path", ALL_DOCS)
+def test_refuted_trials_change_no_report(path, monkeypatch):
+    gens = _generators(path)
+    refutes, verdicts = SchreierRank.refutes, []
+
+    def spy(self, relators):
+        verdicts.append(refutes(self, relators))
+        return verdicts[-1]
+
+    monkeypatch.setattr(SchreierRank, "refutes", spy)
+    report = present(gens).to_dict()
+    assert any(verdicts) or path.endswith("z1_trivial.json")
+    monkeypatch.setattr(SchreierRank, "refutes", lambda self, relators: False)
+    assert present(gens).to_dict() == report
