@@ -12,17 +12,18 @@ interned linear part plus N times the translation, N also covering any
 target the walk must recognise); elements are converted to and from
 AffineIsometry only at the API boundary.
 
-Coordination sequences need sphere sizes only: shell_sizes walks the
-periodic cover of a labelled quotient graph on packed int nodes
-(CoverCode), two spheres at a time; for a group it is _cayley_quotient,
-which netgraph.from_cayley reads as a net.  Every walk that needs words,
-letters, path counts or discovery order (balls, the harvest, geodesics
-and girths here, net geodesics and the ring ball in netgraph, the
-finite Cayley graphs of cosets) grows its spheres with the one routine
-_expand, given a neighbours function.
+Sizes, lengths and path counts walk the periodic cover of a labelled
+quotient graph on packed int nodes (CoverCode), two spheres at a time:
+shell_sizes from one node, shell_geodesics from both ends of a route.
+For a group the quotient is _cayley_quotient (netgraph.from_cayley
+reads it as a net); the odd-cycle girth walks its parity double cover.
+Walks that need words or discovery order (balls, the harvest, geodesic
+words, the ring ball in netgraph, finite Cayley graphs of cosets) grow
+their spheres with the one routine _expand, given a neighbours function.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .affine import AffineIsometry, WalkKernel, _closure, check_finite_order
@@ -83,14 +84,16 @@ def _group(generators, max_elements, points=()):
     return closure
 
 
-def _cayley_quotient(generators, max_elements=DEFAULT_MAX_ELEMENTS):
+def _cayley_quotient(generators, max_elements=DEFAULT_MAX_ELEMENTS,
+                     points=()):
     """(closure, adj): the closure of _group and the Cayley graph modulo
     T.  adj[i] lists per letter x, in walk order, the arc (j, s) with
     u_i * image(x) = t_s * u_j, t_s in T, u_i the coset representatives.
     T acts on the left, so this covers g -> g * image(x), which g -> g^-1
     maps onto g -> image(x) * g (the walks here) fixing 1: sphere sizes
     agree.  Each arc has its reverse (the inverse letter)."""
-    kernel, reduce, elements, _ = closure = _group(generators, max_elements)
+    kernel, reduce, elements, _ = closure = _group(generators, max_elements,
+                                                   points)
     index = {u: i for i, u in enumerate(elements)}
     letters = [move(kernel.identity) for _, move in kernel.steps]
     adj = [[(index[j], s) for j, s in
@@ -99,27 +102,20 @@ def _cayley_quotient(generators, max_elements=DEFAULT_MAX_ELEMENTS):
     return closure, adj
 
 
-def _expand(neighbours, entries, radius, max_elements=math.inf,
-            counts=None, goal=None):
-    """The one sphere routine: yields spheres 1..radius of a walk.
+def _expand(neighbours, entries, radius, max_elements=math.inf):
+    """Yields spheres 1..radius of a walk that needs words or order.
 
     `neighbours(g)` lists (letter, h) for the edges leaving state g.
     `entries` starts as {start: (0, 0)}, maps every state seen so far to
     (distance, last letter) and grows in place.  Discovery order is
-    frontier order, then the order of `neighbours`.  `counts`, when
-    given, starts as {start: 1} and accumulates the number of shortest
-    paths to each state.  The walk ends right after `goal` is
-    discovered, with its sphere cut short there.
+    frontier order, then the order of `neighbours`.
     """
     sphere = list(entries)
     for r in range(1, radius + 1):
         frontier, sphere = sphere, []
         for g in frontier:
             for x, h in neighbours(g):
-                seen = entries.get(h)
-                if seen is not None:
-                    if counts is not None and seen[0] == r:
-                        counts[h] += counts[g]
+                if h in entries:
                     continue
                 if len(entries) >= max_elements:
                     raise BallBoundExceeded(
@@ -127,11 +123,6 @@ def _expand(neighbours, entries, radius, max_elements=math.inf,
                     )
                 entries[h] = (r, x)
                 sphere.append(h)
-                if counts is not None:
-                    counts[h] = counts[g]
-                if h == goal:
-                    yield sphere
-                    return
         yield sphere
 
 
@@ -206,6 +197,44 @@ def shell_sizes(adj, base, radius, max_elements=math.inf):
             raise BallBoundExceeded(
                 f"ball exceeded {max_elements} elements at radius {r}")
     return sizes
+
+
+def shell_geodesics(adj, start, goal, radius, max_elements=math.inf):
+    """(length, count) of the shortest cover paths of adj from node start
+    to node goal, both (v, shift), or None past radius; None at once for
+    a goal out of the box (max norm, 1-norm) radius arcs span, which also
+    keeps the CoverCode(adj, radius) codes of both ends' nodes distinct.
+    Each end holds two spheres {code: path count} as in shell_sizes (all
+    arcs have their reverse: paths into goal are paths out of it); the
+    smaller grows.  The first new S_a to meet the other end's S_b gives
+    a + b; each geodesic crosses S_a once, so the count sums f(x) b(x)
+    over the meet.  Past max_elements held nodes: BallBoundExceeded."""
+    if start == goal:
+        return 0, 1
+    cover = CoverCode(adj, radius)
+    offset = [abs(b - a) for a, b in zip(start[1], goal[1])]
+    if max(offset, default=0) > cover.reach or sum(offset) > radius * max(
+            sum(map(abs, s)) for arcs in adj for _, s in arcs):
+        return None
+    ends = [[0, {}, {cover.encode(*node): 1}] for node in (start, goal)]
+    while ends[0][0] + ends[1][0] < radius and all(e[2] for e in ends):
+        end, other = sorted(ends, key=lambda e: len(e[2]))
+        depth, prev, sphere = end
+        nxt = {}
+        for p, c in sphere.items():
+            for _, d in cover.steps[p % cover.n]:
+                nxt[p + d] = nxt.get(p + d, 0) + c
+        for q in nxt.keys() & (sphere.keys() | prev.keys()):
+            del nxt[q]
+        end[:] = depth + 1, sphere, nxt
+        length = depth + 1 + other[0]
+        if sum(len(e[1]) + len(e[2]) for e in ends) > max_elements:
+            raise BallBoundExceeded(
+                f"ball exceeded {max_elements} elements at radius {length}")
+        count = sum(c * other[2][q] for q, c in nxt.items() if q in other[2])
+        if count:
+            return length, count
+    return None
 
 
 class BallIndex:
@@ -325,12 +354,7 @@ def shortest_translation_words(generators):
     return TranslationHarvest(words, lattice_words, closure, radius_used)
 
 
-class GeodesicSet:
-    def __init__(self, target, length, count, words=None):
-        self.target = target
-        self.length = length
-        self.count = count
-        self.words = words
+GeodesicSet = namedtuple("GeodesicSet", "target length count words")
 
 
 class TargetUnreachable(RuntimeError):
@@ -341,41 +365,38 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000,
               max_elements=DEFAULT_MAX_ELEMENTS):
     """Count (and optionally list) the shortest words evaluating to target.
 
-    Layered counting: the number of geodesics to h at distance r is the
-    sum over predecessors g at distance r-1 with h = image(x) * g.  A
-    target outside G raises TargetUnreachable before any walk.
+    shell_geodesics on the cover of _cayley_quotient, from the identity
+    to target's node: reversing words maps the walk g -> image(x) * g
+    onto the cover's g -> g * image(x), so lengths and counts agree.  A
+    target outside G raises TargetUnreachable before any walk.  Only
+    the words walk the Cayley ball, to the length already known.
     """
     if not isinstance(target, AffineIsometry):
         target = AffineIsometry.from_translation([Fraction(t) for t in target])
-    kernel, reduce, elements, _ = _group(generators, max_elements,
-                                         [target.translation])
+    (kernel, reduce, elements, _), adj = _cayley_quotient(
+        generators, max_elements, [target.translation])
     goal = kernel.encode(target)
-    if goal == kernel.identity:
-        return GeodesicSet(target, 0, 1, [()] if with_words else None)
-    if reduce(goal)[0] not in elements:
+    rep, shift = reduce(goal)
+    if rep not in elements:
         raise TargetUnreachable(
             f"target {format_symop(target)} is not an element of the group")
+    found = shell_geodesics(adj, (0, (0,) * len(shift)),
+                            (elements.index(rep), shift), cap, max_elements)
+    if found is None:
+        raise TargetUnreachable(f"target not reached within length cap {cap}")
+    if not with_words:
+        return GeodesicSet(target, *found, None)
     dist = {kernel.identity: (0, 0)}
-    count = {kernel.identity: 1}
-    spheres = _expand(kernel.neighbours, dist, cap, max_elements, counts=count)
-    for r, _ in enumerate(spheres, 1):
-        if goal in dist:
-            words = None
-            if with_words:
-                words = _enumerate_geodesics(goal, dist, kernel, max_words)
-            return GeodesicSet(target, r, count[goal], words)
-    raise TargetUnreachable(f"target not reached within length cap {cap}")
-
-
-def _enumerate_geodesics(goal, dist, kernel, max_words):
-    out = []
+    for _ in _expand(kernel.neighbours, dist, found[0], max_elements):
+        pass
+    words = []
 
     def back(h, suffix):
-        if len(out) >= max_words:
+        if len(words) >= max_words:
             return
         r = dist[h][0]
         if r == 0:
-            out.append(free_reduce(tuple(suffix)))
+            words.append(free_reduce(tuple(suffix)))
             return
         for x, _ in kernel.steps:
             g = kernel.move[-x](h)
@@ -383,7 +404,7 @@ def _enumerate_geodesics(goal, dist, kernel, max_words):
                 back(g, [x] + suffix)
 
     back(goal, [])
-    return out
+    return GeodesicSet(target, *found, words)
 
 
 def lattice_geodesic_count(vector):
@@ -405,27 +426,18 @@ def odd_cycle_girth(generators, marked_name, cap=DEFAULT_RADIUS_CAP,
     """Length of the shortest identity word using the marked generator
     an odd number of times, or None if none exists within the cap.
 
-    BFS on (element, parity of marked-letter count).
-    """
-    kernel = _kernel(generators)
+    shell_geodesics from (0, even) to (0, odd) on the parity double
+    cover of _cayley_quotient: vertex i + n * parity, flipped by the
+    marked letters."""
+    (kernel, _, _, lattice), adj = _cayley_quotient(generators, max_elements)
     try:
         marked = [name for name, _ in generators].index(marked_name) + 1
     except ValueError:
         raise ValueError(f"unknown generator {marked_name!r}") from None
-
-    steps = [(x, move, int(abs(x) == marked)) for x, move in kernel.steps]
-
-    def neighbours(state):
-        g, parity = state
-        return [(x, (move(g), parity ^ flip)) for x, move, flip in steps]
-
-    start = (kernel.identity, 0)
-    goal = (kernel.identity, 1)
-    seen = {start: (0, 0)}
-    spheres = _expand(neighbours, seen, cap, max_elements, goal=goal)
-    for r, sphere in enumerate(spheres, 1):
-        if goal in seen:
-            return r
-        if not sphere:
-            break
-    return None
+    n = len(adj)
+    double = [[(j + n * (parity ^ (abs(x) == marked)), s)
+               for (j, s), (x, _) in zip(arcs, kernel.steps)]
+              for parity in (0, 1) for arcs in adj]
+    zero = (0,) * lattice.rank
+    found = shell_geodesics(double, (0, zero), (n, zero), cap, max_elements)
+    return None if found is None else found[0]

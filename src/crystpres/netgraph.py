@@ -7,10 +7,11 @@ sequences, ring searches and sublattice quotients all work directly on
 the finite description.
 
 Cover walks run on packed int nodes (bfs.CoverCode): coordination
-sequences keep two spheres (bfs.shell_sizes), geodesic counts and the
-ring-search ball run through bfs._expand.  Nodes are decoded to (v, s)
-only where a result reports them.  from_cayley reads the net of a
-group off bfs._cayley_quotient, the quotient `cseq --input` walks.
+sequences (bfs.shell_sizes) and geodesic counts (bfs.shell_geodesics,
+from both ends) keep two spheres, and the ring-search ball runs
+through bfs._expand.  Nodes are decoded to (v, s) only where a result
+reports them.  from_cayley reads the net of a group off
+bfs._cayley_quotient, the quotient `cseq --input` walks.
 """
 
 import os
@@ -21,7 +22,7 @@ from math import prod
 
 from .affine import AffineIsometry, finite_closure, hnf_lattice, inverse
 from .bfs import (BallBoundExceeded, CoverCode, FiniteGroup, _cayley_quotient,
-                  _expand, shell_sizes)
+                  _expand, shell_geodesics, shell_sizes)
 from .intmat import (
     frac_rows,
     identity_matrix,
@@ -279,26 +280,14 @@ def topological_density(g, base=0, radius=10):
 def net_geodesics(g, vector, base=0, cap=200):
     """(length, count) of shortest cover paths from a vertex to its
     translate by a lattice vector (conventional coordinates when the
-    graph has a cell matrix).  Each step moves the cell by one edge
-    shift, so a target with a coordinate beyond the reach of `cap` steps,
-    or a larger 1-norm than `cap` edge shifts can add up to, is reported
-    unreached without a walk; every other target lies in the box the
-    cover code is sized for."""
-    start = _start(g, base)
-    shift = g.conventional_to_primitive(vector)
-    if not any(shift):
-        return 0, 1
-    cover = CoverCode(g.adj, cap)
-    span = cap * max(sum(map(abs, s)) for _, _, s in g.edges)
-    if max(map(abs, shift)) <= cover.reach and sum(map(abs, shift)) <= span:
-        origin, target = cover.encode(*start), cover.encode(base, shift)
-        dist, counts = {origin: (0, 0)}, {origin: 1}
-        spheres = _expand(cover.neighbours, dist, cap, counts=counts)
-        for r, _ in enumerate(spheres, 1):
-            if target in dist:
-                return r, counts[target]
-    raise GraphError(
-        f"target {_vector_text(vector)} not reached within {cap} spheres")
+    graph has a cell matrix), by bfs.shell_geodesics on g.adj."""
+    found = shell_geodesics(
+        g.adj, _start(g, base),
+        (base, g.conventional_to_primitive(vector)), cap)
+    if found is None:
+        raise GraphError(
+            f"target {_vector_text(vector)} not reached within {cap} spheres")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -720,11 +709,12 @@ def regular_action_check(g, group_generators, base=0):
     quotient edge to a cover edge (GraphError otherwise), which makes it
     an automorphism of the whole cover.  One affine.finite_closure of
     the generators conjugated to the base point gives H's translation
-    lattice L exactly and the residual codes of H/L.  A finite H (L = 0)
-    fails, and an L of rank below the net's is "inconclusive".
-    Otherwise the verdict is "pass" iff |H/L| equals the number
-    n covol(L) / covol(T) of L-orbits of vertices and the base vertex
-    has pairwise distinct images mod L under H/L.
+    lattice L exactly and the residual codes of H/L.  An L of rank below
+    the net's fails (a finite H too): as H's point group is finite, an
+    H-orbit stays near an affine subspace of rank L, too thin for the
+    net's vertices.  Otherwise the verdict is "pass" iff |H/L| equals
+    the number n covol(L) / covol(T) of L-orbits of vertices and the
+    base vertex has pairwise distinct images mod L under H/L.
     """
     if g.coords is None:
         raise GraphError("regular action check needs vertex coordinates")
@@ -763,10 +753,8 @@ def regular_action_check(g, group_generators, base=0):
     to_p0 = AffineIsometry.from_translation(position(_start(g, base)))
     _, _, reps, sub = finite_closure(
         [inverse(to_p0) * h * to_p0 for h in group_generators])
-    if sub.rank == 0:
-        return "fail"
     if sub.rank < g.rank:
-        return "inconclusive"
+        return "fail"
     # full-rank HNF bases are triangular
     covolume = [prod(row[i] for i, row in enumerate(x.basis))
                 for x in (sub, lattice)]

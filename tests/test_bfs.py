@@ -22,6 +22,7 @@ from crystpres.bfs import (
     odd_cycle_girth,
     shortest_translation_words,
 )
+from crystpres.netgraph import catalog_load, net_geodesics
 from crystpres.symop import parse_symop
 from crystpres.words import evaluate
 
@@ -190,6 +191,7 @@ def test_geodesics_target_outside_the_group_answers_without_a_walk(
         raise AssertionError("walked")
 
     monkeypatch.setattr("crystpres.bfs._expand", no_walk)
+    monkeypatch.setattr("crystpres.bfs.shell_geodesics", no_walk)
     p2 = _translations(2) + [("c", parse_symop("-x, -y", 2))]
     start = time.perf_counter()
     for gens, target in [(elv.generators, (Fraction(1, 3), 0, 0)),
@@ -198,6 +200,28 @@ def test_geodesics_target_outside_the_group_answers_without_a_walk(
                            match="is not an element of the group"):
             geodesics(gens, target, 200)
     assert time.perf_counter() - start < 1
+
+
+# (length, count) as the one-sided walks over the whole ball gave them
+@pytest.mark.parametrize("source, target, expected", [
+    ("sql", (4, 12), (16, 1820)),
+    ("pcu", (6, 6, 6), (18, 17153136)),
+    ("dia", (8, 8, 8), (48, 9465511770)),
+    ("qtz", (5, 5, 5), (15, 1)),
+    ("srs", (6, 6, 6), (38, 3)),
+    ("pcu", (30, 30, 30), (90, lattice_geodesic_count((30, 30, 30)))),
+    ("i42d.json", (5, 5, 5), (40, 23718303629312)),
+    ("pnna_acd.json", (4, 4, 4), (26, 20132659200)),
+    ("elv.json", (3, 3, 3), (8, 4)),
+    ("hcb_p6.json", (6, 6), (24, 337408)),
+    ("gis_i41a.json", (3, 3, 3), (48, 841295344592)),
+])
+def test_far_target_geodesics(source, target, expected):
+    if source.endswith(".json"):
+        g = geodesics(load_document(source).generators, target, 200)
+        assert (g.length, g.count) == expected
+    else:
+        assert net_geodesics(catalog_load(source), target) == expected
 
 
 @pytest.mark.parametrize("walk", [

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from crystpres.bfs import CoverCode
 from crystpres.cli import main
 
 from conftest import corpus_path
@@ -209,18 +210,39 @@ def test_geodesics_net_target_out_of_reach(capsys):
     assert err == "error: target 6,-1 not reached within 5 spheres\n"
 
 
+def _no_walk(monkeypatch):
+    # the two-ended walk reads a node's arcs only to grow a sphere
+    class NoArcs:
+        def __getitem__(self, v):
+            raise AssertionError("walked")
+
+    class NoWalk(CoverCode):
+        def __init__(self, adj, radius):
+            super().__init__(adj, radius)
+            self.steps = NoArcs()
+
+    monkeypatch.setattr("crystpres.bfs.CoverCode", NoWalk)
+
+
 def test_geodesics_net_far_target_exits_without_a_walk(capsys, monkeypatch):
     # every step moves the cell by one unit shift, so (30, 30, 30) is at
-    # least 90 steps away
-    def no_walk(*args, **kwargs):
-        raise AssertionError("walked")
-
-    monkeypatch.setattr("crystpres.netgraph._expand", no_walk)
+    # least 90 steps away: within the max-norm box of 60 steps, not
+    # within their 1-norm reach
+    _no_walk(monkeypatch)
     code, report, err = run(capsys, "geodesics", "--net", "pcu",
                             "--target", "30,30,30", "--max", "60")
     assert code == 4
     assert report is None
     assert err == "error: target 30,30,30 not reached within 60 spheres\n"
+
+
+def test_geodesics_group_far_target_exits_without_a_walk(capsys, monkeypatch):
+    _no_walk(monkeypatch)
+    code, report, err = run(capsys, "geodesics", "--input",
+                            corpus_path("i42d.json"), "--target",
+                            "100,100,100", "--max", "5")
+    assert (code, report) == (4, None)
+    assert err == "error: target not reached within length cap 5\n"
 
 
 @pytest.mark.parametrize("argv", [

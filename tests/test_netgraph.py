@@ -660,12 +660,10 @@ def test_regular_action_inconclusive():
     )
     turn = parse_symop("-y, x, z", 3)
     assert regular_action_check(pcu2, [turn]) == "inconclusive"
-    # one translation spans a rank-1 lattice, below the net's rank 3,
-    # and a lower rank is answered "inconclusive", not "fail"
+    # one translation spans a rank-1 lattice, below the net's rank 3: its
+    # orbits lie on lines, so it cannot act transitively on the net
     pcu = catalog_load("pcu")
-    assert regular_action_check(pcu, [parse_symop("1+x, y, z", 3)]) == (
-        "inconclusive"
-    )
+    assert regular_action_check(pcu, [parse_symop("1+x, y, z", 3)]) == "fail"
 
 
 CORPUS_DOCS = sorted(f for f in os.listdir(CORPUS) if f.endswith(".json"))

@@ -293,6 +293,15 @@ def test_coordination_sequence_bound_caps_the_point_group_closure():
         coordination_sequence(gens, 4, max_elements=1000)
 
 
+def test_geodesics_bound_counts_the_held_spheres():
+    # each end of the 20-step route to (10, 10) holds two spheres of at
+    # most 40 nodes, well below the 841 nodes of the radius-20 ball
+    gens = _square_lattice()
+    assert geodesics(gens, (10, 10), 20, max_elements=200).count == 184756
+    with pytest.raises(BallBoundExceeded, match="ball exceeded 20 elements"):
+        geodesics(gens, (10, 10), 20, max_elements=20)
+
+
 def test_geodesics_target_with_ungenerated_denominator():
     gens = _square_lattice()
     with pytest.raises(TargetUnreachable):
