@@ -118,6 +118,13 @@ def _parse_vector(text):
         raise InputError(f"bad vector {text!r}: {exc}") from exc
 
 
+def _check_targets(vectors, length):
+    for v in vectors:
+        if len(v) != length:
+            raise InputError(f"--target {','.join(map(str, v))} has "
+                             f"{len(v)} coordinates, expected {length}")
+
+
 def _parse_m_list(text):
     try:
         ms = tuple(int(x) for x in text.split(","))
@@ -249,9 +256,11 @@ def cmd_geodesics(args):
     if args.net is not None:
         g = _load_graph(args)
         _check_base(g, args.base)
+        _check_targets([target], g.rank)
         length, count = net_geodesics(g, target, base=args.base, cap=cap)
     else:
         doc = _load_document(args.input)
+        _check_targets([target], doc.dimension)
         gs = geodesics(doc.generators, target, cap)
         length, count = gs.length, gs.count
     out = {
@@ -294,6 +303,7 @@ def cmd_quotient(args):
     max_size = _check_max(args.max, None, 3)
     g = _load_graph(args)
     vectors = [_parse_vector(v) for v in args.target.split(";")]
+    _check_targets(vectors, g.rank)
     q = quotient_by_sublattice(g, vectors)
     _check_base(q, args.base)
     seq = net_coordination_sequence(q, args.base, args.radius)

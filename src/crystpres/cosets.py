@@ -83,14 +83,15 @@ class CosetTable:
         return r
 
     def _merge(self, a, b):
-        cells, inverse, find = self.cells, self.inverse, self._find
+        # the root walks are _find's, inline: this is the hot loop
+        cells, inverse = self.cells, self.inverse
         stack = [(a, b)]
         while stack:
             a, b = stack.pop()
-            if cells[a] != a:
-                a = find(a)
-            if cells[b] != b:
-                b = find(b)
+            while cells[a] != a:
+                cells[a] = a = cells[cells[a]]
+            while cells[b] != b:
+                cells[b] = b = cells[cells[b]]
             if a == b:
                 continue
             if b < a:
@@ -100,18 +101,20 @@ class CosetTable:
                 t = cells[b + col]
                 if t < 0:
                     continue
-                if cells[t] != t:
-                    t = find(t)
+                while cells[t] != t:
+                    cells[t] = t = cells[cells[t]]
                 cur = cells[a + col]
                 if cur < 0:
                     cells[a + col] = t
-                    back = cells[t + inverse[col]]
-                    if back < 0:
+                    cur = cells[t + inverse[col]]
+                    if cur < 0:
                         cells[t + inverse[col]] = a
-                    elif find(back) != a:
-                        stack.append((find(back), a))
-                elif find(cur) != t:
-                    stack.append((find(cur), t))
+                        continue
+                    t = a
+                while cells[cur] != cur:
+                    cells[cur] = cur = cells[cells[cur]]
+                if cur != t:
+                    stack.append((cur, t))
 
     def live_cosets(self):
         return [r // self.width for r in self.table if self.cells[r] == r]
@@ -132,7 +135,7 @@ class CosetTable:
         (at coset 0 the subgroup words first), defining cosets until the
         scan closes, then give the coset's undefined entries new cosets."""
         cells, w, inverse = self.cells, self.width, self.inverse
-        find, merge = self._find, self._merge
+        merge = self._merge
         first, rest = self.scans
         blank = [-1] * (w - 1)
         limit = w * self.max_cosets
@@ -151,16 +154,16 @@ class CosetTable:
                             x = cells[f + fw[i]]
                             if x < 0:
                                 break
-                            if cells[x] != x:
-                                x = cells[f + fw[i]] = find(x)
+                            while cells[x] != x:
+                                cells[x] = x = cells[f + fw[i]] = cells[cells[x]]
                             f = x
                             i += 1
                         while j >= i:
                             x = cells[b + bw[j]]
                             if x < 0:
                                 break
-                            if cells[x] != x:
-                                x = cells[b + bw[j]] = find(x)
+                            while cells[x] != x:
+                                cells[x] = x = cells[b + bw[j]] = cells[cells[x]]
                             b = x
                             j -= 1
                         if j < i:
@@ -226,10 +229,12 @@ class SchreierRank:
     generators of the stabiliser U of coset 0.  A relator traced from
     each coset rewrites to N rows (cached), the mod-2 exponent sums of
     its conjugates.  If the rows span less than GF(2)^(N(k - 1) + 1), U
-    over their normal closure is nontrivial: the group exceeds N.
+    over their normal closure is nontrivial: the group exceeds N.  The
+    rows of the `fixed` relators are reduced once, into the basis every
+    refutes() call starts from.
     """
 
-    def __init__(self, table):
+    def __init__(self, table, fixed=()):
         self.table = table.compact()
         cells, w = table.cells, table.width
         self.ngens = n = len(cells) // w * (w // 2 - 1) + 1
@@ -249,6 +254,7 @@ class SchreierRank:
                     n -= 1
                     bits[r + col] = bits[cells[r + col] + col + 1] = 1 << n
         self.rows = {}
+        self.fixed = self._reduce({}, fixed)
 
     def _rewrite(self, start, cols):
         cells, bits, row, r = self.table.cells, self.bits, 0, start
@@ -257,26 +263,32 @@ class SchreierRank:
             r = cells[r + col]
         return row if r == start else None  # None: the relator fails here
 
-    def refutes(self, relators):
-        """True if the relators' rows span less than GF(2)^ngens, which
-        proves the group they present larger than N; False is no verdict."""
-        basis = {}
+    def _reduce(self, basis, relators):
+        """`basis` ({top bit: row}) grown by the relators' rows; None once
+        they span GF(2)^ngens or a relator fails at some coset."""
         for w in relators:
             if w not in self.rows:
                 cols = _cols(w)[0]
                 self.rows[w] = [self._rewrite(r, cols) for r in self.table.table]
             for row in self.rows[w]:
                 if row is None:
-                    return False
+                    return None
                 while row:
                     top = row.bit_length()
                     if top not in basis:
                         basis[top] = row
                         if len(basis) == self.ngens:
-                            return False
+                            return None
                         break
                     row ^= basis[top]
-        return True
+        return basis
+
+    def refutes(self, relators):
+        """True if the rows of the relators and the fixed relators span
+        less than GF(2)^ngens, which proves the group they present larger
+        than N; False is no verdict."""
+        return (self.fixed is not None
+                and self._reduce(dict(self.fixed), relators) is not None)
 
 
 def coset_enumerate(p, subgroup=(), max_cosets=DEFAULT_MAX_COSETS):

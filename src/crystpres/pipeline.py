@@ -314,7 +314,7 @@ def present(generators, simplify=True, prune=True,
     passed = {}  # m -> the table of the latest trial that passed at m
 
     def trial_passes(candidate):
-        if refuter and refuter.refutes(candidate.relators + powers):
+        if refuter and refuter.refutes(candidate.relators):
             return False
         for m in sorted(verify_orders, reverse=True):
             table = quotient_table(candidate, quotient_relators(E, m),
@@ -328,7 +328,7 @@ def present(generators, simplify=True, prune=True,
         m0 = min(verify_orders)
         powers = quotient_relators(E, m0)
         table = quotient_table(pres, powers, prune_cap)
-        refuter = SchreierRank(table) if table.index() == expected[m0] else None
+        refuter = table.index() == expected[m0] and SchreierRank(table, powers)
         # longest first, deterministic; keep a relator unless the
         # quotient checks still pass without it
         order_idx = sorted(

@@ -36,8 +36,8 @@ def cyclic_reduce(w):
 
 
 def word_sort_key(w):
-    # letters a < a^-1 < b < b^-1 < ...
-    return (len(w), tuple([2 * abs(x) - (x > 0) for x in w]))
+    # letters a < a^-1 < b < b^-1 < ..., as the codes of _text compare
+    return (len(w), _text(w))
 
 
 def _text(w):
@@ -46,14 +46,17 @@ def _text(w):
 
 
 def _forms(w):
-    """The distinct rotations of w and of w^-1, in word_sort_key order."""
-    forms = {v[i:] + v[:i] for v in (w, invert_word(w)) for i in range(len(w))}
-    return sorted(forms, key=word_sort_key) or [w]
+    """The distinct rotations f of w and of w^-1 as (f, _text(f)) pairs,
+    in word_sort_key order."""
+    n = len(w)
+    forms = {s[i:i + n]: v[i:i + n] for v in (w * 2, invert_word(w) * 2)
+             for s in [_text(v)] for i in range(n)}
+    return [(f, s) for s, f in sorted(forms.items())] or [(w, "")]
 
 
 def relator_class_key(w):
     """Canonical word of a relator up to rotation and inversion."""
-    return _forms(cyclic_reduce(w))[0]
+    return _forms(cyclic_reduce(w))[0][0]
 
 
 def evaluate(w, assignment):
@@ -135,8 +138,8 @@ class Presentation:
 def _rewrite_once(relators, forms):
     """Apply the first shortening rewrite; None if none applies.
 
-    `relators` are distinct and sorted by word_sort_key, `forms(u)` the
-    (f, _text(f)) of _forms(u).  Targets r go longest first, sources u !=
+    `relators` are distinct and sorted by word_sort_key, `forms(u)` is
+    _forms(u), (f, _text(f)) pairs.  Targets r go longest first, sources u !=
     r with |u| <= |r| shortest first, then the forms f of u in order.
     The first f with a prefix longer than |f| // 2 occurring in the
     cyclic word r applies: take the longest such prefix s, at its first
@@ -203,19 +206,24 @@ def tietze_simplify(p, budget=10000, tags=None):
     given = [None] * len(p.relators) if tags is None else tags
     pairs = [(cyclic_reduce(r), t) for r, t in zip(p.relators, given)]
 
+    forms = functools.lru_cache(maxsize=None)(_forms)
+
     @functools.lru_cache(maxsize=None)
-    def forms(w):
-        return [(f, _text(f)) for f in _forms(w)]
+    def canonical(r, invs):
+        """(len, text, word) of r's canonical word, x^-1 read as x in invs."""
+        w = cyclic_reduce(tuple(abs(x) if abs(x) in invs else x for x in r))
+        return w and (len(w),) + forms(w)[0][::-1]
 
     steps = 0
     while True:
-        invs = {abs(r[0]) for r, _ in pairs if len(r) == 2 and r[0] == r[1]}
+        invs = frozenset(abs(r[0]) for r, _ in pairs
+                         if len(r) == 2 and r[0] == r[1])
         first = {}
         for r, t in pairs:
-            r = cyclic_reduce(tuple(abs(x) if abs(x) in invs else x for x in r))
-            if r:
-                first.setdefault(forms(r)[0][0], t)
-        pairs = sorted(first.items(), key=lambda rt: word_sort_key(rt[0]))
+            key = canonical(r, invs)
+            if key:
+                first.setdefault(key, t)
+        pairs = [(f, t) for (_, _, f), t in sorted(first.items())]
         if steps >= budget:
             break
         hit = _rewrite_once([r for r, _ in pairs], forms)

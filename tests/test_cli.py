@@ -390,6 +390,25 @@ def test_geodesics_target_outside_the_group_exits_4(capsys):
                    "group\n")
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["geodesics", "--input", corpus_path("i42d.json"), "--target", "1,2"],
+     "--target 1,2 has 2 coordinates, expected 3"),
+    (["geodesics", "--net", "pcu", "--target", "1,2"],
+     "--target 1,2 has 2 coordinates, expected 3"),
+    (["geodesics", "--net", "sql", "--target", "1,0,0"],
+     "--target 1,0,0 has 3 coordinates, expected 2"),
+    (["quotient", "--net", "ths", "--target", "1,2"],
+     "--target 1,2 has 2 coordinates, expected 3"),
+    (["quotient", "--net", "ths", "--target", "5/2,5/2,1/2;1,2"],
+     "--target 1,2 has 2 coordinates, expected 3"),
+])
+def test_wrong_length_target_exits_2(capsys, argv, want):
+    # a malformed vector is an input error, like `--target 4,oops`
+    code, report, err = run(capsys, *argv)
+    assert (code, report) == (2, None)
+    assert err == f"error: {want}\n"
+
+
 @pytest.mark.parametrize("command", [
     ["cseq"],
     ["geodesics", "--target", "1,0"],

@@ -25,15 +25,21 @@ The Cayley net golden (`from_cayley(...).to_text()` of the corpus, ndia
 2-4 and the subperiodic documents) was captured while from_cayley built
 the whole presentation pipeline's extension data (harvest and point
 presentation), before it read the Cayley quotient that cseq walks.
+The HLT-run golden lists (max_cosets, status, defined cosets) of every
+coset enumeration that `present` makes on the corpus and the documents
+under tests/data, in call order; it was captured before the union-find
+root walks moved inline into the enumeration loop, and pins the frozen
+HLT order on real inputs.
 """
 
 import json
 import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from crystpres import bfs
+from crystpres import bfs, cosets
 from crystpres.affine import finite_closure, hnf_lattice
 from crystpres.bfs import shortest_translation_words
 from crystpres.cli import main
@@ -83,6 +89,29 @@ def render_harvests():
     for n in (2, 3, 4):
         out[f"ndia_{n}"] = harvest_words(ndia_generators(n).generators)
     return json.dumps(out, sort_keys=True) + "\n"
+
+
+def render_hlt_runs():
+    """One JSON line per document: its `present` run's HLT enumerations
+    as [max_cosets, status, defined cosets], in call order."""
+    docs = [f"corpus/{name}" for name in CORPUS] + sorted(
+        f"tests/data/{name}" for name in os.listdir(
+            os.path.join(ROOT, "tests", "data")) if name.endswith(".json"))
+    run_hlt, runs = cosets.CosetTable.run_hlt, []
+
+    def spy(table):
+        run_hlt(table)
+        runs.append([table.max_cosets, table.status, table.defined])
+        return table
+
+    lines = []
+    with mock.patch.object(cosets.CosetTable, "run_hlt", spy):
+        for path in docs:
+            with open(os.path.join(ROOT, path)) as fh:
+                present(parse_generating_set(fh.read()).generators)
+            lines.append(f"{json.dumps(path)}: {json.dumps(runs)}")
+            runs.clear()
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def render_rings():
@@ -153,6 +182,10 @@ def test_cseq_input_golden(path, radius, capsys, monkeypatch):
 
 def test_cayley_nets_golden():
     assert render_cayley_nets() == _golden("from_cayley.json")
+
+
+def test_hlt_runs_golden():
+    assert render_hlt_runs() == _golden("hlt_runs.json")
 
 
 def test_strong_rings_golden():

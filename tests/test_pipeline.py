@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from crystpres.cosets import (
     CosetTable,
     SchreierRank,
+    _cols,
     coset_enumerate,
     order_check,
 )
@@ -284,6 +285,35 @@ def test_refuted_relator_sets_do_not_present_g_mod_2t(path, data):
     assert sympy_order(pres.generator_names, relators, 8 * order) != order
     table = CosetTable(len(pres.generator_names), relators, [], 64 * order)
     assert table.run_hlt().index() != order
+
+
+def _gf2_rank(rows):
+    basis = []  # distinct top bits, highest first
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ALL_DOCS), st.data())
+def test_fixed_rows_answer_as_a_fresh_elimination(path, data):
+    # the prune trials' refuter reduces the squares' rows once; each
+    # verdict must be that of a fresh elimination over the candidate
+    # and the squares
+    pres, rank, _, squares = _unpruned(path)
+    fixed = SchreierRank(rank.table, fixed=squares)
+    n = len(pres.relators)
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    relators = [r for r, k in zip(pres.relators, keep) if k]
+    rows = [rank._rewrite(start, _cols(w)[0])
+            for w in relators + squares for start in rank.table.table]
+    fresh = None not in rows and _gf2_rank(rows) < rank.ngens
+    assert fixed.refutes(relators) == fresh
+    assert rank.refutes(relators + squares) == fresh
 
 
 @pytest.mark.parametrize("path", ALL_DOCS)

@@ -221,8 +221,8 @@ def _reference_rewrite_once(relators, forms):
     return None
 
 
-def _encoded_forms(u):
-    return [(f, words._text(f)) for f in words._forms(u)]
+def _bare_forms(u):
+    return [f for f, _ in words._forms(u)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -231,8 +231,8 @@ def test_rewrite_search_matches_position_scan(p):
     # the input tietze_simplify passes: distinct canonical words, sorted
     relators = sorted({relator_class_key(r) for r in p.relators},
                       key=word_sort_key)
-    assert (words._rewrite_once(relators, _encoded_forms)
-            == _reference_rewrite_once(relators, words._forms))
+    assert (words._rewrite_once(relators, words._forms)
+            == _reference_rewrite_once(relators, _bare_forms))
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,3 +249,43 @@ def test_tietze_matches_position_scan(p):
         want = tietze_simplify(p, tags=tags)
     assert got.presentation.relators == want.presentation.relators
     assert (got.steps, got.tags) == (want.steps, want.tags)
+
+
+# -- the tuple-key definitions that the text keys replaced -------------------
+
+
+def _tuple_sort_key(w):
+    return (len(w), tuple([2 * abs(x) - (x > 0) for x in w]))
+
+
+def _tuple_forms(w):
+    forms = {v[i:] + v[:i] for v in (w, invert_word(w)) for i in range(len(w))}
+    return sorted(forms, key=_tuple_sort_key) or [w]
+
+
+def _tuple_class_key(w):
+    return _tuple_forms(cyclic_reduce(w))[0]
+
+
+def _word_lists(max_gens=4, max_len=30, max_words=8):
+    """Lists of random words, reduced or not, on 1..max_gens generators."""
+    def build(k):
+        letters = st.sampled_from([s * g for g in range(1, k + 1)
+                                   for s in (1, -1)])
+        return st.lists(st.lists(letters, max_size=max_len).map(tuple),
+                        min_size=1, max_size=max_words)
+    return st.integers(1, max_gens).flatmap(build)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ws=_word_lists())
+def test_text_keys_order_words_as_tuple_keys(ws):
+    for w in ws:
+        forms = words._forms(w)
+        assert [f for f, _ in forms] == _tuple_forms(w)
+        assert [s for _, s in forms] == [words._text(f) for f, _ in forms]
+        assert relator_class_key(w) == _tuple_class_key(w)
+    for u in ws:
+        for v in ws:
+            assert ((word_sort_key(u) < word_sort_key(v))
+                    == (_tuple_sort_key(u) < _tuple_sort_key(v)))
