@@ -18,8 +18,8 @@ shell_sizes from one node, shell_geodesics from both ends of a route.
 For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover.
 Walks that need words or discovery order (balls, the harvest, geodesic
-words, the ring ball in netgraph, finite Cayley graphs of cosets) grow
-their spheres with the one routine _expand, given a neighbours function.
+words, finite Cayley graphs of cosets) grow their spheres with the one
+routine _expand, given a neighbours function.
 """
 
 import math
@@ -168,10 +168,6 @@ class CoverCode:
             shift.append(digit)
             e = (e - digit) // self.radix
         return v, tuple(shift)
-
-    def neighbours(self, p):
-        """(arc target vertex, neighbour code) pairs, for _expand."""
-        return [(w, p + d) for w, d in self.steps[p % self.n]]
 
 
 def shell_sizes(adj, base, radius, max_elements=math.inf):

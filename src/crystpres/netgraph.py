@@ -8,9 +8,9 @@ the finite description.
 
 Cover walks run on packed int nodes (bfs.CoverCode): coordination
 sequences (bfs.shell_sizes) and geodesic counts (bfs.shell_geodesics,
-from both ends) keep two spheres, and the ring-search ball runs
-through bfs._expand.  Nodes are decoded to (v, s) only where a result
-reports them.  from_cayley reads the net of a group off
+from both ends) keep two spheres, and the ring-search ball (_ball) is
+numbered in one breadth-first pass.  Nodes are decoded to (v, s) only
+where a result reports them.  from_cayley reads the net of a group off
 bfs._cayley_quotient, the quotient `cseq --input` walks.
 """
 
@@ -22,7 +22,7 @@ from math import prod
 
 from .affine import AffineIsometry, finite_closure, hnf_lattice, inverse
 from .bfs import (BallBoundExceeded, CoverCode, FiniteGroup, _cayley_quotient,
-                  _expand, shell_geodesics, shell_sizes)
+                  shell_geodesics, shell_sizes)
 from .intmat import (
     frac_rows,
     identity_matrix,
@@ -513,25 +513,39 @@ def _ball(g, base, radius):
     (cover, nodes, dist, adj) with the CoverCode of the walk, the node
     codes in discovery order (the base is node 0), their distances from
     the base, and per node its neighbours in the ball as (node, edge)
-    pairs in g.adj order.  Edges are numbered in order of first sight
-    along that scan.  The scan looks at the neighbours of the boundary
-    sphere too, one step past the walk, so the code is sized for
-    radius + 1: a code sized for the radius could give such an outside
-    neighbour the code of a node inside the ball."""
+    pairs in g.adj order.  One pass numbers the nodes as it scans them;
+    a boundary node links only to numbered ones (by then the whole ball)
+    and an edge is numbered at its lower end.  The code is sized for
+    radius + 1 for the boundary's outside neighbours.  Past
+    HORTON_BIT_BUDGET >> 10 edges, some 2,000-4,000 bits each to hold,
+    it raises BallBoundExceeded."""
     cover = CoverCode(g.adj, radius + 1)
-    entries = {cover.encode(*_start(g, base)): (0, 0)}
-    for _ in _expand(cover.neighbours, entries, radius):
-        pass
-    index = {p: i for i, p in enumerate(entries)}
-    adj = [[] for _ in index]
-    edges = {}
-    for p, i in index.items():
-        for _, q in cover.neighbours(p):
-            j = index.get(q)
-            if j is not None:
-                key = (i, j) if i < j else (j, i)
-                adj[i].append((j, edges.setdefault(key, len(edges))))
-    return cover, list(entries), [r for r, _ in entries.values()], adj
+    nodes = [cover.encode(*_start(g, base))]
+    index, dist, adj, n_edges = {nodes[0]: 0}, [0], [], 0
+    for i, p in enumerate(nodes):
+        nbrs = []
+        for _, d in cover.steps[p % cover.n]:
+            j = index.get(p + d)
+            if j is None:
+                if dist[i] == radius:
+                    continue
+                j = index[p + d] = len(nodes)
+                nodes.append(p + d)
+                dist.append(dist[i] + 1)
+            if j > i:
+                nbrs.append((j, n_edges))
+                n_edges += 1
+            else:
+                for k, e in adj[j]:
+                    if k == i:
+                        nbrs.append((j, e))
+                        break
+        adj.append(nbrs)
+        if n_edges > HORTON_BIT_BUDGET >> 10:
+            raise BallBoundExceeded(
+                f"ring ball exceeded {HORTON_BIT_BUDGET >> 10} edges at"
+                f" radius {dist[-1]}")
+    return cover, nodes, dist, adj
 
 
 def _base_cycles(adj, dist, max_size):
@@ -567,14 +581,18 @@ def _base_cycles(adj, dist, max_size):
 
 
 def _horton_cycles(adj, max_len):
-    """Horton cycles of at most max_len edges, as a set of edge masks.
+    """Horton cycles of at most max_len >= 2 edges, as a set of edge masks.
 
     Each root r grows a BFS tree of depth max_len // 2 over the ball
-    nodes numbered above r only, recording per node (depth, path mask,
-    branch), the branch being the first node after r on its path.  A
+    nodes numbered above r only, in per-node lists reused across roots:
+    the last root to hold or to grow from the node, its parent, the edge
+    from it and its branch (the first node after r on its path).  A
     non-tree edge a-b between tree nodes on different branches closes
-    the simple cycle P_r(a) + ab + P_r(b) of da + db + 1 edges; it is
-    kept when that is at most max_len.  Raises BallBoundExceeded once
+    the simple cycle P_r(a) + ab + P_r(b) of da + db + 1 edges, kept if
+    at most max_len; only then is its mask built, up the parent chains.
+    Each is met once: as its endpoint found first grows (it then fits),
+    or after the tree if both ends lie in the last sphere, which fits
+    only when max_len is odd.  Raises BallBoundExceeded once
     (masks held) x (ball edges) passes HORTON_BIT_BUDGET.
 
     At each length l <= max_len the masks of at most l edges span every
@@ -595,25 +613,41 @@ def _horton_cycles(adj, max_len):
     edge that reaches it, so no mask is empty.
     """
     n_edges = sum(map(len, adj)) // 2
+    held, grown, up, via, branch = ([-1] * len(adj) for _ in range(5))
     masks = set()
+
+    def close(a, b, e):
+        mask = 1 << e
+        for x in (a, b):
+            while x != root:
+                mask |= 1 << via[x]
+                x = up[x]
+        return mask
+
     for root in range(len(adj)):
-        tree = {b: (1, 1 << e, b) for b, e in adj[root] if b > root}
-        sphere = list(tree)
-        for depth in range(2, max_len // 2 + 1):
+        sphere = [b for b, _ in adj[root] if b > root]
+        for b, e in adj[root]:
+            if b > root:
+                held[b], up[b], via[b], branch[b] = root, root, e, b
+        for _ in range(1, max_len // 2):
             nxt = []
             for a in sphere:
-                _, mask, branch = tree[a]
+                grown[a] = root
+                ba = branch[a]
                 for b, e in adj[a]:
-                    if b > root and b not in tree:
-                        tree[b] = (depth, mask | (1 << e), branch)
-                        nxt.append(b)
+                    if held[b] != root:
+                        if b > root:
+                            held[b], up[b], via[b], branch[b] = root, a, e, ba
+                            nxt.append(b)
+                    elif grown[b] != root and branch[b] != ba:
+                        masks.add(close(a, b, e))
             sphere = nxt
-        for a, (da, ma, ba) in tree.items():
-            for b, e in adj[a]:
-                if a < b and b in tree:
-                    db, mb, bb = tree[b]
-                    if ba != bb and da + db < max_len:
-                        masks.add(ma | mb | (1 << e))
+        if max_len % 2:
+            for a in sphere:
+                for b, e in adj[a]:
+                    if (a < b and held[b] == root and grown[b] != root
+                            and branch[b] != branch[a]):
+                        masks.add(close(a, b, e))
         if len(masks) * n_edges > HORTON_BIT_BUDGET:
             raise BallBoundExceeded(
                 f"ring basis exceeded {HORTON_BIT_BUDGET} bits: "
@@ -640,13 +674,13 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP):
     most l - 2 edges, a sum of shorter ball cycles (the full argument is
     in _horton_cycles).  So the basis spans exactly the ball's cycles
     shorter than c, admitted in any order within a length, and Horton
-    cycles of up to max_size - 1 edges suffice.  The ball is the bound: a cycle whose decompositions all leave it is
-    reported.  To check against a larger ball, raise max_size (`--max`);
-    counts of sizes <= the old cap can only fall.
+    cycles of up to max_size - 1 edges suffice.  The ball is the bound:
+    a cycle whose decompositions all leave it is reported, and raising
+    max_size (`--max`) can only lower the counts of sizes <= the old cap.
 
-    Both the Horton set and the candidates are held to HORTON_BIT_BUDGET
-    (BallBoundExceeded).  The Horton set is built first: on a dense ball
-    it passes the budget long before the candidate walk would.
+    The ball, the Horton set and the candidates are each held to
+    HORTON_BIT_BUDGET (BallBoundExceeded), in that order: on a dense
+    ball the Horton set passes it long before the candidate walk would.
     """
     if max_size < 3:
         raise GraphError("max_size must be >= 3")

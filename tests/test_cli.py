@@ -265,13 +265,14 @@ def test_ring_basis_bound_exits_4(tmp_path, capsys, monkeypatch):
         "edge 0 0 0 -1 0\nedge 0 0 0 0 -1\nedge 0 1 -2 -2 -1\n"
         "edge 0 1 2 2 -1\n")
     monkeypatch.setenv("CRYSTPRES_CATALOG", str(tmp_path))
-    for base in ("0", "1"):
+    # the cycle count pins the root at which the budget trips
+    for base, cycles, edges in (("0", 16821, 15976), ("1", 18594, 14482)):
         code, report, err = run(capsys, "rings", "--net", "dense",
                                 "--base", base, "--max", "8")
         assert code == 4
         assert report is None
-        assert err.startswith("error: ring basis exceeded ")
-        assert err.count("\n") == 1
+        assert err == ("error: ring basis exceeded 268435456 bits: "
+                       f"{cycles} cycles over {edges} ball edges\n")
 
 
 def test_ring_basis_bound_exits_before_the_candidate_walk(capsys,
@@ -282,10 +283,25 @@ def test_ring_basis_bound_exits_before_the_candidate_walk(capsys,
         raise AssertionError("candidate walk ran")
 
     monkeypatch.setattr("crystpres.netgraph._base_cycles", no_walk)
-    code, report, err = run(capsys, "rings", "--net", "pcu", "--max", "12")
+    for cap, cycles, edges in ((12, 38718, 6936), (None, 24435, 11004),
+                               (40, 1440, 256080)):
+        argv = ["--max", str(cap)] if cap else []
+        code, report, err = run(capsys, "rings", "--net", "pcu", *argv)
+        assert code == 4
+        assert report is None
+        assert err == ("error: ring basis exceeded 268435456 bits: "
+                       f"{cycles} cycles over {edges} ball edges\n")
+
+
+def test_ring_ball_bound_exits_4(capsys):
+    # the rank-1 line's ball grows by two edges a step, and without a
+    # bound a radius of 10**9 would exhaust memory before any cycle test
+    code, report, err = run(capsys, "rings", "--input",
+                            corpus_path("z1_trivial.json"),
+                            "--max", "1000000000")
     assert code == 4
     assert report is None
-    assert err.startswith("error: ring basis exceeded ")
+    assert err == "error: ring ball exceeded 262144 edges at radius 131073\n"
 
 
 def test_ring_candidate_bound_exits_4(capsys, monkeypatch):

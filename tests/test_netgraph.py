@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crystpres.bfs import BallBoundExceeded, FiniteGroup
+from crystpres import bfs
+from crystpres.bfs import BallBoundExceeded, FiniteGroup, _expand
 from crystpres.netgraph import (
     HORTON_BIT_BUDGET,
     GraphError,
@@ -32,7 +33,7 @@ from crystpres.netgraph import (
     strong_rings,
     topological_density,
 )
-from crystpres.netgraph import _ball, _base_cycles, _horton_cycles
+from crystpres.netgraph import _ball, _base_cycles, _horton_cycles, _start
 from crystpres.affine import AffineIsometry
 from crystpres.pipeline import build_extension_data
 from crystpres.symop import parse_symop
@@ -400,6 +401,110 @@ def _full_horton_cycles(adj, max_len):
     return masks
 
 
+class CoverCode(bfs.CoverCode):
+    """The packed cover code with the neighbour list that
+    _two_pass_ball walks with _expand."""
+
+    def neighbours(self, p):
+        return [(w, p + d) for w, d in self.steps[p % self.n]]
+
+
+def _two_pass_ball(g, base, radius):
+    """Oracle: the ball that the one-pass _ball replaced, an _expand walk
+    and then a second scan for the edges, copied verbatim apart from its
+    name."""
+    cover = CoverCode(g.adj, radius + 1)
+    entries = {cover.encode(*_start(g, base)): (0, 0)}
+    for _ in _expand(cover.neighbours, entries, radius):
+        pass
+    index = {p: i for i, p in enumerate(entries)}
+    adj = [[] for _ in index]
+    edges = {}
+    for p, i in index.items():
+        for _, q in cover.neighbours(p):
+            j = index.get(q)
+            if j is not None:
+                key = (i, j) if i < j else (j, i)
+                adj[i].append((j, edges.setdefault(key, len(edges))))
+    return cover, list(entries), [r for r, _ in entries.values()], adj
+
+
+def _path_mask_horton_cycles(adj, max_len):
+    """Oracle: the lowest-root Horton set with a path mask per tree node
+    and a second scan for the closing edges, which the parent lists
+    replaced, copied verbatim apart from its name."""
+    n_edges = sum(map(len, adj)) // 2
+    masks = set()
+    for root in range(len(adj)):
+        tree = {b: (1, 1 << e, b) for b, e in adj[root] if b > root}
+        sphere = list(tree)
+        for depth in range(2, max_len // 2 + 1):
+            nxt = []
+            for a in sphere:
+                _, mask, branch = tree[a]
+                for b, e in adj[a]:
+                    if b > root and b not in tree:
+                        tree[b] = (depth, mask | (1 << e), branch)
+                        nxt.append(b)
+            sphere = nxt
+        for a, (da, ma, ba) in tree.items():
+            for b, e in adj[a]:
+                if a < b and b in tree:
+                    db, mb, bb = tree[b]
+                    if ba != bb and da + db < max_len:
+                        masks.add(ma | mb | (1 << e))
+        if len(masks) * n_edges > HORTON_BIT_BUDGET:
+            raise BallBoundExceeded(
+                f"ring basis exceeded {HORTON_BIT_BUDGET} bits: "
+                f"{len(masks)} cycles over {n_edges} ball edges")
+    return masks
+
+
+def _outcome(horton_cycles, adj, max_len):
+    try:
+        return horton_cycles(adj, max_len)
+    except BallBoundExceeded as exc:
+        return str(exc)
+
+
+def _assert_matches_the_oracles(g, base, cap):
+    """The one-pass ball is the two-pass ball, and at every max_len from
+    2 to cap - 1 (both parities of the last sphere) the Horton sets, or
+    the budget errors, are identical."""
+    _, nodes, dist, adj = _ball(g, base, cap)
+    assert (nodes, dist, adj) == _two_pass_ball(g, base, cap)[1:]
+    for max_len in range(2, cap):
+        assert _outcome(_horton_cycles, adj, max_len) == _outcome(
+            _path_mask_horton_cycles, adj, max_len)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_quotient_graphs(), st.integers(3, 9))
+@example((_TRIANGULAR, 0, (0, 0)), 9)
+@example((*_box_chain(12), ()), 9)
+def test_ball_and_horton_sets_match_the_oracles(case, cap):
+    g, base, _ = case
+    # the oracle holds a mask over all ball edges per tree node
+    assume(g.rank < 3 or cap <= 5)
+    assume(sum(map(len, _ball(g, base, cap)[3])) // 2 <= 3000)
+    _assert_matches_the_oracles(g, base, cap)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_ball_and_horton_sets_match_the_oracles_on_bundled_nets(name):
+    g = catalog_load(name)
+    for base in range(g.n):
+        _assert_matches_the_oracles(g, base, RING_GOLDENS[name][0])
+
+
+def test_ball_and_horton_sets_match_the_oracles_on_a_ths_layer():
+    # acceptance criterion 6: the ths layer quotient, ring cap 12
+    vector = (Fraction(5, 2), Fraction(5, 2), Fraction(1, 2))
+    q = quotient_by_sublattice(catalog_load("ths"), [vector])
+    for base in range(q.n):
+        _assert_matches_the_oracles(q, base, 12)
+
+
 def _ranks_up_to(masks, max_len):
     """ranks[l]: the GF(2) rank of the masks with at most l edges."""
     pivots = {}
@@ -483,6 +588,21 @@ def test_ring_basis_bit_budget():
     finally:
         tracemalloc.stop()
     assert peak < HORTON_BIT_BUDGET // 8 * 2
+
+
+def test_ring_ball_bound():
+    """The ball raises BallBoundExceeded past HORTON_BIT_BUDGET >> 10
+    edges, before any cycle is sought: pcu's radius-200 ball would hold
+    some 3 * 10**7 edges and take gigabytes."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallBoundExceeded) as exc:
+            strong_rings(catalog_load("pcu"), 0, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "ring ball exceeded 262144 edges at radius 41"
+    assert peak < 100 << 20
 
 
 @pytest.mark.parametrize("name", BUNDLED)
