@@ -19,6 +19,7 @@ from .intmat import (
     common_denominator,
     frac_rows,
     hnf,
+    hnf_with_transform,
     identity_matrix,
     mat_inverse_frac,
     mat_mul_int,
@@ -136,14 +137,12 @@ def compose(g, h):
 
 
 def inverse(g):
-    inv_lin = mat_inverse_frac(g.linear)
-    for row in inv_lin:
-        if any(x.denominator != 1 for x in row):
-            # inverse is still exact; keep integer storage by construction
-            raise NotUnimodular(
-                f"linear part {g.linear} is not invertible over the integers"
-            )
-    inv_lin = tuple(tuple(int(x) for x in row) for row in inv_lin)
+    # A is unimodular iff its HNF is I, and then U * A = I: U is A^-1
+    h, inv_lin = hnf_with_transform(g.linear)
+    if h != identity_matrix(g.dimension):
+        raise NotUnimodular(
+            f"linear part {g.linear} is not invertible over the integers"
+        )
     tr = tuple(-x for x in mat_vec(inv_lin, g.translation))
     return AffineIsometry(inv_lin, tr)
 

@@ -84,8 +84,13 @@ def _load_graph(args):
     _check_source(args)
     if args.input is not None:
         return from_cayley(_load_document(args.input))
+    return _catalog_graph(args.net)
+
+
+def _catalog_graph(name):
+    # a catalog file that does not describe a net is malformed input
     try:
-        return catalog_load(args.net)
+        return catalog_load(name)
     except GraphError as exc:
         raise InputError(str(exc)) from exc
 
@@ -351,7 +356,7 @@ def cmd_catalog(args):
         names = catalog_names()
         entries = []
         for n in names:
-            g = catalog_load(n)
+            g = _catalog_graph(n)
             entries.append({
                 "name": n, "rank": g.rank, "vertices": g.n,
                 "degrees": sorted(set(g.degree(v) for v in range(g.n))),

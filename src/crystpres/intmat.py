@@ -2,6 +2,11 @@
 
 All matrices are tuples of tuples.  Lattice bases are stored row-wise:
 the rows of a basis matrix are the generating vectors.
+
+Every integer elimination is _hnf's Euclidean row reduction (H. Cohen,
+GTM 138, section 2.4): kernels, row-span solutions, Smith data and, in
+affine.inverse, unimodular inverses.  mat_inverse_frac inverts rational
+lattice bases by Gauss-Jordan elimination.
 """
 
 from fractions import Fraction
@@ -152,60 +157,28 @@ def smith_left_transform(rows):
     Returns (U, diag) where U is an m x m unimodular matrix such that in
     the coordinates y = U * x the subgroup becomes diag[i] * Z on the
     first k = len(diag) coordinates and 0 on the rest.  Requires the
-    rows to be linearly independent (diag entries are positive).
+    rows to be linearly independent (diag entries are positive; they
+    need not divide one another).
+
+    B = A^T (m x k) is made diagonal by alternating row HNFs, whose
+    transforms multiply into U, with column HNFs (row HNFs of B^T),
+    which leave the column span alone.  Each leading pivot is the gcd of
+    a leading column or row that holds the one before, so it can only
+    shrink; once it stops shrinking, its row and column are already
+    clear, and the next pivot goes the same way.
     """
-    rows = [list(map(int, r)) for r in rows]
     k = len(rows)
-    m = len(rows[0]) if k else 0
-    # work on B = A^T (m x k), reduce to diagonal via row ops (tracked in U)
-    # and column ops (untracked).
-    b = [[rows[i][j] for i in range(k)] for j in range(m)]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    diag = []
-    for s in range(k):
-        # find pivot with nonzero entry in submatrix [s:, s:]
-        found = False
-        for j in range(s, k):
-            for i in range(s, m):
-                if b[i][j]:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+    b = tuple(zip(*rows))
+    pad = ((0,) * k,) * (len(b) - k)
+    u = identity_matrix(len(b))
+    while True:
+        h, t = hnf_with_transform(b)
+        if len(h) < k:
             raise ValueError("vectors are linearly dependent")
-        if j != s:
-            for row in b:
-                row[s], row[j] = row[j], row[s]
-        if i != s:
-            b[s], b[i] = b[i], b[s]
-            u[s], u[i] = u[i], u[s]
-        # clear column s below and row s to the right, iterating until clean
-        while True:
-            for i in range(s + 1, m):
-                while b[i][s]:
-                    q = b[s][s] // b[i][s]
-                    if q:
-                        b[s] = [x - q * y for x, y in zip(b[s], b[i])]
-                        u[s] = [x - q * y for x, y in zip(u[s], u[i])]
-                    b[s], b[i] = b[i], b[s]
-                    u[s], u[i] = u[i], u[s]
-            for j in range(s + 1, k):
-                while b[s][j]:
-                    q = b[s][s] // b[s][j]
-                    if q:
-                        for row in b:
-                            row[s] -= q * row[j]
-                    for row in b:
-                        row[s], row[j] = row[j], row[s]
-            if all(b[i][s] == 0 for i in range(s + 1, m)):
-                break
-        # divisibility condition is irrelevant for our use; skip fixing it
-        if b[s][s] < 0:
-            b[s] = [-x for x in b[s]]
-            u[s] = [-x for x in u[s]]
-        diag.append(b[s][s])
-    return tuple(tuple(row) for row in u), tuple(diag)
+        u = mat_mul_int(t, u)
+        if not any(x for i, row in enumerate(h) for x in row[i + 1:]):
+            return u, tuple(row[i] for i, row in enumerate(h))
+        b = tuple(zip(*hnf(tuple(zip(*h))))) + pad
 
 
 def mat_mul_int(a, b):

@@ -100,6 +100,8 @@ class LabeledQuotientGraph:
             cell = frac_rows(cell)
             if len(cell) != rank or any(len(r) != rank for r in cell):
                 raise GraphError("cell matrix must be rank x rank")
+            if hnf_lattice(cell, dimension=rank).rank < rank:
+                raise GraphError("cell matrix is singular")
         self.cell = cell
         if coords is not None:
             coords = frac_rows(coords)
@@ -423,21 +425,10 @@ def quotient_by_sublattice(g, vectors):
         u_mat, diag = smith_left_transform(prim)
     except ValueError as exc:
         raise GraphError(str(exc)) from exc
-    rank = g.rank
-    new_rank = rank - k
-    if new_rank < 1:
+    if g.rank - k < 1:
         raise GraphError("quotient would not be periodic")
-    torsion_dims = [d for d in diag]
-
-    def transform(shift):
-        y = mat_vec(u_mat, shift)
-        tors = tuple(int(y[i]) % torsion_dims[i] for i in range(k))
-        free = tuple(int(x) for x in y[k:])
-        return tors, free
-
-    combos = list(product(*[range(d) for d in torsion_dims]))
+    combos = list(product(*map(range, diag)))
     combo_index = {c: i for i, c in enumerate(combos)}
-    n_new = g.n * len(combos)
 
     def vertex_id(v, tors):
         return v * len(combos) + combo_index[tors]
@@ -445,12 +436,10 @@ def quotient_by_sublattice(g, vectors):
     written = ";".join(map(_vector_text, vectors))
     edges = set()
     for u, v, s in g.edges:
-        tors, free = transform(s)
+        y = mat_vec(u_mat, s)  # k torsion coordinates, then the free ones
         for c in combos:
-            shifted = tuple(
-                (a + b) % d for a, b, d in zip(c, tors, torsion_dims)
-            )
-            key = _canonical_edge(vertex_id(u, c), vertex_id(v, shifted), free)
+            shifted = tuple((a + b) % d for a, b, d in zip(c, y, diag))
+            key = _canonical_edge(vertex_id(u, c), vertex_id(v, shifted), y[k:])
             if key[0] == key[1] and all(x == 0 for x in key[2]):
                 raise QuotientNotSimple(
                     f"quotient by {written} creates a loop"
@@ -463,7 +452,8 @@ def quotient_by_sublattice(g, vectors):
     name = None
     if g.name:
         name = f"{g.name}/{','.join(str(v) for v in vectors)}"
-    return LabeledQuotientGraph(new_rank, n_new, sorted(edges), name=name)
+    return LabeledQuotientGraph(g.rank - k, g.n * len(combos), sorted(edges),
+                                name=name)
 
 
 # ---------------------------------------------------------------------------

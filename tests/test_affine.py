@@ -1,6 +1,8 @@
 """Affine isometries, translation lattices, and point-group images."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -10,6 +12,7 @@ from crystpres.affine import (
     AffineIsometry,
     DimensionMismatch,
     InfiniteOrder,
+    NotUnimodular,
     TranslationLattice,
     WalkKernel,
     check_finite_order,
@@ -97,6 +100,39 @@ def test_composition_associative(g, h, k):
 def test_inverse_roundtrip(g):
     assert inverse(inverse(g)) == g
     assert (g * inverse(g)).is_identity()
+
+
+def _shear(dim):
+    def build(i, j, c):
+        lin = [[int(r == s) for s in range(dim)] for r in range(dim)]
+        lin[i][j] += c * (i != j)
+        return AffineIsometry(lin, (0,) * dim)
+
+    index = st.integers(min_value=0, max_value=dim - 1)
+    return st.builds(build, index, index, st.integers(min_value=-3,
+                                                      max_value=3))
+
+
+def _unimodular(dim):
+    """Products of integer shears and signed permutations."""
+    factor = st.one_of(_shear(dim), _signed_perm(dim))
+    return st.lists(factor, min_size=1, max_size=6).map(
+        lambda factors: reduce(mul, factors))
+
+
+@settings(max_examples=100)
+@given(g=st.integers(min_value=1, max_value=4).flatmap(_unimodular),
+       data=st.data())
+def test_inverse_over_the_integers(g, data):
+    assert (inverse(g) * g).is_identity()
+    # scaling one row of the linear part scales its determinant
+    row = data.draw(st.integers(min_value=0, max_value=g.dimension - 1))
+    for factor in (0, 2, -2):
+        linear = [[x * (factor if i == row else 1) for x in r]
+                  for i, r in enumerate(g.linear)]
+        with pytest.raises(NotUnimodular,
+                           match="is not invertible over the integers"):
+            inverse(AffineIsometry(linear, g.translation))
 
 
 def test_lattice_canonical_basis():

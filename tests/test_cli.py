@@ -324,6 +324,18 @@ def test_quotient_base_checked_on_quotient(capsys):
     assert report["coordination_sequence"] == [1, 4, 8]
 
 
+@pytest.mark.parametrize("target, want", [
+    ("2,0,0", "quotient by 2,0,0 creates parallel edges"),
+    ("2,0,0;4,0,0", "vectors are linearly dependent"),
+    ("1,0,0;0,1,0;0,0,1", "quotient would not be periodic"),
+])
+def test_quotient_failure_exits_4(capsys, target, want):
+    code, report, err = run(capsys, "quotient", "--net", "pcu",
+                            "--target", target)
+    assert (code, report) == (4, None)
+    assert err == f"error: {want}\n"
+
+
 def test_catalog_env_override(tmp_path, capsys, monkeypatch):
     (tmp_path / "path2.lqg").write_text(
         "rank 1\nvertices 2\nedge 0 1 0\nedge 0 1 -1\n"
@@ -334,6 +346,21 @@ def test_catalog_env_override(tmp_path, capsys, monkeypatch):
     assert [e["name"] for e in report["nets"]] == ["path2"]
     code, report, _ = run(capsys, "cseq", "--net", "path2", "--radius", "3")
     assert report["coordination_sequence"] == [1, 2, 2, 2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["cseq", "--net", "bad"],
+    ["geodesics", "--net", "bad", "--target", "1,1"],
+    ["quotient", "--net", "bad", "--target", "1,0"],
+], ids=["catalog", "cseq", "geodesics", "quotient"])
+def test_catalog_singular_cell_is_input_error(tmp_path, capsys, monkeypatch,
+                                               argv):
+    (tmp_path / "bad.lqg").write_text(
+        "rank 2\nvertices 1\ncell 1 1 2 2\nedge 0 0 1 0\nedge 0 0 0 1\n"
+    )
+    monkeypatch.setenv("CRYSTPRES_CATALOG", str(tmp_path))
+    assert _input_error(capsys, argv) == "error: cell matrix is singular\n"
 
 
 def _document(tmp_path, *xyz):
@@ -356,6 +383,11 @@ def _input_error(capsys, argv):
     return captured.err
 
 
+# a linear part of rank 1: no inverse at all, integer or rational
+_SINGULAR_XYZ = {"dimension": 2, "generators": [
+    {"name": "a", "xyz": "x, 0"}, {"name": "b", "xyz": "1+x, y"}]}
+
+
 @pytest.mark.parametrize("doc", [
     {"dimension": 2, "generators": [{"name": "a", "xyz": "x, q"}]},
     {"dimension": 2, "generators": [{"name": "a", "xyz": "x+1/0, y"}]},
@@ -368,14 +400,29 @@ def _input_error(capsys, argv):
     {"dimension": 2, "generators": ["1+x, y"]},
     {"dimension": 2, "generators": [{"name": ["a"], "xyz": "1+x, y"}]},
     {"dimension": True, "generators": [{"name": "a", "xyz": "1+x"}]},
+    _SINGULAR_XYZ,
+    {"dimension": 2, "generators": [
+        {"name": "a", "matrix": [["1", "0", "0"], ["0", "0", "0"]]},
+        {"name": "b", "xyz": "1+x, y"}]},
 ], ids=["unknown-variable", "zero-denominator", "dimension-text",
         "matrix-text", "matrix-fraction", "identity", "not-an-object",
         "generators-not-a-list", "entry-not-an-object", "name-not-a-string",
-        "dimension-bool"])
+        "dimension-bool", "singular-xyz", "singular-matrix"])
 def test_malformed_document_is_input_error(tmp_path, capsys, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     _input_error(capsys, ["present", "--input", str(path)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["present"], ["cseq"], ["geodesics", "--target", "1,0"], ["rings"],
+], ids=["present", "cseq", "geodesics", "rings"])
+def test_singular_linear_part_is_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_SINGULAR_XYZ))
+    err = _input_error(capsys, argv + ["--input", str(path)])
+    assert err == ("error: linear part ((1, 0), (0, 0)) is not invertible"
+                   " over the integers\n")
 
 
 @pytest.mark.parametrize("xyz", [3, ["1+x", "y"]], ids=["int", "list"])

@@ -13,6 +13,8 @@ every relator, provenance tag and simplification step count.  The net
 goldens (radius-40 `cseq` on every bundled net, net `geodesics` and the
 ths layer `quotient` reports) were captured while cover nodes were
 (vertex, shift) tuples, before they were packed into single ints.  The
+torsion quotient goldens were captured while a quotient's Smith data
+came from its own pivot-and-clear loop, before alternating HNFs.  The
 subperiodic present goldens (documents under tests/data, outside the
 corpus) and the harvest golden were captured while the translation
 lattice was the span of the harvest, which stopped after 3 stable
@@ -74,6 +76,16 @@ NET_CSEQ_RADIUS = 40
 GEODESIC_TARGETS = {"dia": "3/2,-2,1/2", "pcu": "6,6,6", "sql": "4,12"}
 # the layer vectors of acceptance criterion 6
 THS_LAYERS = ["5/2,5/2,1/2", "2,2,1", "1/2,1/2,-3/2"]
+# quotients whose lattice has torsion, so each vertex has several
+# copies: golden name -> (net, target, ring cap, base)
+TORSION_QUOTIENTS = {
+    "sql_4_12": ("sql", "4,12", "16", "2"),
+    "pcu_2_2_0": ("pcu", "2,2,0", "8", "1"),
+    "dia_2_2_0": ("dia", "2,2,0", "10", "3"),
+    "srs_4_2_0": ("srs", "4,2,0", "10", "5"),
+    "hcb_6_3": ("hcb", "6,3", "12", "4"),
+    "hcb_3_0": ("hcb", "3,0", "12", "1"),
+}
 
 
 def harvest_words(generators):
@@ -250,3 +262,11 @@ def test_quotient_ths_golden(layer, capsys):
     out = cli_stdout(capsys, "quotient", "--net", "ths", "--target",
                      THS_LAYERS[layer], "--radius", "10", "--max", "12")
     assert out == _golden(f"quotient_ths_{layer}.json")
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_QUOTIENTS))
+def test_quotient_torsion_golden(name, capsys):
+    net, target, cap, base = TORSION_QUOTIENTS[name]
+    out = cli_stdout(capsys, "quotient", "--net", net, "--target", target,
+                     "--max", cap, "--base", base)
+    assert out == _golden(f"quotient_{name}.json")

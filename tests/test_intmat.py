@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,10 +134,68 @@ def test_smith_left_transform_contract():
 
 
 def test_smith_left_transform_rejects_dependent_rows():
-    import pytest
-
     with pytest.raises(ValueError):
         smith_left_transform([(1, 2, 0), (2, 4, 0)])
+
+
+def _smith_lattice(u, diag):
+    """HNF of the lattice that (U, diag) describes: x = U^-1 y, so it is
+    spanned by diag[i] times column i of U^-1."""
+    inv = mat_inverse_frac(u)
+    assert all(x.denominator == 1 for row in inv for x in row)  # unimodular
+    return hnf([tuple(int(d * row[i]) for row in inv)
+                for i, d in enumerate(diag)])
+
+
+@pytest.mark.parametrize("rows, index", [
+    ([(2, 2, 0), (0, 2, 2)], 4),
+    ([(-2, -2, 0), (0, -1, -1)], 2),
+    ([(-2, -2, 0), (0, -2, 0)], 4),
+])
+def test_smith_left_transform_ends_on_equal_pivots(rows, index):
+    # a pivot-and-clear loop with floor-division Euclid steps cycled
+    # forever on these: the pivot stayed 2 while its row and column
+    # kept refilling each other
+    u, diag = smith_left_transform(rows)
+    assert diag[0] * diag[1] == index
+    assert _smith_lattice(u, diag) == hnf(rows)
+
+
+_smith_entries = st.integers(min_value=-9, max_value=9)
+
+
+def _row_sets():
+    """k integer rows of length m, 1 <= k <= m <= 4."""
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.integers(min_value=1, max_value=m).flatmap(
+            lambda k: st.lists(
+                st.lists(_smith_entries, min_size=m, max_size=m).map(tuple),
+                min_size=k,
+                max_size=k,
+            )
+        )
+    )
+
+
+@settings(max_examples=300)
+@given(rows=_row_sets())
+def test_smith_left_transform_spans_the_same_lattice(rows):
+    if len(hnf(rows)) < len(rows):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            smith_left_transform(rows)
+        return
+    u, diag = smith_left_transform(rows)
+    assert len(diag) == len(rows) and all(d > 0 for d in diag)
+    assert _smith_lattice(u, diag) == hnf(rows)
+
+
+@settings(max_examples=150)
+@given(rows=_row_sets(), coeff=st.lists(_smith_entries, min_size=4,
+                                        max_size=4))
+def test_smith_left_transform_rejects_a_row_combination(rows, coeff):
+    extra = vec_mat(coeff[:len(rows)], rows)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        smith_left_transform(rows + [extra])
 
 
 def test_mat_inverse_frac():

@@ -660,6 +660,28 @@ def test_square_lattice_tube():
     assert ring_size_counts(tube, max_size=16) == {4: 4, 16: 1820}
 
 
+def test_quotient_with_two_torsion_factors():
+    # pcu / L, L = <(2,2,0), (0,2,2)>: Z^3 / L is Z + (Z/2)^2, a tube of
+    # four vertex copies; its spheres are those of the walk on Z^3 mod L
+    tube = quotient_by_sublattice(catalog_load("pcu"), [(2, 2, 0), (0, 2, 2)])
+    assert (tube.rank, tube.n) == (1, 4)
+
+    def reduce(x):
+        # the point of x + L with x_0 and x_2 in {0, 1}
+        a, b = x[0] // 2, x[2] // 2
+        return x[0] - 2 * a, x[1] - 2 * a - 2 * b, x[2] - 2 * b
+
+    steps = [e for e in itertools.product((-1, 0, 1), repeat=3)
+             if sum(map(abs, e)) == 1]
+    seen, sphere, sizes = {(0, 0, 0)}, {(0, 0, 0)}, [1]
+    for _ in range(8):
+        sphere = {reduce(tuple(a + b for a, b in zip(x, e)))
+                  for x in sphere for e in steps} - seen
+        seen |= sphere
+        sizes.append(len(sphere))
+    assert net_coordination_sequence(tube, 0, 8) == sizes
+
+
 def test_net_geodesics():
     sql = catalog_load("sql")
     assert net_geodesics(sql, (4, 12)) == (16, 1820)
