@@ -13,8 +13,10 @@ target the walk must recognise); elements are converted to and from
 AffineIsometry only at the API boundary.
 
 Sizes, lengths and path counts walk the periodic cover of a labelled
-quotient graph on packed int nodes (CoverCode), two spheres at a time:
-shell_sizes from one node, shell_geodesics from both ends of a route.
+quotient graph two spheres at a time: shell_sizes from one node, as int
+bitsets in a reduced frame of the cover (_frame), and shell_geodesics
+from both ends of a route, on packed int nodes (CoverCode) that carry
+path counts.
 For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover.
 Walks that need words or discovery order (balls, the harvest, geodesic
@@ -25,9 +27,10 @@ routine _expand, given a neighbours function.
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .affine import AffineIsometry, WalkKernel, _closure, check_finite_order
-from .intmat import hnf
+from .intmat import hnf, hnf_with_transform, solve_hnf
 from .symop import format_symop
 from .words import free_reduce
 
@@ -138,7 +141,9 @@ def _word(move, entries, h):
 
 
 class CoverCode:
-    """Cover nodes within `radius` edges of cell 0, packed into ints.
+    """Cover nodes within `radius` edges of cell 0, packed into ints, for
+    walks that keep something per node: shell_geodesics' path counts
+    and the numbering of netgraph._ball.
 
     adj[v] lists the arcs (w, shift) leaving quotient vertex v, n =
     len(adj).  Node (v, s) is the int v + n * sum_i s_i * B**i.  A node
@@ -170,29 +175,93 @@ class CoverCode:
         return v, tuple(shift)
 
 
+def _frame(adj, base):
+    """The cover component of node (base, 0), relabelled: arcs[v] lists
+    (w, c), c the integer coordinates of the arc's shift s + t_v - t_w
+    in a basis B of the lattice L these span, t_v the shift of a
+    breadth-first tree path from base to v.  Node (v, t_v + c B) becomes
+    (v, c), so spheres keep their sizes.  B is the shortest shifts that
+    raise the rank if they generate L, else their HNF."""
+    t = [None] * len(adj)
+    t[base] = (0,) * len(next((s for arcs in adj for _, s in arcs), ()))
+    order = [base]
+    for v in order:
+        for w, s in adj[v]:
+            if t[w] is None:
+                t[w] = tuple(map(add, t[v], s))
+                order.append(w)
+    arcs = [[(w, tuple(map(sub, map(add, s, t[v]), t[w]))) for w, s in out]
+            if t[v] is not None else [] for v, out in enumerate(adj)]
+    shifts = sorted({s for out in arcs for _, s in out},
+                    key=lambda s: (sum(x * x for x in s), s))
+    span, basis = hnf(shifts), ()
+    for s in shifts:
+        if len(basis) < len(span) and len(hnf(basis + (s,))) > len(basis):
+            basis += (s,)
+    for basis in basis, span:
+        transform = hnf_with_transform(basis)
+        coords = {s: solve_hnf(transform, s) for s in shifts}
+        if None not in coords.values():
+            return [[(w, coords[s]) for w, s in out] for out in arcs]
+
+
 def shell_sizes(adj, base, radius, max_elements=math.inf):
     """Sphere sizes |S_0|, ..., |S_radius| about node (base, 0) of the
-    cover of adj (see CoverCode), whose arcs must all have their reverse
-    in adj: then S_(r+1) is the neighbourhood of S_r minus S_r and
-    S_(r-1), so two spheres are kept, as node sets per quotient vertex.
+    cover of adj, whose arcs must all have their reverse in adj: then
+    S_(r+1) is the neighbourhood of S_r minus S_r and S_(r-1), so two
+    spheres are kept.  In _frame(adj, base) a vertex holds a sphere as
+    {coordinates past the m-th: int bitset over a box of the first m},
+    m = 3 or the rank if lower; m = 0 on a line, whose spheres are two
+    far ends.  The box is what walks of `box` = min(radius, 64) arcs
+    reach; it doubles and the walk starts over while radius > box.
     Raises BallBoundExceeded once the ball passes max_elements nodes.
     """
-    steps = CoverCode(adj, radius).steps
-    prev, sphere, sizes = [set() for _ in adj], [set() for _ in adj], [1]
-    sphere[base].add(base)
-    for r in range(1, radius + 1):
-        nxt = [set() for _ in adj]
-        for v, nodes in enumerate(sphere):
-            for w, d in steps[v]:
-                nxt[w].update(map(d.__add__, nodes))
-        for w, nodes in enumerate(nxt):
-            nodes.difference_update(sphere[w], prev[w])
-        prev, sphere = sphere, nxt
-        sizes.append(sum(map(len, nxt)))
-        if sum(sizes) > max_elements:
-            raise BallBoundExceeded(
-                f"ball exceeded {max_elements} elements at radius {r}")
-    return sizes
+    frame = _frame(adj, base)
+    rank = len(next((c for out in frame for _, c in out), ()))
+    m = min(rank, 3) if rank > 1 else 0
+    reach = [{} for _ in frame]  # w: the largest +-c_i, i < m, on v -> w
+    for v, out in enumerate(frame):
+        for w, c in out:
+            c = c[:m] + tuple(-x for x in c[:m])
+            reach[v][w] = tuple(map(max, reach[v].get(w, c), c))
+    box = min(radius, 64) if m else radius
+    while True:
+        far = {base: (0,) * 2 * m}  # v: the same on walks base -> v
+        for _ in range(box if m else 0):  # of at most box arcs
+            for v, ahead in list(far.items()):
+                for w, c in reach[v].items():
+                    c = tuple(map(add, ahead, c))
+                    far[w] = tuple(map(max, far.get(w, c), c))
+        top = [max(x) for x in zip(*far.values())]
+        low = top[m:]
+        strides = [math.prod(hi + lo + 1 for hi, lo in zip(top, low[:i]))
+                   for i in range(m)]
+        steps = [[(w, sum(map(mul, c, strides)), c[m:]) for w, c in out]
+                 for out in frame]
+        prev, sphere = [{} for _ in frame], [{} for _ in frame]
+        sphere[base][(0,) * (rank - m)] = 1 << sum(map(mul, low, strides))
+        sizes, total = [1], 1
+        for r in range(1, min(radius, box) + 1):
+            nxt = [{} for _ in frame]
+            for v, held in enumerate(sphere):
+                for key, bits in held.items():
+                    for w, d, tail in steps[v]:
+                        at = tuple(map(add, key, tail))
+                        nxt[w][at] = nxt[w].get(at, 0) | (
+                            bits << d if d >= 0 else bits >> -d)
+            prev, sphere = sphere, [
+                {key: new for key, bits in held.items() if (new := bits & ~(
+                    prev[w].get(key, 0) | sphere[w].get(key, 0)))}
+                for w, held in enumerate(nxt)]
+            sizes.append(sum(b.bit_count() for held in sphere
+                             for b in held.values()))
+            total += sizes[-1]
+            if total > max_elements:
+                raise BallBoundExceeded(
+                    f"ball exceeded {max_elements} elements at radius {r}")
+        if radius <= box:
+            return sizes
+        box = min(2 * box, radius)
 
 
 def shell_geodesics(adj, start, goal, radius, max_elements=math.inf):

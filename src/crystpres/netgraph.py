@@ -6,11 +6,12 @@ its endpoints' cells.  Covers are explored lazily, so coordination
 sequences, ring searches and sublattice quotients all work directly on
 the finite description.
 
-Cover walks run on packed int nodes (bfs.CoverCode): coordination
-sequences (bfs.shell_sizes) and geodesic counts (bfs.shell_geodesics,
-from both ends) keep two spheres, and the ring-search ball (_ball) is
-numbered in one breadth-first pass.  Nodes are decoded to (v, s) only
-where a result reports them.  from_cayley reads the net of a group off
+Coordination sequences (bfs.shell_sizes, on int bitsets) and geodesic
+counts (bfs.shell_geodesics, from both ends) keep two spheres, and stop
+at the element bound of their group twins.  Geodesic counts and the
+ring-search ball (_ball, numbered in one breadth-first pass) run on
+packed int nodes (bfs.CoverCode), decoded to (v, s) only where a result
+reports them.  from_cayley reads the net of a group off
 bfs._cayley_quotient, the quotient `cseq --input` walks.
 """
 
@@ -21,8 +22,8 @@ from itertools import product
 from math import prod
 
 from .affine import AffineIsometry, finite_closure, hnf_lattice, inverse
-from .bfs import (BallBoundExceeded, CoverCode, FiniteGroup, _cayley_quotient,
-                  shell_geodesics, shell_sizes)
+from .bfs import (DEFAULT_MAX_ELEMENTS, BallBoundExceeded, CoverCode,
+                  FiniteGroup, _cayley_quotient, shell_geodesics, shell_sizes)
 from .intmat import (
     frac_rows,
     identity_matrix,
@@ -271,8 +272,10 @@ def _start(g, base):
 
 
 def net_coordination_sequence(g, base, radius):
-    """Sphere sizes around a base vertex in the periodic cover."""
-    return shell_sizes(g.adj, _start(g, base)[0], radius)
+    """Sphere sizes around a base vertex in the periodic cover; past
+    DEFAULT_MAX_ELEMENTS ball nodes, BallBoundExceeded."""
+    return shell_sizes(g.adj, _start(g, base)[0], radius,
+                       DEFAULT_MAX_ELEMENTS)
 
 
 def topological_density(g, base=0, radius=10):
@@ -282,10 +285,12 @@ def topological_density(g, base=0, radius=10):
 def net_geodesics(g, vector, base=0, cap=200):
     """(length, count) of shortest cover paths from a vertex to its
     translate by a lattice vector (conventional coordinates when the
-    graph has a cell matrix), by bfs.shell_geodesics on g.adj."""
+    graph has a cell matrix), by bfs.shell_geodesics on g.adj, which
+    holds at most DEFAULT_MAX_ELEMENTS nodes (BallBoundExceeded)."""
     found = shell_geodesics(
         g.adj, _start(g, base),
-        (base, g.conventional_to_primitive(vector)), cap)
+        (base, g.conventional_to_primitive(vector)), cap,
+        DEFAULT_MAX_ELEMENTS)
     if found is None:
         raise GraphError(
             f"target {_vector_text(vector)} not reached within {cap} spheres")

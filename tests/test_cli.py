@@ -316,6 +316,19 @@ def test_ring_candidate_bound_exits_4(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, radius", [
+    (["cseq", "--net", "pcu"], 114),
+    # the rank-2 tube pcu / <(4,0,0)>: four vertices, a quarter of pcu's
+    # nodes per layer
+    (["quotient", "--net", "pcu", "--target", "4,0,0"], 501),
+], ids=["cseq", "quotient"])
+def test_net_walk_bound_exits_4(capsys, argv, radius):
+    # net walks stop at the element bound of their --input twins
+    code, report, err = run(capsys, *argv, "--radius", "1000")
+    assert (code, report) == (4, None)
+    assert err == f"error: ball exceeded 2000000 elements at radius {radius}\n"
+
+
 def test_quotient_base_checked_on_quotient(capsys):
     # sql has one vertex; its (4,12) tube has four
     code, report, _ = run(capsys, "quotient", "--net", "sql",

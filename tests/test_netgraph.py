@@ -1,6 +1,8 @@
 """Periodic nets: catalog, coordination, rings, quotients."""
 
+import functools
 import itertools
+import math
 import os
 import random
 import tracemalloc
@@ -11,7 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crystpres import bfs
-from crystpres.bfs import BallBoundExceeded, FiniteGroup, _expand
+from crystpres.bfs import (DEFAULT_MAX_ELEMENTS, BallBoundExceeded,
+                           FiniteGroup, _expand, coordination_sequence,
+                           shell_sizes)
 from crystpres.netgraph import (
     HORTON_BIT_BUDGET,
     GraphError,
@@ -35,7 +39,7 @@ from crystpres.netgraph import (
 )
 from crystpres.netgraph import _ball, _base_cycles, _horton_cycles, _start
 from crystpres.affine import AffineIsometry
-from crystpres.pipeline import build_extension_data
+from crystpres.pipeline import build_extension_data, ndia_generators
 from crystpres.symop import parse_symop
 
 from conftest import CORPUS, RING_GOLDENS, cover_bfs, load_document
@@ -183,6 +187,148 @@ def test_ring_ball_matches_tuple_bfs(case, radius):
     for node, nbrs in zip(decoded, adj):
         assert [decoded[j] for j, _ in nbrs] == [
             nb for nb in g.cover_neighbors(node) if nb in dist]
+
+
+def _set_shell_sizes(adj, base, radius, max_elements=math.inf):
+    """Oracle: the walk on sets of CoverCode nodes that the bitset walk
+    replaced, copied verbatim apart from its name."""
+    steps = CoverCode(adj, radius).steps
+    prev, sphere, sizes = [set() for _ in adj], [set() for _ in adj], [1]
+    sphere[base].add(base)
+    for r in range(1, radius + 1):
+        nxt = [set() for _ in adj]
+        for v, nodes in enumerate(sphere):
+            for w, d in steps[v]:
+                nxt[w].update(map(d.__add__, nodes))
+        for w, nodes in enumerate(nxt):
+            nodes.difference_update(sphere[w], prev[w])
+        prev, sphere = sphere, nxt
+        sizes.append(sum(map(len, nxt)))
+        if sum(sizes) > max_elements:
+            raise BallBoundExceeded(
+                f"ball exceeded {max_elements} elements at radius {r}")
+    return sizes
+
+
+@st.composite
+def _labeled_quotients(draw, max_rank=6, max_radius=12):
+    """(adj, base, radius): rank 0 to max_rank, 1-6 vertices, shifts in
+    [-3, 3], every arc with its reverse.  Loops, parallel and zero-shift
+    arcs, several cover components and sublattices of any index occur;
+    vertex 0 has an arc, where the oracle's CoverCode reads the rank."""
+    rank = draw(st.integers(0, max_rank))
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(
+        vertex, vertex, st.tuples(*[st.integers(-3, 3)] * rank)),
+        min_size=1, max_size=8))
+    adj = [[] for _ in range(n)]
+    for u, v, s in [(0, *edges[0][1:])] + edges[1:]:
+        adj[u].append((v, s))
+        adj[v].append((u, tuple(-x for x in s)))
+    return adj, draw(vertex), draw(st.integers(0, max_radius))
+
+
+def _sizes_or_error(walk, *args):
+    try:
+        return walk(*args)
+    except BallBoundExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labeled_quotients(), st.integers(1, 3000))
+def test_shell_sizes_match_the_set_walk(case, max_elements):
+    """Equal sizes, or equal error lines, under a small bound."""
+    adj, base, radius = case
+    assert (_sizes_or_error(shell_sizes, adj, base, radius, max_elements)
+            == _sizes_or_error(_set_shell_sizes, adj, base, radius,
+                               max_elements))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_labeled_quotients(max_rank=2, max_radius=150))
+def test_shell_sizes_match_the_set_walk_past_the_first_box(case):
+    """Radii past 64 grow the box and walk again from radius 0."""
+    adj, base, radius = case
+    assert (_sizes_or_error(shell_sizes, adj, base, radius, 20000)
+            == _sizes_or_error(_set_shell_sizes, adj, base, radius, 20000))
+
+
+@functools.lru_cache(maxsize=None)
+def _set_net_sizes(name):
+    return _set_shell_sizes(catalog_load(name).adj, 0, 40)
+
+
+@st.composite
+def _unimodular(draw, d):
+    """A signed permutation matrix times up to 2d shears I + c e_ij."""
+    m = [[0] * d for _ in range(d)]
+    for i, j in enumerate(draw(st.permutations(range(d)))):
+        m[i][j] = draw(st.sampled_from((1, -1)))
+    for _ in range(draw(st.integers(0, 2 * d))):
+        i, j = draw(st.permutations(range(d)))[:2]
+        c = draw(st.sampled_from((1, -1)))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BUNDLED), st.data())
+def test_shell_sizes_of_relabeled_bundled_nets(name, data):
+    """Radius 40 under a new lattice basis, a vertex permutation and
+    shifted labels gives the set walk's sizes on the net as bundled."""
+    g = catalog_load(name)
+    perm = data.draw(st.permutations(range(g.n)))
+    offsets = data.draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * g.rank), min_size=g.n,
+        max_size=g.n))
+    h = _relabel(g, perm, offsets, data.draw(_unimodular(g.rank)))
+    assert shell_sizes(h.adj, perm[0], 40) == _set_net_sizes(name)
+
+
+def test_net_walks_stop_at_the_element_bound(monkeypatch):
+    monkeypatch.setattr("crystpres.netgraph.DEFAULT_MAX_ELEMENTS", 100)
+    pcu = catalog_load("pcu")
+    with pytest.raises(BallBoundExceeded,
+                       match="^ball exceeded 100 elements at radius 4$"):
+        net_coordination_sequence(pcu, 0, 10)
+    with pytest.raises(BallBoundExceeded,
+                       match="^ball exceeded 100 elements at radius 6$"):
+        net_geodesics(pcu, (10, 10, 0))
+
+
+# one limit for every walk below; the pcu walk peaks at about 12 MiB,
+# a few bitsets of 257 x 257 x 257 bits (the box of 128 arcs)
+SHELL_WALK_PEAK = 24 << 20
+
+
+def test_pcu_walk_to_the_element_bound_stays_small():
+    """Radius 1000 stops at radius 114 (|B_114| = 2,001,689), having
+    walked boxes sized for 64 and 128 arcs only."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallBoundExceeded) as exc:
+            shell_sizes(catalog_load("pcu").adj, 0, 1000,
+                        DEFAULT_MAX_ELEMENTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "ball exceeded 2000000 elements at radius 114"
+    assert peak < SHELL_WALK_PEAK
+
+
+def test_rank_six_walk_stays_small():
+    """ndia_6 at radius 8: bitsets over three coordinates, the other
+    three as keys."""
+    tracemalloc.start()
+    try:
+        sizes = coordination_sequence(ndia_generators(6).generators, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [1, 7, 42, 147, 462, 1127, 2562, 5047, 9492]
+    assert peak < SHELL_WALK_PEAK
 
 
 def test_topological_density():
