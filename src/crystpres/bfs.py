@@ -5,7 +5,10 @@ generator in the word sense: appending letter x to a word moves from g
 to image(x) * g (letters act in reading order, see words.evaluate).
 Provides distance balls, coordination sequences, geodesic counting and
 the harvest of shortest translation words that feeds the presentation
-pipeline.
+pipeline.  The pipeline (present, verify) stops that harvest at the
+first sphere whose words span T; only the public
+shortest_translation_words walks DEFAULT_STABLE_SPHERES more, for its
+`words`.
 
 Every walk runs on the integer element codes of affine.WalkKernel (an
 interned linear part plus N times the translation, N also covering any
@@ -377,13 +380,22 @@ def shortest_translation_words(generators):
     `words`, sorted by word within the sphere.  One span, the integer
     HNF of N L (N the kernel's scale, L spanned so far), takes in each
     vector until it equals T; a word that grows it is a lattice word.
-    The walk stops DEFAULT_STABLE_SPHERES spheres later, so those only
-    add to `words`.  T is spanned by radius 2|P| - 1, P the point group:
-    a coset representative u_p of the closure has a word shorter than
-    |P|, so each Schreier generator u_p s u_ps^-1 of T is at most that
-    long, and the radius limit 2|P| - 1 + DEFAULT_STABLE_SPHERES never
-    cuts the walk short.  Raises FiniteGroup when T = 0.
+    The lattice words and the closure are final at the first sphere
+    that spans T, where the presentation pipeline's harvest stops
+    (_harvest with no extra spheres); this walk goes on for
+    DEFAULT_STABLE_SPHERES more, which only add to `words`.  T is
+    spanned by radius 2|P| - 1, P the point group: a coset
+    representative u_p of the closure has a word shorter than |P|, so
+    each Schreier generator u_p s u_ps^-1 of T is at most that long,
+    and the radius limit 2|P| - 1 + DEFAULT_STABLE_SPHERES never cuts
+    the walk short.  Raises FiniteGroup when T = 0.
     """
+    return _harvest(generators, DEFAULT_STABLE_SPHERES)
+
+
+def _harvest(generators, extra):
+    """shortest_translation_words, walking `extra` spheres past the
+    first sphere that spans T."""
     kernel, _, elements, lattice = closure = _group(generators, math.inf)
     if not lattice.rank:
         raise FiniteGroup(len(elements))
@@ -392,11 +404,10 @@ def shortest_translation_words(generators):
     ident_linear = kernel.identity[0]
     entries = {kernel.identity: (0, 0)}
     words, lattice_words, span = [], [], ()
-    # the last sphere: DEFAULT_STABLE_SPHERES after the first to span T
-    stop = 1 + DEFAULT_STABLE_SPHERES
+    # the last sphere: `extra` after the first to span T
+    stop = 1 + extra
     spheres = _expand(kernel.neighbours, entries,
-                      2 * len(elements) - 1 + DEFAULT_STABLE_SPHERES,
-                      DEFAULT_MAX_ELEMENTS)
+                      2 * len(elements) - 1 + extra, DEFAULT_MAX_ELEMENTS)
     # distinct elements with the identity linear part are distinct
     # translations, so each found here is new
     for radius_used, sphere in enumerate(spheres, 1):
@@ -409,7 +420,7 @@ def shortest_translation_words(generators):
                     lattice_words.append(words[-1])
                     span = grown
         if span != target:
-            stop = radius_used + 1 + DEFAULT_STABLE_SPHERES
+            stop = radius_used + 1 + extra
         elif radius_used == stop:
             break
 

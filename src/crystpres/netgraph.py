@@ -512,8 +512,9 @@ def _ball(g, base, radius):
     a boundary node links only to numbered ones (by then the whole ball)
     and an edge is numbered at its lower end.  The code is sized for
     radius + 1 for the boundary's outside neighbours.  Past
-    HORTON_BIT_BUDGET >> 10 edges, some 2,000-4,000 bits each to hold,
-    it raises BallBoundExceeded."""
+    HORTON_BIT_BUDGET >> 10 nodes and edges together, some 1,000-2,000
+    bits each to hold whatever the ball's shape, it raises
+    BallBoundExceeded."""
     cover = CoverCode(g.adj, radius + 1)
     nodes = [cover.encode(*_start(g, base))]
     index, dist, adj, n_edges = {nodes[0]: 0}, [0], [], 0
@@ -536,10 +537,10 @@ def _ball(g, base, radius):
                         nbrs.append((j, e))
                         break
         adj.append(nbrs)
-        if n_edges > HORTON_BIT_BUDGET >> 10:
+        if len(nodes) + n_edges > HORTON_BIT_BUDGET >> 10:
             raise BallBoundExceeded(
-                f"ring ball exceeded {HORTON_BIT_BUDGET >> 10} edges at"
-                f" radius {dist[-1]}")
+                f"ring ball exceeded {HORTON_BIT_BUDGET >> 10} nodes and"
+                f" edges at radius {dist[-1]}")
     return cover, nodes, dist, adj
 
 

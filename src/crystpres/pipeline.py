@@ -10,7 +10,7 @@ result against finite quotients.
 from fractions import Fraction
 
 from .affine import AffineIsometry
-from .bfs import _kernel, shortest_translation_words
+from .bfs import _harvest, _kernel
 from .cosets import (
     DEFAULT_MAX_COSETS,
     SchreierRank,
@@ -26,7 +26,6 @@ from .words import (
     cyclic_reduce,
     format_word,
     invert_word,
-    relator_class_key,
     tietze_simplify,
     word_sort_key,
 )
@@ -90,10 +89,12 @@ def build_extension_data(generators):
     """Find the translation lattice and present the point group.
 
     The point group acts on its elements by left multiplication with
-    the letters in the kernel's walk order 1, -1, 2, -2, ...
+    the letters in the kernel's walk order 1, -1, 2, -2, ...  The
+    harvest stops at the first sphere whose words span T, where the
+    lattice words and the closure are final.
     """
     generators = list(generators)
-    harvest = shortest_translation_words(generators)
+    harvest = _harvest(generators, 0)
     kernel, reduce, elements, _ = harvest.closure
     index = {e: i for i, e in enumerate(elements)}
     tables = {x: [index[reduce(move(e))[0]] for e in elements]
@@ -295,11 +296,12 @@ def present(generators, simplify=True, prune=True,
             )
 
     pres = Presentation(E.names, [r for r, _ in tagged])
-    # Presentation dedups by cyclic class; rebuild the tag list to match
+    # Presentation keeps the reduced form of the first relator of each
+    # class, which is the first relator with that reduced form
     tag_of = {}
     for r, t in tagged:
-        tag_of.setdefault(relator_class_key(cyclic_reduce(r)), t)
-    tags = [tag_of[relator_class_key(r)] for r in pres.relators]
+        tag_of.setdefault(cyclic_reduce(r), t)
+    tags = [tag_of[r] for r in pres.relators]
 
     steps = 0
     if simplify:

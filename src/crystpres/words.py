@@ -97,8 +97,10 @@ class Presentation:
         self._canonicalise(relators, {})
 
     def _canonicalise(self, relators, keys):
-        """Keep the first relator of each class, sorted; `keys` maps
-        relators already cyclically reduced to their class keys."""
+        """Keep the first relator of each class, sorted.  `keys` maps
+        cyclically reduced words to their class keys; it takes in each
+        key computed here and is shared with every with_relators
+        presentation, so no class is keyed twice."""
         first = {}
         for r in relators:
             key = keys.get(r)
@@ -106,9 +108,9 @@ class Presentation:
                 r = cyclic_reduce(r)
                 if not r:
                     continue
-                key = relator_class_key(r)
+                key = keys[r] = relator_class_key(r)
             first.setdefault(key, r)
-        self._keys = {r: key for key, r in first.items()}
+        self._keys = keys
         self.relators = sorted(first.values(), key=word_sort_key)
 
     def __repr__(self):
@@ -124,8 +126,9 @@ class Presentation:
         )
 
     def with_relators(self, relators):
-        """Presentation(generator_names, relators); the relators of this
-        presentation among them are not canonicalised again."""
+        """Presentation(generator_names, relators); relators keyed by
+        this presentation or one it shares keys with are not
+        canonicalised again."""
         p = Presentation(self.generator_names, ())
         p._canonicalise(relators, self._keys)
         return p
@@ -232,7 +235,9 @@ def tietze_simplify(p, budget=10000, tags=None):
         ti, new_r = hit
         pairs[ti] = (new_r, pairs[ti][1])
         steps += 1
-    result = Presentation(p.generator_names, [r for r, _ in pairs])
+    relators = [r for r, _ in pairs]
+    p._keys.update(zip(relators, relators))  # each is its own class key
+    result = p.with_relators(relators)
     out_tags = None if tags is None else [t for _, t in pairs]
     return TietzeResult(result, steps, steps >= budget, out_tags)
 

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crystpres import pipeline
 from crystpres.affine import AffineIsometry, hnf_lattice
 from crystpres.bfs import (
+    DEFAULT_STABLE_SPHERES,
     BadGenerators,
     BallBoundExceeded,
     LatticeNotFound,
@@ -20,10 +22,11 @@ from crystpres.bfs import (
     geodesics,
     lattice_geodesic_count,
     odd_cycle_girth,
+    _harvest,
     shortest_translation_words,
 )
 from crystpres.netgraph import catalog_load, net_geodesics
-from crystpres.symop import parse_symop
+from crystpres.symop import parse_generating_set, parse_symop
 from crystpres.words import evaluate
 
 from conftest import CORPUS, load_document
@@ -147,6 +150,53 @@ def test_integer_harvest_matches_fraction_reference(gens):
         return
     assert (h.lattice, h.lattice_words) == _fraction_harvest_reference(h)
     assert max(len(w) for w, _ in h.lattice_words) <= 2 * len(h.closure[2]) - 1
+
+
+def _pipeline_harvest(gens):
+    """(the harvest build_extension_data used, shortest_translation_words),
+    after checking that the first ends at the sphere that spans T (its
+    last lattice word's) and that the extension data holds the closure
+    and lattice words of the second."""
+    spied = []
+
+    def spy(generators, extra):
+        spied.append(_harvest(generators, extra))
+        return spied[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_harvest", spy)
+        E = pipeline.build_extension_data(gens)
+    full = shortest_translation_words(gens)
+    (h,) = spied
+    assert h.radius_used == len(h.lattice_words[-1][0])
+    assert h.words == full.words[:len(h.words)]
+    assert ((E.lattice, E.lattice_words, E.elements)
+            == (full.lattice, full.lattice_words, full.closure[2]))
+    return h, full
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+@pytest.mark.parametrize("path", sorted(
+    f"{d}/{f}" for d in ("corpus", "tests/data")
+    for f in os.listdir(os.path.join(ROOT, d)) if f.endswith(".json")))
+def test_pipeline_harvest_stops_at_the_spanning_sphere(path):
+    with open(os.path.join(ROOT, path)) as fh:
+        h, full = _pipeline_harvest(parse_generating_set(fh.read()).generators)
+    assert full.radius_used == h.radius_used + DEFAULT_STABLE_SPHERES
+    if path == "corpus/elv.json":
+        # criterion 3's 6-letter word lies past the spanning sphere
+        assert (h.radius_used, full.radius_used) == (4, 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=_generating_sets())
+def test_pipeline_harvest_matches_the_public_harvest(gens):
+    try:
+        _pipeline_harvest(gens)
+    except LatticeNotFound:  # finite groups among them
+        pass
 
 
 def test_harvest_trivial_group():

@@ -284,7 +284,7 @@ def test_ring_basis_bound_exits_before_the_candidate_walk(capsys,
 
     monkeypatch.setattr("crystpres.netgraph._base_cycles", no_walk)
     for cap, cycles, edges in ((12, 38718, 6936), (None, 24435, 11004),
-                               (40, 1440, 256080)):
+                               (36, 2282, 186696)):
         argv = ["--max", str(cap)] if cap else []
         code, report, err = run(capsys, "rings", "--net", "pcu", *argv)
         assert code == 4
@@ -301,7 +301,8 @@ def test_ring_ball_bound_exits_4(capsys):
                             "--max", "1000000000")
     assert code == 4
     assert report is None
-    assert err == "error: ring ball exceeded 262144 edges at radius 131073\n"
+    assert err == ("error: ring ball exceeded 262144 nodes and edges at"
+                   " radius 65536\n")
 
 
 def test_ring_candidate_bound_exits_4(capsys, monkeypatch):

@@ -736,19 +736,41 @@ def test_ring_basis_bit_budget():
     assert peak < HORTON_BIT_BUDGET // 8 * 2
 
 
-def test_ring_ball_bound():
-    """The ball raises BallBoundExceeded past HORTON_BIT_BUDGET >> 10
-    edges, before any cycle is sought: pcu's radius-200 ball would hold
-    some 3 * 10**7 edges and take gigabytes."""
+# the peak allocation of a ring ball stopped at its bound, whatever its
+# shape: pcu's takes about 43 MiB, the rank-1 line's about 53 MiB
+RING_BALL_PEAK = 64 << 20
+
+
+def _ring_ball_peak(g, radius):
+    """(error text, tracemalloc peak) of strong_rings stopped at its
+    ball bound."""
     tracemalloc.start()
     try:
         with pytest.raises(BallBoundExceeded) as exc:
-            strong_rings(catalog_load("pcu"), 0, 200)
+            strong_rings(g, 0, radius)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(exc.value) == "ring ball exceeded 262144 edges at radius 41"
-    assert peak < 100 << 20
+    return str(exc.value), peak
+
+
+def test_ring_ball_bound():
+    """The ball raises BallBoundExceeded past HORTON_BIT_BUDGET >> 10
+    nodes and edges, before any cycle is sought: pcu's radius-200 ball
+    would hold some 3 * 10**7 edges and take gigabytes."""
+    err, peak = _ring_ball_peak(catalog_load("pcu"), 200)
+    assert err == "ring ball exceeded 262144 nodes and edges at radius 37"
+    assert peak < RING_BALL_PEAK
+
+
+def test_ring_ball_bound_on_a_line():
+    """The rank-1 line has one node per edge, twice pcu's share, so a
+    bound on edges alone let its ball take some 105 MiB against pcu's
+    60 MiB; counting nodes too holds both under one limit."""
+    g = from_cayley(load_document("z1_trivial.json").generators)
+    err, peak = _ring_ball_peak(g, 10 ** 9)
+    assert err == "ring ball exceeded 262144 nodes and edges at radius 65536"
+    assert peak < RING_BALL_PEAK
 
 
 @pytest.mark.parametrize("name", BUNDLED)
