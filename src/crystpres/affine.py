@@ -112,11 +112,8 @@ class AffineIsometry:
 
     def apply(self, point):
         point = tuple(Fraction(x) for x in point)
-        return tuple(
-            sum(self.linear[i][j] * point[j] for j in range(self.dimension))
-            + self.translation[i]
-            for i in range(self.dimension)
-        )
+        return tuple(a + b for a, b in zip(mat_vec(self.linear, point),
+                                           self.translation))
 
     def is_identity(self):
         return (

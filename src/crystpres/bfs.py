@@ -17,9 +17,10 @@ AffineIsometry only at the API boundary.
 
 Sizes, lengths and path counts walk the periodic cover of a labelled
 quotient graph two spheres at a time: shell_sizes from one node, as int
-bitsets in a reduced frame of the cover (_frame), and shell_geodesics
-from both ends of a route, on packed int nodes (CoverCode) that carry
-path counts.
+bitsets in a reduced frame of the cover (_frame, on the spanning tree
+of _tree that netgraph validates nets on), and shell_geodesics from
+both ends of a route, on packed int nodes (CoverCode) that carry path
+counts.
 For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover.
 Walks that need words or discovery order (balls, the harvest, geodesic
@@ -178,13 +179,12 @@ class CoverCode:
         return v, tuple(shift)
 
 
-def _frame(adj, base):
-    """The cover component of node (base, 0), relabelled: arcs[v] lists
-    (w, c), c the integer coordinates of the arc's shift s + t_v - t_w
-    in a basis B of the lattice L these span, t_v the shift of a
-    breadth-first tree path from base to v.  Node (v, t_v + c B) becomes
-    (v, c), so spheres keep their sizes.  B is the shortest shifts that
-    raise the rank if they generate L, else their HNF."""
+def _tree(adj, base):
+    """(t, arcs) of a breadth-first spanning tree from base: t[v] is the
+    shift of the tree path to v, None off base's component, and arcs[v]
+    lists (w, s + t_v - t_w) per arc (w, s) of adj[v] (none off it).
+    These shifts span the lattice L of the cover component of (base, 0);
+    the cover over base's component is connected iff L = Z^rank."""
     t = [None] * len(adj)
     t[base] = (0,) * len(next((s for arcs in adj for _, s in arcs), ()))
     order = [base]
@@ -195,6 +195,16 @@ def _frame(adj, base):
                 order.append(w)
     arcs = [[(w, tuple(map(sub, map(add, s, t[v]), t[w]))) for w, s in out]
             if t[v] is not None else [] for v, out in enumerate(adj)]
+    return t, arcs
+
+
+def _frame(adj, base):
+    """The cover component of node (base, 0), relabelled: arcs[v] lists
+    (w, c), c the integer coordinates in a basis B of L of the shift
+    s + t_v - t_w that _tree gives the arc.  Node (v, t_v + c B) becomes
+    (v, c), so spheres keep their sizes.  B is the shortest shifts that
+    raise the rank if they generate L, else their HNF."""
+    arcs = _tree(adj, base)[1]
     shifts = sorted({s for out in arcs for _, s in out},
                     key=lambda s: (sum(x * x for x in s), s))
     span, basis = hnf(shifts), ()

@@ -21,13 +21,7 @@ refuted set at the table's m could only overflow or fail.
 """
 
 from .bfs import _expand, _word
-from .words import (
-    Presentation,
-    cyclic_reduce,
-    invert_word,
-    relator_class_key,
-    word_sort_key,
-)
+from .words import Presentation, cyclic_reduce, invert_word
 
 DEFAULT_MAX_COSETS = 10**6
 
@@ -339,10 +333,13 @@ def short_presentation_finite(tables, names):
     `tables` gives the action of each letter 1, -1, 2, -2, ... (in that
     order) on the elements 0 .. n-1, element 0 the identity:
     tables[x][e] is the element a word for e reaches with x appended.
-    Candidate relators are spanning-tree cycle words of the Cayley graph
-    (one per non-tree edge), adopted in (length, lex) order; a candidate
-    is skipped only once bounded enumeration certifies the adopted set
-    already presents the group.
+    Candidate relators are the spanning-tree cycle words of the Cayley
+    graph (one per non-tree edge), cyclically reduced into one
+    Presentation, which keeps the first word of each class in
+    word_sort_key order.  They are adopted in that order until bounded
+    enumeration certifies the adopted set already presents the group;
+    each trial and the result are with_relators of that Presentation,
+    so no cycle word is keyed twice.
     """
     order = len(tables[1])
     max_cosets = max(4 * order, 16)
@@ -359,27 +356,17 @@ def short_presentation_finite(tables, names):
         raise ModelNotClosed("the generators do not generate the group")
     tree_word = {e: _word(move, entries, e) for e in entries}
 
-    seen = set()
-    candidates = []
-    for e in entries:
-        for x, table in tables.items():
-            f = table[e]
-            w = cyclic_reduce(tree_word[e] + (x,) + invert_word(tree_word[f]))
-            if not w:
-                continue
-            key = relator_class_key(w)
-            if key not in seen:
-                seen.add(key)
-                candidates.append(w)
-    candidates.sort(key=word_sort_key)
+    cycles = Presentation(names, [
+        cyclic_reduce(tree_word[e] + (x,) + invert_word(tree_word[table[e]]))
+        for e in entries for x, table in tables.items()])
 
     adopted = []
-    for cand in candidates:
-        n = coset_enumerate(Presentation(names, adopted), (), max_cosets)
+    for cand in cycles.relators:
+        n = coset_enumerate(cycles.with_relators(adopted), (), max_cosets)
         if n == order:
             break
         adopted.append(cand)
-    result = Presentation(names, adopted)
+    result = cycles.with_relators(adopted)
     final = coset_enumerate(result, (), max(max_cosets, 16 * order))
     if final != order:
         raise ModelNotClosed(

@@ -13,6 +13,12 @@ ring-search ball (_ball, numbered in one breadth-first pass) run on
 packed int nodes (bfs.CoverCode), decoded to (v, s) only where a result
 reports them.  from_cayley reads the net of a group off
 bfs._cayley_quotient, the quotient `cseq --input` walks.
+
+A net is validated on the spanning tree of bfs._tree, which also frames
+shell_sizes: the quotient must be connected and the tree's cycle shifts
+must span Z^rank (their integer HNF is the identity), or the cover
+falls apart.  extend_lattice and regular_action_check place a point in
+its vertex class by the fractional part of its coordinates.
 """
 
 import os
@@ -20,12 +26,15 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import sub
 
 from .affine import AffineIsometry, finite_closure, hnf_lattice, inverse
 from .bfs import (DEFAULT_MAX_ELEMENTS, BallBoundExceeded, CoverCode,
-                  FiniteGroup, _cayley_quotient, shell_geodesics, shell_sizes)
+                  FiniteGroup, _cayley_quotient, _tree, shell_geodesics,
+                  shell_sizes)
 from .intmat import (
     frac_rows,
+    hnf,
     identity_matrix,
     mat_inverse_frac,
     mat_vec,
@@ -118,32 +127,15 @@ class LabeledQuotientGraph:
         self._validate_connected()
 
     def _validate_connected(self):
-        # quotient connectivity plus full-rank unimodular cycle shifts
-        place = {0: (0,) * self.rank}
-        stack = [0]
-        cycle_vectors = []
-        while stack:
-            u = stack.pop()
-            for v, s in self.adj[u]:
-                pos = tuple(a + b for a, b in zip(place[u], s))
-                if v in place:
-                    vec = tuple(a - b for a, b in zip(pos, place[v]))
-                    if any(vec):
-                        cycle_vectors.append(vec)
-                else:
-                    place[v] = pos
-                    stack.append(v)
-        if len(place) != self.n:
+        # the cover is connected iff the quotient is and the cycle
+        # shifts of bfs._tree span Z^rank
+        t, arcs = _tree(self.adj, 0)
+        if None in t:
             raise GraphError("quotient graph is disconnected")
-        if not cycle_vectors:
+        span = hnf([s for out in arcs for _, s in out if any(s)])
+        if len(span) != self.rank:
             raise GraphError("cycle shifts do not span the lattice")
-        lat = hnf_lattice(cycle_vectors, dimension=self.rank)
-        if lat.rank != self.rank:
-            raise GraphError("cycle shifts do not span the lattice")
-        det = 1
-        for i, row in enumerate(lat.basis):
-            det *= row[i]
-        if det != 1:
+        if span != identity_matrix(self.rank):
             raise GraphError(
                 "cycle shifts span a proper sublattice; periodic cover"
                 " is disconnected"
@@ -339,9 +331,11 @@ def extend_lattice(g, new_vectors):
     The vectors are rational combinations (in current primitive-basis
     coordinates) that are genuine translations of the underlying net,
     e.g. a centering vector the constructing group did not contain.
-    Vertex coordinates are required to identify merged vertices.  The
-    resulting cell matrix maps the new basis back to the old
-    (conventional) coordinates.
+    Vertex coordinates are required to identify merged vertices: two
+    vertices merge iff their new-basis coordinates have the same
+    fractional part, the rule of regular_action_check's vertex_at, and
+    the first of each class stands for it.  The resulting cell matrix
+    maps the new basis back to the old (conventional) coordinates.
     """
     if g.coords is None:
         raise GraphError("lattice extension needs vertex coordinates")
@@ -354,32 +348,27 @@ def extend_lattice(g, new_vectors):
         raise GraphError("extension vectors must keep full rank")
     binv = mat_inverse_frac(new_lat.basis)
 
-    def to_new(vec):
-        return vec_mat(vec, binv)
-
     def is_int(vec):
         return all(Fraction(x).denominator == 1 for x in vec)
 
-    reps = []          # old vertex index of each new-class representative
-    cls = {}           # old vertex -> (new index, integer offset in new basis)
+    reps, coords = [], []  # old vertex and new coordinates of each class
+    cls = []     # old vertex -> (new index, integer offset in new basis)
+    index = {}   # fractional part of new coordinates -> new index
     for i, c in enumerate(g.coords):
-        for k, r in enumerate(reps):
-            delta = to_new(tuple(a - b for a, b in zip(c, g.coords[r])))
-            if is_int(delta):
-                cls[i] = (k, tuple(int(Fraction(x)) for x in delta))
-                break
-        else:
-            cls[i] = (len(reps), (0,) * rank)
+        x = vec_mat(c, binv)
+        k = index.setdefault(tuple(a % 1 for a in x), len(reps))
+        if k == len(reps):
             reps.append(i)
+            coords.append(x)
+        cls.append((k, tuple(map(sub, x, coords[k]))))
 
     edges = set()
     for u, v, s in g.edges:
         ku, ou = cls[u]
         kv, ov = cls[v]
-        s_new = to_new(s)
+        s_new = vec_mat(s, binv)
         if not is_int(s_new):
             raise GraphError("edge shift not integral in the new basis")
-        s_new = tuple(int(Fraction(x)) for x in s_new)
         shift = tuple(a + b - c for a, b, c in zip(ov, s_new, ou))
         key = _canonical_edge(ku, kv, shift)
         if key[0] == key[1] and all(x == 0 for x in key[2]):
@@ -388,16 +377,8 @@ def extend_lattice(g, new_vectors):
         # translation group; the canonical triple already identifies them
         edges.add(key)
 
-    coords = [to_new(g.coords[r]) for r in reps]
     old_cell = g.cell if g.cell is not None else identity_matrix(rank)
-    cell = tuple(
-        tuple(
-            sum(Fraction(new_lat.basis[i][k]) * Fraction(old_cell[k][j])
-                for k in range(rank))
-            for j in range(rank)
-        )
-        for i in range(rank)
-    )
+    cell = tuple(vec_mat(row, old_cell) for row in new_lat.basis)
     out = LabeledQuotientGraph(rank, len(reps), sorted(edges), cell=cell,
                                coords=coords, name=g.name)
     for k, r in enumerate(reps):

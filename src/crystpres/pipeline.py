@@ -27,7 +27,6 @@ from .words import (
     format_word,
     invert_word,
     tietze_simplify,
-    word_sort_key,
 )
 
 
@@ -331,22 +330,16 @@ def present(generators, simplify=True, prune=True,
         powers = quotient_relators(E, m0)
         table = quotient_table(pres, powers, prune_cap)
         refuter = table.index() == expected[m0] and SchreierRank(table, powers)
-        # longest first, deterministic; keep a relator unless the
-        # quotient checks still pass without it
-        order_idx = sorted(
-            range(len(pres.relators)),
-            key=lambda i: word_sort_key(pres.relators[i]),
-            reverse=True,
-        )
+        # longest first (the relators are in word_sort_key order); keep a
+        # relator unless the quotient checks still pass without it
         keep = list(range(len(pres.relators)))
-        for i in order_idx:
+        for i in reversed(keep):
             if len(keep) <= 1:
                 break
             trial = [j for j in keep if j != i]
             candidate = pres.with_relators([pres.relators[j] for j in trial])
             if trial_passes(candidate):
                 keep = trial
-        keep.sort()
         pres = pres.with_relators([pres.relators[j] for j in keep])
         tags = [tags[j] for j in keep]
         if simplify:

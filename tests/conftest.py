@@ -4,6 +4,8 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -21,15 +23,49 @@ RING_GOLDENS = {
 }
 
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+# the 18 generator documents, as paths from the repository root
+DOCUMENTS = sorted(
+    f"{d}/{f}" for d in ("corpus", "tests/data")
+    for f in os.listdir(os.path.join(ROOT, d)) if f.endswith(".json"))
+
+
 def corpus_path(name):
     return os.path.abspath(os.path.join(CORPUS, name))
 
 
-def load_document(name):
+def load_path(path):
+    """The generating set of a document, by its path from the root."""
     from crystpres.symop import parse_generating_set
 
-    with open(corpus_path(name)) as fh:
+    with open(os.path.join(ROOT, path)) as fh:
         return parse_generating_set(fh.read())
+
+
+def load_document(name):
+    return load_path(os.path.join("corpus", name))
+
+
+@st.composite
+def generating_sets(draw):
+    """1-3 isometries of Z or Z^2: signed permutation linear parts and
+    translations in (1/4)Z^d."""
+    from crystpres.affine import AffineIsometry
+
+    d = draw(st.integers(1, 2))
+    gens = []
+    for k in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(d)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d,
+                              max_size=d))
+        t = draw(st.lists(st.integers(-8, 8), min_size=d, max_size=d))
+        g = AffineIsometry([[signs[i] * (j == perm[i]) for j in range(d)]
+                            for i in range(d)], [Fraction(x, 4) for x in t])
+        if not g.is_identity():
+            gens.append(("abc"[k], g))
+    assume(gens)
+    return gens
 
 
 @pytest.fixture

@@ -6,11 +6,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystpres import pipeline
-from crystpres.affine import AffineIsometry, hnf_lattice
+from crystpres.affine import hnf_lattice
 from crystpres.bfs import (
     DEFAULT_STABLE_SPHERES,
     BadGenerators,
@@ -26,10 +26,11 @@ from crystpres.bfs import (
     shortest_translation_words,
 )
 from crystpres.netgraph import catalog_load, net_geodesics
-from crystpres.symop import parse_generating_set, parse_symop
+from crystpres.symop import parse_symop
 from crystpres.words import evaluate
 
-from conftest import CORPUS, load_document
+from conftest import (CORPUS, DOCUMENTS, generating_sets, load_document,
+                      load_path)
 
 
 def _translations(dim):
@@ -122,27 +123,8 @@ def test_integer_harvest_matches_fraction_reference_on_corpus(name):
     assert max(len(w) for w, _ in h.lattice_words) <= 2 * len(h.closure[2]) - 1
 
 
-@st.composite
-def _generating_sets(draw):
-    """1-3 isometries of Z or Z^2: signed permutation linear parts and
-    translations in (1/4)Z^d."""
-    d = draw(st.integers(1, 2))
-    gens = []
-    for k in range(draw(st.integers(1, 3))):
-        perm = draw(st.permutations(range(d)))
-        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d,
-                              max_size=d))
-        t = draw(st.lists(st.integers(-8, 8), min_size=d, max_size=d))
-        g = AffineIsometry([[signs[i] * (j == perm[i]) for j in range(d)]
-                            for i in range(d)], [Fraction(x, 4) for x in t])
-        if not g.is_identity():
-            gens.append(("abc"[k], g))
-    assume(gens)
-    return gens
-
-
 @settings(max_examples=60, deadline=None)
-@given(gens=_generating_sets())
+@given(gens=generating_sets())
 def test_integer_harvest_matches_fraction_reference(gens):
     try:
         h = shortest_translation_words(gens)
@@ -175,15 +157,9 @@ def _pipeline_harvest(gens):
     return h, full
 
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-
-
-@pytest.mark.parametrize("path", sorted(
-    f"{d}/{f}" for d in ("corpus", "tests/data")
-    for f in os.listdir(os.path.join(ROOT, d)) if f.endswith(".json")))
+@pytest.mark.parametrize("path", DOCUMENTS)
 def test_pipeline_harvest_stops_at_the_spanning_sphere(path):
-    with open(os.path.join(ROOT, path)) as fh:
-        h, full = _pipeline_harvest(parse_generating_set(fh.read()).generators)
+    h, full = _pipeline_harvest(load_path(path).generators)
     assert full.radius_used == h.radius_used + DEFAULT_STABLE_SPHERES
     if path == "corpus/elv.json":
         # criterion 3's 6-letter word lies past the spanning sphere
@@ -191,7 +167,7 @@ def test_pipeline_harvest_stops_at_the_spanning_sphere(path):
 
 
 @settings(max_examples=40, deadline=None)
-@given(gens=_generating_sets())
+@given(gens=generating_sets())
 def test_pipeline_harvest_matches_the_public_harvest(gens):
     try:
         _pipeline_harvest(gens)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crystpres import pipeline, words
+from crystpres.bfs import LatticeNotFound, _expand, _word
 from crystpres.cosets import (
     CosetTable,
     ModelNotClosed,
@@ -14,9 +16,17 @@ from crystpres.cosets import (
     quotient_table,
     short_presentation_finite,
 )
-from crystpres.words import Presentation, cyclic_reduce, parse_word
+from crystpres.words import (
+    Presentation,
+    cyclic_reduce,
+    invert_word,
+    parse_word,
+    relator_class_key,
+    word_sort_key,
+)
 
-from conftest import sympy_order
+from conftest import (DOCUMENTS, generating_sets, load_document, load_path,
+                      sympy_order)
 
 
 def _pres(names, relator_texts):
@@ -389,3 +399,97 @@ def test_short_presentation_symmetric_group():
     assert coset_enumerate(p) == 24
     # relators stay short: a Cannon-style set from tree cycles
     assert max(len(r) for r in p.relators) <= 12
+
+
+def _parent_short_presentation_finite(tables, names):
+    """Oracle: short_presentation_finite with the hand-keyed candidate
+    list that one Presentation of the cycle words replaced, copied
+    verbatim apart from its name."""
+    order = len(tables[1])
+    max_cosets = max(4 * order, 16)
+
+    # BFS over the Cayley graph in the letter order of `tables`
+    move = {x: table.__getitem__ for x, table in tables.items()}
+    entries = {0: (0, 0)}
+    spheres = _expand(lambda e: [(x, table[e]) for x, table in tables.items()],
+                      entries, order)
+    for sphere in spheres:
+        if not sphere:
+            break
+    if len(entries) != order:
+        raise ModelNotClosed("the generators do not generate the group")
+    tree_word = {e: _word(move, entries, e) for e in entries}
+
+    seen = set()
+    candidates = []
+    for e in entries:
+        for x, table in tables.items():
+            f = table[e]
+            w = cyclic_reduce(tree_word[e] + (x,) + invert_word(tree_word[f]))
+            if not w:
+                continue
+            key = relator_class_key(w)
+            if key not in seen:
+                seen.add(key)
+                candidates.append(w)
+    candidates.sort(key=word_sort_key)
+
+    adopted = []
+    for cand in candidates:
+        n = coset_enumerate(Presentation(names, adopted), (), max_cosets)
+        if n == order:
+            break
+        adopted.append(cand)
+    result = Presentation(names, adopted)
+    final = coset_enumerate(result, (), max(max_cosets, 16 * order))
+    if final != order:
+        raise ModelNotClosed(
+            f"short presentation failed verification: got {final}, expected {order}"
+        )
+    return result
+
+
+def _point_group_calls(generators):
+    """The (tables, names) build_extension_data passes to
+    short_presentation_finite, each with its result."""
+    calls = []
+
+    def spy(tables, names):
+        calls.append((tables, names, short_presentation_finite(tables, names)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "short_presentation_finite", spy)
+        pipeline.build_extension_data(generators)
+    return calls
+
+
+@pytest.mark.parametrize("path", DOCUMENTS)
+def test_short_presentation_matches_the_parent_on_documents(path):
+    (tables, names, p), = _point_group_calls(load_path(path).generators)
+    assert p == _parent_short_presentation_finite(tables, names)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=generating_sets())
+def test_short_presentation_matches_the_parent_on_generating_sets(gens):
+    try:
+        (tables, names, p), = _point_group_calls(gens)
+    except LatticeNotFound:  # finite groups among them
+        return
+    assert p == _parent_short_presentation_finite(tables, names)
+
+
+@pytest.mark.parametrize("name", ["elv.json", "pnna_acd.json", "i42d.json"])
+def test_point_presentation_keys_each_cycle_word_once(name, monkeypatch):
+    keyed = []
+    forms = words._forms
+
+    def spy(w):
+        keyed.append(w)
+        return forms(w)
+
+    monkeypatch.setattr(words, "_forms", spy)
+    pipeline.build_extension_data(load_document(name).generators)
+    assert keyed and all(w == cyclic_reduce(w) for w in keyed)
+    assert len(keyed) == len(set(keyed))

@@ -38,7 +38,8 @@ from crystpres.netgraph import (
     topological_density,
 )
 from crystpres.netgraph import _ball, _base_cycles, _horton_cycles, _start
-from crystpres.affine import AffineIsometry
+from crystpres.affine import AffineIsometry, hnf_lattice
+from crystpres.intmat import identity_matrix
 from crystpres.pipeline import build_extension_data, ndia_generators
 from crystpres.symop import parse_symop
 
@@ -74,6 +75,93 @@ def test_graph_validation_errors():
         LabeledQuotientGraph(1, 1, [(0, 2, (0,))])
     with pytest.raises(GraphError):  # disconnected cover: shifts span 2Z
         LabeledQuotientGraph(1, 1, [(0, 0, (2,))])
+
+
+_DISCONNECTED = "quotient graph is disconnected"
+_LOW_RANK = "cycle shifts do not span the lattice"
+_SUBLATTICE = ("cycle shifts span a proper sublattice; periodic cover is"
+               " disconnected")
+
+
+def _validation_outcome(cls, rank, n, edges):
+    try:
+        cls(rank, n, edges)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("rank,n,edges,message", [
+    (1, 2, [(0, 0, (1,))], _DISCONNECTED),
+    (2, 2, [(0, 1, (0, 0)), (0, 1, (1, 0)), (0, 0, (2, 0))], _LOW_RANK),
+    (1, 1, [(0, 0, (2,))], _SUBLATTICE),
+    (1, 1, [], _LOW_RANK),
+])
+def test_validation_error_messages(rank, n, edges, message):
+    assert _validation_outcome(LabeledQuotientGraph, rank, n,
+                               edges) == message
+
+
+class _ParentValidated(LabeledQuotientGraph):
+    """The graph with the depth-first validator that bfs._tree replaced,
+    copied verbatim apart from its class."""
+
+    def _validate_connected(self):
+        # quotient connectivity plus full-rank unimodular cycle shifts
+        place = {0: (0,) * self.rank}
+        stack = [0]
+        cycle_vectors = []
+        while stack:
+            u = stack.pop()
+            for v, s in self.adj[u]:
+                pos = tuple(a + b for a, b in zip(place[u], s))
+                if v in place:
+                    vec = tuple(a - b for a, b in zip(pos, place[v]))
+                    if any(vec):
+                        cycle_vectors.append(vec)
+                else:
+                    place[v] = pos
+                    stack.append(v)
+        if len(place) != self.n:
+            raise GraphError("quotient graph is disconnected")
+        if not cycle_vectors:
+            raise GraphError("cycle shifts do not span the lattice")
+        lat = hnf_lattice(cycle_vectors, dimension=self.rank)
+        if lat.rank != self.rank:
+            raise GraphError("cycle shifts do not span the lattice")
+        det = 1
+        for i, row in enumerate(lat.basis):
+            det *= row[i]
+        if det != 1:
+            raise GraphError(
+                "cycle shifts span a proper sublattice; periodic cover"
+                " is disconnected"
+            )
+
+
+@st.composite
+def _edge_lists(draw):
+    """Arbitrary small labelled quotients, valid or not: rank 1-3, 1-4
+    vertices, up to 6 edges with shifts in [-2, 2]."""
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    shift = st.tuples(*[st.integers(-2, 2)] * rank)
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), shift),
+                          max_size=6))
+    return rank, n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+@example((1, 2, [(0, 0, (1,))]))
+@example((2, 1, [(0, 0, (1, 0))]))
+@example((1, 1, [(0, 0, (2,))]))
+@example((2, 2, [(0, 1, (0, 0)), (0, 1, (1, 2)), (1, 1, (0, 2))]))
+@example((3, 1, [(0, 0, (1, 0, 0)), (0, 0, (0, 1, 0)), (0, 0, (0, 0, 1))]))
+def test_validator_matches_the_depth_first_oracle(case):
+    assert (_validation_outcome(LabeledQuotientGraph, *case)
+            == _validation_outcome(_ParentValidated, *case))
 
 
 def test_coordination_sequences():
@@ -907,6 +995,42 @@ def test_extend_lattice_rejects_non_translation():
     # edge orientation; the degree bookkeeping catches the mismatch
     with pytest.raises(GraphError):
         extend_lattice(g, [(Fraction(1, 2), 0)])
+
+
+def _supercell(g, axis, k):
+    """g over the sublattice with k e_axis in place of e_axis: vertex
+    v * k + m is vertex v moved by m e_axis, and a cell of g.cell with
+    row axis times k (diag(.., k, ..) when g has none)."""
+    def split(x, m):  # cell offset m + x along the axis -> (m', shift)
+        return (m + x) % k, (m + x) // k
+
+    edges = []
+    for u, v, s in g.edges:
+        for m in range(k):
+            mv, q = split(s[axis], m)
+            edges.append((u * k + m, v * k + mv,
+                          s[:axis] + (q,) + s[axis + 1:]))
+    coords = [c[:axis] + ((c[axis] + m) / k,) + c[axis + 1:]
+              for c in g.coords for m in range(k)]
+    cell = g.cell if g.cell is not None else identity_matrix(g.rank)
+    cell = [tuple(k * x for x in row) if i == axis else row
+            for i, row in enumerate(cell)]
+    return LabeledQuotientGraph(g.rank, g.n * k, edges, cell=cell,
+                                coords=coords)
+
+
+@pytest.mark.parametrize("name", ["dia", "gis", "hcb", "pcu", "sql"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("with_cell", [True, False])
+def test_extend_lattice_undoes_a_supercell(name, k, with_cell):
+    g = catalog_load(name)
+    if not with_cell:
+        g = LabeledQuotientGraph(g.rank, g.n, g.edges, coords=g.coords)
+    cell = g.cell if with_cell else identity_matrix(g.rank)
+    for axis in range(g.rank):
+        vector = [Fraction(int(i == axis), k) for i in range(g.rank)]
+        h = extend_lattice(_supercell(g, axis, k), [vector])
+        assert (h.edges, h.coords, h.cell) == (g.edges, g.coords, cell)
 
 
 def test_from_cayley_matches_catalog_invariants():
