@@ -6,7 +6,7 @@ the rows of a basis matrix are the generating vectors.
 Every integer elimination is _hnf's Euclidean row reduction (H. Cohen,
 GTM 138, section 2.4): kernels, row-span solutions, Smith data and, in
 affine.inverse, unimodular inverses.  mat_inverse_frac inverts rational
-lattice bases by Gauss-Jordan elimination.
+lattice bases by fraction-free Gauss-Jordan elimination.
 """
 
 from fractions import Fraction
@@ -30,7 +30,8 @@ def scale_to_int(rows):
     """Return (integer rows, denominator) with rows = int_rows / den."""
     rows = frac_rows(rows)
     den = common_denominator(rows)
-    return tuple(tuple(int(x * den) for x in row) for row in rows), den
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                 for row in rows), den
 
 
 def hnf(rows):
@@ -204,19 +205,22 @@ def identity_matrix(d):
 
 
 def mat_inverse_frac(a):
-    """Exact inverse of a square matrix with rational entries."""
-    d = len(a)
-    m = [[Fraction(a[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)]
-         for i in range(d)]
+    """Exact inverse of a square matrix with rational entries, by
+    fraction-free (Bareiss) Gauss-Jordan elimination of an int multiple."""
+    rows, den = scale_to_int(a)
+    d = len(rows)
+    m = [list(row) + [int(i == j) for j in range(d)]
+         for i, row in enumerate(rows)]
+    prev = 1
     for col in range(d):
-        piv = next((i for i in range(col, d) if m[i][col] != 0), None)
+        piv = next((i for i in range(col, d) if m[i][col]), None)
         if piv is None:
             raise ValueError("matrix is singular")
         m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
+        p = m[col]
         for i in range(d):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return tuple(tuple(row[d:]) for row in m)
+            if i != col:
+                m[i] = [(p[col] * x - m[i][col] * y) // prev
+                        for x, y in zip(m[i], p)]
+        prev = p[col]
+    return tuple(tuple(Fraction(den * x, prev) for x in row[d:]) for row in m)

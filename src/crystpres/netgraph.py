@@ -19,6 +19,7 @@ shell_sizes: the quotient must be connected and the tree's cycle shifts
 must span Z^rank (their integer HNF is the identity), or the cover
 falls apart.  extend_lattice and regular_action_check place a point in
 its vertex class by the fractional part of its coordinates.
+schlafli_symbol searches rings once per verified vertex orbit.
 """
 
 import os
@@ -26,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
-from operator import sub
+from operator import add, sub
 
 from .affine import AffineIsometry, finite_closure, hnf_lattice, inverse
 from .bfs import (DEFAULT_MAX_ELEMENTS, BallBoundExceeded, CoverCode,
@@ -38,6 +39,7 @@ from .intmat import (
     identity_matrix,
     mat_inverse_frac,
     mat_vec,
+    scale_to_int,
     smith_left_transform,
     vec_mat,
 )
@@ -569,8 +571,9 @@ def _horton_cycles(adj, max_len):
     at most max_len; only then is its mask built, up the parent chains.
     Each is met once: as its endpoint found first grows (it then fits),
     or after the tree if both ends lie in the last sphere, which fits
-    only when max_len is odd.  Raises BallBoundExceeded once
-    (masks held) x (ball edges) passes HORTON_BIT_BUDGET.
+    only when max_len is odd; a root with under two branches closes
+    none and is skipped.  Raises BallBoundExceeded once (masks held) x
+    (ball edges) passes HORTON_BIT_BUDGET.
 
     At each length l <= max_len the masks of at most l edges span every
     ball cycle of at most l edges, as Horton's full set (every root,
@@ -603,6 +606,8 @@ def _horton_cycles(adj, max_len):
 
     for root in range(len(adj)):
         sphere = [b for b, _ in adj[root] if b > root]
+        if len(sphere) < 2:
+            continue
         for b, e in adj[root]:
             if b > root:
                 held[b], up[b], via[b], branch[b] = root, root, e, b
@@ -640,20 +645,14 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP):
     the base, numbered once as an integer graph with cycles as edge
     masks: a simple cycle through the base with c edges is a ring unless
     it is a sum of ball cycles shorter than c.  Candidates go shortest
-    first; before each, every Horton cycle with fewer than c edges joins
-    the basis.  A Horton cycle of root r is P_r(a) + ab + P_r(b) for a
-    non-tree edge ab of r's BFS tree, grown over the nodes numbered
-    above r only, with the two paths leaving r by different first
-    nodes: a simple ball cycle of bit_count() edges.  Those of at most l
-    edges span every ball cycle of at most l edges: root a cycle D at
-    its lowest node x, sum the terms P_x(u) + uv + P_x(v) over its edges
-    uv, and each term is either a Horton cycle or an Eulerian set of at
-    most l - 2 edges, a sum of shorter ball cycles (the full argument is
-    in _horton_cycles).  So the basis spans exactly the ball's cycles
-    shorter than c, admitted in any order within a length, and Horton
-    cycles of up to max_size - 1 edges suffice.  The ball is the bound:
-    a cycle whose decompositions all leave it is reported, and raising
-    max_size (`--max`) can only lower the counts of sizes <= the old cap.
+    first; before each, every Horton cycle (_horton_cycles) with fewer
+    than c edges joins the basis.  Those of at most l edges span every
+    ball cycle of at most l edges, so the basis spans exactly the ball's
+    cycles shorter than c, admitted in any order within a length, and
+    Horton cycles of up to max_size - 1 edges suffice.  The ball is the
+    bound: a cycle whose decompositions all leave it is reported, and
+    raising max_size (`--max`) can only lower the counts of sizes <= the
+    old cap.
 
     The ball, the Horton set and the candidates are each held to
     HORTON_BIT_BUDGET (BallBoundExceeded), in that order: on a dense
@@ -690,10 +689,107 @@ def ring_size_counts(g, base=0, max_size=DEFAULT_RING_CAP):
     return dict(Counter(map(len, strong_rings(g, base, max_size))))
 
 
+def _placement(g):
+    """The barycentric placement x (Delgado-Friedrichs and O'Keeffe, Acta
+    Cryst. A59, 2003, 351) with x_0 = 0, or None if unstable (two x_v
+    share a fractional part), as (pos, den, vec, steps, inv) in integers:
+    pos[v] = den x_v; vec[v][i] = den (x_w + s - x_v) for the arc (w, s)
+    = g.adj[v][i]; steps a cover tree from vertex 0 as ((v, i), in_basis),
+    each arc from a vertex reached before; E^-1 = R / D for (R, D) = inv
+    and E the independent vectors of the `rank` basis arcs."""
+    n, r = g.n, g.rank
+    # the reduced Laplacian: deg(v) x_v - sum x_w = sum s over the arcs
+    # (w, s) of v, for v >= 1 (a loop's two arcs cancel)
+    lap = [[len(g.adj[v]) * (v == x) - sum(w == x for w, _ in g.adj[v])
+            for x in range(1, n)] for v in range(1, n)]
+    rhs = [[sum(s[k] for _, s in g.adj[v]) for k in range(r)]
+           for v in range(1, n)]
+    inv, den = scale_to_int(mat_inverse_frac(lap))  # L^-1 = inv / den
+    pos = [(0,) * r] + [vec_mat(row, rhs) for row in inv]
+    if len({tuple(x % den for x in p) for p in pos}) < n:
+        return None
+    vec = [[tuple(a + den * b - c for a, b, c in zip(pos[w], s, pos[v]))
+            for w, s in arcs] for v, arcs in enumerate(g.adj)]
+    # breadth first: each vertex's tree arc, then its independent arcs
+    order, via, steps, basis = [0], {0: None}, {}, []
+    for v in order:
+        if via[v]:
+            steps.setdefault(via[v], False)
+        for i, (w, _) in enumerate(g.adj[v]):
+            if w not in via:
+                via[w] = (v, i)
+                order.append(w)
+            if len(hnf(basis + [vec[v][i]])) > len(basis):
+                basis.append(vec[v][i])
+                steps[v, i] = True
+        if len(basis) == r:
+            break
+    return (pos, den, vec, list(steps.items()),
+            scale_to_int(mat_inverse_frac(basis)))
+
+
+def _automorphism(g, placement, u):
+    """A verified automorphism of the cover taking vertex 0 to u, as
+    (pi, shift, A) for (w, t) -> (pi(w), shift[w] + A t), or None.  The
+    tree arcs' images are tried arc by arc, injective on the arcs at a
+    vertex and on vertices; the basis arcs' images F give A^T = E^-1 F,
+    kept if integral and unimodular.  Vertex w goes to x_u + A x_w, the
+    node (pi(w), shift[w]), and every quotient edge (a, b, d) must go to
+    the edge (pi(a), pi(b), A d + shift[b] - shift[a])."""
+    pos, den, vec, steps, (inv, inv_den) = placement
+    where = {tuple(x % den for x in p): v for v, p in enumerate(pos)}
+
+    def verify(f):
+        at = [vec_mat(row, f) for row in inv]  # inv_den A^T
+        if any(x % inv_den for row in at for x in row):
+            return None
+        at = [tuple(x // inv_den for x in row) for row in at]
+        if hnf(at) != identity_matrix(g.rank):
+            return None
+        points = [tuple(map(add, pos[u], vec_mat(p, at))) for p in pos]
+        pi = [where.get(tuple(x % den for x in p)) for p in points]
+        if None in pi:
+            return None
+        shift = [tuple((a - b) // den for a, b in zip(p, pos[w]))
+                 for p, w in zip(points, pi)]
+        image = {_canonical_edge(pi[a], pi[b], map(
+            add, vec_mat(d, at), map(sub, shift[b], shift[a])))
+            for a, b, d in g.edges}
+        return (pi, shift, tuple(zip(*at))) if image == set(g.edges) else None
+
+    def images(k, img, used, f):  # the basis arcs' images F, lazily
+        if k == len(steps):
+            yield f
+            return
+        (v, i), in_basis = steps[k]
+        w, x = g.adj[v][i][0], img[v]
+        for j, (y, _) in enumerate(g.adj[x]):
+            if (x, j) not in used and img.get(w, y) == y and (
+                    w in img or y not in img.values()):
+                yield from images(k + 1, {**img, w: y}, used | {(x, j)},
+                                  f + [vec[x][j]] * in_basis)
+
+    return next(filter(None, map(verify, images(0, {0: u}, set(), []))), None)
+
+
 def schlafli_symbol(g, max_size=DEFAULT_RING_CAP):
-    """Strong-ring size symbol, checked for vertex transitivity."""
+    """Strong-ring size symbol, checked for vertex transitivity.
+
+    An automorphism that _automorphism verifies maps each vertex's ball
+    and rings onto its image's, so rings are searched only at the least
+    vertex of each orbit found, and at every vertex when there is one
+    vertex, unequal degrees or an unstable placement.  The first vertex
+    whose counts differ from vertex 0's raises NonVertexTransitive."""
+    orbit = list(range(g.n))  # the least vertex of each vertex's orbit
+    placement = (g.n > 1 and len(set(map(len, g.adj))) == 1
+                 and _placement(g))
+    for u in range(1, g.n if placement else 0):
+        found = orbit[u] and _automorphism(g, placement, u)
+        for v, w in enumerate(found[0] if found else ()):
+            a, b = sorted((orbit[v], orbit[w]))
+            orbit = [a if x == b else x for x in orbit]
     reference = None
-    for v in range(g.n):
+    for v in sorted(set(orbit)):
         counts = ring_size_counts(g, v, max_size)
         if reference is None:
             reference = counts

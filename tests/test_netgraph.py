@@ -7,12 +7,13 @@ import os
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crystpres import bfs
+from crystpres import bfs, netgraph
 from crystpres.bfs import (DEFAULT_MAX_ELEMENTS, BallBoundExceeded,
                            FiniteGroup, _expand, coordination_sequence,
                            shell_sizes)
@@ -37,9 +38,10 @@ from crystpres.netgraph import (
     strong_rings,
     topological_density,
 )
-from crystpres.netgraph import _ball, _base_cycles, _horton_cycles, _start
+from crystpres.netgraph import (_automorphism, _ball, _base_cycles,
+                                _horton_cycles, _placement, _start)
 from crystpres.affine import AffineIsometry, hnf_lattice
-from crystpres.intmat import identity_matrix
+from crystpres.intmat import hnf, identity_matrix, mat_vec
 from crystpres.pipeline import build_extension_data, ndia_generators
 from crystpres.symop import parse_symop
 
@@ -178,12 +180,13 @@ def test_coordination_sequences():
 
 
 @st.composite
-def _small_quotient_graphs(draw, max_n=4, max_shift=3, max_extra=4):
-    """Connected labelled quotient graphs of rank 1-3 on at most max_n
-    vertices with shifts in [-max_shift, max_shift], a base vertex and a
-    lattice vector."""
-    rank = draw(st.integers(1, 3))
-    n = draw(st.integers(1, max_n))
+def _small_quotient_graphs(draw, max_n=4, max_shift=3, max_extra=4,
+                           max_rank=3, min_n=1):
+    """Connected labelled quotient graphs of rank 1-max_rank on min_n to
+    max_n vertices with shifts in [-max_shift, max_shift], a base vertex
+    and a lattice vector."""
+    rank = draw(st.integers(1, max_rank))
+    n = draw(st.integers(min_n, max_n))
     shift = st.tuples(*[st.integers(-max_shift, max_shift)] * rank)
     # a spanning tree plus a loop of shift +-e_i for each axis make the
     # cover connected; the extra edges vary it
@@ -354,7 +357,7 @@ def _unimodular(draw, d):
     m = [[0] * d for _ in range(d)]
     for i, j in enumerate(draw(st.permutations(range(d)))):
         m[i][j] = draw(st.sampled_from((1, -1)))
-    for _ in range(draw(st.integers(0, 2 * d))):
+    for _ in range(draw(st.integers(0, 2 * d if d > 1 else 0))):
         i, j = draw(st.permutations(range(d)))[:2]
         c = draw(st.sampled_from((1, -1)))
         m[i] = [x + c * y for x, y in zip(m[i], m[j])]
@@ -973,6 +976,122 @@ def test_non_vertex_transitive_symbol():
         schlafli_symbol(g, max_size=6)
 
 
+def _per_vertex_symbol(g, max_size):
+    """schlafli_symbol with a ring search at every vertex, the loop it
+    ran before vertex orbits, kept as the oracle."""
+    reference = None
+    for v in range(g.n):
+        counts = ring_size_counts(g, v, max_size)
+        if reference is None:
+            reference = counts
+        elif counts != reference:
+            raise NonVertexTransitive(
+                f"vertex 0 sees {reference} but vertex {v} sees {counts}"
+            )
+    if not reference:
+        raise GraphError(f"no strong rings of size <= {max_size}")
+    return RingSymbol(reference)
+
+
+def _symbol_outcome(symbol, g, max_size):
+    try:
+        return str(symbol(g, max_size))
+    except (GraphError, BallBoundExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _orbit_cases(draw):
+    """Rank 1-2 quotients on 2-4 vertices with unit shifts, which keep
+    the cap-6 balls small: half drawn as they come (most have unequal
+    degrees or no symmetry), half a supercell of a drawn quotient on 1-2
+    vertices, relabelled, whose cover keeps the hidden translations and
+    so has a vertex orbit of at least two vertices."""
+    if draw(st.booleans()):
+        return draw(_small_quotient_graphs(
+            max_shift=1, max_rank=2, min_n=2))[0]
+    g = draw(_small_quotient_graphs(max_n=2, max_shift=1, max_rank=2))[0]
+    h = _supercell(g, draw(st.integers(0, g.rank - 1)),
+                   draw(st.integers(2, 4 // g.n)))
+    perm = draw(st.permutations(range(h.n)))
+    offsets = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * h.rank),
+                            min_size=h.n, max_size=h.n))
+    return _relabel(h, perm, offsets, draw(_unimodular(h.rank)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_orbit_cases())
+def test_orbit_symbol_matches_the_per_vertex_loop(g):
+    assert (_symbol_outcome(schlafli_symbol, g, 6)
+            == _symbol_outcome(_per_vertex_symbol, g, 6))
+
+
+def _assert_automorphisms(g):
+    """Every map _automorphism returns takes (0, 0) to (u, 0), permutes
+    the vertices, has a unimodular linear part and maps the canonical
+    edge set onto itself; returns the number of targets it found."""
+    placement = _placement(g)
+    found = 0
+    for u in range(1, g.n if placement else 0):
+        auto = _automorphism(g, placement, u)
+        if auto is None:
+            continue
+        pi, shift, a = auto
+        assert (pi[0], shift[0]) == (u, (0,) * g.rank)
+        assert sorted(pi) == list(range(g.n))
+        assert hnf(a) == identity_matrix(g.rank)
+        image = set()
+        for v, w, d in g.edges:
+            d = tuple(x + y - z for x, y, z in
+                      zip(mat_vec(a, d), shift[w], shift[v]))
+            image.add(min((pi[v], pi[w], d),
+                          (pi[w], pi[v], tuple(-x for x in d))))
+        assert image == set(g.edges)
+        found += 1
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(_orbit_cases())
+def test_automorphisms_map_the_edge_set_onto_itself(g):
+    _assert_automorphisms(g)
+
+
+@settings(max_examples=27, deadline=None)
+@given(st.sampled_from(BUNDLED), st.data())
+def test_relabeled_bundled_nets_search_rings_once(name, data):
+    """Each bundled net is vertex-transitive with a stable placement, so
+    under any vertex permutation and lattice basis one ring search gives
+    its symbol."""
+    g = catalog_load(name)
+    cap, expected = RING_GOLDENS[name]
+    perm = data.draw(st.permutations(range(g.n)))
+    offsets = data.draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * g.rank), min_size=g.n,
+        max_size=g.n))
+    h = _relabel(g, perm, offsets, data.draw(_unimodular(g.rank)))
+    assert _assert_automorphisms(h) == h.n - 1
+    with mock.patch.object(netgraph, "ring_size_counts",
+                           wraps=ring_size_counts) as spy:
+        assert schlafli_symbol(h, cap).counts == tuple(
+            sorted(expected.items()))
+    assert spy.call_count == 1
+
+
+def test_unstable_chain_searches_every_vertex():
+    """Vertices 2 and 3 have the same neighbours, so they share a
+    barycentric position: no automorphism is sought, though the chain
+    is vertex-transitive."""
+    chain = LabeledQuotientGraph(1, 4, [
+        (0, 2, (0,)), (0, 3, (0,)), (1, 2, (0,)), (1, 3, (0,)),
+        (2, 0, (1,)), (2, 1, (1,)), (3, 0, (1,)), (3, 1, (1,))])
+    assert _placement(chain) is None
+    with mock.patch.object(netgraph, "ring_size_counts",
+                           wraps=ring_size_counts) as spy:
+        assert schlafli_symbol(chain, 6) == "4^10"
+    assert spy.call_count == 4
+
+
 def test_extend_lattice_centered_square():
     g = LabeledQuotientGraph(
         2,
@@ -1010,8 +1129,8 @@ def _supercell(g, axis, k):
             mv, q = split(s[axis], m)
             edges.append((u * k + m, v * k + mv,
                           s[:axis] + (q,) + s[axis + 1:]))
-    coords = [c[:axis] + ((c[axis] + m) / k,) + c[axis + 1:]
-              for c in g.coords for m in range(k)]
+    coords = g.coords and [c[:axis] + ((c[axis] + m) / k,) + c[axis + 1:]
+                           for c in g.coords for m in range(k)]
     cell = g.cell if g.cell is not None else identity_matrix(g.rank)
     cell = [tuple(k * x for x in row) if i == axis else row
             for i, row in enumerate(cell)]
