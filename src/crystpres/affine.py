@@ -16,7 +16,6 @@ import math
 from fractions import Fraction
 
 from .intmat import (
-    common_denominator,
     frac_rows,
     hnf,
     hnf_with_transform,
@@ -231,9 +230,8 @@ class WalkKernel:
         images = {}
         for k, g in enumerate(isometries, start=1):
             images[k], images[-k] = g, inverse(g)
-        self.scale = common_denominator(
-            [g.translation for g in images.values()] + list(points)
-        )
+        self.scale = scale_to_int(
+            [g.translation for g in images.values()] + list(points))[1]
         self._linears = []
         self._ids = {}
         self._products = {}  # (linear id, linear id) -> linear id

@@ -18,18 +18,10 @@ def frac_rows(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def common_denominator(rows):
-    d = 1
-    for row in rows:
-        for x in row:
-            d = lcm(d, Fraction(x).denominator)
-    return d
-
-
 def scale_to_int(rows):
     """Return (integer rows, denominator) with rows = int_rows / den."""
     rows = frac_rows(rows)
-    den = common_denominator(rows)
+    den = lcm(*(x.denominator for row in rows for x in row))
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                  for row in rows), den
 
@@ -116,13 +108,11 @@ def solve_in_rowspan(rows, target):
     (the one with zero coefficients on kernel directions of the HNF
     transform).  Entries may be Fractions.
     """
-    rows = frac_rows(rows)
-    target = tuple(Fraction(x) for x in target)
+    rows = list(rows)
     if not rows:
         return () if all(x == 0 for x in target) else None
-    den = common_denominator(list(rows) + [target])
-    a = [[int(x * den) for x in row] for row in rows]
-    return solve_hnf(hnf_with_transform(a), [int(x * den) for x in target])
+    (*a, target), _ = scale_to_int(rows + [target])
+    return solve_hnf(hnf_with_transform(a), target)
 
 
 def solve_hnf(transform, target):

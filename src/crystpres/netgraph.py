@@ -17,9 +17,11 @@ bfs._cayley_quotient, the quotient `cseq --input` walks.
 A net is validated on the spanning tree of bfs._tree, which also frames
 shell_sizes: the quotient must be connected and the tree's cycle shifts
 must span Z^rank (their integer HNF is the identity), or the cover
-falls apart.  extend_lattice and regular_action_check place a point in
-its vertex class by the fractional part of its coordinates.
-schlafli_symbol searches rings once per verified vertex orbit.
+falls apart.  One integer routine, _cover_map, tests whether an affine
+map sends the net onto itself, finding each image's vertex by its class
+mod the lattice: the automorphisms behind schlafli_symbol's one ring
+search per vertex orbit, each generator in regular_action_check and
+each new vector in extend_lattice.
 """
 
 import os
@@ -331,27 +333,29 @@ def extend_lattice(g, new_vectors):
     """Re-express the net over the lattice enlarged by `new_vectors`.
 
     The vectors are rational combinations (in current primitive-basis
-    coordinates) that are genuine translations of the underlying net,
-    e.g. a centering vector the constructing group did not contain.
+    coordinates) that must be translations of the underlying net, e.g. a
+    centering vector the constructing group did not contain: each is
+    checked as the cover map x -> x + tau (_cover_map), and one that
+    takes a vertex to no vertex or an edge to no edge raises GraphError.
     Vertex coordinates are required to identify merged vertices: two
     vertices merge iff their new-basis coordinates have the same
-    fractional part, the rule of regular_action_check's vertex_at, and
-    the first of each class stands for it.  The resulting cell matrix
-    maps the new basis back to the old (conventional) coordinates.
+    fractional part, and the first of each class stands for it.  The
+    resulting cell matrix maps the new basis back to the old
+    (conventional) coordinates.
     """
     if g.coords is None:
         raise GraphError("lattice extension needs vertex coordinates")
     rank = g.rank
-    basis_rows = list(identity_matrix(rank)) + [
-        tuple(Fraction(x) for x in v) for v in new_vectors
-    ]
-    new_lat = hnf_lattice(basis_rows, dimension=rank)
-    if new_lat.rank != rank:
-        raise GraphError("extension vectors must keep full rank")
+    new_vectors = frac_rows(new_vectors)
+    pos, den = scale_to_int(g.coords)
+    cover_map = _cover_map(g, pos, den)
+    for tau in new_vectors:
+        found = cover_map(identity_matrix(rank), [den * x for x in tau])
+        if not (found and found[2]):
+            raise GraphError(
+                f"{_vector_text(tau)} is not a translation of the net")
+    new_lat = hnf_lattice(identity_matrix(rank) + new_vectors)
     binv = mat_inverse_frac(new_lat.basis)
-
-    def is_int(vec):
-        return all(Fraction(x).denominator == 1 for x in vec)
 
     reps, coords = [], []  # old vertex and new coordinates of each class
     cls = []     # old vertex -> (new index, integer offset in new basis)
@@ -364,32 +368,16 @@ def extend_lattice(g, new_vectors):
             coords.append(x)
         cls.append((k, tuple(map(sub, x, coords[k]))))
 
-    edges = set()
-    for u, v, s in g.edges:
-        ku, ou = cls[u]
-        kv, ov = cls[v]
-        s_new = vec_mat(s, binv)
-        if not is_int(s_new):
-            raise GraphError("edge shift not integral in the new basis")
-        shift = tuple(a + b - c for a, b, c in zip(ov, s_new, ou))
-        key = _canonical_edge(ku, kv, shift)
-        if key[0] == key[1] and all(x == 0 for x in key[2]):
-            raise GraphError("lattice extension creates a loop")
-        # distinct old edge orbits may fall into one orbit of the larger
-        # translation group; the canonical triple already identifies them
-        edges.add(key)
-
+    # distinct old edge orbits may fall into one orbit of the larger
+    # translation group; the canonical triple already identifies them.
+    # Z^rank lies in the new lattice, so every shift is integral
+    edges = {_canonical_edge(cls[u][0], cls[v][0], (
+        a + b - c for a, b, c in zip(cls[v][1], vec_mat(s, binv), cls[u][1])))
+        for u, v, s in g.edges}
     old_cell = g.cell if g.cell is not None else identity_matrix(rank)
     cell = tuple(vec_mat(row, old_cell) for row in new_lat.basis)
-    out = LabeledQuotientGraph(rank, len(reps), sorted(edges), cell=cell,
-                               coords=coords, name=g.name)
-    for k, r in enumerate(reps):
-        if out.degree(k) != g.degree(r):
-            raise GraphError(
-                "lattice extension changed a vertex degree; the vectors "
-                "are not translations of the net"
-            )
-    return out
+    return LabeledQuotientGraph(rank, len(reps), sorted(edges), cell=cell,
+                                coords=coords, name=g.name)
 
 
 # ---------------------------------------------------------------------------
@@ -689,14 +677,44 @@ def ring_size_counts(g, base=0, max_size=DEFAULT_RING_CAP):
     return dict(Counter(map(len, strong_rings(g, base, max_size))))
 
 
+def _cover_map(g, pos, den):
+    """The one test that an affine map sends the net onto itself, with
+    the class table of the placement pos[v] = den x_v (integers) built
+    once.  cover_map(at, origin), `at` an integer matrix, applies
+    x -> (origin + x at) / den to the points x = pos[v] and returns
+    (pi, shift, onto): v goes to the node (pi[v], shift[v]) of its
+    image's class mod den (the last vertex of a class stands for it),
+    and onto says whether each quotient edge (a, b, d) goes to an edge
+    (pi[a], pi[b], d at + shift[b] - shift[a]) of g; or None when a
+    vertex lands on no vertex, as all do for a non-integral origin.  For
+    unimodular `at` and distinct classes pi is a permutation and
+    distinct edges have distinct images, so into g.edges is onto."""
+    where = {tuple(x % den for x in p): v for v, p in enumerate(pos)}
+    edges = set(g.edges)
+
+    def cover_map(at, origin):
+        points = [tuple(map(add, origin, vec_mat(p, at))) for p in pos]
+        pi = [where.get(tuple(x % den for x in p)) for p in points]
+        if None in pi:
+            return None
+        shift = [tuple((a - b) // den for a, b in zip(p, pos[w]))
+                 for p, w in zip(points, pi)]
+        return pi, shift, all(_canonical_edge(pi[a], pi[b], map(
+            add, vec_mat(d, at), map(sub, shift[b], shift[a]))) in edges
+            for a, b, d in g.edges)
+
+    return cover_map
+
+
 def _placement(g):
     """The barycentric placement x (Delgado-Friedrichs and O'Keeffe, Acta
     Cryst. A59, 2003, 351) with x_0 = 0, or None if unstable (two x_v
-    share a fractional part), as (pos, den, vec, steps, inv) in integers:
-    pos[v] = den x_v; vec[v][i] = den (x_w + s - x_v) for the arc (w, s)
-    = g.adj[v][i]; steps a cover tree from vertex 0 as ((v, i), in_basis),
-    each arc from a vertex reached before; E^-1 = R / D for (R, D) = inv
-    and E the independent vectors of the `rank` basis arcs."""
+    share a fractional part), as (pos, vec, steps, inv, cover_map) in
+    integers: pos[v] = den x_v and cover_map its _cover_map; vec[v][i] =
+    den (x_w + s - x_v) for the arc (w, s) = g.adj[v][i]; steps a cover
+    tree from vertex 0 as ((v, i), in_basis), each arc from a vertex
+    reached before; E^-1 = R / D for (R, D) = inv and E the independent
+    vectors of the `rank` basis arcs."""
     n, r = g.n, g.rank
     # the reduced Laplacian: deg(v) x_v - sum x_w = sum s over the arcs
     # (w, s) of v, for v >= 1 (a loop's two arcs cancel)
@@ -724,8 +742,8 @@ def _placement(g):
                 steps[v, i] = True
         if len(basis) == r:
             break
-    return (pos, den, vec, list(steps.items()),
-            scale_to_int(mat_inverse_frac(basis)))
+    return (pos, vec, list(steps.items()),
+            scale_to_int(mat_inverse_frac(basis)), _cover_map(g, pos, den))
 
 
 def _automorphism(g, placement, u):
@@ -733,11 +751,9 @@ def _automorphism(g, placement, u):
     (pi, shift, A) for (w, t) -> (pi(w), shift[w] + A t), or None.  The
     tree arcs' images are tried arc by arc, injective on the arcs at a
     vertex and on vertices; the basis arcs' images F give A^T = E^-1 F,
-    kept if integral and unimodular.  Vertex w goes to x_u + A x_w, the
-    node (pi(w), shift[w]), and every quotient edge (a, b, d) must go to
-    the edge (pi(a), pi(b), A d + shift[b] - shift[a])."""
-    pos, den, vec, steps, (inv, inv_den) = placement
-    where = {tuple(x % den for x in p): v for v, p in enumerate(pos)}
+    kept if integral and unimodular and if the placement's cover_map
+    sends vertex w to x_u + A x_w and every quotient edge to an edge."""
+    pos, vec, steps, (inv, inv_den), cover_map = placement
 
     def verify(f):
         at = [vec_mat(row, f) for row in inv]  # inv_den A^T
@@ -746,16 +762,10 @@ def _automorphism(g, placement, u):
         at = [tuple(x // inv_den for x in row) for row in at]
         if hnf(at) != identity_matrix(g.rank):
             return None
-        points = [tuple(map(add, pos[u], vec_mat(p, at))) for p in pos]
-        pi = [where.get(tuple(x % den for x in p)) for p in points]
-        if None in pi:
-            return None
-        shift = [tuple((a - b) // den for a, b in zip(p, pos[w]))
-                 for p, w in zip(points, pi)]
-        image = {_canonical_edge(pi[a], pi[b], map(
-            add, vec_mat(d, at), map(sub, shift[b], shift[a])))
-            for a, b, d in g.edges}
-        return (pi, shift, tuple(zip(*at))) if image == set(g.edges) else None
+        found = cover_map(at, pos[u])
+        if found and found[2]:
+            return found[0], found[1], tuple(zip(*at))
+        return None
 
     def images(k, img, used, f):  # the basis arcs' images F, lazily
         if k == len(steps):
@@ -811,12 +821,13 @@ def regular_action_check(g, group_generators, base=0):
 
     Needs vertex coordinates; the generators act on conventional
     coordinates.  Each generator must preserve the net's lattice T
-    ("inconclusive" otherwise: the quotient cannot certify it), map
-    every quotient vertex to a cover vertex ("fail" otherwise) and every
-    quotient edge to a cover edge (GraphError otherwise), which makes it
-    an automorphism of the whole cover.  One affine.finite_closure of
-    the generators conjugated to the base point gives H's translation
-    lattice L exactly and the residual codes of H/L.  An L of rank below
+    ("inconclusive" otherwise: the quotient cannot certify it) and, as
+    a _cover_map on primitive coordinates, map every quotient vertex to
+    a cover vertex ("fail" otherwise) and every quotient edge to a cover
+    edge (GraphError otherwise), which makes it an automorphism of the
+    whole cover.  One affine.finite_closure of the generators conjugated
+    to the base point gives H's translation lattice L exactly and the
+    residual codes of H/L.  An L of rank below
     the net's fails (a finite H too): as H's point group is finite, an
     H-orbit stays near an affine subspace of rank L, too thin for the
     net's vertices.  Otherwise the verdict is "pass" iff |H/L| equals
@@ -826,45 +837,35 @@ def regular_action_check(g, group_generators, base=0):
     if g.coords is None:
         raise GraphError("regular action check needs vertex coordinates")
     cell = g.cell if g.cell is not None else identity_matrix(g.rank)
-    lattice = hnf_lattice(cell)
     to_prim = mat_inverse_frac(cell)
-    vertex_at = {tuple(x % 1 for x in c): v for v, c in enumerate(g.coords)}
-
-    def position(node):
-        v, s = node
-        return vec_mat(tuple(a + b for a, b in zip(g.coords[v], s)), cell)
-
-    def locate(point):
-        # the cover node at a conventional-coordinate point, or None
-        q = vec_mat(point, to_prim)
-        v = vertex_at.get(tuple(x % 1 for x in q))
-        return None if v is None else (
-            v, tuple(int(a - b) for a, b in zip(q, g.coords[v])))
-
+    pos, den = scale_to_int(g.coords)
+    cover_map = _cover_map(g, pos, den)
     for h in group_generators:
-        if not all(lattice.contains(mat_vec(h.linear, row)) for row in cell):
+        # h on primitive coordinates q: q -> q C A^T C^-1 + t C^-1, whose
+        # linear part is integral iff h preserves T
+        at, at_den = scale_to_int(
+            vec_mat(mat_vec(h.linear, row), to_prim) for row in cell)
+        if at_den != 1:
             return "inconclusive"
-        image = [locate(h.apply(position(_start(g, v)))) for v in range(g.n)]
-        if None in image:
+        found = cover_map(at, [den * x for x in vec_mat(h.translation,
+                                                          to_prim)])
+        if found is None:
             return "fail"
-        for u, v, s in g.edges:
-            if (locate(h.apply(position((v, s))))
-                    not in g.cover_neighbors(image[u])):
-                raise GraphError(
-                    "group generator does not preserve the edge set"
-                )
+        if not found[2]:
+            raise GraphError("group generator does not preserve the edge set")
 
     # h p0 - p0 is the translation of h conjugated by the shift to p0,
     # so the images of p0 are distinct mod L iff the conjugates' residual
     # translations are; conjugating by a translation keeps L
-    to_p0 = AffineIsometry.from_translation(position(_start(g, base)))
+    to_p0 = AffineIsometry.from_translation(
+        vec_mat(g.coords[_start(g, base)[0]], cell))
     _, _, reps, sub = finite_closure(
         [inverse(to_p0) * h * to_p0 for h in group_generators])
     if sub.rank < g.rank:
         return "fail"
     # full-rank HNF bases are triangular
     covolume = [prod(row[i] for i, row in enumerate(x.basis))
-                for x in (sub, lattice)]
+                for x in (sub, hnf_lattice(cell))]
     orbits = g.n * covolume[0] / covolume[1]
     images = {code[1:] for code in reps}
     return "pass" if len(reps) == orbits == len(images) else "fail"

@@ -1,5 +1,6 @@
 """Exact integer and rational linear algebra."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystpres.intmat import (
+    frac_rows,
     hnf,
     hnf_with_transform,
     identity_matrix,
@@ -14,6 +16,7 @@ from crystpres.intmat import (
     mat_inverse_frac,
     mat_mul_int,
     mat_vec,
+    scale_to_int,
     smith_left_transform,
     solve_in_rowspan,
     vec_mat,
@@ -214,3 +217,33 @@ def test_vector_matrix_products():
     assert mat_vec(a, (1, 1)) == (3, 7)
     assert vec_mat((1, 1), a) == (4, 6)
     assert identity_matrix(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+_rationals = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(max_denominator=36).filter(lambda x: abs(x) < 50),
+    st.sampled_from([0.5, -0.25, 3.0]))
+
+
+def _two_step_scale_to_int(rows):
+    """scale_to_int as frac_rows followed by a common_denominator that
+    wrapped every entry in Fraction again."""
+    rows = frac_rows(rows)
+    den = 1
+    for row in rows:
+        for x in row:
+            den = math.lcm(den, Fraction(x).denominator)
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                 for row in rows), den
+
+
+@settings(max_examples=200)
+@given(rows=st.integers(0, 3).flatmap(lambda m: st.lists(
+    st.lists(_rationals, min_size=m, max_size=m), max_size=4)))
+def test_scale_to_int_is_the_two_step_form(rows):
+    """One lcm over the normalised denominators gives the same (integer
+    rows, denominator) as the two-step form."""
+    old = _two_step_scale_to_int(rows)
+    rows, den = scale_to_int(rows)
+    assert (rows, den) == old
+    assert all(type(x) is int for row in rows for x in row + (den,))

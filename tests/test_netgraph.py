@@ -40,8 +40,10 @@ from crystpres.netgraph import (
 )
 from crystpres.netgraph import (_automorphism, _ball, _base_cycles,
                                 _horton_cycles, _placement, _start)
-from crystpres.affine import AffineIsometry, hnf_lattice
-from crystpres.intmat import hnf, identity_matrix, mat_vec
+from crystpres.affine import (AffineIsometry, finite_closure, hnf_lattice,
+                              inverse)
+from crystpres.intmat import (hnf, identity_matrix, mat_inverse_frac, mat_vec,
+                              vec_mat)
 from crystpres.pipeline import build_extension_data, ndia_generators
 from crystpres.symop import parse_symop
 
@@ -1110,10 +1112,20 @@ def test_extend_lattice_centered_square():
 
 def test_extend_lattice_rejects_non_translation():
     g = catalog_load("hcb")
-    # (1/3, 1/3) moves vertex 0 onto vertex 1, which has a different
-    # edge orientation; the degree bookkeeping catches the mismatch
+    # (1/2, 0) moves vertex 0 to (1/2, 0), where no vertex lies
     with pytest.raises(GraphError):
         extend_lattice(g, [(Fraction(1, 2), 0)])
+
+
+def test_extend_lattice_rejects_a_vector_that_keeps_vertices_on_vertices():
+    """x -> x + 1/2 swaps the two vertices of this chain, but vertex 0
+    has degree 4 and vertex 1 degree 2, so it is no translation of the
+    net; merging the vertices would give a 4-regular chain."""
+    g = LabeledQuotientGraph(1, 2, [(0, 1, (0,)), (1, 0, (1,)), (0, 0, (1,))],
+                             coords=[[0], [Fraction(1, 2)]])
+    with pytest.raises(GraphError,
+                       match="^1/2 is not a translation of the net$"):
+        extend_lattice(g, [(Fraction(1, 2),)])
 
 
 def _supercell(g, axis, k):
@@ -1201,6 +1213,15 @@ def test_regular_action_check():
     assert regular_action_check(pcu, [inversion] + doubled) == "fail"
 
 
+def test_regular_action_shear_breaks_the_edge_set():
+    # x + y, y, z keeps pcu's vertices on vertices but takes the y edge
+    # to a face diagonal
+    with pytest.raises(GraphError) as info:
+        regular_action_check(catalog_load("pcu"),
+                             [parse_symop("x+y, y, z", 3)])
+    assert str(info.value) == "group generator does not preserve the edge set"
+
+
 def test_regular_action_inconclusive():
     # pcu on a cell doubled along x: a quarter turn about z moves that
     # cell's lattice, so the quotient cannot certify it
@@ -1243,3 +1264,130 @@ def test_regular_action_of_a_smaller_generating_set():
     ops = dict(doc.generators)
     g = from_cayley(doc.generators)
     assert regular_action_check(g, [ops["a"], ops["b"]]) == "pass"
+
+
+def _fraction_regular_action_check(g, group_generators, base=0):
+    """regular_action_check as it was before _cover_map, verbatim but for
+    math.prod: Fraction positions and an edge loop over cover_neighbors."""
+    if g.coords is None:
+        raise GraphError("regular action check needs vertex coordinates")
+    cell = g.cell if g.cell is not None else identity_matrix(g.rank)
+    lattice = hnf_lattice(cell)
+    to_prim = mat_inverse_frac(cell)
+    vertex_at = {tuple(x % 1 for x in c): v for v, c in enumerate(g.coords)}
+
+    def position(node):
+        v, s = node
+        return vec_mat(tuple(a + b for a, b in zip(g.coords[v], s)), cell)
+
+    def locate(point):
+        # the cover node at a conventional-coordinate point, or None
+        q = vec_mat(point, to_prim)
+        v = vertex_at.get(tuple(x % 1 for x in q))
+        return None if v is None else (
+            v, tuple(int(a - b) for a, b in zip(q, g.coords[v])))
+
+    for h in group_generators:
+        if not all(lattice.contains(mat_vec(h.linear, row)) for row in cell):
+            return "inconclusive"
+        image = [locate(h.apply(position(_start(g, v)))) for v in range(g.n)]
+        if None in image:
+            return "fail"
+        for u, v, s in g.edges:
+            if (locate(h.apply(position((v, s))))
+                    not in g.cover_neighbors(image[u])):
+                raise GraphError(
+                    "group generator does not preserve the edge set"
+                )
+
+    # h p0 - p0 is the translation of h conjugated by the shift to p0,
+    # so the images of p0 are distinct mod L iff the conjugates' residual
+    # translations are; conjugating by a translation keeps L
+    to_p0 = AffineIsometry.from_translation(position(_start(g, base)))
+    _, _, reps, sub = finite_closure(
+        [inverse(to_p0) * h * to_p0 for h in group_generators])
+    if sub.rank < g.rank:
+        return "fail"
+    # full-rank HNF bases are triangular
+    covolume = [math.prod(row[i] for i, row in enumerate(x.basis))
+                for x in (sub, lattice)]
+    orbits = g.n * covolume[0] / covolume[1]
+    images = {code[1:] for code in reps}
+    return "pass" if len(reps) == orbits == len(images) else "fail"
+
+
+ACTION_NETS = ["dia", "gis", "hcb", "pcu", "sql"] + CORPUS_DOCS
+ACTION_SHIFTS = (0, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 4),
+                 Fraction(3, 4), 1, Fraction(1, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _action_net(name):
+    """A net with coordinates and its own group's generators: the Cayley
+    net of a corpus document, gis with the document it was frozen from,
+    or another catalog net with its cell's unit translations."""
+    if name in CORPUS_DOCS or name == "gis":
+        doc = load_document("gis_i41a.json" if name == "gis" else name)
+        g = catalog_load(name) if name == "gis" else from_cayley(
+            doc.generators)
+        return g, tuple(op for _, op in doc.generators)
+    g = catalog_load(name)
+    return g, tuple(map(AffineIsometry.from_translation, g.cell))
+
+
+def _action_case(rng):
+    """(net, generators, base): 1-3 generators, each a product of 1-3 of
+    the net's own generators and their inverses, a signed permutation
+    with translation parts in ACTION_SHIFTS, or the shear x + y, y, z;
+    a third of the time after the net's own generators."""
+    g, own = _action_net(rng.choice(ACTION_NETS))
+    d = g.rank
+    gens = list(own) if rng.random() < 1 / 3 else []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3 if d > 1 else 2)
+        if kind == 0:
+            h = AffineIsometry.identity(d)
+            for _ in range(rng.randint(1, 3)):
+                x = rng.choice(own)
+                h = h * (x if rng.random() < 0.5 else inverse(x))
+        elif kind == 1:
+            perm = rng.sample(range(d), d)
+            h = AffineIsometry(
+                [[rng.choice((1, -1)) * (perm[i] == j) for j in range(d)]
+                 for i in range(d)],
+                [rng.choice(ACTION_SHIFTS) for _ in range(d)])
+        else:
+            h = AffineIsometry([[int(i == j or (i, j) == (0, 1))
+                                 for j in range(d)] for i in range(d)],
+                               (0,) * d)
+        gens.append(h)
+    return g, gens, rng.randrange(g.n)
+
+
+def _action_outcome(check, g, gens, base):
+    try:
+        return check(g, gens, base)
+    except GraphError as exc:  # the exact message is part of the verdict
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_regular_action_matches_the_fraction_check(rng):
+    g, gens, base = _action_case(rng)
+    assert (_action_outcome(regular_action_check, g, gens, base)
+            == _action_outcome(_fraction_regular_action_check, g, gens, base))
+
+
+def test_action_cases_reach_every_verdict():
+    """Seeded draws of _action_case agree with the Fraction check and
+    reach all four outcomes: pass, fail, inconclusive and the edge-set
+    GraphError."""
+    seen = set()
+    for seed in range(150):
+        g, gens, base = _action_case(random.Random(seed))
+        outcome = _action_outcome(regular_action_check, g, gens, base)
+        assert outcome == _action_outcome(_fraction_regular_action_check,
+                                          g, gens, base)
+        seen.add(outcome if isinstance(outcome, str) else outcome[0])
+    assert seen == {"pass", "fail", "inconclusive", GraphError}
