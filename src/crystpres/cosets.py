@@ -15,8 +15,10 @@ stop, so a complete table stands for a run under any cap of at least its
 defined cosets (quotient_table's `reuse`).
 
 SchreierRank refutes a relator set with no enumeration: a GF(2) rank test
-on its Reidemeister-Schreier rewrite (Holt, Eick, O'Brien, ch. 5).  The
-prune trials ask it first; that changes no verdict, as the check of a
+on its Reidemeister-Schreier rewrite (Holt, Eick, O'Brien, ch. 5) over
+any complete table of the group it should present.  The prune trials ask
+it first, on tables of G/mT read off the group itself (no enumeration,
+pipeline._quotient_cosets); that changes no verdict, as the check of a
 refuted set at the table's m could only overflow or fail.
 """
 
@@ -200,6 +202,8 @@ class CosetTable:
         """Renumber the live cosets of a complete table 0, 1, ... in order."""
         w, cells, find = self.width, self.cells, self._find
         live = [r for r in self.table if cells[r] == r]
+        if len(live) == len(cells) // w:  # nothing merged: already compact
+            return self
         new = {r: i * w for i, r in enumerate(live)}
         self.cells = [new[find(cells[r + c])] if c else new[r]
                       for r in live for c in range(w)]

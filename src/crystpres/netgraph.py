@@ -350,6 +350,9 @@ def extend_lattice(g, new_vectors):
     pos, den = scale_to_int(g.coords)
     cover_map = _cover_map(g, pos, den)
     for tau in new_vectors:
+        if len(tau) != rank:
+            raise GraphError(f"vector {_vector_text(tau)} has length "
+                             f"{len(tau)}, but the net has rank {rank}")
         found = cover_map(identity_matrix(rank), [den * x for x in tau])
         if not (found and found[2]):
             raise GraphError(
@@ -836,6 +839,10 @@ def regular_action_check(g, group_generators, base=0):
     """
     if g.coords is None:
         raise GraphError("regular action check needs vertex coordinates")
+    for h in group_generators:
+        if h.dimension != g.rank:
+            raise GraphError(f"group generator has dimension {h.dimension}, "
+                             f"but the net has rank {g.rank}")
     cell = g.cell if g.cell is not None else identity_matrix(g.rank)
     to_prim = mat_inverse_frac(cell)
     pos, den = scale_to_int(g.coords)

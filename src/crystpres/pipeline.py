@@ -7,12 +7,15 @@ adds lattice and conjugation relators, simplifies, and verifies the
 result against finite quotients.
 """
 
+import functools
 from fractions import Fraction
+from operator import mul
 
 from .affine import AffineIsometry
 from .bfs import _harvest, _kernel
 from .cosets import (
     DEFAULT_MAX_COSETS,
+    CosetTable,
     SchreierRank,
     is_consequence,
     order_verdict,
@@ -54,8 +57,11 @@ class ExtensionData:
     short presentation of the point group on the images of X.
     """
 
-    def __init__(self, generators, harvest, point_presentation):
+    def __init__(self, generators, harvest, point_presentation, arcs):
         self.generators = generators
+        # arcs[x][p] = (q, s): x u_p = t_s u_q, u_p = elements[p] and t_s
+        # the translation with lattice coordinates s
+        self._arcs = arcs
         self.kernel, self.reduce, self.elements, self.lattice = harvest.closure
         self.names = [name for name, _ in generators]
         self.assignment = {i + 1: op for i, (_, op) in enumerate(generators)}
@@ -63,8 +69,9 @@ class ExtensionData:
         self.point_presentation = point_presentation
         # one HNF transform of the lattice-word vectors serves every
         # lattice word and the dependences among them
-        rows, self._scale = scale_to_int([v for _, v in self.lattice_words])
-        self._transform = hnf_with_transform(rows)
+        self._rows, self._scale = scale_to_int(
+            [v for _, v in self.lattice_words])
+        self._transform = hnf_with_transform(self._rows)
         self.dependences = self._transform[1][len(self._transform[0]):]
 
     def lattice_coefficients(self, vector):
@@ -74,6 +81,28 @@ class ExtensionData:
         if any(x.denominator != 1 for x in target):
             return None
         return solve_hnf(self._transform, [int(x) for x in target])
+
+    @functools.cached_property
+    def _lattice_action(self):
+        """Generator k -> its linear part on lattice coordinates, as rows.
+
+        Each A b_i is solved by back-substitution on the basis b scaled
+        to integers, an echelon form (intmat.solve_hnf's loop, inline:
+        the refuters of small documents feel its cost)."""
+        units = scale_to_int(self.lattice.basis)[0]
+        pivots = [next(j for j, x in enumerate(u) if x) for u in units]
+        action = {}
+        for k, op in self.assignment.items():
+            columns = []
+            for u in units:
+                v = [sum(map(mul, row, u)) for row in op.linear]
+                column = []
+                for b, j in zip(units, pivots):
+                    column.append(v[j] // b[j])
+                    v = [x - column[-1] * y for x, y in zip(v, b)]
+                columns.append(column)
+            action[k] = tuple(zip(*columns))
+        return action
 
     @property
     def point_order(self):
@@ -96,11 +125,47 @@ def build_extension_data(generators):
     harvest = _harvest(generators, 0)
     kernel, reduce, elements, _ = harvest.closure
     index = {e: i for i, e in enumerate(elements)}
-    tables = {x: [index[reduce(move(e))[0]] for e in elements]
-              for x, move in kernel.steps}
+    arcs = {x: [(index[u], s) for u, s in map(reduce, map(move, elements))]
+            for x, move in kernel.steps}
     point_pres = short_presentation_finite(
-        tables, [name for name, _ in generators])
-    return ExtensionData(generators, harvest, point_pres)
+        {x: [q for q, _ in arc] for x, arc in arcs.items()},
+        [name for name, _ in generators])
+    return ExtensionData(generators, harvest, point_pres, arcs)
+
+
+def _quotient_cosets(E, m):
+    """The complete coset table of G/mT, read off the group.
+
+    Coset p m^r + i is t u_p, u_p = E.elements[p] and t the i-th vector
+    of (Z/m)^r in lattice coordinates, the first the most significant
+    digit of i.  A generator x acts on the left, as on the point tables:
+    x t u_p = (A t) (x u_p) = (A t + s) u_q, A the linear part of x on
+    lattice coordinates and (q, s) its arc from p.  The column of x^-1
+    is the inverse permutation.
+    """
+    w, size = 2 * len(E.names) + 1, m ** E.rank
+    table = CosetTable(len(E.names), (), ())
+    cells = table.cells = [0] * (len(E.elements) * size * w)
+    rows = range(0, len(cells), w)
+    for x, action in E._lattice_action.items():
+        # each coordinate of A t, over every t in coset order
+        images = []
+        for row in action:
+            image = [0]
+            for a in row:
+                image = [v + a * c for v in image for c in range(m)]
+            images.append(image)
+        for p, (q, s) in enumerate(E._arcs[x]):
+            digits = [q] * size
+            for image, a in zip(images, s):
+                digits = [d * m + (v + a) % m for d, v in zip(digits, image)]
+            cells[p * size * w + 2 * x - 1:(p + 1) * size * w:w] = [
+                d * w for d in digits]
+        for r, d in zip(rows, cells[2 * x - 1::w]):
+            cells[d + 2 * x] = r
+    cells[::w] = rows
+    table.status, table.defined = "complete", len(rows)
+    return table
 
 
 def _combine(coeffs, words):
@@ -122,6 +187,12 @@ def _lattice_word_for(E, vector):
         raise PipelineError(
             f"translation {vector} is not in the harvested lattice"
         )
+    return _short_combination(E, coeffs)
+
+
+def _short_combination(E, coeffs):
+    """The lattice words combined by integer coefficients, descended
+    along the dependences to a short word."""
     # when the harvested words outnumber the rank the solution is only
     # unique modulo the dependences; descend along them to keep the
     # emitted word short
@@ -131,7 +202,7 @@ def _lattice_word_for(E, vector):
         def cost(cs):
             return sum(abs(c) * n for c, n in zip(cs, lengths))
 
-        coeffs = list(coeffs)
+        coeffs, best = list(coeffs), cost(coeffs)
         improved = True
         while improved:
             improved = False
@@ -139,8 +210,8 @@ def _lattice_word_for(E, vector):
                 for sign in (1, -1):
                     while True:
                         trial = [c - sign * x for c, x in zip(coeffs, k)]
-                        if cost(trial) < cost(coeffs):
-                            coeffs = trial
+                        if cost(trial) < best:
+                            coeffs, best = trial, cost(trial)
                             improved = True
                         else:
                             break
@@ -202,9 +273,16 @@ def conjugation_relators(E):
     out = []
     for k in range(1, len(E.names) + 1):
         lin = E.assignment[k].linear
-        for w, v in E.lattice_words:
-            conj = tuple(mat_vec(lin, v))
-            expr = _lattice_word_for(E, conj)
+        for (w, _), row in zip(E.lattice_words, E._rows):
+            # A v on the integer scale of the lattice-word vectors
+            conj = mat_vec(lin, row)
+            coeffs = solve_hnf(E._transform, conj)
+            if coeffs is None:
+                raise PipelineError(
+                    f"translation {tuple(Fraction(x, E._scale) for x in conj)}"
+                    " is not in the harvested lattice"
+                )
+            expr = _short_combination(E, coeffs)
             rel = cyclic_reduce((-k,) + w + (k,) + invert_word(expr))
             if rel:
                 out.append(rel)
@@ -272,10 +350,16 @@ def present(generators, simplify=True, prune=True,
     every m passes, so the order is free.  The final check of m reuses
     the table of the latest trial that passed at m if the relators match.
 
-    A trial first asks a cosets.SchreierRank on the table of G/m0T (m0
-    the least m) from the unpruned relators whether the candidate plus
-    the m0-th lattice powers presents a larger group; if so its check
-    at m0 could only overflow or fail, and it fails with no enumeration.
+    Before any enumeration a trial asks a cosets.SchreierRank on the
+    table of G/mT, read off the group (_quotient_cosets), whether the
+    candidate plus the m-th lattice powers presents a larger group; if
+    so its check at m could only overflow or fail, and it fails at once.
+    The width rule: an m gets such a refuter when its rows are narrow,
+    N(k - 1) + 1 bits (N = |G/mT|, k generators) at most the prune cap
+    over N; at the largest m that is 64 bits wherever the cap is 64 N.
+    Wider rows cost more to eliminate than the enumeration they would
+    spare.  The refuters are asked in increasing m, each built when a
+    trial first needs it.
     """
     E = build_extension_data(generators)
     identity = E.kernel.identity
@@ -314,8 +398,23 @@ def present(generators, simplify=True, prune=True,
                     max_cosets)
     passed = {}  # m -> the table of the latest trial that passed at m
 
+    # the m whose G/mT rows are narrow, each refuter built at first need
+    k = len(E.names)
+    narrow = [m for m, n in sorted(expected.items())
+              if n * (k - 1) + 1 <= prune_cap // n]
+    refuters = {}
+
+    def refuted(relators):
+        for m in narrow:
+            if m not in refuters:
+                refuters[m] = SchreierRank(_quotient_cosets(E, m),
+                                           quotient_relators(E, m))
+            if refuters[m].refutes(relators):
+                return True
+        return False
+
     def trial_passes(candidate):
-        if refuter and refuter.refutes(candidate.relators):
+        if refuted(candidate.relators):
             return False
         for m in sorted(verify_orders, reverse=True):
             table = quotient_table(candidate, quotient_relators(E, m),
@@ -326,10 +425,6 @@ def present(generators, simplify=True, prune=True,
         return True
 
     if prune and verify_orders:
-        m0 = min(verify_orders)
-        powers = quotient_relators(E, m0)
-        table = quotient_table(pres, powers, prune_cap)
-        refuter = table.index() == expected[m0] and SchreierRank(table, powers)
         # longest first (the relators are in word_sort_key order); keep a
         # relator unless the quotient checks still pass without it
         keep = list(range(len(pres.relators)))

@@ -1222,6 +1222,25 @@ def test_regular_action_shear_breaks_the_edge_set():
     assert str(info.value) == "group generator does not preserve the edge set"
 
 
+@pytest.mark.parametrize("net, op", [("pcu", "-y, x"), ("sql", "-y, x, z")])
+def test_regular_action_rejects_a_generator_of_another_dimension(net, op):
+    g = catalog_load(net)
+    d = op.count(",") + 1
+    with pytest.raises(GraphError) as info:
+        regular_action_check(g, [parse_symop(op, d)])
+    assert str(info.value) == (f"group generator has dimension {d}, "
+                               f"but the net has rank {g.rank}")
+
+
+@pytest.mark.parametrize("vector, text", [((1, 0, 5), "1,0,5"),
+                                          ((Fraction(1, 2),), "1/2")])
+def test_extend_lattice_rejects_a_vector_of_another_length(vector, text):
+    with pytest.raises(GraphError) as info:
+        extend_lattice(catalog_load("sql"), [vector])
+    assert str(info.value) == (f"vector {text} has length {len(vector)}, "
+                               "but the net has rank 2")
+
+
 def test_regular_action_inconclusive():
     # pcu on a cell doubled along x: a quarter turn about z moves that
     # cell's lattice, so the quotient cannot certify it

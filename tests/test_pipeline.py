@@ -20,9 +20,11 @@ from crystpres.netgraph import (
     net_coordination_sequence,
     ring_size_counts,
 )
+from crystpres import pipeline
 from crystpres.bfs import coordination_sequence
 from crystpres.pipeline import (
     PipelineError,
+    _quotient_cosets,
     bounded_consequence_check,
     build_extension_data,
     conjugation_relators,
@@ -35,7 +37,7 @@ from crystpres.pipeline import (
 )
 from crystpres.affine import AffineIsometry
 from crystpres.symop import parse_generating_set
-from crystpres.words import Presentation, evaluate, parse_word
+from crystpres.words import Presentation, evaluate, invert_word, parse_word
 
 from conftest import (
     load_document,
@@ -254,10 +256,15 @@ def _generators(path):
 
 
 @functools.lru_cache(maxsize=None)
+def _unpruned_report(path):
+    return present(_generators(path), prune=False)
+
+
+@functools.lru_cache(maxsize=None)
 def _unpruned(path):
     """A document's Tietze output, the rank test on its G/2T table, the
     order of G/2T and the squares of the lattice words."""
-    rep = present(_generators(path), prune=False)
+    rep = _unpruned_report(path)
     E = rep.extension
     return (rep.presentation, SchreierRank(rep.tables[2]),
             E.point_order * 2 ** E.rank, quotient_relators(E, 2))
@@ -316,17 +323,133 @@ def test_fixed_rows_answer_as_a_fresh_elimination(path, data):
     assert rank.refutes(relators + squares) == fresh
 
 
+# the documents whose G/3T rows are narrow enough for a refuter at m = 3
+NARROW_AT_3 = {"corpus/hcb_p6.json", "corpus/z1_trivial.json",
+               "corpus/z2_diagonal_1.json", "corpus/z2_diagonal_2.json",
+               "corpus/z2_diagonal_3.json", "corpus/z2_diagonal_4.json",
+               "tests/data/layer_p1bar.json", "tests/data/ndia_2.json",
+               "tests/data/rod_p2cc.json"}
+
+
+def _order(report, m):
+    E = report.extension
+    return E.point_order * m ** E.rank
+
+
 @pytest.mark.parametrize("path", ALL_DOCS)
 def test_refuted_trials_change_no_report(path, monkeypatch):
     gens = _generators(path)
-    refutes, verdicts = SchreierRank.refutes, []
+    refutes, verdicts, built = SchreierRank.refutes, [], []
 
     def spy(self, relators):
         verdicts.append(refutes(self, relators))
         return verdicts[-1]
 
     monkeypatch.setattr(SchreierRank, "refutes", spy)
+    monkeypatch.setattr(pipeline, "_quotient_cosets",
+                        lambda E, m: built.append(m) or _quotient_cosets(E, m))
     report = present(gens).to_dict()
     assert any(verdicts) or path.endswith("z1_trivial.json")
+    # refuters at G/2T, and at G/3T only where its rows are narrow, each
+    # built once, when a trial first needs it
+    assert built in ([], [2], [2, 3] if path in NARROW_AT_3 else [2])
+    # with every refuter silenced, all trials enumerate
     monkeypatch.setattr(SchreierRank, "refutes", lambda self, relators: False)
     assert present(gens).to_dict() == report
+
+
+@pytest.mark.parametrize("name", ["hcb_p6.json", "z2_diagonal_3.json"])
+def test_trials_refuted_at_3_fail_their_enumeration(name, monkeypatch):
+    refutes, refuted = SchreierRank.refutes, []
+
+    def spy(self, relators):
+        verdict = refutes(self, relators)
+        if verdict and len(self.table.cells) // self.table.width == order:
+            refuted.append(list(relators))
+        return verdict
+
+    monkeypatch.setattr(SchreierRank, "refutes", spy)
+    order = _order(_unpruned_report(f"corpus/{name}"), 3)
+    report = present(load_document(name).generators)
+    E = report.extension
+    assert refuted
+    for relators in refuted:
+        # the trial's own check at m = 3, at the prune cap
+        table = CosetTable(len(E.names), relators + quotient_relators(E, 3),
+                           [], max(64 * order, 2000))
+        assert table.run_hlt().index() != order
+
+
+TABLE_CASES = [(path, m) for path in ALL_DOCS for m in (2, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _g_mod_mt(path, m):
+    """G/mT read off the group, and as enumerated from the Tietze output
+    with the m-th lattice powers."""
+    rep = _unpruned_report(path)
+    return _quotient_cosets(rep.extension, m), rep.tables[m]
+
+
+@pytest.mark.parametrize("path, m", TABLE_CASES)
+def test_group_table_is_the_enumerated_one(path, m):
+    table, enumerated = _g_mod_mt(path, m)
+    order = _order(_unpruned_report(path), m)
+    w, cells = table.width, table.cells
+    assert table.index() == enumerated.index() == order == len(cells) // w
+    for col in range(1, w):
+        column = [cells[r + col] for r in table.table]
+        assert sorted(column) == list(table.table)
+        assert all(cells[d + table.inverse[col]] == r
+                   for r, d in zip(table.table, column))
+    # walking both tables from coset 0 pairs their cosets one to one
+    pair, queue = {0: 0}, [0]
+    for r in queue:
+        for col in range(1, w):
+            d, e = cells[r + col], enumerated.cells[pair[r] + col]
+            if d not in pair:
+                pair[d] = e
+                queue.append(d)
+            assert pair[d] == e
+    assert len(set(pair.values())) == order
+
+
+def _words(k, max_size):
+    letters = st.integers(1, k).flatmap(lambda x: st.sampled_from((x, -x)))
+    return st.lists(letters, max_size=max_size).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TABLE_CASES), st.data())
+def test_group_table_closes_the_words_enumeration_closes(case, data):
+    table, enumerated = _g_mod_mt(*case)
+    rep = _unpruned_report(case[0])
+    relators = (rep.presentation.relators
+                + quotient_relators(rep.extension, case[1]))
+    u = data.draw(_words(len(rep.extension.names), 10))
+    # u against itself with a relator spliced in, or against another word
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(u)))
+        v = u[:i] + data.draw(st.sampled_from(relators)) + u[i:]
+    else:
+        v = data.draw(_words(len(rep.extension.names), 10))
+    word = u + invert_word(v)
+    assert (table.trace(0, word) == 0) == (enumerated.trace(0, word) == 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_tests(path, m):
+    powers = quotient_relators(_unpruned_report(path).extension, m)
+    return tuple(SchreierRank(t, powers) for t in _g_mod_mt(path, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TABLE_CASES), st.data())
+def test_rank_test_reads_the_same_on_both_tables(case, data):
+    # the rank does not depend on how the cosets are numbered
+    pres = _unpruned_report(case[0]).presentation
+    n = len(pres.relators)
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    relators = [r for r, k in zip(pres.relators, keep) if k]
+    group, enumerated = _rank_tests(*case)
+    assert group.refutes(relators) == enumerated.refutes(relators)
