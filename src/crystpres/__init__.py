@@ -6,7 +6,6 @@ from .affine import (
     WalkKernel,
     compose,
     inverse,
-    translation_of,
     hnf_lattice,
     finite_closure,
 )
@@ -33,10 +32,8 @@ from .cosets import (
     short_presentation_finite,
 )
 from .bfs import (
-    BallIndex,
     GeodesicSet,
     TranslationHarvest,
-    ball,
     coordination_sequence,
     geodesics,
     lattice_geodesic_count,

@@ -143,13 +143,6 @@ def inverse(g):
     return AffineIsometry(inv_lin, tr)
 
 
-def translation_of(g):
-    """The translation vector if g is a pure translation, else None."""
-    if g.linear == identity_matrix(g.dimension):
-        return g.translation
-    return None
-
-
 class TranslationLattice:
     """A rank-r lattice in Q^d with a canonical (HNF) rational basis."""
 
@@ -174,9 +167,6 @@ class TranslationLattice:
 
     def __repr__(self):
         return f"TranslationLattice(dim={self.dimension}, basis={self.basis})"
-
-    def contains(self, vector):
-        return self.coordinates(vector) is not None
 
     def coordinates(self, vector):
         """Integer coordinates of `vector` in the canonical basis, or None."""
@@ -331,24 +321,11 @@ class WalkKernel:
             raise ValueError("translation outside the kernel's scale")
         return (self._intern(g.linear), *map(int, t))
 
-    def lookup(self, g):
-        """Code of g without interning, or None when g cannot be a
-        group element (unknown linear part or off-scale translation)."""
-        if g.dimension != self.dimension or g.linear not in self._ids:
-            return None
-        try:
-            return self.encode(g)
-        except ValueError:
-            return None
-
-    def linear(self, code):
-        return self._linears[code[0]]
-
     def vector(self, code):
         return tuple(Fraction(v, self.scale) for v in code[1:])
 
     def decode(self, code):
-        return AffineIsometry(self.linear(code), self.vector(code))
+        return AffineIsometry(self._linears[code[0]], self.vector(code))
 
 
 def minkowski_bound(d):

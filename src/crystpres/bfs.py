@@ -3,12 +3,11 @@
 Vertices are group elements, edges are right multiplication by a
 generator in the word sense: appending letter x to a word moves from g
 to image(x) * g (letters act in reading order, see words.evaluate).
-Provides distance balls, coordination sequences, geodesic counting and
-the harvest of shortest translation words that feeds the presentation
-pipeline.  The pipeline (present, verify) stops that harvest at the
-first sphere whose words span T; only the public
-shortest_translation_words walks DEFAULT_STABLE_SPHERES more, for its
-`words`.
+Provides coordination sequences, geodesic counting and the harvest of
+shortest translation words that feeds the presentation pipeline.  The
+pipeline (present, verify) stops that harvest at the first sphere whose
+words span T; only the public shortest_translation_words walks
+DEFAULT_STABLE_SPHERES more, for its `words`.
 
 Every walk runs on the integer element codes of affine.WalkKernel (an
 interned linear part plus N times the translation, N also covering any
@@ -23,8 +22,8 @@ both ends of a route, on packed int nodes (CoverCode) that carry path
 counts.
 For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover.
-Walks that need words or discovery order (balls, the harvest, geodesic
-words, finite Cayley graphs of cosets) grow their spheres with the one
+Walks that need words or discovery order (the harvest, geodesic words,
+finite Cayley graphs of cosets) grow their spheres with the one
 routine _expand, given a neighbours function.
 """
 
@@ -229,6 +228,8 @@ def shell_sizes(adj, base, radius, max_elements=math.inf):
     reach; it doubles and the walk starts over while radius > box.
     Raises BallBoundExceeded once the ball passes max_elements nodes.
     """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     frame = _frame(adj, base)
     rank = len(next((c for out in frame for _, c in out), ()))
     m = min(rank, 3) if rank > 1 else 0
@@ -315,50 +316,12 @@ def shell_geodesics(adj, start, goal, radius, max_elements=math.inf):
     return None
 
 
-class BallIndex:
-    """All elements within a word-length radius of the identity.
-
-    entries: element code -> (distance, letter) where letter is the
-    signed generator index appended last on a shortest word (0 for the
-    identity).  Discovery order is deterministic: spheres in order,
-    within a sphere the elements of the previous sphere in discovery
-    order, letters in order 1, -1, 2, -2, ...
-    """
-
-    def __init__(self, generators, radius, max_elements=DEFAULT_MAX_ELEMENTS):
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
-        self.kernel = kernel = _kernel(generators)
-        self.entries = {kernel.identity: (0, 0)}
-        self.sphere_sizes = [1] + [
-            len(sphere) for sphere in
-            _expand(kernel.neighbours, self.entries, radius, max_elements)
-        ]
-
-    def distance(self, g):
-        entry = self.entries.get(self.kernel.lookup(g))
-        return None if entry is None else entry[0]
-
-    def word_for(self, g):
-        """A shortest word for g (first-discovered), or None."""
-        code = self.kernel.lookup(g)
-        if code not in self.entries:
-            return None
-        return _word(self.kernel.move, self.entries, code)
-
-
-def ball(generators, radius, max_elements=DEFAULT_MAX_ELEMENTS):
-    return BallIndex(generators, radius, max_elements=max_elements)
-
-
 def coordination_sequence(generators, radius, max_elements=DEFAULT_MAX_ELEMENTS):
     """Sphere sizes of the Cayley graph ball: |S_0|, |S_1|, ..., |S_r|.
 
     shell_sizes on the cover of _cayley_quotient, whose coset
     representatives count against max_elements too.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     _, adj = _cayley_quotient(generators, max_elements)
     return shell_sizes(adj, 0, radius, max_elements)
 

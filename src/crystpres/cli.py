@@ -204,9 +204,7 @@ def cmd_verify(args):
                 word = parse_word(text, names=names)
             except WordSyntaxError as exc:
                 raise InputError(f"bad relator {text!r}: {exc}") from exc
-            verdict = bounded_consequence_check(
-                report, word, ms=ms, max_cosets=max_cosets
-            )
+            verdict = bounded_consequence_check(report, word)
             expectations.append({"relator": text, "verdict": verdict})
     verdicts = [e["verdict"] for e in expectations]
     verdicts.append(d["verification"]["verdict"])

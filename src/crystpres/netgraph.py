@@ -860,6 +860,8 @@ def regular_action_check(g, group_generators, base=0):
             return "fail"
         if not found[2]:
             raise GraphError("group generator does not preserve the edge set")
+    if not group_generators:  # the trivial H, finite
+        return "fail"
 
     # h p0 - p0 is the translation of h conjugated by the shift to p0,
     # so the images of p0 are distinct mod L iff the conjugates' residual

@@ -249,26 +249,6 @@ class GeneratingSetDocument:
     def names(self):
         return [name for name, _ in self.generators]
 
-    @property
-    def operations(self):
-        return [op for _, op in self.generators]
-
-    def assignment(self):
-        return dict(self.generators)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "dimension": self.dimension,
-                "label": self.label,
-                "generators": [
-                    {"name": name, "xyz": format_symop(op)}
-                    for name, op in self.generators
-                ],
-            },
-            indent=2,
-        )
-
 
 def parse_generating_set(document):
     """Parse a JSON generating-set document (text or parsed dict)."""

@@ -150,7 +150,7 @@ def point_group_image(g, lattice, frame):
     does not preserve the lattice."""
     from crystpres.intmat import mat_vec
 
-    if not all(lattice.contains(mat_vec(g.linear, row))
+    if not all(lattice.coordinates(mat_vec(g.linear, row)) is not None
                for row in lattice.basis):
         return None
     return g.linear, reduce_mod_lattice(g.translation, lattice, frame)

@@ -17,7 +17,6 @@ from crystpres.bfs import (
     BallBoundExceeded,
     LatticeNotFound,
     TargetUnreachable,
-    ball,
     coordination_sequence,
     geodesics,
     lattice_geodesic_count,
@@ -59,14 +58,14 @@ def test_square_lattice_coordination_sequence():
 
 def test_ball_generator_order_invariance():
     gens = _translations(2) + [("c", parse_symop("-x, -y", 2))]
-    a = ball(gens, 5).sphere_sizes
-    b = ball(list(reversed(gens)), 5).sphere_sizes
+    a = coordination_sequence(gens, 5)
+    b = coordination_sequence(list(reversed(gens)), 5)
     assert a == b
 
 
 def test_ball_bound():
     with pytest.raises(BallBoundExceeded):
-        ball(_translations(3), 10, max_elements=50)
+        coordination_sequence(_translations(3), 10, max_elements=50)
 
 
 def test_harvest_shortest_translation_words(elv):
@@ -251,10 +250,9 @@ def test_far_target_geodesics(source, target, expected):
 
 
 @pytest.mark.parametrize("walk", [
-    lambda: ball([], 1),
     lambda: coordination_sequence([], 1),
     lambda: geodesics([], (1, 0), 3),
-], ids=["ball", "coordination_sequence", "geodesics"])
+], ids=["coordination_sequence", "geodesics"])
 def test_empty_generating_set_is_rejected(walk):
     with pytest.raises(BadGenerators, match="empty generating set"):
         walk()

@@ -431,6 +431,20 @@ def test_topological_density():
     )
 
 
+@pytest.mark.parametrize("walk", [
+    lambda: net_coordination_sequence(catalog_load("pcu"), 0, -1),
+    lambda: topological_density(catalog_load("pcu"), 0, -1),
+    lambda: coordination_sequence(
+        [("a", parse_symop("1+x, y", 2)), ("b", parse_symop("x, 1+y", 2))],
+        -1),
+], ids=["net_coordination_sequence", "topological_density",
+        "coordination_sequence"])
+def test_negative_radius_is_rejected(walk):
+    # one check in bfs.shell_sizes serves the net and the group walks
+    with pytest.raises(ValueError, match="^radius must be >= 0$"):
+        walk()
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_ring_goldens_and_widen_stability(name):
     """The golden counts, unchanged when the ball is widened by 2: counts
@@ -1259,6 +1273,11 @@ def test_regular_action_inconclusive():
     assert regular_action_check(pcu, [parse_symop("1+x, y, z", 3)]) == "fail"
 
 
+def test_regular_action_of_the_trivial_group_fails():
+    # no generators: the trivial H is finite, so it fails like any other
+    assert regular_action_check(catalog_load("pcu"), []) == "fail"
+
+
 CORPUS_DOCS = sorted(f for f in os.listdir(CORPUS) if f.endswith(".json"))
 
 
@@ -1307,7 +1326,8 @@ def _fraction_regular_action_check(g, group_generators, base=0):
             v, tuple(int(a - b) for a, b in zip(q, g.coords[v])))
 
     for h in group_generators:
-        if not all(lattice.contains(mat_vec(h.linear, row)) for row in cell):
+        if not all(lattice.coordinates(mat_vec(h.linear, row)) is not None
+                   for row in cell):
             return "inconclusive"
         image = [locate(h.apply(position(_start(g, v)))) for v in range(g.n)]
         if None in image:

@@ -9,11 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crystpres.cosets import (
+    DEFAULT_MAX_COSETS,
     CosetTable,
     SchreierRank,
     _cols,
     coset_enumerate,
+    is_consequence,
     order_check,
+    quotient_table,
 )
 from crystpres.netgraph import (
     from_cayley,
@@ -151,7 +154,6 @@ def test_quotient_order_does_not_change_report(name):
 
 def test_consequence_checks_trace_the_final_tables(i42d):
     rep = present(i42d.generators)
-    assert sorted(rep.tables) == [2, 3]
     names = rep.presentation.generator_names
     with mock.patch.object(CosetTable, "run_hlt",
                            side_effect=AssertionError("enumerated again")):
@@ -234,11 +236,17 @@ def test_cayley_net_cover_matches_group_ball():
 
 
 def test_bounded_consequence_inconclusive(i42d):
-    rep = present(i42d.generators)
-    word = parse_word("c^4", rep.presentation.generator_names)
-    assert bounded_consequence_check(rep, word) == "pass"
-    # starving the enumeration must be reported, never silently passed
-    assert bounded_consequence_check(rep, word, max_cosets=40) == "inconclusive"
+    # at 300 cosets the order checks overflow: a consequence of G is then
+    # reported inconclusive, never silently passed, a freely trivial word
+    # still passes and a word that is not the identity still fails
+    rep = present(i42d.generators, max_cosets=300)
+    assert rep.verification["verdict"] == "inconclusive"
+    names = rep.presentation.generator_names
+    verdicts = [bounded_consequence_check(rep, parse_word(t, names))
+                for t in ("c^4", "aa^-1", "a")]
+    assert verdicts == ["inconclusive", "pass", "fail"]
+    word = parse_word("c^4", names)
+    assert bounded_consequence_check(present(i42d.generators), word) == "pass"
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -261,12 +269,20 @@ def _unpruned_report(path):
 
 
 @functools.lru_cache(maxsize=None)
+def _enumerated(path, m):
+    """The table of the final G/mT order check of the Tietze output."""
+    rep = _unpruned_report(path)
+    return quotient_table(rep.presentation,
+                          quotient_relators(rep.extension, m)).compact()
+
+
+@functools.lru_cache(maxsize=None)
 def _unpruned(path):
     """A document's Tietze output, the rank test on its G/2T table, the
     order of G/2T and the squares of the lattice words."""
     rep = _unpruned_report(path)
     E = rep.extension
-    return (rep.presentation, SchreierRank(rep.tables[2]),
+    return (rep.presentation, SchreierRank(_enumerated(path, 2)),
             E.point_order * 2 ** E.rank, quotient_relators(E, 2))
 
 
@@ -387,8 +403,8 @@ TABLE_CASES = [(path, m) for path in ALL_DOCS for m in (2, 3)]
 def _g_mod_mt(path, m):
     """G/mT read off the group, and as enumerated from the Tietze output
     with the m-th lattice powers."""
-    rep = _unpruned_report(path)
-    return _quotient_cosets(rep.extension, m), rep.tables[m]
+    return (_quotient_cosets(_unpruned_report(path).extension, m),
+            _enumerated(path, m))
 
 
 @pytest.mark.parametrize("path, m", TABLE_CASES)
@@ -453,3 +469,56 @@ def test_rank_test_reads_the_same_on_both_tables(case, data):
     relators = [r for r, k in zip(pres.relators, keep) if k]
     group, enumerated = _rank_tests(*case)
     assert group.refutes(relators) == enumerated.refutes(relators)
+
+
+def _enumerating_check(report, word, max_cosets, tables):
+    """The consequence check as it was before it read the order checks:
+    the word traced through an enumeration of each G/mT from the emitted
+    relators, `tables[m]` reused where it is complete."""
+    E, p = report.extension, report.presentation
+    if E.kernel.evaluate(word) != E.kernel.identity:
+        return "fail"
+    verdict = "pass"
+    for m in map(int, report.verification["order_checks"]):
+        q = p.with_relators(list(p.relators) + quotient_relators(E, m))
+        res = is_consequence(q, word, max_cosets, tables[m])
+        if res is False:
+            return "fail"
+        if res is None:
+            verdict = "inconclusive"
+    return verdict
+
+
+# the default cap, and caps at which some or all order checks overflow
+CONSEQUENCE_CASES = [(path, cap) for path in ALL_DOCS
+                     for cap in (DEFAULT_MAX_COSETS, 300, 40, 8)]
+
+
+@functools.lru_cache(maxsize=None)
+def _capped(path, cap):
+    rep = present(_generators(path), max_cosets=cap)
+    tables = {m: quotient_table(rep.presentation,
+                                quotient_relators(rep.extension, m), cap)
+              for m in (2, 3)}
+    return rep, tables
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CONSEQUENCE_CASES), st.data())
+def test_consequence_rule_is_the_enumeration(case, data):
+    rep, tables = _capped(*case)
+    k = len(rep.extension.names)
+    u = data.draw(_words(k, 6))
+    relators = (rep.presentation.relators
+                + quotient_relators(rep.extension, 2))
+    # a conjugate of a relator (the identity in G unless it is a lattice
+    # power) or any word, a freely trivial word and a generator, which is
+    # never the identity
+    word = data.draw(st.one_of(
+        st.sampled_from(relators).map(lambda r: u + r + invert_word(u)),
+        _words(k, 8)))
+    for w in (word, u + invert_word(u), (1,)):
+        expected = _enumerating_check(rep, w, case[1], tables)
+        with mock.patch.object(CosetTable, "run_hlt",
+                               side_effect=AssertionError("enumerated")):
+            assert bounded_consequence_check(rep, w) == expected

@@ -1,5 +1,6 @@
 """Symmetry-operation string parsing and document handling."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -76,7 +77,7 @@ def test_augmented_matrix_row_accepted():
             ],
         }
     )
-    assert doc.operations[0].translation == (Fraction(1, 2), 0)
+    assert doc.generators[0][1].translation == (Fraction(1, 2), 0)
 
 
 def test_document_errors():
@@ -99,7 +100,13 @@ def test_document_errors():
 
 
 def test_document_json_roundtrip(i42d):
-    again = parse_generating_set(i42d.to_json())
+    text = json.dumps({
+        "dimension": i42d.dimension,
+        "label": i42d.label,
+        "generators": [{"name": name, "xyz": format_symop(op)}
+                       for name, op in i42d.generators],
+    })
+    again = parse_generating_set(text)
     assert again.generators == i42d.generators
     assert again.label == i42d.label
 

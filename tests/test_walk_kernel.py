@@ -6,6 +6,7 @@ integer codes.  Every walk in bfs must agree with them exactly,
 including which shortest words it finds and in what order.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from crystpres.bfs import (
     BallBoundExceeded,
     TargetUnreachable,
     WalkKernel,
-    ball,
+    _expand,
+    _word,
     coordination_sequence,
     geodesics,
     odd_cycle_girth,
@@ -180,7 +182,7 @@ def test_kernel_matches_affine_compose(data):
         # a letter followed by its inverse is the identity move
         assert kernel.move[-x](code) == kernel.encode(compose(
             inverse(step), expect))
-    assert kernel.lookup(expect) == code
+    assert kernel.encode(expect) == code
 
 
 def test_kernel_scale_covers_points():
@@ -188,8 +190,8 @@ def test_kernel_scale_covers_points():
     kernel = WalkKernel([g], points=[(Fraction(1, 3),)])
     assert kernel.scale == 6
     assert kernel.encode(g) == (kernel.encode(g)[0], 3)
-    assert kernel.lookup(AffineIsometry([[1]], [Fraction(1, 5)])) is None
-    assert kernel.lookup(AffineIsometry([[2]], [0])) is None
+    with pytest.raises(ValueError, match="outside the kernel's scale"):
+        kernel.encode(AffineIsometry([[1]], [Fraction(1, 5)]))
 
 
 # -- walks against the Fraction oracle ------------------------------------------
@@ -200,19 +202,24 @@ def test_kernel_scale_covers_points():
 def test_ball_matches_oracle(gens):
     radius = 4
     sizes, entries = oracle_ball(gens, radius)
-    b = ball(gens, radius)
-    assert b.sphere_sizes == sizes
     assert coordination_sequence(gens, radius) == sizes
+    # the spheres of the walks that need words, on codes: the same
+    # elements in the same discovery order, with the same last letters
+    kernel = WalkKernel([g for _, g in gens])
+    codes = {kernel.identity: (0, 0)}
+    for _ in _expand(kernel.neighbours, codes, radius):
+        pass
+    assert [kernel.decode(c) for c in codes] == list(entries)
+    assert list(codes.values()) == list(entries.values())
     images = _images(gens)
-    for g, (r, _) in list(entries.items())[:40]:
-        assert b.distance(g) == r
+    for code, g in list(zip(codes, entries))[:40]:
         # the first-discovered word, read back through the oracle's entries
         word, h = [], g
         while entries[h][0]:
             x = entries[h][1]
             word.insert(0, x)
             h = compose(images[-x], h)
-        assert b.word_for(g) == tuple(word)
+        assert _word(kernel.move, codes, code) == tuple(word)
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,6 +249,15 @@ def test_odd_cycle_girth_matches_oracle(gens):
 # -- edge cases -----------------------------------------------------------------
 
 
+def _expand_sizes(gens, radius, max_elements=math.inf):
+    """Sphere sizes of the Cayley ball as the walks that need words grow
+    it, on codes."""
+    kernel = WalkKernel([g for _, g in gens])
+    entries = {kernel.identity: (0, 0)}
+    return [1] + [len(s) for s in _expand(kernel.neighbours, entries, radius,
+                                          max_elements)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(gens=generating_sets())
 # a finite group (rank 0), a rod group in the plane (rank 1 of 2) and a
@@ -253,7 +269,7 @@ def test_odd_cycle_girth_matches_oracle(gens):
                ("b", parse_symop("-y, x+1/2, -z", 3))])
 def test_coordination_sequence_is_the_ball_on_the_quotient_cover(gens):
     # the shell walk on the cover of G/T against the whole Cayley ball
-    assert coordination_sequence(gens, 6) == ball(gens, 6).sphere_sizes
+    assert coordination_sequence(gens, 6) == _expand_sizes(gens, 6)
 
 
 def _square_lattice():
@@ -264,9 +280,9 @@ def test_ball_bound_fires_at_same_count():
     gens = _square_lattice()
     sizes, _ = oracle_ball(gens, 5)
     n = sum(sizes)
-    assert ball(gens, 5, max_elements=n).sphere_sizes == sizes
+    assert _expand_sizes(gens, 5, max_elements=n) == sizes
     with pytest.raises(BallBoundExceeded, match=f"{n - 1} elements at radius 5"):
-        ball(gens, 5, max_elements=n - 1)
+        _expand_sizes(gens, 5, max_elements=n - 1)
 
 
 def test_coordination_sequence_bound_fires_at_same_count():
@@ -306,5 +322,3 @@ def test_geodesics_target_with_ungenerated_denominator():
     gens = _square_lattice()
     with pytest.raises(TargetUnreachable):
         geodesics(gens, (Fraction(1, 2), 0), 6)
-    assert ball(gens, 3).distance(
-        AffineIsometry.from_translation([Fraction(1, 2), 0])) is None
