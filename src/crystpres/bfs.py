@@ -225,31 +225,38 @@ def shell_sizes(adj, base, radius, max_elements=math.inf):
     {coordinates past the m-th: int bitset over a box of the first m},
     m = 3 or the rank if lower; m = 0 on a line, whose spheres are two
     far ends.  The box is what walks of `box` = min(radius, 64) arcs
-    reach; it doubles and the walk starts over while radius > box.
+    reach; it doubles and the walk starts over while radius > box.  m
+    drops while the box passes 64 bits a node of the ball it can hold
+    (max_elements nodes at most, and arcs^r at radius r).
     Raises BallBoundExceeded once the ball passes max_elements nodes.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     frame = _frame(adj, base)
     rank = len(next((c for out in frame for _, c in out), ()))
-    m = min(rank, 3) if rank > 1 else 0
-    reach = [{} for _ in frame]  # w: the largest +-c_i, i < m, on v -> w
+    m = k = min(rank, 3) if rank > 1 else 0
+    reach = [{} for _ in frame]  # w: the largest +-c_i, i < k, on v -> w
     for v, out in enumerate(frame):
         for w, c in out:
-            c = c[:m] + tuple(-x for x in c[:m])
+            c = c[:k] + tuple(-x for x in c[:k])
             reach[v][w] = tuple(map(max, reach[v].get(w, c), c))
+    arcs = max(map(len, frame))
     box = min(radius, 64) if m else radius
     while True:
-        far = {base: (0,) * 2 * m}  # v: the same on walks base -> v
+        far = {base: (0,) * 2 * k}  # v: the same on walks base -> v
         for _ in range(box if m else 0):  # of at most box arcs
             for v, ahead in list(far.items()):
                 for w, c in reach[v].items():
                     c = tuple(map(add, ahead, c))
                     far[w] = tuple(map(max, far.get(w, c), c))
         top = [max(x) for x in zip(*far.values())]
-        low = top[m:]
-        strides = [math.prod(hi + lo + 1 for hi, lo in zip(top, low[:i]))
-                   for i in range(m)]
+        low = top[k:]
+        extent = [hi + lo + 1 for hi, lo in zip(top, low)]
+        ball = (arcs ** (box + 1) - 1) // (arcs - 1) if m else 1
+        while m and math.prod(extent[:m]) > 64 * min(ball, max_elements):
+            m -= 1
+        box = box if m else radius
+        strides = [math.prod(extent[:i]) for i in range(m)]
         steps = [[(w, sum(map(mul, c, strides)), c[m:]) for w, c in out]
                  for out in frame]
         prev, sphere = [{} for _ in frame], [{} for _ in frame]

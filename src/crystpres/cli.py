@@ -239,6 +239,8 @@ def cmd_cseq(args):
         seq = net_coordination_sequence(g, args.base, radius)
         source = {"net": args.net, "base": args.base}
     else:
+        if args.base:
+            raise InputError("--base applies to --net only")
         doc = _load_document(args.input)
         seq = coordination_sequence(doc.generators, radius)
         source = {"input": args.input}
@@ -262,6 +264,8 @@ def cmd_geodesics(args):
         _check_targets([target], g.rank)
         length, count = net_geodesics(g, target, base=args.base, cap=cap)
     else:
+        if args.base:
+            raise InputError("--base applies to --net only")
         doc = _load_document(args.input)
         _check_targets([target], doc.dimension)
         gs = geodesics(doc.generators, target, cap)

@@ -11,8 +11,8 @@ of overflow decides the emitted presentation, and a Felsch or lookahead
 order would change the `present` reports.  The trials may check the m
 in any order, since a relator goes only if every m passes; they take the
 largest first, which overflows most often.  run_hlt reads the cap only to
-stop, so a complete table stands for a run under any cap of at least its
-defined cosets (quotient_table's `reuse`).
+stop, so a run that completed under one cap is the same run under any
+larger cap: `present` keeps the verdicts of its trials, not their tables.
 
 SchreierRank refutes a relator set with no enumeration: a GF(2) rank test
 on its Reidemeister-Schreier rewrite (Holt, Eick, O'Brien, ch. 5) over
@@ -56,7 +56,6 @@ class CosetTable:
         if max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
         self.width = 2 * ngens + 1
-        self.presented = (relators, subgroup_words)
         # inverse[col]: the column of the inverse letter
         self.inverse = [0] + [c + 1 if c % 2 else c - 1 for c in range(1, self.width)]
         relators = [_cols(cyclic_reduce(r)) for r in relators if cyclic_reduce(r)]
@@ -195,7 +194,6 @@ class CosetTable:
             self.status = "complete"
         except _Overflow:
             self.status = "overflow"
-        self.defined = len(self.table)
         return self
 
     def compact(self):
@@ -295,39 +293,29 @@ def coset_enumerate(p, subgroup=(), max_cosets=DEFAULT_MAX_COSETS):
     return table.run_hlt().index()
 
 
-def quotient_table(p, extra=(), max_cosets=DEFAULT_MAX_COSETS, reuse=None):
-    """The run table of the trivial subgroup in p plus `extra` relators;
-    `reuse` instead, if it is a complete table of the same relators that
-    defined at most `max_cosets` cosets (a new run would repeat it)."""
+def quotient_table(p, extra=(), max_cosets=DEFAULT_MAX_COSETS):
+    """The run table of the trivial subgroup in p plus `extra` relators."""
     q = p.with_relators(list(p.relators) + list(extra))
-    if (reuse is not None and reuse.status == "complete"
-            and reuse.presented == (q.relators, [])
-            and reuse.defined <= max_cosets):
-        return reuse
     return CosetTable(len(q.generator_names), q.relators, [], max_cosets).run_hlt()
-
-
-def order_verdict(table, expected):
-    n = table.index()
-    return "inconclusive" if n is None else "pass" if n == expected else "fail"
 
 
 def order_check(p, extra=(), expected=None, max_cosets=DEFAULT_MAX_COSETS):
     """Enumerate p plus extra relators; verdict against `expected`."""
-    return order_verdict(quotient_table(p, extra, max_cosets), expected)
+    n = quotient_table(p, extra, max_cosets).index()
+    return "inconclusive" if n is None else "pass" if n == expected else "fail"
 
 
-def is_consequence(p, word, max_cosets=DEFAULT_MAX_COSETS, reuse=None):
+def is_consequence(p, word, max_cosets=DEFAULT_MAX_COSETS):
     """Bounded check that `word` is trivial in the group presented by p.
 
     Returns True (witnessed), False (witnessed nontrivial in a finite
     quotient that the enumeration happened to complete), or None
-    (inconclusive).  `reuse` is passed to quotient_table.
+    (inconclusive).
     """
     word = cyclic_reduce(word)
     if not word:
         return True
-    table = quotient_table(p, (), max_cosets, reuse)
+    table = quotient_table(p, (), max_cosets)
     return table.trace(0, word) == 0 if table.status == "complete" else None
 
 
@@ -343,7 +331,8 @@ def short_presentation_finite(tables, names):
     word_sort_key order.  They are adopted in that order until bounded
     enumeration certifies the adopted set already presents the group;
     each trial and the result are with_relators of that Presentation,
-    so no cycle word is keyed twice.
+    so no cycle word is keyed twice.  Only the set of every cycle word,
+    which the loop never enumerates, is checked at 16|P| cosets.
     """
     order = len(tables[1])
     max_cosets = max(4 * order, 16)
@@ -364,16 +353,13 @@ def short_presentation_finite(tables, names):
         cyclic_reduce(tree_word[e] + (x,) + invert_word(tree_word[table[e]]))
         for e in entries for x, table in tables.items()])
 
-    adopted = []
-    for cand in cycles.relators:
-        n = coset_enumerate(cycles.with_relators(adopted), (), max_cosets)
-        if n == order:
-            break
-        adopted.append(cand)
-    result = cycles.with_relators(adopted)
-    final = coset_enumerate(result, (), max(max_cosets, 16 * order))
+    for i in range(len(cycles.relators)):
+        prefix = cycles.with_relators(cycles.relators[:i])
+        if coset_enumerate(prefix, (), max_cosets) == order:
+            return prefix
+    final = coset_enumerate(cycles, (), max(max_cosets, 16 * order))
     if final != order:
         raise ModelNotClosed(
             f"short presentation failed verification: got {final}, expected {order}"
         )
-    return result
+    return cycles

@@ -17,8 +17,7 @@ from .cosets import (
     DEFAULT_MAX_COSETS,
     CosetTable,
     SchreierRank,
-    order_verdict,
-    quotient_table,
+    order_check,
     short_presentation_finite,
 )
 from .intmat import hnf_with_transform, mat_vec, scale_to_int, solve_hnf
@@ -164,7 +163,7 @@ def _quotient_cosets(E, m):
         for r, d in zip(rows, cells[2 * x - 1::w]):
             cells[d + 2 * x] = r
     cells[::w] = rows
-    table.status, table.defined = "complete", len(rows)
+    table.status = "complete"
     return table
 
 
@@ -345,8 +344,9 @@ def present(generators, simplify=True, prune=True,
     checks still pass without it; the commutator and dependence relators
     of the lattice words are the usual casualties.  A trial checks the
     largest m first, which overflows most often: the relator goes only if
-    every m passes, so the order is free.  The final check of m reuses
-    the table of the latest trial that passed at m if the relators match.
+    every m passes, so the order is free.  The final checks pass with no
+    enumeration on the relators of the latest trial that passed every m,
+    under a cap of at most max_cosets: run_hlt reads its cap only to stop.
 
     Before any enumeration a trial asks a cosets.SchreierRank on the
     table of G/mT, read off the group (_quotient_cosets), whether the
@@ -394,7 +394,7 @@ def present(generators, simplify=True, prune=True,
     # a tight coset bound keeps them cheap; overflow means "keep it"
     prune_cap = min(max(64 * max(expected.values(), default=1), 2000),
                     max_cosets)
-    passed = {}  # m -> the table of the latest trial that passed at m
+    proven = None  # the relators of the latest trial that passed every m
 
     # the m whose G/mT rows are narrow, each refuter built at first need
     k = len(E.names)
@@ -414,13 +414,9 @@ def present(generators, simplify=True, prune=True,
     def trial_passes(candidate):
         if refuted(candidate.relators):
             return False
-        for m in sorted(verify_orders, reverse=True):
-            table = quotient_table(candidate, quotient_relators(E, m),
-                                   prune_cap)
-            if order_verdict(table, expected[m]) != "pass":
-                return False
-            passed[m] = table.compact()
-        return True
+        return all(order_check(candidate, quotient_relators(E, m),
+                               expected[m], prune_cap) == "pass"
+                   for m in sorted(verify_orders, reverse=True))
 
     if prune and verify_orders:
         # longest first (the relators are in word_sort_key order); keep a
@@ -432,7 +428,7 @@ def present(generators, simplify=True, prune=True,
             trial = [j for j in keep if j != i]
             candidate = pres.with_relators([pres.relators[j] for j in trial])
             if trial_passes(candidate):
-                keep = trial
+                keep, proven = trial, candidate.relators
         pres = pres.with_relators([pres.relators[j] for j in keep])
         tags = [tags[j] for j in keep]
         if simplify:
@@ -448,9 +444,8 @@ def present(generators, simplify=True, prune=True,
             )
     verdicts = set()
     for m in verify_orders:
-        table = quotient_table(pres, quotient_relators(E, m), max_cosets,
-                               passed.get(m))
-        verdict = order_verdict(table, expected[m])
+        verdict = ("pass" if pres.relators == proven else order_check(
+            pres, quotient_relators(E, m), expected[m], max_cosets))
         verification["order_checks"][str(m)] = {
             "expected": expected[m],
             "verdict": verdict,

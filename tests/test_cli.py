@@ -338,6 +338,16 @@ def test_quotient_base_checked_on_quotient(capsys):
     assert report["coordination_sequence"] == [1, 4, 8]
 
 
+@pytest.mark.parametrize("argv", [
+    ["cseq", "--input", corpus_path("hcb_p6.json"), "--base", "99"],
+    ["geodesics", "--input", corpus_path("hcb_p6.json"), "--target", "1,0",
+     "--base", "3"],
+], ids=["cseq", "geodesics"])
+def test_base_with_input_is_input_error(capsys, argv):
+    # a group's walks start at the identity; --base names a net vertex
+    assert _input_error(capsys, argv) == "error: --base applies to --net only\n"
+
+
 @pytest.mark.parametrize("target, want", [
     ("2,0,0", "quotient by 2,0,0 creates parallel edges"),
     ("2,0,0;4,0,0", "vectors are linearly dependent"),

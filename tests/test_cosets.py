@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crystpres import pipeline, words
+from crystpres import cosets, pipeline, words
 from crystpres.bfs import LatticeNotFound, _expand, _word
 from crystpres.cosets import (
     CosetTable,
@@ -273,7 +273,7 @@ def test_complete_table_stands_for_every_cap_it_fits(case):
     ngens, relators, subgroup, cap = case
     table = CosetTable(ngens, relators, subgroup, cap).run_hlt()
     assume(table.status == "complete")
-    defined = table.defined
+    defined = len(table.table)
     for c in (defined, defined + 7):
         again = CosetTable(ngens, relators, subgroup, c).run_hlt()
         assert again.cells == table.cells
@@ -290,7 +290,7 @@ def test_compact_table_acts_like_the_full_one(case, words):
     full = CosetTable(ngens, relators, subgroup, cap).run_hlt()
     assume(full.status == "complete")
     small = CosetTable(ngens, relators, subgroup, cap).run_hlt().compact()
-    assert (small.index(), small.defined) == (full.index(), full.defined)
+    assert small.index() == full.index()
     assert small.live_cosets() == list(range(full.index()))
     # the live cosets in order, each reached by the same words
     order = full.live_cosets()
@@ -298,18 +298,6 @@ def test_compact_table_acts_like_the_full_one(case, words):
         w = tuple(x for x in w if abs(x) <= ngens)
         for c in range(full.index()):
             assert small.trace(c, w) == order.index(full.trace(order[c], w))
-
-
-def test_quotient_table_reuse():
-    p = _pres(["a", "b"], ["a^2", "b^2", "(ab)^3"])
-    table = quotient_table(p)
-    defined = table.defined
-    assert quotient_table(p, (), defined, reuse=table) is table
-    tight = quotient_table(p, (), defined - 1, reuse=table)
-    assert tight is not table and tight.index() is None
-    other = quotient_table(p, [(1, 2, 1, 2)], reuse=table)
-    assert other is not table and other.index() == 2
-    assert is_consequence(p, parse_word("(ab)^3", ["a", "b"]), reuse=table)
 
 
 def test_schreier_rank_on_the_regular_s3_table():
@@ -356,6 +344,9 @@ def test_order_check_verdicts():
 def test_is_consequence():
     p = _pres(["a", "b"], ["a^2", "b^2", "(ab)^3"])
     assert is_consequence(p, parse_word("(ba)^3", ["a", "b"])) is True
+    assert is_consequence(p, parse_word("(ab)^3", ["a", "b"])) is True
+    # an extra relator (ab)^2 leaves a = b of order 2
+    assert quotient_table(p, [(1, 2, 1, 2)]).index() == 2
     assert is_consequence(p, parse_word("ab", ["a", "b"])) is False
     free = Presentation(["a", "b"], [])
     assert is_consequence(free, (1, 2), max_cosets=200) is None
@@ -380,7 +371,9 @@ def test_short_presentation_cyclic():
     assert p.relators == [(1, 1, 1, 1, 1)]
 
 
-def test_short_presentation_symmetric_group():
+def _s4_tables():
+    """Left action of a = (0 1) and b = (0 1 2 3) and their inverses on
+    S4, element 0 the identity."""
     import itertools
 
     elems = list(itertools.permutations(range(4)))  # the identity first
@@ -395,10 +388,32 @@ def test_short_presentation_symmetric_group():
     for k, g in enumerate([(1, 0, 2, 3), (1, 2, 3, 0)], start=1):
         for x, h in ((k, g), (-k, inv(g))):
             tables[x] = [elems.index(mul(h, e)) for e in elems]
-    p = short_presentation_finite(tables, ["a", "b"])
+    return tables
+
+
+def test_short_presentation_symmetric_group():
+    p = short_presentation_finite(_s4_tables(), ["a", "b"])
     assert coset_enumerate(p) == 24
     # relators stay short: a Cannon-style set from tree cycles
     assert max(len(r) for r in p.relators) <= 12
+
+
+@pytest.mark.parametrize("tables, names", [
+    (_zn_tables(5), ["a"]), (_s4_tables(), ["a", "b"])], ids=["z5", "s4"])
+def test_short_presentation_enumerates_each_prefix_once(
+        tables, names, monkeypatch):
+    # the adopted prefixes of the cycle words in order, the last the
+    # result, each enumerated once: Z/5 adopts its one cycle word, S4
+    # stops at a prefix that already presents it
+    seen, enumerate_ = [], cosets.coset_enumerate
+
+    def spy(p, *args):
+        seen.append(p.relators)
+        return enumerate_(p, *args)
+
+    monkeypatch.setattr(cosets, "coset_enumerate", spy)
+    p = short_presentation_finite(tables, names)
+    assert seen == [p.relators[:i] for i in range(len(p.relators) + 1)]
 
 
 def _parent_short_presentation_finite(tables, names):

@@ -424,6 +424,29 @@ def test_rank_six_walk_stays_small():
     assert peak < SHELL_WALK_PEAK
 
 
+# a rank-6 one-vertex quotient that test_shell_sizes_match_the_set_walk
+# drew: _frame gives it coordinates up to 477, so a bitset box over three
+# coordinates held about 10^8 bits where the radius-2 ball has 113 nodes
+RANK_SIX_SHIFTS = [(-1, -3, -3, 0, 3, 0), (3, -1, 1, 2, -3, 1),
+                   (-1, 2, 0, 1, 2, -3), (1, 3, -3, 2, -3, -3),
+                   (2, 1, -2, 3, 0, 3), (1, -1, -2, 0, 0, -2),
+                   (-1, -2, -1, -1, 1, 3), (0,) * 6]
+
+
+@pytest.mark.parametrize("max_elements", [1, math.inf])
+def test_rank_six_quotient_walk_holds_its_ball_only(max_elements):
+    adj = [[(0, t) for s in RANK_SIX_SHIFTS
+            for t in (s, tuple(-x for x in s))]]
+    tracemalloc.start()
+    try:
+        got = _sizes_or_error(shell_sizes, adj, 0, 2, max_elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _sizes_or_error(_set_shell_sizes, adj, 0, 2, max_elements)
+    assert peak < 64 << 20
+
+
 def test_topological_density():
     ths = catalog_load("ths")
     assert topological_density(ths, 0, 10) == sum(
