@@ -21,7 +21,9 @@ of _tree that netgraph validates nets on), and shell_geodesics from
 both ends of a route, on packed int nodes (CoverCode) that carry path
 counts.
 For a group the quotient is _cayley_quotient (netgraph.from_cayley
-reads it as a net); the odd-cycle girth walks its parity double cover.
+reads it as a net); the odd-cycle girth walks its parity double cover,
+and the presentation pipeline reads the point group and every G/mT off
+its arcs (_quotient_arcs).
 Walks that need words or discovery order (the harvest, geodesic words,
 finite Cayley graphs of cosets) grow their spheres with the one
 routine _expand, given a neighbours function.
@@ -92,20 +94,24 @@ def _group(generators, max_elements, points=()):
 
 def _cayley_quotient(generators, max_elements=DEFAULT_MAX_ELEMENTS,
                      points=()):
-    """(closure, adj): the closure of _group and the Cayley graph modulo
-    T.  adj[i] lists per letter x, in walk order, the arc (j, s) with
-    u_i * image(x) = t_s * u_j, t_s in T, u_i the coset representatives.
-    T acts on the left, so this covers g -> g * image(x), which g -> g^-1
-    maps onto g -> image(x) * g (the walks here) fixing 1: sphere sizes
-    agree.  Each arc has its reverse (the inverse letter)."""
-    kernel, reduce, elements, _ = closure = _group(generators, max_elements,
-                                                   points)
+    """(closure, _quotient_arcs(closure)), closure the closure of _group."""
+    closure = _group(generators, max_elements, points)
+    return closure, _quotient_arcs(closure)
+
+
+def _quotient_arcs(closure):
+    """The Cayley graph of a closure modulo T: adj[i] lists per letter
+    x, in walk order, the arc (j, s) with u_i * image(x) = t_s * u_j,
+    t_s in T, u_i the coset representatives.  T acts on the left, so
+    this covers g -> g * image(x), which g -> g^-1 maps onto g ->
+    image(x) * g (the walks here) fixing 1: sphere sizes agree.  Arc
+    k's reverse is arc k ^ 1, of the inverse letter."""
+    kernel, reduce, elements, _ = closure
     index = {u: i for i, u in enumerate(elements)}
     letters = [move(kernel.identity) for _, move in kernel.steps]
-    adj = [[(index[j], s) for j, s in
-            (reduce(kernel.product(u, x)) for x in letters)]
-           for u in elements]
-    return closure, adj
+    return [[(index[j], s) for j, s in
+             (reduce(kernel.product(u, x)) for x in letters)]
+            for u in elements]
 
 
 def _expand(neighbours, entries, radius, max_elements=math.inf):

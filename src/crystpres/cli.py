@@ -137,6 +137,8 @@ def _parse_m_list(text):
         raise InputError(f"bad m list {text!r}") from exc
     if any(m < 2 for m in ms):
         raise InputError("m values must be >= 2")
+    if len(set(ms)) < len(ms):
+        raise InputError(f"repeated m in {text!r}")
     return ms
 
 

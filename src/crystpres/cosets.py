@@ -17,9 +17,9 @@ larger cap: `present` keeps the verdicts of its trials, not their tables.
 SchreierRank refutes a relator set with no enumeration: a GF(2) rank test
 on its Reidemeister-Schreier rewrite (Holt, Eick, O'Brien, ch. 5) over
 any complete table of the group it should present.  The prune trials ask
-it first, on tables of G/mT read off the group itself (no enumeration,
-pipeline._quotient_cosets); that changes no verdict, as the check of a
-refuted set at the table's m could only overflow or fail.
+it first, on tables of G/mT read off the Cayley quotient graph (no
+enumeration, pipeline._quotient_cosets); that changes no verdict, as the
+check of a refuted set at the table's m could only overflow or fail.
 """
 
 from .bfs import _expand, _word
@@ -324,7 +324,8 @@ def short_presentation_finite(tables, names):
 
     `tables` gives the action of each letter 1, -1, 2, -2, ... (in that
     order) on the elements 0 .. n-1, element 0 the identity:
-    tables[x][e] is the element a word for e reaches with x appended.
+    tables[x][e] is the element a word for e reaches with x appended
+    (the pipeline reads them off the arcs of bfs._quotient_arcs).
     Candidate relators are the spanning-tree cycle words of the Cayley
     graph (one per non-tree edge), cyclically reduced into one
     Presentation, which keeps the first word of each class in

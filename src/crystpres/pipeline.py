@@ -4,15 +4,14 @@ Given a generating set of affine isometries the pipeline finds the
 translation lattice and the point group, presents the point group on
 the given generators, lifts its relators back to the full group,
 adds lattice and conjugation relators, simplifies, and verifies the
-result against finite quotients.
+result against finite quotients G/mT.  The point group and the tables
+of G/mT are read off one graph, the Cayley quotient (bfs._quotient_arcs).
 """
 
-import functools
 from fractions import Fraction
-from operator import mul
 
 from .affine import AffineIsometry
-from .bfs import _harvest, _kernel
+from .bfs import _harvest, _kernel, _quotient_arcs
 from .cosets import (
     DEFAULT_MAX_COSETS,
     CosetTable,
@@ -51,17 +50,15 @@ class ExtensionData:
     presentation.  lattice_words: list of (word-in-X, vector) whose
     vectors generate the translation lattice (shortest first; may exceed
     the rank when no rank-sized subset of shortest words suffices).
-    kernel, reduce, elements: the affine.finite_closure of X, the point
-    group as residual codes of lattice cosets.  point_presentation:
-    short presentation of the point group on the images of X.
+    kernel, elements: the affine.finite_closure of X, the point group as
+    residual codes of lattice cosets; adj its bfs._quotient_arcs.
+    point_presentation: short presentation of the point group on X.
     """
 
-    def __init__(self, generators, harvest, point_presentation, arcs):
+    def __init__(self, generators, harvest, point_presentation, adj):
         self.generators = generators
-        # arcs[x][p] = (q, s): x u_p = t_s u_q, u_p = elements[p] and t_s
-        # the translation with lattice coordinates s
-        self._arcs = arcs
-        self.kernel, self.reduce, self.elements, self.lattice = harvest.closure
+        self.adj = adj
+        self.kernel, _, self.elements, self.lattice = harvest.closure
         self.names = [name for name, _ in generators]
         self.assignment = {i + 1: op for i, (_, op) in enumerate(generators)}
         self.lattice_words = harvest.lattice_words
@@ -81,28 +78,6 @@ class ExtensionData:
             return None
         return solve_hnf(self._transform, [int(x) for x in target])
 
-    @functools.cached_property
-    def _lattice_action(self):
-        """Generator k -> its linear part on lattice coordinates, as rows.
-
-        Each A b_i is solved by back-substitution on the basis b scaled
-        to integers, an echelon form (intmat.solve_hnf's loop, inline:
-        the refuters of small documents feel its cost)."""
-        units = scale_to_int(self.lattice.basis)[0]
-        pivots = [next(j for j, x in enumerate(u) if x) for u in units]
-        action = {}
-        for k, op in self.assignment.items():
-            columns = []
-            for u in units:
-                v = [sum(map(mul, row, u)) for row in op.linear]
-                column = []
-                for b, j in zip(units, pivots):
-                    column.append(v[j] // b[j])
-                    v = [x - column[-1] * y for x, y in zip(v, b)]
-                columns.append(column)
-            action[k] = tuple(zip(*columns))
-        return action
-
     @property
     def point_order(self):
         return len(self.elements)
@@ -115,21 +90,20 @@ class ExtensionData:
 def build_extension_data(generators):
     """Find the translation lattice and present the point group.
 
-    The point group acts on its elements by left multiplication with
-    the letters in the kernel's walk order 1, -1, 2, -2, ...  The
-    harvest stops at the first sphere whose words span T, where the
-    lattice words and the closure are final.
+    A word stands for the inverse of what it evaluates to, so appending
+    x moves u_p along the Cayley quotient arc of x^-1, index j ^ 1 in
+    walk order, j that of x; g -> g^-1 maps this onto the words' own
+    action, fixing 1.  The harvest stops at the first sphere whose
+    words span T, where the lattice words and the closure are final.
     """
     generators = list(generators)
     harvest = _harvest(generators, 0)
-    kernel, reduce, elements, _ = harvest.closure
-    index = {e: i for i, e in enumerate(elements)}
-    arcs = {x: [(index[u], s) for u, s in map(reduce, map(move, elements))]
-            for x, move in kernel.steps}
+    adj = _quotient_arcs(harvest.closure)
     point_pres = short_presentation_finite(
-        {x: [q for q, _ in arc] for x, arc in arcs.items()},
+        {x: [arcs[j ^ 1][0] for arcs in adj]
+         for j, (x, _) in enumerate(harvest.closure[0].steps)},
         [name for name, _ in generators])
-    return ExtensionData(generators, harvest, point_pres, arcs)
+    return ExtensionData(generators, harvest, point_pres, adj)
 
 
 def _quotient_cosets(E, m):
@@ -137,32 +111,22 @@ def _quotient_cosets(E, m):
 
     Coset p m^r + i is t u_p, u_p = E.elements[p] and t the i-th vector
     of (Z/m)^r in lattice coordinates, the first the most significant
-    digit of i.  A generator x acts on the left, as on the point tables:
-    x t u_p = (A t) (x u_p) = (A t + s) u_q, A the linear part of x on
-    lattice coordinates and (q, s) its arc from p.  The column of x^-1
-    is the inverse permutation.
+    digit of i.  As in the point tables, letter x moves a coset along
+    the arc of x^-1: t u_p x^-1 = t t_s u_q = (t + s) u_q, (q, s) =
+    E.adj[p][j ^ 1] for column col = j + 1.  No linear action enters.
     """
     w, size = 2 * len(E.names) + 1, m ** E.rank
     table = CosetTable(len(E.names), (), ())
     cells = table.cells = [0] * (len(E.elements) * size * w)
-    rows = range(0, len(cells), w)
-    for x, action in E._lattice_action.items():
-        # each coordinate of A t, over every t in coset order
-        images = []
-        for row in action:
-            image = [0]
-            for a in row:
-                image = [v + a * c for v in image for c in range(m)]
-            images.append(image)
-        for p, (q, s) in enumerate(E._arcs[x]):
-            digits = [q] * size
-            for image, a in zip(images, s):
-                digits = [d * m + (v + a) % m for d, v in zip(digits, image)]
-            cells[p * size * w + 2 * x - 1:(p + 1) * size * w:w] = [
+    for p, arcs in enumerate(E.adj):
+        for col in range(1, w):
+            q, s = arcs[(col - 1) ^ 1]
+            digits = [q]
+            for a in s:
+                digits = [d * m + (c + a) % m for d in digits for c in range(m)]
+            cells[p * size * w + col:(p + 1) * size * w:w] = [
                 d * w for d in digits]
-        for r, d in zip(rows, cells[2 * x - 1::w]):
-            cells[d + 2 * x] = r
-    cells[::w] = rows
+    cells[::w] = range(0, len(cells), w)
     table.status = "complete"
     return table
 

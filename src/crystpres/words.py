@@ -250,12 +250,23 @@ class WordSyntaxError(ValueError):
     pass
 
 
+MAX_WORD_LETTERS = 10**6
+
+
 def parse_word(text, names):
-    """Parse relator text like "(ac^-1)^2" or "[a,b]" into a Word."""
-    pos = 0
+    """Parse relator text like "(ac^-1)^2" or "[a,b]" into a Word; a
+    WordSyntaxError once it would hold over MAX_WORD_LETTERS letters."""
+    pos = held = 0  # held: the letters of every list built so far
     text = text.replace(" ", "")
     if text == "1":
         return ()
+
+    def grow(n):  # before each power or term is built
+        nonlocal held
+        held += n
+        if held > MAX_WORD_LETTERS:
+            raise WordSyntaxError(
+                f"word expands past {MAX_WORD_LETTERS} letters in {text!r}")
 
     def parse_seq(stop_chars):
         nonlocal pos
@@ -279,17 +290,14 @@ def parse_word(text, names):
                 if pos >= len(text) or text[pos] != "]":
                     raise WordSyntaxError(f"unbalanced '[' in {text!r}")
                 pos += 1
-                comm = (
-                    invert_word(tuple(left))
-                    + invert_word(tuple(right))
-                    + tuple(left)
-                    + tuple(right)
-                )
+                grow(len(left) + len(right))
+                comm = invert_word(left) + invert_word(right) + (*left, *right)
                 out.extend(apply_power(list(comm)))
             elif ch.isalpha():
                 if ch not in names:
                     raise WordSyntaxError(f"unknown generator {ch!r} in {text!r}")
                 pos += 1
+                grow(1)
                 out.extend(apply_power([names.index(ch) + 1]))
             else:
                 raise WordSyntaxError(f"unexpected character {ch!r} in {text!r}")
@@ -308,8 +316,11 @@ def parse_word(text, names):
                 j += 1
             if j == pos:
                 raise WordSyntaxError(f"expected exponent in {text!r}")
-            n = int(text[pos:j])
+            # 10 digits pass the bound; int() refuses over 4300 digits
+            digits = text[pos:j].lstrip("0")
+            n = int(digits or 0) if len(digits) < 10 else MAX_WORD_LETTERS + 1
             pos = j
+            grow(len(base) * (n - 1))
             word = tuple(base)
             if sign < 0:
                 word = invert_word(word)

@@ -174,6 +174,22 @@ def test_bad_m_list(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["present", "verify"])
+def test_repeated_m_is_input_error(capsys, command):
+    # one order check per m: a repeat would run it twice for one key
+    err = _input_error(capsys, [command, "--input", corpus_path("hcb_p6.json"),
+                                "--m", "3,2,3"])
+    assert err == "error: repeated m in '3,2,3'\n"
+
+
+@pytest.mark.parametrize("word", [
+    "a^99999999999999", "((a^1000)^1000)^1000", "a^" + "9" * 5000])
+def test_huge_expected_word_is_input_error(capsys, word):
+    err = _input_error(capsys, ["verify", "--input",
+                                corpus_path("hcb_p6.json"), "--expect", word])
+    assert "word expands past 1000000 letters" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["cseq", "--net", "sql", "--base", "-1", "--radius", "3"],
     ["cseq", "--net", "sql", "--base", "5"],

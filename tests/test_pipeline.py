@@ -17,6 +17,7 @@ from crystpres.cosets import (
     coset_enumerate,
     order_check,
     quotient_table,
+    short_presentation_finite,
 )
 from crystpres.netgraph import (
     from_cayley,
@@ -39,6 +40,7 @@ from crystpres.pipeline import (
     relator_ring_census,
 )
 from crystpres.affine import AffineIsometry
+from crystpres.intmat import mat_vec, scale_to_int
 from crystpres.symop import parse_generating_set
 from crystpres.words import (Presentation, cyclic_reduce, evaluate,
                              invert_word, parse_word)
@@ -441,16 +443,88 @@ def test_group_table_is_the_enumerated_one(path, m):
         assert sorted(column) == list(table.table)
         assert all(cells[d + table.inverse[col]] == r
                    for r, d in zip(table.table, column))
-    # walking both tables from coset 0 pairs their cosets one to one
+    _assert_paired(table, enumerated, order)
+
+
+def _assert_paired(table, other, order):
+    """Walking both complete tables from coset 0 pairs their `order`
+    cosets one to one."""
     pair, queue = {0: 0}, [0]
     for r in queue:
-        for col in range(1, w):
-            d, e = cells[r + col], enumerated.cells[pair[r] + col]
+        for col in range(1, table.width):
+            d, e = table.cells[r + col], other.cells[pair[r] + col]
             if d not in pair:
                 pair[d] = e
                 queue.append(d)
             assert pair[d] == e
-    assert len(set(pair.values())) == order
+    assert len(pair) == len(set(pair.values())) == order
+
+
+def _left_arcs(E):
+    """The point group acting on itself by left multiplication, as the
+    pipeline once built it: arcs[x][p] = (q, s) with x u_p = t_s u_q."""
+    reduce = E.kernel.modulo(E.lattice)
+    index = {e: i for i, e in enumerate(E.elements)}
+    return {x: [(index[u], s) for u, s in map(reduce, map(move, E.elements))]
+            for x, move in E.kernel.steps}
+
+
+def _left_quotient_cosets(E, m):
+    """Oracle: G/mT with the generators acting on the left, x t u_p =
+    (A t + s) u_q for the linear part A of x on lattice coordinates and
+    the arc (q, s) of _left_arcs, the column of x^-1 the inverse
+    permutation; the construction the Cayley quotient arcs replaced."""
+    units = scale_to_int(E.lattice.basis)[0]
+    pivots = [next(j for j, x in enumerate(u) if x) for u in units]
+    w, size = 2 * len(E.names) + 1, m ** E.rank
+    table = CosetTable(len(E.names), (), ())
+    cells = table.cells = [0] * (len(E.elements) * size * w)
+    rows = range(0, len(cells), w)
+    for x, arcs in _left_arcs(E).items():
+        if x < 0:
+            continue
+        columns = []  # A on lattice coordinates, by back-substitution
+        for u in units:
+            v = mat_vec(E.assignment[x].linear, u)
+            column = []
+            for b, j in zip(units, pivots):
+                column.append(v[j] // b[j])
+                v = [a - column[-1] * c for a, c in zip(v, b)]
+            columns.append(column)
+        images = []  # each coordinate of A t, over every t in coset order
+        for row in zip(*columns):
+            image = [0]
+            for a in row:
+                image = [v + a * c for v in image for c in range(m)]
+            images.append(image)
+        for p, (q, s) in enumerate(arcs):
+            digits = [q] * size
+            for image, a in zip(images, s):
+                digits = [d * m + (v + a) % m for d, v in zip(digits, image)]
+            cells[p * size * w + 2 * x - 1:(p + 1) * size * w:w] = [
+                d * w for d in digits]
+        for r, d in zip(rows, cells[2 * x - 1::w]):
+            cells[d + 2 * x] = r
+    cells[::w] = rows
+    table.status = "complete"
+    return table
+
+
+@pytest.mark.parametrize("path", DOCUMENTS)
+def test_point_presentation_is_the_left_multiplication_one(path):
+    for gens in _permutations(path):
+        E = build_extension_data(list(gens))
+        tables = {x: [q for q, _ in arcs] for x, arcs in _left_arcs(E).items()}
+        assert E.point_presentation == short_presentation_finite(
+            tables, E.names)
+
+
+@pytest.mark.parametrize("path", DOCUMENTS)
+def test_group_table_pairs_with_the_left_multiplication_one(path):
+    E = _unpruned_report(path).extension
+    for m in (2, 3, 4):
+        _assert_paired(_quotient_cosets(E, m), _left_quotient_cosets(E, m),
+                       E.point_order * m ** E.rank)
 
 
 def _words(k, max_size):

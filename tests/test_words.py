@@ -10,6 +10,7 @@ from crystpres import words
 from crystpres.affine import AffineIsometry
 from crystpres.symop import parse_symop
 from crystpres.words import (
+    MAX_WORD_LETTERS,
     Presentation,
     WordSyntaxError,
     cyclic_reduce,
@@ -46,6 +47,20 @@ def test_parse_word_forms():
         parse_word("ad", NAMES)
     with pytest.raises(WordSyntaxError):
         parse_word("a^", NAMES)
+
+
+def test_parse_word_bounds_its_expansion():
+    assert parse_word("a^1000000", NAMES) == (1,) * MAX_WORD_LETTERS
+    assert parse_word("[a^250000,b^250000]", NAMES)[-1] == 2
+    assert parse_word("(a^999999)^0b", NAMES) == (2,)
+    assert parse_word("a^00000000000002", NAMES) == (1, 1)
+    assert parse_word("()^" + "9" * 5000, NAMES) == ()
+    # each is refused before its letters are built
+    for text in ["a^1000001", "a^99999999999999", "((a^1000)^1000)^1000",
+                 "b^400000" * 3, "(a^999999)^-2", "[a^500000,b]",
+                 "a^" + "9" * 5000]:
+        with pytest.raises(WordSyntaxError, match="past 1000000 letters"):
+            parse_word(text, NAMES)
 
 
 def test_format_word_runs():
