@@ -24,9 +24,9 @@ For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover,
 and the presentation pipeline reads the point group and every G/mT off
 its arcs (_quotient_arcs).
-Walks that need words or discovery order (the harvest, geodesic words,
-finite Cayley graphs of cosets) grow their spheres with the one
-routine _expand, given a neighbours function.
+Walks that need words or discovery order (the harvest, geodesic words)
+grow their spheres with the one routine _expand, given a neighbours
+function; finite Cayley graphs are cosets.CosetTable transversals.
 """
 
 import math

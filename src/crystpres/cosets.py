@@ -3,7 +3,7 @@
 Enumeration is used as a verification oracle: a completed table gives
 the exact index of a finitely generated subgroup, an overflow means
 "inconclusive", never "wrong".  The table is one flat list of ints with
-a row per coset (see CosetTable).
+a row per coset (see CosetTable), the format of every finite action.
 
 Cosets are defined in plain HLT order, which is frozen: the prune stage
 keeps a relator whenever its order check overflows the cap, so the point
@@ -22,7 +22,6 @@ enumeration, pipeline._quotient_cosets); that changes no verdict, as the
 check of a refuted set at the table's m could only overflow or fail.
 """
 
-from .bfs import _expand, _word
 from .words import Presentation, cyclic_reduce, invert_word
 
 DEFAULT_MAX_COSETS = 10**6
@@ -212,6 +211,17 @@ class CosetTable:
             return None
         return len(self.live_cosets())
 
+    def transversal(self):
+        """Breadth-first tree of a complete, compact table from coset 0,
+        columns in order: {row offset: (parent offset, column)}, 0: None."""
+        cells, tree, queue = self.cells, {0: None}, [0]
+        for r in queue:
+            for col in range(1, self.width):
+                if (d := cells[r + col]) not in tree:
+                    tree[d] = r, col
+                    queue.append(d)
+        return tree
+
 
 class _Overflow(Exception):
     pass
@@ -236,14 +246,8 @@ class SchreierRank:
         self.ngens = n = len(cells) // w * (w // 2 - 1) + 1
         # bits[r + col]: the bit crossed from offset r along column col
         self.bits = bits = [None] * len(cells)
-        seen, queue = {0}, [0]
-        for r in queue:
-            for col in range(1, w):
-                d = cells[r + col]
-                if d not in seen:  # a tree edge, bit 0 both ways
-                    seen.add(d)
-                    queue.append(d)
-                    bits[r + col] = bits[d + table.inverse[col]] = 0
+        for d, (r, col) in list(table.transversal().items())[1:]:
+            bits[r + col] = bits[d + table.inverse[col]] = 0  # a tree edge
         for r in table.table:
             for col in range(1, w, 2):
                 if bits[r + col] is None:
@@ -319,40 +323,36 @@ def is_consequence(p, word, max_cosets=DEFAULT_MAX_COSETS):
     return table.trace(0, word) == 0 if table.status == "complete" else None
 
 
-def short_presentation_finite(tables, names):
+def short_presentation_finite(table, names):
     """Cannon-style short presentation of a finite group on its generators.
 
-    `tables` gives the action of each letter 1, -1, 2, -2, ... (in that
-    order) on the elements 0 .. n-1, element 0 the identity:
-    tables[x][e] is the element a word for e reaches with x appended
-    (the pipeline reads them off the arcs of bfs._quotient_arcs).
-    Candidate relators are the spanning-tree cycle words of the Cayley
-    graph (one per non-tree edge), cyclically reduced into one
-    Presentation, which keeps the first word of each class in
-    word_sort_key order.  They are adopted in that order until bounded
-    enumeration certifies the adopted set already presents the group;
-    each trial and the result are with_relators of that Presentation,
-    so no cycle word is keyed twice.  Only the set of every cycle word,
-    which the loop never enumerates, is checked at 16|P| cosets.
+    `table` is a complete, compact CosetTable of the trivial subgroup,
+    coset 0 the identity (the pipeline's is G/1T).  Candidate relators
+    are the cycle words of its spanning tree transversal() (one per
+    non-tree edge), cyclically reduced into one Presentation, which
+    keeps the first word of each class in word_sort_key order.  They
+    are adopted in that order until bounded enumeration certifies the
+    adopted set already presents the group; each trial and the result
+    are with_relators of that Presentation, so no cycle word is keyed
+    twice.  Only the set of every cycle word, which the loop never
+    enumerates, is checked at 16|P| cosets.
     """
-    order = len(tables[1])
+    cells, w = table.cells, table.width
+    order = len(cells) // w
     max_cosets = max(4 * order, 16)
+    letters = [0] + [x for k in range(1, w // 2 + 1) for x in (k, -k)]
 
-    # BFS over the Cayley graph in the letter order of `tables`
-    move = {x: table.__getitem__ for x, table in tables.items()}
-    entries = {0: (0, 0)}
-    spheres = _expand(lambda e: [(x, table[e]) for x, table in tables.items()],
-                      entries, order)
-    for sphere in spheres:
-        if not sphere:
-            break
-    if len(entries) != order:
+    tree = table.transversal()
+    if len(tree) != order:
         raise ModelNotClosed("the generators do not generate the group")
-    tree_word = {e: _word(move, entries, e) for e in entries}
+    tree_word = {0: ()}
+    for r, (p, col) in list(tree.items())[1:]:
+        tree_word[r] = tree_word[p] + (letters[col],)
 
     cycles = Presentation(names, [
-        cyclic_reduce(tree_word[e] + (x,) + invert_word(tree_word[table[e]]))
-        for e in entries for x, table in tables.items()])
+        cyclic_reduce(tree_word[r] + (letters[col],)
+                      + invert_word(tree_word[cells[r + col]]))
+        for r in tree for col in range(1, w)])
 
     for i in range(len(cycles.relators)):
         prefix = cycles.with_relators(cycles.relators[:i])

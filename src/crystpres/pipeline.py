@@ -4,8 +4,9 @@ Given a generating set of affine isometries the pipeline finds the
 translation lattice and the point group, presents the point group on
 the given generators, lifts its relators back to the full group,
 adds lattice and conjugation relators, simplifies, and verifies the
-result against finite quotients G/mT.  The point group and the tables
-of G/mT are read off one graph, the Cayley quotient (bfs._quotient_arcs).
+result against finite quotients G/mT.  The point group (G/1T) and the
+tables of G/mT are read off one graph, the Cayley quotient
+(bfs._quotient_arcs); lattice words are solved on integer kernel codes.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from .cosets import (
     order_check,
     short_presentation_finite,
 )
-from .intmat import hnf_with_transform, mat_vec, scale_to_int, solve_hnf
+from .intmat import hnf_with_transform, solve_hnf
 from .symop import GeneratingSetDocument, format_symop
 from .words import (
     Presentation,
@@ -52,31 +53,25 @@ class ExtensionData:
     the rank when no rank-sized subset of shortest words suffices).
     kernel, elements: the affine.finite_closure of X, the point group as
     residual codes of lattice cosets; adj its bfs._quotient_arcs.
-    point_presentation: short presentation of the point group on X.
+    point_presentation: short presentation of the point group on X, read
+    off its table G/1T (_quotient_cosets(E, 1)).
     """
 
-    def __init__(self, generators, harvest, point_presentation, adj):
+    def __init__(self, generators, harvest):
         self.generators = generators
-        self.adj = adj
+        self.adj = _quotient_arcs(harvest.closure)
         self.kernel, _, self.elements, self.lattice = harvest.closure
         self.names = [name for name, _ in generators]
         self.assignment = {i + 1: op for i, (_, op) in enumerate(generators)}
         self.lattice_words = harvest.lattice_words
-        self.point_presentation = point_presentation
-        # one HNF transform of the lattice-word vectors serves every
-        # lattice word and the dependences among them
-        self._rows, self._scale = scale_to_int(
-            [v for _, v in self.lattice_words])
-        self._transform = hnf_with_transform(self._rows)
+        # one HNF transform of the lattice-word vectors, on the kernel's
+        # integer scale, serves every lattice word and the dependences
+        self._transform = hnf_with_transform(
+            [[int(x * self.kernel.scale) for x in v]
+             for _, v in self.lattice_words])
         self.dependences = self._transform[1][len(self._transform[0]):]
-
-    def lattice_coefficients(self, vector):
-        """Integer c with sum_i c_i v_i = vector over the lattice-word
-        vectors v_i (zero along the dependences), or None."""
-        target = [x * self._scale for x in vector]
-        if any(x.denominator != 1 for x in target):
-            return None
-        return solve_hnf(self._transform, [int(x) for x in target])
+        self.point_presentation = short_presentation_finite(
+            _quotient_cosets(self, 1), self.names)
 
     @property
     def point_order(self):
@@ -90,20 +85,11 @@ class ExtensionData:
 def build_extension_data(generators):
     """Find the translation lattice and present the point group.
 
-    A word stands for the inverse of what it evaluates to, so appending
-    x moves u_p along the Cayley quotient arc of x^-1, index j ^ 1 in
-    walk order, j that of x; g -> g^-1 maps this onto the words' own
-    action, fixing 1.  The harvest stops at the first sphere whose
-    words span T, where the lattice words and the closure are final.
+    The harvest stops at the first sphere whose words span T, where the
+    lattice words and the closure are final.
     """
     generators = list(generators)
-    harvest = _harvest(generators, 0)
-    adj = _quotient_arcs(harvest.closure)
-    point_pres = short_presentation_finite(
-        {x: [arcs[j ^ 1][0] for arcs in adj]
-         for j, (x, _) in enumerate(harvest.closure[0].steps)},
-        [name for name, _ in generators])
-    return ExtensionData(generators, harvest, point_pres, adj)
+    return ExtensionData(generators, _harvest(generators, 0))
 
 
 def _quotient_cosets(E, m):
@@ -111,9 +97,12 @@ def _quotient_cosets(E, m):
 
     Coset p m^r + i is t u_p, u_p = E.elements[p] and t the i-th vector
     of (Z/m)^r in lattice coordinates, the first the most significant
-    digit of i.  As in the point tables, letter x moves a coset along
-    the arc of x^-1: t u_p x^-1 = t t_s u_q = (t + s) u_q, (q, s) =
-    E.adj[p][j ^ 1] for column col = j + 1.  No linear action enters.
+    digit of i.  A word stands for the inverse of what it evaluates to,
+    so letter x moves a coset along the arc of x^-1: t u_p x^-1 = t t_s
+    u_q = (t + s) u_q, (q, s) = E.adj[p][j ^ 1] for column col = j + 1,
+    j the index of x in walk order; g -> g^-1 maps this onto the words'
+    own action, fixing 1.  No linear action enters.  At m = 1 this is
+    the point group acting on itself, coset p the element u_p.
     """
     w, size = 2 * len(E.names) + 1, m ** E.rank
     table = CosetTable(len(E.names), (), ())
@@ -139,17 +128,16 @@ def _combine(coeffs, words):
     return out
 
 
-def _lattice_word_for(E, vector):
-    """A word in X evaluating to the translation `vector`, via lattice words.
+def _lattice_word_for(E, code):
+    """A word in X evaluating to the translation of a kernel code.
 
     Solves for integer coefficients over the harvested generating
     vectors; any block order works because the blocks are translations.
     """
-    coeffs = E.lattice_coefficients(vector)
+    coeffs = solve_hnf(E._transform, code[1:])
     if coeffs is None:
         raise PipelineError(
-            f"translation {vector} is not in the harvested lattice"
-        )
+            f"translation {E.kernel.vector(code)} is not in the harvested lattice")
     return _short_combination(E, coeffs)
 
 
@@ -196,9 +184,8 @@ def lift_point_relators(E):
             raise PipelineError(
                 "point relator has non-identity linear part; closure mismatch"
             )
-        t = E.kernel.vector(code)
-        w = _lattice_word_for(E, t) if any(t) else ()
-        out.append((cyclic_reduce(r + invert_word(w)), r, t))
+        w = _lattice_word_for(E, code)
+        out.append((cyclic_reduce(r + invert_word(w)), r, E.kernel.vector(code)))
     return out
 
 
@@ -229,24 +216,16 @@ def lattice_relators(E):
 def conjugation_relators(E):
     """Step (d): how each generator conjugates each lattice word.
 
-    x^-1 y x evaluates to the translation by (linear part of x) applied
-    to the vector of y; the relator divides that out.  Freely trivial
-    relators are dropped.
+    x^-1 y x evaluates to a translation, by (linear part of x) applied
+    to the vector of y; the relator divides it out by a lattice word, as
+    lift_point_relators does.  Freely trivial relators are dropped.
     """
     out = []
     for k in range(1, len(E.names) + 1):
-        lin = E.assignment[k].linear
-        for (w, _), row in zip(E.lattice_words, E._rows):
-            # A v on the integer scale of the lattice-word vectors
-            conj = mat_vec(lin, row)
-            coeffs = solve_hnf(E._transform, conj)
-            if coeffs is None:
-                raise PipelineError(
-                    f"translation {tuple(Fraction(x, E._scale) for x in conj)}"
-                    " is not in the harvested lattice"
-                )
-            expr = _short_combination(E, coeffs)
-            rel = cyclic_reduce((-k,) + w + (k,) + invert_word(expr))
+        for w, _ in E.lattice_words:
+            conj = (-k,) + w + (k,)
+            rel = cyclic_reduce(
+                conj + invert_word(_lattice_word_for(E, E.kernel.evaluate(conj))))
             if rel:
                 out.append(rel)
     return out

@@ -231,6 +231,9 @@ class GeneratingSetDocument:
         if not generators:
             raise DocumentError("generator list is empty")
         names = [name for name, _ in generators]
+        for name in names:  # a word spells each generator with one letter
+            if not (isinstance(name, str) and len(name) == 1 and name.isalpha()):
+                raise DocumentError(f"generator name {name!r} is not a single letter")
         if len(set(names)) != len(names):
             raise DocumentError(f"duplicate generator names in {names}")
         for name, op in generators:

@@ -251,11 +251,13 @@ class WordSyntaxError(ValueError):
 
 
 MAX_WORD_LETTERS = 10**6
+MAX_WORD_NESTING = 100
 
 
 def parse_word(text, names):
     """Parse relator text like "(ac^-1)^2" or "[a,b]" into a Word; a
-    WordSyntaxError once it would hold over MAX_WORD_LETTERS letters."""
+    WordSyntaxError once it would hold over MAX_WORD_LETTERS letters or
+    nest brackets over MAX_WORD_NESTING deep."""
     pos = held = 0  # held: the letters of every list built so far
     text = text.replace(" ", "")
     if text == "1":
@@ -268,25 +270,28 @@ def parse_word(text, names):
             raise WordSyntaxError(
                 f"word expands past {MAX_WORD_LETTERS} letters in {text!r}")
 
-    def parse_seq(stop_chars):
+    def parse_seq(stop_chars, depth=0):  # depth: the brackets open here
         nonlocal pos
+        if depth > MAX_WORD_NESTING:
+            raise WordSyntaxError(
+                f"brackets nest past {MAX_WORD_NESTING} deep in {text!r}")
         out = []
         while pos < len(text) and text[pos] not in stop_chars:
             ch = text[pos]
             if ch == "(":
                 pos += 1
-                inner = parse_seq(")")
+                inner = parse_seq(")", depth + 1)
                 if pos >= len(text) or text[pos] != ")":
                     raise WordSyntaxError(f"unbalanced '(' in {text!r}")
                 pos += 1
                 out.extend(apply_power(inner))
             elif ch == "[":
                 pos += 1
-                left = parse_seq(",")
+                left = parse_seq(",", depth + 1)
                 if pos >= len(text) or text[pos] != ",":
                     raise WordSyntaxError(f"expected ',' in commutator in {text!r}")
                 pos += 1
-                right = parse_seq("]")
+                right = parse_seq("]", depth + 1)
                 if pos >= len(text) or text[pos] != "]":
                     raise WordSyntaxError(f"unbalanced '[' in {text!r}")
                 pos += 1

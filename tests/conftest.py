@@ -47,6 +47,22 @@ def load_document(name):
     return load_path(os.path.join("corpus", name))
 
 
+def coset_table(tables):
+    """The complete CosetTable on which letter x moves element e to
+    tables[x][e], for letter tables 1, -1, 2, -2, ... on elements
+    0 .. n-1; coset e is element e."""
+    from crystpres.cosets import CosetTable, _cols
+
+    w, n = len(tables) + 1, len(tables[1])
+    table = CosetTable(len(tables) // 2, (), ())
+    table.cells = [0] * (n * w)
+    for x, images in tables.items():
+        table.cells[_cols((x,))[0][0]::w] = [e * w for e in images]
+    table.cells[::w] = range(0, n * w, w)
+    table.status = "complete"
+    return table
+
+
 @st.composite
 def generating_sets(draw):
     """1-3 isometries of Z or Z^2: signed permutation linear parts and

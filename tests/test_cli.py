@@ -190,6 +190,13 @@ def test_huge_expected_word_is_input_error(capsys, word):
     assert "word expands past 1000000 letters" in err
 
 
+def test_deeply_nested_expected_word_is_input_error(capsys):
+    word = "(" * 1000 + "a" + ")" * 1000
+    err = _input_error(capsys, ["verify", "--input",
+                                corpus_path("hcb_p6.json"), "--expect", word])
+    assert "brackets nest past 100 deep" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["cseq", "--net", "sql", "--base", "-1", "--radius", "3"],
     ["cseq", "--net", "sql", "--base", "5"],
@@ -452,6 +459,17 @@ def test_malformed_document_is_input_error(tmp_path, capsys, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     _input_error(capsys, ["present", "--input", str(path)])
+
+
+@pytest.mark.parametrize("name", ["s1", "aa", "1", "_"])
+def test_generator_name_not_a_letter_is_input_error(tmp_path, capsys, name):
+    # words spell a generator with one letter: s1 would print as s1^2
+    # and read back as the unknown generator 's'
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension": 2, "generators": [
+        {"name": "a", "xyz": "-x, -y"}, {"name": name, "xyz": "1+x, y"}]}))
+    err = _input_error(capsys, ["present", "--input", str(path)])
+    assert err.endswith(f"generator name {name!r} is not a single letter\n")
 
 
 @pytest.mark.parametrize("argv", [

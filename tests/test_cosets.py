@@ -10,6 +10,7 @@ from crystpres.cosets import (
     CosetTable,
     ModelNotClosed,
     SchreierRank,
+    _cols,
     coset_enumerate,
     is_consequence,
     order_check,
@@ -25,8 +26,8 @@ from crystpres.words import (
     word_sort_key,
 )
 
-from conftest import (DOCUMENTS, generating_sets, load_document, load_path,
-                      sympy_order)
+from conftest import (DOCUMENTS, coset_table, generating_sets, load_document,
+                      load_path, sympy_order)
 
 
 def _pres(names, relator_texts):
@@ -362,11 +363,11 @@ def _zn_tables(n):
 def test_short_presentation_tables_must_generate():
     # the letter fixes both elements, so element 1 is never reached
     with pytest.raises(ModelNotClosed):
-        short_presentation_finite({1: [0, 1], -1: [0, 1]}, ["a"])
+        short_presentation_finite(coset_table({1: [0, 1], -1: [0, 1]}), ["a"])
 
 
 def test_short_presentation_cyclic():
-    p = short_presentation_finite(_zn_tables(5), ["a"])
+    p = short_presentation_finite(coset_table(_zn_tables(5)), ["a"])
     assert coset_enumerate(p) == 5
     assert p.relators == [(1, 1, 1, 1, 1)]
 
@@ -392,7 +393,7 @@ def _s4_tables():
 
 
 def test_short_presentation_symmetric_group():
-    p = short_presentation_finite(_s4_tables(), ["a", "b"])
+    p = short_presentation_finite(coset_table(_s4_tables()), ["a", "b"])
     assert coset_enumerate(p) == 24
     # relators stay short: a Cannon-style set from tree cycles
     assert max(len(r) for r in p.relators) <= 12
@@ -412,8 +413,23 @@ def test_short_presentation_enumerates_each_prefix_once(
         return enumerate_(p, *args)
 
     monkeypatch.setattr(cosets, "coset_enumerate", spy)
-    p = short_presentation_finite(tables, names)
+    p = short_presentation_finite(coset_table(tables), names)
     assert seen == [p.relators[:i] for i in range(len(p.relators) + 1)]
+
+
+def test_transversal_is_the_breadth_first_tree():
+    # Z/5 on a, in discovery order: coset 1 from 0 by a (column 1), 4 by
+    # a^-1 (column 2), then 2 from 1 and 3 from 4; keys are row offsets
+    assert list(coset_table(_zn_tables(5)).transversal().items()) == [
+        (0, None), (3, (0, 1)), (12, (0, 2)), (6, (3, 1)), (9, (12, 2))]
+
+
+def _letter_tables(table):
+    """The dict of letter tables {x: [element reached with x appended]}
+    that the oracle below reads, off a complete, compact CosetTable."""
+    w = table.width
+    return {x: [d // w for d in table.cells[_cols((x,))[0][0]::w]]
+            for k in range(1, w // 2 + 1) for x in (k, -k)}
 
 
 def _parent_short_presentation_finite(tables, names):
@@ -465,12 +481,14 @@ def _parent_short_presentation_finite(tables, names):
 
 
 def _point_group_calls(generators):
-    """The (tables, names) build_extension_data passes to
-    short_presentation_finite, each with its result."""
+    """The (table, names) build_extension_data passes to
+    short_presentation_finite, the table read back by _letter_tables,
+    each with its result."""
     calls = []
 
-    def spy(tables, names):
-        calls.append((tables, names, short_presentation_finite(tables, names)))
+    def spy(table, names):
+        calls.append((_letter_tables(table), names,
+                      short_presentation_finite(table, names)))
         return calls[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:

@@ -3,6 +3,8 @@
 import functools
 import itertools
 import os
+from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -40,13 +42,14 @@ from crystpres.pipeline import (
     relator_ring_census,
 )
 from crystpres.affine import AffineIsometry
-from crystpres.intmat import mat_vec, scale_to_int
+from crystpres.intmat import hnf_with_transform, mat_vec, scale_to_int, solve_hnf
 from crystpres.symop import parse_generating_set
 from crystpres.words import (Presentation, cyclic_reduce, evaluate,
                              invert_word, parse_word)
 
 from conftest import (
     DOCUMENTS,
+    coset_table,
     load_document,
     load_path,
     quotient_coordination_sequence,
@@ -391,9 +394,10 @@ def test_refuted_trials_change_no_report(path, monkeypatch):
                         lambda E, m: built.append(m) or _quotient_cosets(E, m))
     report = present(gens).to_dict()
     assert any(verdicts) or path.endswith("z1_trivial.json")
-    # refuters at G/2T, and at G/3T only where its rows are narrow, each
-    # built once, when a trial first needs it
-    assert built in ([], [2], [2, 3] if path in NARROW_AT_3 else [2])
+    # G/1T first, for the point presentation; then refuters at G/2T, and
+    # at G/3T only where its rows are narrow, each built once, when a
+    # trial first needs it
+    assert built in ([1], [1, 2], [1, 2, 3] if path in NARROW_AT_3 else [1, 2])
     # with every refuter silenced, all trials enumerate
     monkeypatch.setattr(SchreierRank, "refutes", lambda self, relators: False)
     assert present(gens).to_dict() == report
@@ -516,7 +520,44 @@ def test_point_presentation_is_the_left_multiplication_one(path):
         E = build_extension_data(list(gens))
         tables = {x: [q for q, _ in arcs] for x, arcs in _left_arcs(E).items()}
         assert E.point_presentation == short_presentation_finite(
-            tables, E.names)
+            coset_table(tables), E.names)
+
+
+def _fraction_conjugation_relators(E):
+    """Oracle: conjugation_relators as it was before lattice words were
+    solved on kernel codes, copied apart from its name and the lattice
+    words' own transform, which it builds from their Fraction vectors
+    scaled by their common denominator.  x^-1 y x is the translation
+    A v, A the linear part of x and v the vector of y."""
+    rows, scale = scale_to_int([v for _, v in E.lattice_words])
+    transform = hnf_with_transform(rows)
+    lattice = SimpleNamespace(lattice_words=E.lattice_words,
+                              dependences=transform[1][len(transform[0]):])
+    out = []
+    for k in range(1, len(E.names) + 1):
+        lin = E.assignment[k].linear
+        for (w, _), row in zip(E.lattice_words, rows):
+            # A v on the integer scale of the lattice-word vectors
+            conj = mat_vec(lin, row)
+            coeffs = solve_hnf(transform, conj)
+            if coeffs is None:
+                raise PipelineError(
+                    f"translation {tuple(Fraction(x, scale) for x in conj)}"
+                    " is not in the harvested lattice"
+                )
+            expr = pipeline._short_combination(lattice, coeffs)
+            rel = cyclic_reduce((-k,) + w + (k,) + invert_word(expr))
+            if rel:
+                out.append(rel)
+    return out, lattice.dependences
+
+
+@pytest.mark.parametrize("path", DOCUMENTS)
+def test_conjugation_relators_are_the_fraction_ones(path):
+    for gens in _permutations(path):
+        E = build_extension_data(list(gens))
+        assert (conjugation_relators(E), E.dependences) == (
+            _fraction_conjugation_relators(E))
 
 
 @pytest.mark.parametrize("path", DOCUMENTS)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crystpres.affine import AffineIsometry
 from crystpres.symop import (
     DocumentError,
+    GeneratingSetDocument,
     SymopSyntaxError,
     format_symop,
     parse_generating_set,
@@ -97,6 +98,15 @@ def test_document_errors():
                 ],
             }
         )
+
+
+@pytest.mark.parametrize("name", ["s1", "aa", "1", " ", 7])
+def test_generator_names_are_single_letters(name):
+    op = parse_symop("1+x, y", 2)
+    with pytest.raises(DocumentError, match="is not a single letter"):
+        GeneratingSetDocument(2, [("a", op), (name, op)])
+    assert GeneratingSetDocument(2, [("a", op), ("é", op)]).names == [
+        "a", "é"]
 
 
 def test_document_json_roundtrip(i42d):

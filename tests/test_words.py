@@ -11,6 +11,7 @@ from crystpres.affine import AffineIsometry
 from crystpres.symop import parse_symop
 from crystpres.words import (
     MAX_WORD_LETTERS,
+    MAX_WORD_NESTING,
     Presentation,
     WordSyntaxError,
     cyclic_reduce,
@@ -60,6 +61,17 @@ def test_parse_word_bounds_its_expansion():
                  "b^400000" * 3, "(a^999999)^-2", "[a^500000,b]",
                  "a^" + "9" * 5000]:
         with pytest.raises(WordSyntaxError, match="past 1000000 letters"):
+            parse_word(text, NAMES)
+
+
+def test_parse_word_bounds_its_nesting():
+    deepest = "(" * MAX_WORD_NESTING + "a" + ")" * MAX_WORD_NESTING
+    assert parse_word(deepest, NAMES) == (1,)
+    assert parse_word("[a," * 8 + "b" + "]" * 8, NAMES)[-1] == 2
+    # refused before the parser recurses that deep, on either bracket
+    for text in ["(" + deepest + ")", "(" * 1000 + "a" + ")" * 1000,
+                 "[a,(" * 51 + "b" + ")]" * 51, "(" * 10000]:
+        with pytest.raises(WordSyntaxError, match="nest past 100 deep"):
             parse_word(text, NAMES)
 
 
