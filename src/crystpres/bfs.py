@@ -451,21 +451,18 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000,
     dist = {kernel.identity: (0, 0)}
     for _ in _expand(kernel.neighbours, dist, found[0], max_elements):
         pass
-    words = []
-
-    def back(h, suffix):
-        if len(words) >= max_words:
-            return
+    words, stack = [], [(goal, ())]  # depth first, with no recursion
+    while stack and len(words) < max_words:
+        h, suffix = stack.pop()
         r = dist[h][0]
         if r == 0:
-            words.append(free_reduce(tuple(suffix)))
-            return
-        for x, _ in kernel.steps:
+            words.append(free_reduce(suffix))
+            continue
+        # pushed in reverse, so the letters are tried in kernel.steps order
+        for x, _ in reversed(kernel.steps):
             g = kernel.move[-x](h)
             if dist.get(g, (None,))[0] == r - 1:
-                back(g, [x] + suffix)
-
-    back(goal, [])
+                stack.append((g, (x,) + suffix))
     return GeodesicSet(target, *found, words)
 
 

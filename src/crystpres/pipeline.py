@@ -62,7 +62,6 @@ class ExtensionData:
         self.adj = _quotient_arcs(harvest.closure)
         self.kernel, _, self.elements, self.lattice = harvest.closure
         self.names = [name for name, _ in generators]
-        self.assignment = {i + 1: op for i, (_, op) in enumerate(generators)}
         self.lattice_words = harvest.lattice_words
         # one HNF transform of the lattice-word vectors, on the kernel's
         # integer scale, serves every lattice word and the dependences

@@ -2,10 +2,14 @@
 
 A Word is a tuple of nonzero ints: +k is generator k-1, -k its inverse.
 Relators are cyclic words; two relators are considered the same when one
-is a rotation of the other or of its inverse.
+is a rotation of the other or of its inverse.  Class keys and Tietze
+rewrites scan a relator's doubled _text and list no rotations, so memory
+grows linearly with relator length.
 """
 
+import collections
 import functools
+import itertools
 
 from .affine import AffineIsometry, inverse as affine_inverse
 
@@ -45,18 +49,31 @@ def _text(w):
     return "".join([chr(2 * abs(x) - (x > 0)) for x in w])
 
 
-def _forms(w):
-    """The distinct rotations f of w and of w^-1 as (f, _text(f)) pairs,
-    in word_sort_key order."""
-    n = len(w)
-    forms = {s[i:i + n]: v[i:i + n] for v in (w * 2, invert_word(w) * 2)
-             for s in [_text(v)] for i in range(n)}
-    return [(f, s) for s, f in sorted(forms.items())] or [(w, "")]
+def _word(s):
+    """The word whose _text is s."""
+    return tuple([(c + 1) // 2 if c % 2 else -(c // 2) for c in map(ord, s)])
+
+
+class _Swap(dict):
+    """str.translate table: code 2j - 1 <-> 2j, a letter <-> its inverse."""
+
+    def __missing__(self, c):
+        self[c] = c + 1 if c % 2 else c - 1
+        return self[c]
+
+
+def _inverse_text(s, swap=_Swap()):
+    """_text(invert_word(w)) for s = _text(w)."""
+    return s[::-1].translate(swap)
 
 
 def relator_class_key(w):
-    """Canonical word of a relator up to rotation and inversion."""
-    return _forms(cyclic_reduce(w))[0][0]
+    """Canonical word of a relator up to rotation and inversion: the
+    rotation of w or w^-1 whose _text is least."""
+    s = _text(cyclic_reduce(w))
+    n = len(s)
+    return _word(min((v[i:i + n] for v in (s * 2, _inverse_text(s) * 2)
+                      for i in range(n)), default=s))
 
 
 def evaluate(w, assignment):
@@ -68,15 +85,11 @@ def evaluate(w, assignment):
     the value by the image of x.
     """
     result = None
-    inverses = {}
     for x in w:
         g = assignment.get(abs(x))
         if g is None:
             raise UnassignedSymbol(f"no assignment for symbol {x}")
-        if x < 0:
-            if abs(x) not in inverses:
-                inverses[abs(x)] = affine_inverse(g)
-            g = inverses[abs(x)]
+        g = g if x > 0 else affine_inverse(g)
         result = g if result is None else g * result
     if result is None:
         # empty word: need a dimension; take it from any assigned value
@@ -120,10 +133,8 @@ class Presentation:
     def __eq__(self, other):
         if not isinstance(other, Presentation):
             return NotImplemented
-        return (
-            self.generator_names == other.generator_names
-            and self.relators == other.relators
-        )
+        return ((self.generator_names, self.relators)
+                == (other.generator_names, other.relators))
 
     def with_relators(self, relators):
         """Presentation(generator_names, relators); relators keyed by
@@ -138,50 +149,52 @@ class Presentation:
 # Tietze simplification
 
 
-def _rewrite_once(relators, forms):
+def _rewrite_once(relators, texts):
     """Apply the first shortening rewrite; None if none applies.
 
-    `relators` are distinct and sorted by word_sort_key, `forms(u)` is
-    _forms(u), (f, _text(f)) pairs.  Targets r go longest first, sources u !=
-    r with |u| <= |r| shortest first, then the forms f of u in order.
-    The first f with a prefix longer than |f| // 2 occurring in the
-    cyclic word r applies: take the longest such prefix s, at its first
-    start in r + r; reading r = s v from there and f = s t, r becomes
-    the cyclic reduction of t^-1 v, which is shorter than r.  Returns
-    (target index, new word).
+    `relators` are distinct and sorted by word_sort_key, `texts` their
+    _texts.  Targets r go longest first, sources u != r with |u| <= |r|
+    shortest first.  A rotation f of u or u^-1 applies when its first
+    |f| // 2 + 1 letters occur in the cyclic word r; every start of the
+    doubled texts of u and u^-1 is tried, and of the f that apply, the
+    one with the least _text is taken.  Take the longest prefix s of f
+    occurring in r, at its first start in r + r; reading r = s v from
+    there and f = s t, r becomes the cyclic reduction of t^-1 v, which is
+    shorter than r.  Returns (target index, new word).
     """
+    # rotations repeat with the period: the text's next start in itself
+    doubled = [(s * 2, _inverse_text(s) * 2, (s * 2).find(s, 1))
+               for s in texts]
     for ti in range(len(relators) - 1, -1, -1):
-        r = relators[ti]
+        r, text = relators[ti], texts[ti] * 2
         n = len(r)
-        text = _text(r) * 2
-        for u in relators:
-            if len(u) > n:
+        for u, (fwd, inv, period) in zip(relators, doubled):
+            m = len(u)
+            if m > n:
                 break
             if u == r:
                 continue
-            for f, s in forms(u):
-                # a prefix of length k starts at some i < n iff it occurs
-                # in text[:n - 1 + k]; its first start grows with k
-                k = len(f) // 2 + 1
-                at = text.find(s[:k], 0, n - 1 + k)
-                if at < 0:
-                    continue
-                while k < len(f):
-                    i = text.find(s[:k + 1], at, n + k)
-                    if i < 0:
-                        break
-                    at, k = i, k + 1
-                rest = (r + r)[at + k:at + n]
-                return ti, cyclic_reduce(invert_word(f[k:]) + rest)
+            # a prefix of length k starts at some i < n iff it occurs in
+            # text[:n - 1 + k]; its first start grows with k
+            k = m // 2 + 1
+            f = min((v[i:i + m] for v in (fwd, inv) for i in range(period)
+                     if text.find(v[i:i + k], 0, n - 1 + k) >= 0),
+                    default=None)
+            if f is None:
+                continue
+            at = text.find(f[:k], 0, n - 1 + k)
+            while k < m:
+                i = text.find(f[:k + 1], at, n + k)
+                if i < 0:
+                    break
+                at, k = i, k + 1
+            rest = (r + r)[at + k:at + n]
+            return ti, cyclic_reduce(invert_word(_word(f[k:])) + rest)
     return None
 
 
-class TietzeResult:
-    def __init__(self, presentation, steps, budget_exhausted, tags=None):
-        self.presentation = presentation
-        self.steps = steps
-        self.budget_exhausted = budget_exhausted
-        self.tags = tags
+TietzeResult = collections.namedtuple(
+    "TietzeResult", "presentation steps budget_exhausted tags")
 
 
 def tietze_simplify(p, budget=10000, tags=None):
@@ -190,10 +203,7 @@ def tietze_simplify(p, budget=10000, tags=None):
     Each pass reads a generator x with a relator x^2 as an involution
     (x^-1 -> x), replaces every relator by its canonical word
     (relator_class_key), sorts by word_sort_key and drops duplicates.
-    It then applies one rewrite (_rewrite_once): for the first (target,
-    source, form) that admits one, the longest prefix of the form that
-    is longer than half of it, at its first cyclic occurrence in the
-    target, is replaced by the inverse of the rest of the form.  Every
+    It then applies the first rewrite that _rewrite_once finds.  Every
     rewrite shortens a relator, so the presented group is unchanged and
     the total relator length never increases.  The loop stops when no
     rewrite applies or after `budget` rewrites.
@@ -208,14 +218,16 @@ def tietze_simplify(p, budget=10000, tags=None):
         raise ValueError("tags and relators differ in length")
     given = [None] * len(p.relators) if tags is None else tags
     pairs = [(cyclic_reduce(r), t) for r, t in zip(p.relators, given)]
-
-    forms = functools.lru_cache(maxsize=None)(_forms)
+    keys = p._keys  # shared with p, so no class is keyed twice
 
     @functools.lru_cache(maxsize=None)
     def canonical(r, invs):
-        """(len, text, word) of r's canonical word, x^-1 read as x in invs."""
+        """(len, text, word) of r's class key, x^-1 read as x in invs."""
         w = cyclic_reduce(tuple(abs(x) if abs(x) in invs else x for x in r))
-        return w and (len(w),) + forms(w)[0][::-1]
+        if not w:
+            return ()
+        key = keys.get(w) or keys.setdefault(w, relator_class_key(w))
+        return len(key), _text(key), key
 
     steps = 0
     while True:
@@ -226,10 +238,12 @@ def tietze_simplify(p, budget=10000, tags=None):
             key = canonical(r, invs)
             if key:
                 first.setdefault(key, t)
-        pairs = [(f, t) for (_, _, f), t in sorted(first.items())]
+        ordered = sorted(first.items())
+        pairs = [(f, t) for (_, _, f), t in ordered]
         if steps >= budget:
             break
-        hit = _rewrite_once([r for r, _ in pairs], forms)
+        hit = _rewrite_once([r for r, _ in pairs],
+                            [s for (_, s, _), _ in ordered])
         if hit is None:
             break
         ti, new_r = hit
@@ -311,11 +325,8 @@ def parse_word(text, names):
     def apply_power(base):
         nonlocal pos
         if pos < len(text) and text[pos] == "^":
-            pos += 1
-            sign = 1
-            if pos < len(text) and text[pos] == "-":
-                sign = -1
-                pos += 1
+            inverse = text.startswith("-", pos + 1)
+            pos += 1 + inverse
             j = pos
             while j < len(text) and text[j].isdigit():
                 j += 1
@@ -326,20 +337,16 @@ def parse_word(text, names):
             n = int(digits or 0) if len(digits) < 10 else MAX_WORD_LETTERS + 1
             pos = j
             grow(len(base) * (n - 1))
-            word = tuple(base)
-            if sign < 0:
-                word = invert_word(word)
-            return list(word) * n
+            return list(invert_word(base) if inverse else base) * n
         return base
 
-    result = parse_seq("")
-    return free_reduce(tuple(result))
+    return free_reduce(tuple(parse_seq("")))
 
 
 def _format_run(letter, count, names):
     name = names[abs(letter) - 1]
     if letter < 0:
-        return f"{name}^-{count}" if count > 1 else f"{name}^-1"
+        return f"{name}^-{count}"
     return f"{name}^{count}" if count > 1 else name
 
 
@@ -354,12 +361,5 @@ def format_word(w, names):
             if period == 1:
                 return _format_run(w[0], n, names)
             return f"({format_word(w[:period], names)})^{n // period}"
-    parts = []
-    i = 0
-    while i < n:
-        j = i
-        while j < n and w[j] == w[i]:
-            j += 1
-        parts.append(_format_run(w[i], j - i, names))
-        i = j
-    return "".join(parts)
+    return "".join(_format_run(x, len(list(run)), names)
+                   for x, run in itertools.groupby(w))

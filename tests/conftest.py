@@ -47,6 +47,12 @@ def load_document(name):
     return load_path(os.path.join("corpus", name))
 
 
+def assignment(generators):
+    """The map words.evaluate reads: generator index (from 1) ->
+    AffineIsometry."""
+    return {i + 1: op for i, (_, op) in enumerate(generators)}
+
+
 def coset_table(tables):
     """The complete CosetTable on which letter x moves element e to
     tables[x][e], for letter tables 1, -1, 2, -2, ... on elements

@@ -24,7 +24,7 @@ from crystpres.bfs import (
     _harvest,
     shortest_translation_words,
 )
-from crystpres.netgraph import catalog_load, net_geodesics
+from crystpres.netgraph import catalog_load, from_cayley, net_geodesics
 from crystpres.symop import parse_symop
 from crystpres.words import evaluate
 
@@ -200,6 +200,35 @@ def test_geodesics_with_words():
     for w in g.words:
         assert len(w) == 4
         assert evaluate(w, assign).translation == (2, 2)
+
+
+def test_geodesic_words_of_a_long_target():
+    # one word of 1,500 letters, listed with no recursion per letter
+    gens = load_document("z1_trivial.json").generators
+    g = geodesics(gens, (1500,), 2000, with_words=True)
+    assert g.count == 1
+    assert g.words == [(1,) * 1500]
+
+
+def test_geodesic_words_keep_their_order_and_cap():
+    gens = _translations(2)
+    words = geodesics(gens, (2, 1), 10, with_words=True).words
+    assert words == [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
+    capped = geodesics(gens, (2, 1), 10, with_words=True, max_words=2)
+    assert capped.words == words[:2]
+
+
+def test_group_geodesics_count_words_not_cover_paths():
+    # hcb_p6's a is an involution: a and a^-1 are two words for one edge
+    # of its Cayley net, so the group counts more geodesics than the net
+    gens = load_document("hcb_p6.json").generators
+    targets = [(1, 0), (2, 1), (3, 3)]
+    assert [(g.length, g.count) for g in
+            (geodesics(gens, t, 40) for t in targets)] == [
+                (4, 4), (6, 4), (12, 416)]
+    net = from_cayley(gens)
+    assert [net_geodesics(net, t) for t in targets] == [
+        (4, 2), (6, 1), (12, 20)]
 
 
 def test_geodesics_unreachable():

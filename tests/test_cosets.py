@@ -516,13 +516,13 @@ def test_short_presentation_matches_the_parent_on_generating_sets(gens):
 @pytest.mark.parametrize("name", ["elv.json", "pnna_acd.json", "i42d.json"])
 def test_point_presentation_keys_each_cycle_word_once(name, monkeypatch):
     keyed = []
-    forms = words._forms
+    key = words.relator_class_key
 
     def spy(w):
         keyed.append(w)
-        return forms(w)
+        return key(w)
 
-    monkeypatch.setattr(words, "_forms", spy)
+    monkeypatch.setattr(words, "relator_class_key", spy)
     pipeline.build_extension_data(load_document(name).generators)
     assert keyed and all(w == cyclic_reduce(w) for w in keyed)
     assert len(keyed) == len(set(keyed))

@@ -49,6 +49,7 @@ from crystpres.words import (Presentation, cyclic_reduce, evaluate,
 
 from conftest import (
     DOCUMENTS,
+    assignment,
     coset_table,
     load_document,
     load_path,
@@ -131,7 +132,7 @@ def test_relators_evaluate_to_identity(name):
     rep = present(doc.generators)
     ident = AffineIsometry.identity(doc.dimension)
     for r in rep.presentation.relators:
-        assert evaluate(r, rep.extension.assignment) == ident
+        assert evaluate(r, assignment(rep.extension.generators)) == ident
 
 
 @pytest.mark.parametrize("name", ["i42d.json", "dia_p212121.json", "hcb_p6.json"])
@@ -207,7 +208,7 @@ def test_extension_data_pieces(i42d):
     conj = conjugation_relators(E)
     ident = AffineIsometry.identity(3)
     for r in lat + conj:
-        assert evaluate(r, E.assignment) == ident
+        assert evaluate(r, assignment(E.generators)) == ident
 
 
 @pytest.mark.parametrize("n,six,rings", [(2, 1, 3), (3, 3, 12), (4, 6, 30)])
@@ -487,9 +488,10 @@ def _left_quotient_cosets(E, m):
     for x, arcs in _left_arcs(E).items():
         if x < 0:
             continue
+        lin = assignment(E.generators)[x].linear
         columns = []  # A on lattice coordinates, by back-substitution
         for u in units:
-            v = mat_vec(E.assignment[x].linear, u)
+            v = mat_vec(lin, u)
             column = []
             for b, j in zip(units, pivots):
                 column.append(v[j] // b[j])
@@ -535,7 +537,7 @@ def _fraction_conjugation_relators(E):
                               dependences=transform[1][len(transform[0]):])
     out = []
     for k in range(1, len(E.names) + 1):
-        lin = E.assignment[k].linear
+        lin = assignment(E.generators)[k].linear
         for (w, _), row in zip(E.lattice_words, rows):
             # A v on the integer scale of the lattice-word vectors
             conj = mat_vec(lin, row)

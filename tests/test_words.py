@@ -1,5 +1,9 @@
 """Words, relators, and Tietze simplification."""
 
+import json
+import os
+import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -176,6 +180,40 @@ def test_tietze_carries_tags():
     assert set(out.tags) <= {"first", "second"}
 
 
+def _long_relators(seed=36, lengths=(300, 600, 900)):
+    """Random cyclically reduced words in a, b of the given lengths, with
+    a^2, b^3 and (ab)^3."""
+    rng = random.Random(seed)
+    out = []
+    for n in lengths:
+        w = [rng.choice((1, -1, 2, -2))]
+        while len(w) < n:
+            x = rng.choice((1, -1, 2, -2))
+            if x != -w[-1] and (len(w) < n - 1 or x != -w[0]):
+                w.append(x)
+        out.append(tuple(w))
+    return out + [(1, 1), (2, 2, 2), (1, 2) * 3]
+
+
+def test_long_relators_simplify_in_linear_memory():
+    # listing every rotation of each relator took 662 MiB on this case;
+    # the golden holds the relators that listing search gave
+    p = Presentation(NAMES[:2], _long_relators())
+    tracemalloc.start()
+    try:
+        result = tietze_simplify(p, budget=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    path = os.path.join(os.path.dirname(__file__), "goldens",
+                        "tietze_long_relators.json")
+    with open(path) as fh:
+        want = json.load(fh)
+    assert [list(r) for r in result.presentation.relators] == want["relators"]
+    assert result.steps == want["steps"] == 50
+    assert peak < 16 * 2**20
+
+
 def test_relator_class_key_symmetry():
     w = (1, 2, -3)
     for variant in [(2, -3, 1), (3, -2, -1), (-1, 3, -2)]:
@@ -222,8 +260,9 @@ def _reference_rewrite_once(relators, forms):
     """The rewrite search as a scan over every start position of r + r.
 
     Same contract as words._rewrite_once, except that forms(u) lists the
-    forms alone.  For each form f it takes the longest prefix longer
-    than |f| // 2 at its first start i < |r|.
+    distinct rotations of u and u^-1 in word_sort_key order.  The first
+    form f with a prefix longer than |f| // 2 at some start i < |r|
+    applies, with its longest such prefix at its first start.
     """
     for ti in range(len(relators) - 1, -1, -1):
         r = relators[ti]
@@ -248,29 +287,26 @@ def _reference_rewrite_once(relators, forms):
     return None
 
 
-def _bare_forms(u):
-    return [f for f, _ in words._forms(u)]
-
-
 @settings(max_examples=300, deadline=None)
 @given(p=_presentations())
 def test_rewrite_search_matches_position_scan(p):
     # the input tietze_simplify passes: distinct canonical words, sorted
     relators = sorted({relator_class_key(r) for r in p.relators},
                       key=word_sort_key)
-    assert (words._rewrite_once(relators, words._forms)
-            == _reference_rewrite_once(relators, _bare_forms))
+    texts = [words._text(r) for r in relators]
+    assert (words._rewrite_once(relators, texts)
+            == _reference_rewrite_once(relators, _tuple_forms))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(p=_presentations())
 def test_tietze_matches_position_scan(p):
     tags = list(range(len(p.relators)))
     got = tietze_simplify(p, tags=tags)
 
-    def scan(relators, forms):
-        return _reference_rewrite_once(
-            relators, lambda u: [f for f, _ in forms(u)])
+    def scan(relators, texts):
+        assert texts == [words._text(r) for r in relators]
+        return _reference_rewrite_once(relators, _tuple_forms)
 
     with mock.patch.object(words, "_rewrite_once", scan):
         want = tietze_simplify(p, tags=tags)
@@ -307,10 +343,8 @@ def _word_lists(max_gens=4, max_len=30, max_words=8):
 @settings(max_examples=300, deadline=None)
 @given(ws=_word_lists())
 def test_text_keys_order_words_as_tuple_keys(ws):
+    assert relator_class_key(()) == _tuple_class_key(()) == ()
     for w in ws:
-        forms = words._forms(w)
-        assert [f for f, _ in forms] == _tuple_forms(w)
-        assert [s for _, s in forms] == [words._text(f) for f, _ in forms]
         assert relator_class_key(w) == _tuple_class_key(w)
     for u in ws:
         for v in ws:
