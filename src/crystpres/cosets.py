@@ -13,6 +13,9 @@ in any order, since a relator goes only if every m passes; they take the
 largest first, which overflows most often.  run_hlt reads the cap only to
 stop, so a run that completed under one cap is the same run under any
 larger cap: `present` keeps the verdicts of its trials, not their tables.
+Coincidences are closed as they arise (Holt, Eick, O'Brien, 5.1), so the
+scans read entries with no root walk, and a gap in a freely reduced word
+fills in one run: neither changes which cosets are defined, or when.
 
 SchreierRank refutes a relator set with no enumeration: a GF(2) rank test
 on its Reidemeister-Schreier rewrite (Holt, Eick, O'Brien, ch. 5) over
@@ -22,7 +25,7 @@ enumeration, pipeline._quotient_cosets); that changes no verdict, as the
 check of a refuted set at the table's m could only overflow or fail.
 """
 
-from .words import Presentation, cyclic_reduce, invert_word
+from .words import Presentation, cyclic_reduce, free_reduce, invert_word
 
 DEFAULT_MAX_COSETS = 10**6
 
@@ -44,9 +47,9 @@ class CosetTable:
     the offset r of its row: `cells[r]` is its union-find parent (r
     itself while the coset is live) and `cells[r + col]`, col = 1 .. 2k,
     the coset reached by the letter a, A, b, B, ... (-1 while undefined).
-    An entry may name a coset merged away since; its root is found
-    through the parents.  Merges keep the smaller offset, so coset 0,
-    the subgroup, stays live.  `live_cosets` and `trace` speak in coset
+    Between merges a live row names live cosets only, and r.x = t exactly
+    when t.x^-1 = r.  Merges keep the smaller offset, so coset 0, the
+    subgroup, stays live.  `live_cosets` and `trace` speak in coset
     numbers r // (2k + 1).  `status` is "complete" or "overflow" after
     run_hlt(); a complete table acts on the live cosets by permutations.
     """
@@ -57,9 +60,11 @@ class CosetTable:
         self.width = 2 * ngens + 1
         # inverse[col]: the column of the inverse letter
         self.inverse = [0] + [c + 1 if c % 2 else c - 1 for c in range(1, self.width)]
-        relators = [_cols(cyclic_reduce(r)) for r in relators if cyclic_reduce(r)]
-        # column lists scanned at coset 0 (subgroup words first) and elsewhere
-        self.scans = ([_cols(w) for w in subgroup_words] + relators, relators)
+        relators = [(*_cols(r), True) for r in map(cyclic_reduce, relators) if r]
+        # (forward, inverse columns, freely reduced) of the words scanned
+        # at coset 0 (subgroup words first) and elsewhere
+        self.scans = ([(*_cols(w), free_reduce(w) == tuple(w))
+                       for w in subgroup_words] + relators, relators)
         self.max_cosets = max_cosets
         self.cells = [0] + [-1] * (2 * ngens)
         self.status = None
@@ -69,46 +74,43 @@ class CosetTable:
         """Row offsets of the cosets defined, live or merged away."""
         return range(0, len(self.cells), self.width)
 
-    def _find(self, r):
-        cells = self.cells
-        while cells[r] != r:
-            cells[r] = cells[cells[r]]
-            r = cells[r]
-        return r
-
     def _merge(self, a, b):
-        # the root walks are _find's, inline: this is the hot loop
+        # close the coincidence of two live cosets at once (HEO 5.1): for
+        # each coset e that dies and each entry e.x = f, clear f.x^-1 (it
+        # names e), then move the entry to the representatives, where it
+        # merges with the entry there or fills the gap.  Afterwards no
+        # live row names a dead coset.  Root walks halve their paths
         cells, inverse = self.cells, self.inverse
-        stack = [(a, b)]
-        while stack:
-            a, b = stack.pop()
-            while cells[a] != a:
-                cells[a] = a = cells[cells[a]]
-            while cells[b] != b:
-                cells[b] = b = cells[cells[b]]
-            if a == b:
-                continue
-            if b < a:
-                a, b = b, a
-            cells[b] = a
+        if b < a:
+            a, b = b, a
+        cells[b] = a
+        dead = [b]
+        for e in dead:
             for col in range(1, self.width):
-                t = cells[b + col]
-                if t < 0:
+                f = cells[e + col]
+                if f < 0:
                     continue
-                while cells[t] != t:
-                    cells[t] = t = cells[cells[t]]
-                cur = cells[a + col]
-                if cur < 0:
-                    cells[a + col] = t
-                    cur = cells[t + inverse[col]]
-                    if cur < 0:
-                        cells[t + inverse[col]] = a
-                        continue
-                    t = a
-                while cells[cur] != cur:
-                    cells[cur] = cur = cells[cells[cur]]
-                if cur != t:
-                    stack.append((cur, t))
+                inv = inverse[col]
+                cells[f + inv] = -1
+                r = e
+                while cells[r] != r:
+                    cells[r] = r = cells[cells[r]]
+                while cells[f] != f:
+                    cells[f] = f = cells[cells[f]]
+                if (a := cells[r + col]) >= 0:
+                    b = f
+                elif (a := cells[f + inv]) >= 0:
+                    b = r
+                else:
+                    cells[r + col], cells[f + inv] = f, r
+                    continue
+                while cells[a] != a:
+                    cells[a] = a = cells[cells[a]]
+                if b < a:
+                    a, b = b, a
+                if a != b:
+                    cells[b] = a
+                    dead.append(b)
 
     def live_cosets(self):
         return [r // self.width for r in self.table if self.cells[r] == r]
@@ -121,7 +123,6 @@ class CosetTable:
             r = cells[r + col]
             if r < 0:
                 return None
-            r = self._find(r)
         return r // self.width
 
     def run_hlt(self):
@@ -136,28 +137,23 @@ class CosetTable:
         c = 0
         try:
             while c < len(cells):
-                for fw, bw in rest if c else first:
+                for fw, bw, reduced in rest if c else first:
                     if cells[c] != c:
                         break
                     f = b = c
                     i, j = 0, len(fw) - 1
                     while True:
-                        # scan forward as far as possible, then backward;
-                        # an entry naming a merged coset is set to its root
+                        # scan forward as far as possible, then backward
                         while i <= j:
                             x = cells[f + fw[i]]
                             if x < 0:
                                 break
-                            while cells[x] != x:
-                                cells[x] = x = cells[f + fw[i]] = cells[cells[x]]
                             f = x
                             i += 1
                         while j >= i:
                             x = cells[b + bw[j]]
                             if x < 0:
                                 break
-                            while cells[x] != x:
-                                cells[x] = x = cells[b + bw[j]] = cells[cells[x]]
                             b = x
                             j -= 1
                         if j < i:
@@ -165,20 +161,26 @@ class CosetTable:
                                 merge(f, b)
                             break
                         # both scans stopped at undefined entries: a gap of
-                        # one letter is a deduction, a longer one a new coset
+                        # one letter is a deduction, a longer one new cosets.
+                        # In a freely reduced word neither scan passes a new
+                        # coset, so the gap fills up to its last letter at
+                        # once, unless the first new coset is also b's next
+                        # (f = b, x_j = x_i^-1): then define one and rescan
                         if i == j:
                             cells[f + fw[i]] = b
                             cells[b + bw[i]] = f
                             break
-                        d = len(cells)
-                        if d >= limit:
-                            raise _Overflow()
-                        cells.append(d)
-                        cells += blank
-                        cells[f + fw[i]] = d
-                        cells[d + bw[i]] = f
-                        f = d
-                        i += 1
+                        end = j if reduced and (f != b or fw[i] != bw[j]) else i + 1
+                        while i < end:
+                            d = len(cells)
+                            if d >= limit:
+                                raise _Overflow()
+                            cells.append(d)
+                            cells += blank
+                            cells[f + fw[i]] = d
+                            cells[d + bw[i]] = f
+                            f = d
+                            i += 1
                 if cells[c] == c:
                     for col in range(1, w):
                         if cells[c + col] < 0:
@@ -197,13 +199,12 @@ class CosetTable:
 
     def compact(self):
         """Renumber the live cosets of a complete table 0, 1, ... in order."""
-        w, cells, find = self.width, self.cells, self._find
+        w, cells = self.width, self.cells
         live = [r for r in self.table if cells[r] == r]
         if len(live) == len(cells) // w:  # nothing merged: already compact
             return self
         new = {r: i * w for i, r in enumerate(live)}
-        self.cells = [new[find(cells[r + c])] if c else new[r]
-                      for r in live for c in range(w)]
+        self.cells = [new[cells[r + c]] for r in live for c in range(w)]
         return self
 
     def index(self):
@@ -237,7 +238,8 @@ class SchreierRank:
     its conjugates.  If the rows span less than GF(2)^(N(k - 1) + 1), U
     over their normal closure is nontrivial: the group exceeds N.  The
     rows of the `fixed` relators are reduced once, into the basis every
-    refutes() call starts from.
+    refutes() call starts from; consecutive calls also share the
+    eliminations of their common leading relators.
     """
 
     def __init__(self, table, fixed=()):
@@ -254,7 +256,10 @@ class SchreierRank:
                     n -= 1
                     bits[r + col] = bits[cells[r + col] + col + 1] = 1 << n
         self.rows = {}
-        self.fixed = self._reduce({}, fixed)
+        # the basis after the fixed rows and the relators `done` of the
+        # last refutes() call; sizes[k]: its size after the first k
+        self.basis = self._reduce({}, fixed)
+        self.done, self.sizes = [], [len(self.basis or ())]
 
     def _rewrite(self, start, cols):
         cells, bits, row, r = self.table.cells, self.bits, 0, start
@@ -286,9 +291,24 @@ class SchreierRank:
     def refutes(self, relators):
         """True if the rows of the relators and the fixed relators span
         less than GF(2)^ngens, which proves the group they present larger
-        than N; False is no verdict."""
-        return (self.fixed is not None
-                and self._reduce(dict(self.fixed), relators) is not None)
+        than N; False is no verdict.  Reduction only adds rows to the
+        basis, so a call cuts it back to the longest prefix it shares
+        with the last call's relators and reduces only the rest."""
+        basis, done, sizes = self.basis, self.done, self.sizes
+        if basis is None:
+            return False
+        k = 0
+        while k < min(len(done), len(relators)) and done[k] == relators[k]:
+            k += 1
+        del done[k:], sizes[k + 1:]
+        while len(basis) > sizes[k]:
+            basis.popitem()
+        for w in relators[k:]:
+            if self._reduce(basis, [w]) is None:
+                return False
+            done.append(w)
+            sizes.append(len(basis))
+        return True
 
 
 def coset_enumerate(p, subgroup=(), max_cosets=DEFAULT_MAX_COSETS):

@@ -1,7 +1,7 @@
 """Coset enumeration and finite group models."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crystpres import cosets, pipeline, words
@@ -249,6 +249,14 @@ def _enumeration(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_enumeration())
+# gaps that do not fill in one run: at coset 0 the scan of ab^-1a^-1b
+# leaves the gap ab^-1a^-1 with f = b = 0 and a^-1 last, so the first new
+# coset 0.a closes the backward scan; and subgroup words that are not
+# freely reduced, which are scanned as given
+@example((2, [(-2,), (1, -2, -1, 2), (-1,)], [], 100))
+@example((1, [], [(-1, 1, -1)], 100))
+@example((2, [(1, 1), (2, 2), (1, 2) * 3], [(1, -1, 2)], 100))
+@example((2, [(1, 1), (2, 2), (1, 2) * 3], [(2, 1, -1, 2, 1)], 100))
 def test_flat_table_matches_list_table(case):
     ngens, relators, subgroup, cap = case
     old = ListCosetTable(ngens, relators, subgroup, cap).run_hlt()
@@ -256,13 +264,29 @@ def test_flat_table_matches_list_table(case):
     assert new.index() == old.index()
     assert len(new.table) == len(old.table)  # cosets defined
     # the same live cosets with the same rows, also where an overflow
-    # stopped both enumerations
+    # stopped both enumerations; the flat rows name live cosets only
     w = new.width
     assert new.live_cosets() == old.live_cosets()
     for c in old.live_cosets():
-        row = [-1 if x < 0 else new._find(x) // w
+        row = [-1 if x < 0 else x // w
                for x in new.cells[c * w + 1:c * w + w]]
         assert row == [-1 if x is None else old._find(x) for x in old.table[c]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_enumeration())
+def test_coincidences_are_closed(case):
+    # complete or overflowed, a live row names live cosets only, and
+    # r.x = t exactly when t.x^-1 = r (the converse is the same check
+    # made from t's row)
+    table = CosetTable(*case).run_hlt()
+    cells = table.cells
+    for r in table.table:
+        if cells[r] == r:
+            for col in range(1, table.width):
+                if (t := cells[r + col]) >= 0:
+                    assert cells[t] == t
+                    assert cells[t + table.inverse[col]] == r
 
 
 @settings(max_examples=200, deadline=None)

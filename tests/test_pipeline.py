@@ -224,6 +224,15 @@ def test_ndia_presentations_and_rings(n, six, rings):
     assert ring_size_counts(g, max_size=6) == {6: rings}
 
 
+def test_ndia_5_presents_in_closed_form():
+    # a_i^2 for the six generators, then (a a_i a_j)^2 for each pair
+    # 2 <= i < j <= 6, a the first: 16 relators of total length 72
+    relators = present(ndia_generators(5).generators).presentation.relators
+    assert relators == [(k, k) for k in range(1, 7)] + [
+        (1, i, j) * 2 for i, j in itertools.combinations(range(2, 7), 2)]
+    assert (len(relators), sum(map(len, relators))) == (16, 72)
+
+
 def test_gis_ring_census(i42d):
     # the Cayley graph of this body-centred group is a zeolite framework;
     # its ring census follows from the cycle relators of the presentation
@@ -350,6 +359,13 @@ def _gf2_rank(rows):
     return len(basis)
 
 
+def _fresh_refutes(rank, relators):
+    """The rank test by a fresh elimination of every row."""
+    rows = [rank._rewrite(start, _cols(w)[0])
+            for w in relators for start in rank.table.table]
+    return None not in rows and _gf2_rank(rows) < rank.ngens
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(ALL_DOCS), st.data())
 def test_fixed_rows_answer_as_a_fresh_elimination(path, data):
@@ -361,11 +377,29 @@ def test_fixed_rows_answer_as_a_fresh_elimination(path, data):
     n = len(pres.relators)
     keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     relators = [r for r, k in zip(pres.relators, keep) if k]
-    rows = [rank._rewrite(start, _cols(w)[0])
-            for w in relators + squares for start in rank.table.table]
-    fresh = None not in rows and _gf2_rank(rows) < rank.ngens
+    fresh = _fresh_refutes(rank, relators + squares)
     assert fixed.refutes(relators) == fresh
     assert rank.refutes(relators + squares) == fresh
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ALL_DOCS), st.data())
+def test_consecutive_calls_answer_as_fresh_eliminations(path, data):
+    # a refuter keeps the basis of its last call's leading relators; in a
+    # run of calls on one refuter, each subset the last with one relator
+    # dropped or taken back (prune trials drop one), each verdict must
+    # be that of a fresh elimination
+    pres, rank, _, squares = _unpruned(path)
+    fixed = SchreierRank(rank.table, fixed=squares)
+    n = len(pres.relators)
+    assume(n)  # z1_trivial keeps no relator
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=8)):
+        keep[i] = not keep[i]
+        relators = [r for r, k in zip(pres.relators, keep) if k]
+        assert fixed.refutes(relators) == _fresh_refutes(rank,
+                                                         relators + squares)
 
 
 # the documents whose G/3T rows are narrow enough for a refuter at m = 3
