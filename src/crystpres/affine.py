@@ -7,13 +7,15 @@ so group elements deduplicate exactly in breadth-first searches.
 WalkKernel is the one integer element code: x -> A x + t is the int
 tuple (id(A), N t), id(A) an interned linear part and N the lcm of the
 translation denominators.  Products and the reduction modulo a lattice
-are integer-only.  The Cayley walks (bfs), the point-group closure
-(finite_closure: P, its action and the lattice T) and the Cayley
-quotient (netgraph) all run on codes.
+are integer-only.  The point-group closure (finite_closure: P, its
+action and the lattice T), the arcs of the Cayley quotient
+(bfs._quotient_arcs) and the evaluation of words run on codes; every
+walk then runs on the quotient's cover (bfs.CoverCode), not on codes.
 """
 
 import math
 from fractions import Fraction
+from functools import partial
 
 from .intmat import (
     frac_rows,
@@ -209,9 +211,9 @@ class WalkKernel:
 
     Signed letter k (-k) stands for isometries[k-1] (its inverse).
     `steps` lists (letter, move) in the walk order 1, -1, 2, -2, ...,
-    where move(g) is the code of image(letter) * g; `move` maps each
-    letter to its move.  Denominators of the vectors in `points` are
-    folded into the scale so those vectors encode exactly as well.
+    move(g) = product(image(letter), g); `move` maps each letter to its
+    move.  Denominators of the vectors in `points` are folded into the
+    scale so those vectors encode exactly as well.
     Raises NotUnimodular when a generator has no integer inverse.
     """
 
@@ -224,14 +226,11 @@ class WalkKernel:
             [g.translation for g in images.values()] + list(points))[1]
         self._linears = []
         self._ids = {}
-        self._products = {}  # (linear id, linear id) -> linear id
+        self._left = []  # per linear id: (sparse rows, {linear id: product})
         self.identity = self.encode(AffineIsometry.identity(d))
-        self.steps = [(x, self._mover(self.encode(images[x]))) for x in images]
+        self.steps = [(x, partial(self.product, self.encode(images[x])))
+                      for x in images]
         self.move = dict(self.steps)
-
-    def neighbours(self, g):
-        """(letter, image(letter) * g) for every letter, in walk order."""
-        return [(x, move(g)) for x, move in self.steps]
 
     def evaluate(self, word):
         """Code of the element a word evaluates to (words.evaluate)."""
@@ -245,39 +244,22 @@ class WalkKernel:
         if lid is None:
             lid = self._ids[linear] = len(self._linears)
             self._linears.append(linear)
+            # rows indexed into a code (offset 1 skips the linear id)
+            self._left.append((tuple(
+                tuple((j + 1, c) for j, c in enumerate(row) if c)
+                for row in linear), {}))
         return lid
 
-    def _mover(self, code):
-        """g -> code * g: product with a fixed left factor, on sparse rows
-        and a memo per factor, which keeps the walks fast."""
-        lin = self._linears[code[0]]
-        linears, intern = self._linears, self._intern
-        products = {}  # linear id of g -> linear id of lin * g
-        # sparse rows indexed into the code (offset 1 skips the linear id)
-        rows = tuple(
-            (tuple((j + 1, c) for j, c in enumerate(row) if c), s)
-            for row, s in zip(lin, code[1:])
-        )
-
-        def move(g):
-            p = products.get(g[0])
-            if p is None:
-                p = products[g[0]] = intern(mat_mul_int(lin, linears[g[0]]))
-            return (p, *[sum([c * g[j] for j, c in terms]) + s
-                         for terms, s in rows])
-
-        return move
-
     def product(self, a, b):
-        """Code of decode(a) * decode(b)."""
-        lin = self._linears[a[0]]
-        p = self._products.get((a[0], b[0]))
+        """Code of decode(a) * decode(b), on the sparse rows of a's linear
+        part and the memo of its products."""
+        rows, products = self._left[a[0]]
+        p = products.get(b[0])
         if p is None:
-            p = self._products[a[0], b[0]] = self._intern(
-                mat_mul_int(lin, self._linears[b[0]]))
-        t = b[1:]
-        return (p, *[sum([c * x for c, x in zip(row, t)]) + s
-                     for row, s in zip(lin, a[1:])])
+            p = products[b[0]] = self._intern(mat_mul_int(
+                self._linears[a[0]], self._linears[b[0]]))
+        return (p, *[sum([c * b[j] for j, c in terms]) + s
+                     for terms, s in zip(rows, a[1:])])
 
     def modulo(self, lattice):
         """The reduction of codes modulo N L: code -> (residual, shift).

@@ -9,24 +9,24 @@ pipeline (present, verify) stops that harvest at the first sphere whose
 words span T; only the public shortest_translation_words walks
 DEFAULT_STABLE_SPHERES more, for its `words`.
 
-Every walk runs on the integer element codes of affine.WalkKernel (an
-interned linear part plus N times the translation, N also covering any
-target the walk must recognise); elements are converted to and from
-AffineIsometry only at the API boundary.
-
-Sizes, lengths and path counts walk the periodic cover of a labelled
-quotient graph two spheres at a time: shell_sizes from one node, as int
-bitsets in a reduced frame of the cover (_frame, on the spanning tree
-of _tree that netgraph validates nets on), and shell_geodesics from
-both ends of a route, on packed int nodes (CoverCode) that carry path
-counts.
+Every walk runs on the periodic cover of a labelled quotient graph,
+for a group built on the integer element codes of affine.WalkKernel
+(an interned linear part plus N times the translation, N also covering
+any target the walk must recognise); elements are converted to and
+from AffineIsometry only at the API boundary.  Sizes, lengths and path
+counts walk the cover two spheres at a time: shell_sizes from one
+node, as int bitsets in a reduced frame of the cover (_frame, on the
+spanning tree of _tree that netgraph validates nets on), and
+shell_geodesics from both ends of a route, on packed int nodes
+(CoverCode) that carry path counts.
 For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover,
 and the presentation pipeline reads the point group and every G/mT off
 its arcs (_quotient_arcs).
 Walks that need words or discovery order (the harvest, geodesic words)
-grow their spheres with the one routine _expand, given a neighbours
-function; finite Cayley graphs are cosets.CosetTable transversals.
+grow their spheres with the one routine _expand, on the cover as
+_word_walk steps it; finite Cayley graphs are cosets.CosetTable
+transversals.
 """
 
 import math
@@ -34,8 +34,9 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .affine import AffineIsometry, WalkKernel, _closure, check_finite_order
-from .intmat import hnf, hnf_with_transform, solve_hnf
+from .affine import (AffineIsometry, WalkKernel, _closure, check_finite_order,
+                     inverse)
+from .intmat import hnf, hnf_with_transform, identity_matrix, solve_hnf, vec_mat
 from .symop import format_symop
 from .words import free_reduce
 
@@ -83,19 +84,14 @@ def _kernel(generators, points=()):
     return kernel
 
 
-def _group(generators, max_elements, points=()):
-    """affine.finite_closure on _kernel(generators, points), raising
-    BallBoundExceeded past max_elements linear parts (M(6) = 2,903,040)."""
+def _cayley_quotient(generators, max_elements=DEFAULT_MAX_ELEMENTS,
+                     points=()):
+    """(closure, _quotient_arcs(closure)), closure affine.finite_closure
+    on _kernel(generators, points); BallBoundExceeded past max_elements
+    linear parts (M(6) = 2,903,040)."""
     closure = _closure(_kernel(generators, points), max_elements)
     if closure is None:
         raise BallBoundExceeded(f"point group exceeded {max_elements} elements")
-    return closure
-
-
-def _cayley_quotient(generators, max_elements=DEFAULT_MAX_ELEMENTS,
-                     points=()):
-    """(closure, _quotient_arcs(closure)), closure the closure of _group."""
-    closure = _group(generators, max_elements, points)
     return closure, _quotient_arcs(closure)
 
 
@@ -104,7 +100,7 @@ def _quotient_arcs(closure):
     x, in walk order, the arc (j, s) with u_i * image(x) = t_s * u_j,
     t_s in T, u_i the coset representatives.  T acts on the left, so
     this covers g -> g * image(x), which g -> g^-1 maps onto g ->
-    image(x) * g (the walks here) fixing 1: sphere sizes agree.  Arc
+    image(x) * g (the words' walk) fixing 1: sphere sizes agree.  Arc
     k's reverse is arc k ^ 1, of the inverse letter."""
     kernel, reduce, elements, _ = closure
     index = {u: i for i, u in enumerate(elements)}
@@ -147,6 +143,20 @@ def _word(move, entries, h):
             return tuple(reversed(letters))
         letters.append(x)
         h = move[-x](h)
+
+
+def _word_walk(adj, radius, letters):
+    """(cover, neighbours, move) of the words' walk on CoverCode(adj,
+    radius), adj from _quotient_arcs, for _expand and _word.  g -> g^-1
+    maps g -> image(x) * g onto g -> g * image(x)^-1, fixing 1, so the
+    j-th of the letters (in walk order) steps along arc j ^ 1 and the
+    Cayley ball's words come in its order.  Node (0, c) is t_c^-1."""
+    cover = CoverCode(adj, radius)
+    n, arcs = cover.n, [[(x, out[j ^ 1][1]) for j, x in enumerate(letters)]
+                        for out in cover.steps]
+    move = {x: (lambda p, j=j: p + arcs[p % n][j][1])
+            for j, x in enumerate(letters)}
+    return cover, (lambda p: [(x, p + d) for x, d in arcs[p % n]]), move
 
 
 class CoverCode:
@@ -346,14 +356,15 @@ class TranslationHarvest:
     shortest word per vector, ordered by (length, word).  lattice_words
     is a greedy shortest-first subset whose vectors generate the
     lattice (it may need more than rank(L) words), none longer than
-    2|P| - 1 letters, P the point group.  closure is the point-group
-    closure of the generators (see _group) and lattice its T.
+    2|P| - 1 letters, P the point group.  (closure, adj) is the walk's
+    _cayley_quotient, lattice its T.
     """
 
-    def __init__(self, words, lattice_words, closure, radius_used):
+    def __init__(self, words, lattice_words, closure, adj, radius_used):
         self.words = words
         self.lattice_words = lattice_words
         self.closure = closure
+        self.adj = adj
         self.lattice = closure[3]
         self.radius_used = radius_used
 
@@ -361,11 +372,12 @@ class TranslationHarvest:
 def shortest_translation_words(generators):
     """Harvest shortest words with identity linear part from the Cayley ball.
 
-    T comes exactly from the closure of _group.  Sphere by sphere, the
-    walk appends each translation's first-discovered shortest word to
-    `words`, sorted by word within the sphere.  One span, the integer
-    HNF of N L (N the kernel's scale, L spanned so far), takes in each
-    vector until it equals T; a word that grows it is a lattice word.
+    T comes exactly from the closure of _cayley_quotient, whose cover
+    the walk runs on (_word_walk).  Sphere by sphere, the walk appends
+    each translation's first-discovered shortest word to `words`, sorted
+    by word within the sphere.  One span, the integer HNF of the
+    coordinates in T spanned so far, takes in each vector until it is
+    Z^rank; a word that grows it is a lattice word.
     The lattice words and the closure are final at the first sphere
     that spans T, where the presentation pipeline's harvest stops
     (_harvest with no extra spheres); this walk goes on for
@@ -382,26 +394,28 @@ def shortest_translation_words(generators):
 def _harvest(generators, extra):
     """shortest_translation_words, walking `extra` spheres past the
     first sphere that spans T."""
-    kernel, _, elements, lattice = closure = _group(generators, math.inf)
+    (kernel, _, elements, lattice), adj = quotient = _cayley_quotient(
+        generators, math.inf)
     if not lattice.rank:
         raise FiniteGroup(len(elements))
-    target = tuple(tuple(int(x * kernel.scale) for x in row)
-                   for row in lattice.basis)
-    ident_linear = kernel.identity[0]
-    entries = {kernel.identity: (0, 0)}
+    radius = 2 * len(elements) - 1 + extra
+    cover, neighbours, move = _word_walk(adj, radius, kernel.move)
+    # node (0, c) is the translation by -c in T, each found once
+    basis = [[-int(x * kernel.scale) for x in row] for row in lattice.basis]
+    target = identity_matrix(lattice.rank)
+    entries = {0: (0, 0)}
     words, lattice_words, span = [], [], ()
     # the last sphere: `extra` after the first to span T
     stop = 1 + extra
-    spheres = _expand(kernel.neighbours, entries,
-                      2 * len(elements) - 1 + extra, DEFAULT_MAX_ELEMENTS)
-    # distinct elements with the identity linear part are distinct
-    # translations, so each found here is new
+    spheres = _expand(neighbours, entries, radius, DEFAULT_MAX_ELEMENTS)
     for radius_used, sphere in enumerate(spheres, 1):
-        for w, h in sorted((_word(kernel.move, entries, h), h)
-                           for h in sphere if h[0] == ident_linear):
-            words.append((w, kernel.vector(h)))
+        for w, p in sorted((_word(move, entries, p), p)
+                           for p in sphere if p % cover.n == 0):
+            c = cover.decode(p)[1]
+            words.append((w, tuple(Fraction(x, kernel.scale)
+                                   for x in vec_mat(c, basis))))
             if span != target:
-                grown = hnf(span + (h[1:],))
+                grown = hnf(span + (c,))
                 if grown != span:
                     lattice_words.append(words[-1])
                     span = grown
@@ -413,7 +427,7 @@ def _harvest(generators, extra):
     if span != target:
         raise LatticeNotFound(
             "the harvested words do not span the translation lattice")
-    return TranslationHarvest(words, lattice_words, closure, radius_used)
+    return TranslationHarvest(words, lattice_words, *quotient, radius_used)
 
 
 GeodesicSet = namedtuple("GeodesicSet", "target length count words")
@@ -430,15 +444,16 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000,
     shell_geodesics on the cover of _cayley_quotient, from the identity
     to target's node: reversing words maps the walk g -> image(x) * g
     onto the cover's g -> g * image(x), so lengths and counts agree.  A
-    target outside G raises TargetUnreachable before any walk.  Only
-    the words walk the Cayley ball, to the length already known.
+    target outside G raises TargetUnreachable before any walk.  The
+    words walk the same cover (_word_walk) to the length already known,
+    then read back depth first from the node of target^-1, where letter
+    x steps along its own arc.
     """
     if not isinstance(target, AffineIsometry):
         target = AffineIsometry.from_translation([Fraction(t) for t in target])
     (kernel, reduce, elements, _), adj = _cayley_quotient(
         generators, max_elements, [target.translation])
-    goal = kernel.encode(target)
-    rep, shift = reduce(goal)
+    rep, shift = reduce(kernel.encode(target))
     if rep not in elements:
         raise TargetUnreachable(
             f"target {format_symop(target)} is not an element of the group")
@@ -448,19 +463,23 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000,
         raise TargetUnreachable(f"target not reached within length cap {cap}")
     if not with_words:
         return GeodesicSet(target, *found, None)
-    dist = {kernel.identity: (0, 0)}
-    for _ in _expand(kernel.neighbours, dist, found[0], max_elements):
+    # one radius more: the read-back looks one arc past target^-1
+    cover, neighbours, move = _word_walk(adj, found[0] + 1, kernel.move)
+    dist = {0: (0, 0)}
+    for _ in _expand(neighbours, dist, found[0], max_elements):
         pass
-    words, stack = [], [(goal, ())]  # depth first, with no recursion
+    rep, shift = reduce(kernel.encode(inverse(target)))
+    # depth first, with no recursion
+    words, stack = [], [(cover.encode(elements.index(rep), shift), ())]
     while stack and len(words) < max_words:
         h, suffix = stack.pop()
         r = dist[h][0]
         if r == 0:
             words.append(free_reduce(suffix))
             continue
-        # pushed in reverse, so the letters are tried in kernel.steps order
-        for x, _ in reversed(kernel.steps):
-            g = kernel.move[-x](h)
+        # pushed in reverse, so the letters are tried in walk order
+        for x in reversed(move):
+            g = move[-x](h)
             if dist.get(g, (None,))[0] == r - 1:
                 stack.append((g, (x,) + suffix))
     return GeodesicSet(target, *found, words)

@@ -12,7 +12,7 @@ tables of G/mT are read off one graph, the Cayley quotient
 from fractions import Fraction
 
 from .affine import AffineIsometry
-from .bfs import _harvest, _kernel, _quotient_arcs
+from .bfs import _harvest, _kernel
 from .cosets import (
     DEFAULT_MAX_COSETS,
     CosetTable,
@@ -59,7 +59,7 @@ class ExtensionData:
 
     def __init__(self, generators, harvest):
         self.generators = generators
-        self.adj = _quotient_arcs(harvest.closure)
+        self.adj = harvest.adj
         self.kernel, _, self.elements, self.lattice = harvest.closure
         self.names = [name for name, _ in generators]
         self.lattice_words = harvest.lattice_words
@@ -294,12 +294,12 @@ def present(generators, simplify=True, prune=True,
     table of G/mT, read off the group (_quotient_cosets), whether the
     candidate plus the m-th lattice powers presents a larger group; if
     so its check at m could only overflow or fail, and it fails at once.
-    The width rule: an m gets such a refuter when its rows are narrow,
-    N(k - 1) + 1 bits (N = |G/mT|, k generators) at most the prune cap
-    over N; at the largest m that is 64 bits wherever the cap is 64 N.
-    Wider rows cost more to eliminate than the enumeration they would
-    spare.  The refuters are asked in increasing m, each built when a
-    trial first needs it.
+    The least m always gets such a refuter, which spares the trials that
+    overflow; a larger m only when its rows are narrow, N(k - 1) + 1 bits
+    (N = |G/mT|, k generators) at most the prune cap over N, wider rows
+    costing more to eliminate than the enumeration they would spare.
+    The refuters are asked in increasing m, each built when a trial
+    first needs it.
     """
     E = build_extension_data(generators)
     identity = E.kernel.identity
@@ -338,14 +338,14 @@ def present(generators, simplify=True, prune=True,
                     max_cosets)
     proven = None  # the relators of the latest trial that passed every m
 
-    # the m whose G/mT rows are narrow, each refuter built at first need
+    # the least m and those whose G/mT rows are narrow
     k = len(E.names)
-    narrow = [m for m, n in sorted(expected.items())
-              if n * (k - 1) + 1 <= prune_cap // n]
+    refuting = [m for m, n in sorted(expected.items())
+                if m == min(expected) or n * (k - 1) + 1 <= prune_cap // n]
     refuters = {}
 
     def refuted(relators):
-        for m in narrow:
+        for m in refuting:
             if m not in refuters:
                 refuters[m] = SchreierRank(_quotient_cosets(E, m),
                                            quotient_relators(E, m))
@@ -453,12 +453,8 @@ def relator_ring_census(p, generators, cell_order):
         c = len(r)
         if c < 3:
             raise PipelineError("ring census needs relators of length >= 3")
-        verts = []
-        cur = kernel.identity
-        for x in r:
-            verts.append(cur)
-            cur = kernel.move[x](cur)
-        if cur != kernel.identity:
+        verts = [kernel.evaluate(r[:i]) for i in range(c)]
+        if kernel.evaluate(r) != kernel.identity:
             raise PipelineError("relator does not close a cycle")
         vset = set(verts)
         if len(vset) != c:

@@ -307,8 +307,9 @@ def test_finite_closure_lattice_is_spanned_by_ball_translations(case):
     d = lattice.dimension
     kernel = WalkKernel(gens)
     span = hnf_lattice([], dimension=d)
-    spheres = _expand(kernel.neighbours, {kernel.identity: (0, 0)},
-                      2 * len(codes) - 1)
+    spheres = _expand(
+        lambda g: [(x, move(g)) for x, move in kernel.steps],
+        {kernel.identity: (0, 0)}, 2 * len(codes) - 1)
     for sphere in spheres:
         for h in sphere:
             if h[0] == kernel.identity[0]:

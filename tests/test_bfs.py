@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystpres import pipeline
-from crystpres.affine import hnf_lattice
+from crystpres.affine import compose, hnf_lattice
 from crystpres.bfs import (
     DEFAULT_STABLE_SPHERES,
     BadGenerators,
@@ -30,6 +30,7 @@ from crystpres.words import evaluate
 
 from conftest import (CORPUS, DOCUMENTS, generating_sets, load_document,
                       load_path)
+from test_walk_kernel import _images, oracle_ball
 
 
 def _translations(dim):
@@ -172,6 +173,38 @@ def test_pipeline_harvest_matches_the_public_harvest(gens):
         _pipeline_harvest(gens)
     except LatticeNotFound:  # finite groups among them
         pass
+
+
+def _oracle_translation_words(gens, radius):
+    """(word, vector) of each translation in the Fraction ball of the
+    radius, its first-discovered word read back through the oracle's
+    entries; sphere by sphere, sorted by word within a sphere."""
+    _, entries = oracle_ball(gens, radius)
+    images, words = _images(gens), []
+    for g, (dist, _) in entries.items():
+        if dist and g.linear == g.identity(g.dimension).linear:
+            word, h = [], g
+            while entries[h][0]:
+                x = entries[h][1]
+                word.insert(0, x)
+                h = compose(images[-x], h)
+            words.append((tuple(word), g.translation))
+    return sorted(words, key=lambda e: (len(e[0]), e[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gens=generating_sets())
+def test_harvest_words_are_the_first_discovered_ones_of_the_ball(gens):
+    # the harvest walks the cover of the Cayley quotient, with letter x on
+    # the arc of x^-1; it must find the Cayley ball's words, in its order
+    try:
+        full = shortest_translation_words(gens)
+    except LatticeNotFound:  # finite groups among them
+        return
+    h = _harvest(gens, 0)
+    expected = _oracle_translation_words(gens, full.radius_used)
+    assert full.words == expected
+    assert h.words == [e for e in expected if len(e[0]) <= h.radius_used]
 
 
 def test_harvest_trivial_group():

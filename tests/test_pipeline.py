@@ -26,7 +26,7 @@ from crystpres.netgraph import (
     net_coordination_sequence,
     ring_size_counts,
 )
-from crystpres import pipeline
+from crystpres import bfs, pipeline
 from crystpres.bfs import coordination_sequence
 from crystpres.pipeline import (
     PipelineError,
@@ -224,13 +224,25 @@ def test_ndia_presentations_and_rings(n, six, rings):
     assert ring_size_counts(g, max_size=6) == {6: rings}
 
 
-def test_ndia_5_presents_in_closed_form():
-    # a_i^2 for the six generators, then (a a_i a_j)^2 for each pair
-    # 2 <= i < j <= 6, a the first: 16 relators of total length 72
-    relators = present(ndia_generators(5).generators).presentation.relators
-    assert relators == [(k, k) for k in range(1, 7)] + [
-        (1, i, j) * 2 for i, j in itertools.combinations(range(2, 7), 2)]
-    assert (len(relators), sum(map(len, relators))) == (16, 72)
+@pytest.mark.parametrize("n, size", [(5, (16, 72)), (6, (22, 104))],
+                         ids=["5", "6"])
+def test_ndia_presents_in_closed_form(n, size):
+    # a_i^2 for the n + 1 generators, then (a a_i a_j)^2 for each pair
+    # 2 <= i < j <= n + 1, a the first: `size` relators and letters
+    relators = present(ndia_generators(n).generators).presentation.relators
+    assert relators == [(k, k) for k in range(1, n + 2)] + [
+        (1, i, j) * 2 for i, j in itertools.combinations(range(2, n + 2), 2)]
+    assert (len(relators), sum(map(len, relators))) == size
+
+
+def test_present_builds_the_cayley_quotient_once(i42d, monkeypatch):
+    # the harvest walks the quotient's cover, and the tables of G/mT read
+    # the same arcs off the harvest
+    arcs, calls = bfs._quotient_arcs, []
+    monkeypatch.setattr(bfs, "_quotient_arcs",
+                        lambda closure: calls.append(closure) or arcs(closure))
+    present(i42d.generators)
+    assert len(calls) == 1
 
 
 def test_gis_ring_census(i42d):

@@ -39,6 +39,12 @@ def _images(generators):
     return images
 
 
+def _code_neighbours(kernel):
+    """The neighbours of a walk on element codes, for _expand: (letter,
+    image(letter) * g) for every letter, in walk order."""
+    return lambda g: [(x, move(g)) for x, move in kernel.steps]
+
+
 def oracle_ball(generators, radius):
     """Sphere sizes and first-discovered (distance, letter) per element."""
     images = _images(generators)
@@ -203,11 +209,11 @@ def test_ball_matches_oracle(gens):
     radius = 4
     sizes, entries = oracle_ball(gens, radius)
     assert coordination_sequence(gens, radius) == sizes
-    # the spheres of the walks that need words, on codes: the same
-    # elements in the same discovery order, with the same last letters
+    # _expand and _word on element codes: the same elements in the same
+    # discovery order, with the same last letters and words
     kernel = WalkKernel([g for _, g in gens])
     codes = {kernel.identity: (0, 0)}
-    for _ in _expand(kernel.neighbours, codes, radius):
+    for _ in _expand(_code_neighbours(kernel), codes, radius):
         pass
     assert [kernel.decode(c) for c in codes] == list(entries)
     assert list(codes.values()) == list(entries.values())
@@ -250,12 +256,12 @@ def test_odd_cycle_girth_matches_oracle(gens):
 
 
 def _expand_sizes(gens, radius, max_elements=math.inf):
-    """Sphere sizes of the Cayley ball as the walks that need words grow
-    it, on codes."""
+    """Sphere sizes of the Cayley ball as _expand grows it on element
+    codes."""
     kernel = WalkKernel([g for _, g in gens])
     entries = {kernel.identity: (0, 0)}
-    return [1] + [len(s) for s in _expand(kernel.neighbours, entries, radius,
-                                          max_elements)]
+    return [1] + [len(s) for s in _expand(_code_neighbours(kernel), entries,
+                                          radius, max_elements)]
 
 
 @settings(max_examples=60, deadline=None)
