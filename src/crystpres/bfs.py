@@ -22,7 +22,7 @@ shell_geodesics from both ends of a route, on packed int nodes
 For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover,
 and the presentation pipeline reads the point group and every G/mT off
-its arcs (_quotient_arcs).
+its arcs (_quotient_arcs: letter j steps along arc j).
 Walks that need words or discovery order (the harvest, geodesic words)
 grow their spheres with the one routine _expand, on the cover as
 _word_walk steps it; finite Cayley graphs are cosets.CosetTable
@@ -96,17 +96,17 @@ def _cayley_quotient(generators, max_elements=DEFAULT_MAX_ELEMENTS,
 
 
 def _quotient_arcs(closure):
-    """The Cayley graph of a closure modulo T: adj[i] lists per letter
-    x, in walk order, the arc (j, s) with u_i * image(x) = t_s * u_j,
-    t_s in T, u_i the coset representatives.  T acts on the left, so
-    this covers g -> g * image(x), which g -> g^-1 maps onto g ->
-    image(x) * g (the words' walk) fixing 1: sphere sizes agree.  Arc
-    k's reverse is arc k ^ 1, of the inverse letter."""
+    """The Cayley graph of a closure modulo T in the words' own action:
+    adj[i] lists per letter x_j, in walk order, the arc j = (k, s) with
+    u_i * image(x_j)^-1 = t_s * u_k, t_s in T, u_i the coset
+    representatives.  g -> g^-1 maps the words' g -> image(x) * g onto
+    g -> g * image(x)^-1, fixing 1, so letter j steps along arc j and
+    balls agree.  Arc j's reverse is arc j ^ 1, of the inverse letter."""
     kernel, reduce, elements, _ = closure
     index = {u: i for i, u in enumerate(elements)}
-    letters = [move(kernel.identity) for _, move in kernel.steps]
-    return [[(index[j], s) for j, s in
-             (reduce(kernel.product(u, x)) for x in letters)]
+    inverses = [kernel.move[-x](kernel.identity) for x, _ in kernel.steps]
+    return [[(index[k], s) for k, s in
+             (reduce(kernel.product(u, y)) for y in inverses)]
             for u in elements]
 
 
@@ -145,14 +145,13 @@ def _word(move, entries, h):
         h = move[-x](h)
 
 
-def _word_walk(adj, radius, letters):
+def _word_walk(adj, radius):
     """(cover, neighbours, move) of the words' walk on CoverCode(adj,
-    radius), adj from _quotient_arcs, for _expand and _word.  g -> g^-1
-    maps g -> image(x) * g onto g -> g * image(x)^-1, fixing 1, so the
-    j-th of the letters (in walk order) steps along arc j ^ 1 and the
-    Cayley ball's words come in its order.  Node (0, c) is t_c^-1."""
+    radius), adj from _quotient_arcs, for _expand and _word: the j-th
+    letter in walk order steps along arc j.  Node (0, c) is t_c^-1."""
     cover = CoverCode(adj, radius)
-    n, arcs = cover.n, [[(x, out[j ^ 1][1]) for j, x in enumerate(letters)]
+    letters = [x for k in range(1, len(adj[0]) // 2 + 1) for x in (k, -k)]
+    n, arcs = cover.n, [[(x, d) for x, (_, d) in zip(letters, out)]
                         for out in cover.steps]
     move = {x: (lambda p, j=j: p + arcs[p % n][j][1])
             for j, x in enumerate(letters)}
@@ -301,6 +300,21 @@ def shell_sizes(adj, base, radius, max_elements=math.inf):
         box = min(2 * box, radius)
 
 
+def _box(adj):
+    """within(a, b, k): whether shift b lies in the box that k arcs of
+    adj span from shift a, each coordinate within k S and the 1-norm
+    within k S1, S the largest |shift component| and S1 the largest
+    1-norm of an arc.  No cover path of k arcs leaves it."""
+    shifts = [s for arcs in adj for _, s in arcs]
+    top = max((abs(x) for s in shifts for x in s), default=0)
+    top1 = max((sum(map(abs, s)) for s in shifts), default=0)
+
+    def within(a, b, k):
+        offset = [abs(y - x) for x, y in zip(a, b)]
+        return max(offset, default=0) <= k * top and sum(offset) <= k * top1
+    return within
+
+
 def shell_geodesics(adj, start, goal, radius, max_elements=math.inf):
     """(length, count) of the shortest cover paths of adj from node start
     to node goal, both (v, shift), or None past radius; None at once for
@@ -313,11 +327,9 @@ def shell_geodesics(adj, start, goal, radius, max_elements=math.inf):
     over the meet.  Past max_elements held nodes: BallBoundExceeded."""
     if start == goal:
         return 0, 1
-    cover = CoverCode(adj, radius)
-    offset = [abs(b - a) for a, b in zip(start[1], goal[1])]
-    if max(offset, default=0) > cover.reach or sum(offset) > radius * max(
-            sum(map(abs, s)) for arcs in adj for _, s in arcs):
+    if not _box(adj)(start[1], goal[1], radius):
         return None
+    cover = CoverCode(adj, radius)
     ends = [[0, {}, {cover.encode(*node): 1}] for node in (start, goal)]
     while ends[0][0] + ends[1][0] < radius and all(e[2] for e in ends):
         end, other = sorted(ends, key=lambda e: len(e[2]))
@@ -399,7 +411,7 @@ def _harvest(generators, extra):
     if not lattice.rank:
         raise FiniteGroup(len(elements))
     radius = 2 * len(elements) - 1 + extra
-    cover, neighbours, move = _word_walk(adj, radius, kernel.move)
+    cover, neighbours, move = _word_walk(adj, radius)
     # node (0, c) is the translation by -c in T, each found once
     basis = [[-int(x * kernel.scale) for x in row] for row in lattice.basis]
     target = identity_matrix(lattice.rank)
@@ -442,12 +454,15 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000,
     """Count (and optionally list) the shortest words evaluating to target.
 
     shell_geodesics on the cover of _cayley_quotient, from the identity
-    to target's node: reversing words maps the walk g -> image(x) * g
-    onto the cover's g -> g * image(x), so lengths and counts agree.  A
-    target outside G raises TargetUnreachable before any walk.  The
-    words walk the same cover (_word_walk) to the length already known,
-    then read back depth first from the node of target^-1, where letter
-    x steps along its own arc.
+    to target's node: its paths spell the words of target^-1, whose
+    inverses are target's words, so lengths and counts agree.  A target
+    outside G raises TargetUnreachable before any walk.  The words walk
+    the same cover (_word_walk) to the length already known, through
+    the nodes that _box finds within the arcs left of the node of
+    target^-1, then read back depth first from that node.  Every node on
+    a geodesic passes and keeps its distance, and a neighbour one closer
+    to 1 of such a node is on a geodesic too, so the words and their
+    order are those of the whole ball.
     """
     if not isinstance(target, AffineIsometry):
         target = AffineIsometry.from_translation([Fraction(t) for t in target])
@@ -463,12 +478,19 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000,
         raise TargetUnreachable(f"target not reached within length cap {cap}")
     if not with_words:
         return GeodesicSet(target, *found, None)
+    length = found[0]
     # one radius more: the read-back looks one arc past target^-1
-    cover, neighbours, move = _word_walk(adj, found[0] + 1, kernel.move)
-    dist = {0: (0, 0)}
-    for _ in _expand(neighbours, dist, found[0], max_elements):
-        pass
+    cover, neighbours, move = _word_walk(adj, length + 1)
     rep, shift = reduce(kernel.encode(inverse(target)))
+    within, dist = _box(adj), {0: (0, 0)}
+
+    def ahead(p):
+        left = length - dist[p][0] - 1
+        return [(x, q) for x, q in neighbours(p)
+                if within(cover.decode(q)[1], shift, left)]
+
+    for _ in _expand(ahead, dist, length, max_elements):
+        pass
     # depth first, with no recursion
     words, stack = [], [(cover.encode(elements.index(rep), shift), ())]
     while stack and len(words) < max_words:
@@ -507,14 +529,14 @@ def odd_cycle_girth(generators, marked_name, cap=DEFAULT_RADIUS_CAP,
     shell_geodesics from (0, even) to (0, odd) on the parity double
     cover of _cayley_quotient: vertex i + n * parity, flipped by the
     marked letters."""
-    (kernel, _, _, lattice), adj = _cayley_quotient(generators, max_elements)
+    (_, _, _, lattice), adj = _cayley_quotient(generators, max_elements)
     try:
-        marked = [name for name, _ in generators].index(marked_name) + 1
+        marked = [name for name, _ in generators].index(marked_name)
     except ValueError:
         raise ValueError(f"unknown generator {marked_name!r}") from None
     n = len(adj)
-    double = [[(j + n * (parity ^ (abs(x) == marked)), s)
-               for (j, s), (x, _) in zip(arcs, kernel.steps)]
+    double = [[(k + n * (parity ^ (j // 2 == marked)), s)
+               for j, (k, s) in enumerate(arcs)]
               for parity in (0, 1) for arcs in adj]
     zero = (0,) * lattice.rank
     found = shell_geodesics(double, (0, zero), (n, zero), cap, max_elements)

@@ -14,8 +14,9 @@ largest first, which overflows most often.  run_hlt reads the cap only to
 stop, so a run that completed under one cap is the same run under any
 larger cap: `present` keeps the verdicts of its trials, not their tables.
 Coincidences are closed as they arise (Holt, Eick, O'Brien, 5.1), so the
-scans read entries with no root walk, and a gap in a freely reduced word
-fills in one run: neither changes which cosets are defined, or when.
+scans read entries with no root walk, and a gap in a scanned word (all
+are freely reduced) fills in one run: neither changes which cosets are
+defined, or when.
 
 SchreierRank refutes a relator set with no enumeration: a GF(2) rank test
 on its Reidemeister-Schreier rewrite (Holt, Eick, O'Brien, ch. 5) over
@@ -52,6 +53,7 @@ class CosetTable:
     subgroup, stays live.  `live_cosets` and `trace` speak in coset
     numbers r // (2k + 1).  `status` is "complete" or "overflow" after
     run_hlt(); a complete table acts on the live cosets by permutations.
+    Subgroup words are freely reduced once, the freely trivial dropped.
     """
 
     def __init__(self, ngens, relators, subgroup_words, max_cosets=DEFAULT_MAX_COSETS):
@@ -60,11 +62,10 @@ class CosetTable:
         self.width = 2 * ngens + 1
         # inverse[col]: the column of the inverse letter
         self.inverse = [0] + [c + 1 if c % 2 else c - 1 for c in range(1, self.width)]
-        relators = [(*_cols(r), True) for r in map(cyclic_reduce, relators) if r]
-        # (forward, inverse columns, freely reduced) of the words scanned
-        # at coset 0 (subgroup words first) and elsewhere
-        self.scans = ([(*_cols(w), free_reduce(w) == tuple(w))
-                       for w in subgroup_words] + relators, relators)
+        relators = [_cols(r) for r in map(cyclic_reduce, relators) if r]
+        # the words scanned at coset 0 (subgroup words first) and elsewhere
+        self.scans = ([_cols(w) for w in map(free_reduce, subgroup_words)
+                       if w] + relators, relators)
         self.max_cosets = max_cosets
         self.cells = [0] + [-1] * (2 * ngens)
         self.status = None
@@ -137,7 +138,7 @@ class CosetTable:
         c = 0
         try:
             while c < len(cells):
-                for fw, bw, reduced in rest if c else first:
+                for fw, bw in rest if c else first:
                     if cells[c] != c:
                         break
                     f = b = c
@@ -162,15 +163,15 @@ class CosetTable:
                             break
                         # both scans stopped at undefined entries: a gap of
                         # one letter is a deduction, a longer one new cosets.
-                        # In a freely reduced word neither scan passes a new
-                        # coset, so the gap fills up to its last letter at
-                        # once, unless the first new coset is also b's next
-                        # (f = b, x_j = x_i^-1): then define one and rescan
+                        # The word is freely reduced, so neither scan passes
+                        # a new coset and the gap fills up to its last letter
+                        # at once, unless the first new coset is also b's
+                        # next (f = b, x_j = x_i^-1): then define one, rescan
                         if i == j:
                             cells[f + fw[i]] = b
                             cells[b + bw[i]] = f
                             break
-                        end = j if reduced and (f != b or fw[i] != bw[j]) else i + 1
+                        end = j if f != b or fw[i] != bw[j] else i + 1
                         while i < end:
                             d = len(cells)
                             if d >= limit:

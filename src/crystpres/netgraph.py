@@ -121,6 +121,10 @@ class LabeledQuotientGraph:
             coords = frac_rows(coords)
             if len(coords) != n_vertices:
                 raise GraphError("coordinate count differs from vertex count")
+            for v, row in enumerate(coords):
+                if len(row) != rank:
+                    raise GraphError(f"coordinate row {v} has length {len(row)}"
+                                     f", but the net has rank {rank}")
         self.coords = coords
         self.name = name
         adj = [[] for _ in range(n_vertices)]
@@ -300,11 +304,11 @@ def net_geodesics(g, vector, base=0, cap=200):
 def from_cayley(generators):
     """Quotient graph of the Cayley graph by the translation lattice T.
 
-    Its edges are the arcs of the generators (positive letters) in
-    bfs._cayley_quotient, shifts in the basis of T: only the point-group
-    closure is needed.  Parallel edges mean the Cayley graph is not
-    simple and raise GraphError (no generator is the identity, so there
-    are no loops); a finite group raises FiniteGroup.  When T has full
+    Its edges are the arcs u -> u x^-1 of the generators x in
+    bfs._cayley_quotient, unoriented, shifts in the basis of T: only the
+    point-group closure is needed.  Parallel edges mean the Cayley graph
+    is not simple and raise GraphError (no generator is the identity, so
+    there are no loops); a finite group raises FiniteGroup.  When T has full
     rank, vertex coordinates (the orbit of a generic base point, in
     T-basis coordinates) are attached for embedding-aware checks.
     """

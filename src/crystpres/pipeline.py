@@ -96,19 +96,18 @@ def _quotient_cosets(E, m):
 
     Coset p m^r + i is t u_p, u_p = E.elements[p] and t the i-th vector
     of (Z/m)^r in lattice coordinates, the first the most significant
-    digit of i.  A word stands for the inverse of what it evaluates to,
-    so letter x moves a coset along the arc of x^-1: t u_p x^-1 = t t_s
-    u_q = (t + s) u_q, (q, s) = E.adj[p][j ^ 1] for column col = j + 1,
-    j the index of x in walk order; g -> g^-1 maps this onto the words'
-    own action, fixing 1.  No linear action enters.  At m = 1 this is
-    the point group acting on itself, coset p the element u_p.
+    digit of i.  Column col moves it along arc col - 1 of
+    bfs._quotient_arcs, the words' own action: t u_p x^-1 = (t + s) u_q,
+    (q, s) = E.adj[p][col - 1], x the letter of the column.  No linear
+    action enters.  At m = 1 this is the point group acting on itself,
+    coset p the element u_p.
     """
     w, size = 2 * len(E.names) + 1, m ** E.rank
     table = CosetTable(len(E.names), (), ())
     cells = table.cells = [0] * (len(E.elements) * size * w)
     for p, arcs in enumerate(E.adj):
         for col in range(1, w):
-            q, s = arcs[(col - 1) ^ 1]
+            q, s = arcs[col - 1]
             digits = [q]
             for a in s:
                 digits = [d * m + (c + a) % m for d in digits for c in range(m)]
@@ -276,15 +275,14 @@ class PresentationReport:
         }
 
 
-def present(generators, simplify=True, prune=True,
-            verify_orders=(2, 3), max_cosets=DEFAULT_MAX_COSETS):
+def present(generators, verify_orders=(2, 3), max_cosets=DEFAULT_MAX_COSETS):
     """Full pipeline: extension data, relators, simplification, checks.
 
-    Every relator is checked to evaluate to the identity (always on).
-    Quotient order checks enumerate G/mT for m in verify_orders and
-    compare with |P| * m^rank.  `prune` drops a relator when those order
-    checks still pass without it; the commutator and dependence relators
-    of the lattice words are the usual casualties.  A trial checks the
+    Every relator is checked to evaluate to the identity.  Quotient
+    order checks enumerate G/mT for m in verify_orders and compare with
+    |P| * m^rank.  Between two Tietze passes, pruning drops a relator
+    when those checks still pass without it (commutator and dependence
+    relators of the lattice words, mostly).  A trial checks the
     largest m first, which overflows most often: the relator goes only if
     every m passes, so the order is free.  The final checks pass with no
     enumeration on the relators of the latest trial that passed every m,
@@ -326,10 +324,8 @@ def present(generators, simplify=True, prune=True,
         tag_of.setdefault(cyclic_reduce(r), t)
     tags = [tag_of[r] for r in pres.relators]
 
-    steps = 0
-    if simplify:
-        result = tietze_simplify(pres, tags=tags)
-        pres, tags, steps = result.presentation, result.tags, result.steps
+    result = tietze_simplify(pres, tags=tags)
+    pres, tags, steps = result.presentation, result.tags, result.steps
 
     expected = {m: E.point_order * m ** E.rank for m in verify_orders}
     # removal trials only need to distinguish pass from anything else, so
@@ -360,7 +356,7 @@ def present(generators, simplify=True, prune=True,
                                expected[m], prune_cap) == "pass"
                    for m in sorted(verify_orders, reverse=True))
 
-    if prune and verify_orders:
+    if verify_orders:
         # longest first (the relators are in word_sort_key order); keep a
         # relator unless the quotient checks still pass without it
         keep = list(range(len(pres.relators)))
@@ -373,10 +369,9 @@ def present(generators, simplify=True, prune=True,
                 keep, proven = trial, candidate.relators
         pres = pres.with_relators([pres.relators[j] for j in keep])
         tags = [tags[j] for j in keep]
-        if simplify:
-            result = tietze_simplify(pres, tags=tags)
-            pres, tags = result.presentation, result.tags
-            steps += result.steps
+        result = tietze_simplify(pres, tags=tags)
+        pres, tags = result.presentation, result.tags
+        steps += result.steps
 
     verification = {"identity_checks": len(tagged), "order_checks": {}}
     for rel in pres.relators:

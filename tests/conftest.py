@@ -53,6 +53,21 @@ def assignment(generators):
     return {i + 1: op for i, (_, op) in enumerate(generators)}
 
 
+def raw_and_simplified(generators):
+    """(E, raw, simplified) of a generating set: its extension data, the
+    Presentation of its lifted point, lattice and conjugation relators,
+    and tietze_simplify of that, the presentation `present` prunes."""
+    from crystpres.pipeline import (build_extension_data,
+                                    conjugation_relators, lattice_relators,
+                                    lift_point_relators)
+    from crystpres.words import Presentation, tietze_simplify
+
+    E = build_extension_data(generators)
+    raw = Presentation(E.names, [r for r, _, _ in lift_point_relators(E)]
+                       + lattice_relators(E) + conjugation_relators(E))
+    return E, raw, tietze_simplify(raw).presentation
+
+
 def coset_table(tables):
     """The complete CosetTable on which letter x moves element e to
     tables[x][e], for letter tables 1, -1, 2, -2, ... on elements

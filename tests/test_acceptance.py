@@ -43,7 +43,7 @@ from crystpres.affine import AffineIsometry
 from crystpres.words import Presentation, evaluate, parse_word
 
 from conftest import (assignment, load_document,
-                      quotient_coordination_sequence)
+                      quotient_coordination_sequence, raw_and_simplified)
 
 FULL_CORPUS = [
     "i42d.json",
@@ -298,16 +298,15 @@ def test_criterion_09_property_suites():
         # same finite quotients
         for name in ("i42d.json", "hcb_p6.json"):
             doc, slim = reports[name]
-            raw = present(doc.generators, simplify=False, prune=False)
-            E = slim.extension
+            E, raw, _ = raw_and_simplified(doc.generators)
             for mm in (2, 3):
                 expected = E.point_order * mm ** E.rank
-                for rep in (raw, slim):
-                    extra = quotient_relators(rep.extension, mm)
-                    assert order_check(rep.presentation, extra, expected) == "pass"
+                for pres in (raw, slim.presentation):
+                    extra = quotient_relators(E, mm)
+                    assert order_check(pres, extra, expected) == "pass"
             # simplification shortens and is deterministic
             total = lambda p: sum(len(r) for r in p.relators)
-            assert total(slim.presentation) <= total(raw.presentation)
+            assert total(slim.presentation) <= total(raw)
             again = present(doc.generators)
             assert again.presentation.relators == slim.presentation.relators
 

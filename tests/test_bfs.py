@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystpres import pipeline
-from crystpres.affine import compose, hnf_lattice
+from crystpres.affine import compose, hnf_lattice, inverse
 from crystpres.bfs import (
     DEFAULT_STABLE_SPHERES,
     BadGenerators,
@@ -21,12 +21,15 @@ from crystpres.bfs import (
     geodesics,
     lattice_geodesic_count,
     odd_cycle_girth,
+    _cayley_quotient,
+    _expand,
     _harvest,
+    _word_walk,
     shortest_translation_words,
 )
 from crystpres.netgraph import catalog_load, from_cayley, net_geodesics
 from crystpres.symop import parse_symop
-from crystpres.words import evaluate
+from crystpres.words import evaluate, free_reduce
 
 from conftest import (CORPUS, DOCUMENTS, generating_sets, load_document,
                       load_path)
@@ -249,6 +252,70 @@ def test_geodesic_words_keep_their_order_and_cap():
     assert words == [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
     capped = geodesics(gens, (2, 1), 10, with_words=True, max_words=2)
     assert capped.words == words[:2]
+
+
+def test_geodesic_words_hold_only_the_nodes_on_geodesics():
+    # the words' ball grows only through nodes that can still reach the
+    # target in the arcs left: the 121 nodes of the route to (10, 10),
+    # not the 841 of the radius-20 ball
+    g = geodesics(_translations(2), (10, 10), 20, with_words=True,
+                  max_elements=200)
+    assert (g.length, g.count) == (20, comb(20, 10))
+    assert len(g.words) == 10000
+
+
+def _unfiltered_geodesic_words(gens, target, length, max_words):
+    """Oracle: the geodesic words read back from the whole ball of the
+    geodesic length, every node of it held."""
+    (kernel, reduce, elements, _), adj = _cayley_quotient(
+        gens, points=[target.translation])
+    cover, neighbours, move = _word_walk(adj, length + 1)
+    dist = {0: (0, 0)}
+    for _ in _expand(neighbours, dist, length):
+        pass
+    rep, shift = reduce(kernel.encode(inverse(target)))
+    words, stack = [], [(cover.encode(elements.index(rep), shift), ())]
+    while stack and len(words) < max_words:
+        h, suffix = stack.pop()
+        r = dist[h][0]
+        if r == 0:
+            words.append(free_reduce(suffix))
+            continue
+        for x in reversed(move):
+            g = move[-x](h)
+            if dist.get(g, (None,))[0] == r - 1:
+                stack.append((g, (x,) + suffix))
+    return words
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens=generating_sets(), data=st.data())
+def test_geodesic_words_are_those_of_the_whole_ball(gens, data):
+    letters = st.integers(1, len(gens)).flatmap(
+        lambda k: st.sampled_from((k, -k)))
+    word = data.draw(st.lists(letters, max_size=7))
+    max_words = data.draw(st.integers(1, 40))
+    target = evaluate(word, {k + 1: op for k, (_, op) in enumerate(gens)})
+    g = geodesics(gens, target, len(word), with_words=True,
+                  max_words=max_words)
+    assert g.words == _unfiltered_geodesic_words(gens, target, g.length,
+                                                 max_words)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens=generating_sets())
+def test_quotient_arc_j_is_the_inverse_of_letter_j(gens):
+    # arc j of u_i is u_i * image(x_j)^-1 = t_s u_k, x_j the j-th letter
+    # in walk order 1, -1, 2, -2, ..., and arc j ^ 1 of u_k comes back
+    (kernel, reduce, elements, _), adj = _cayley_quotient(gens)
+    images = _images(gens)
+    letters = [x for k in range(1, len(gens) + 1) for x in (k, -k)]
+    for i, u in enumerate(elements):
+        for j, x in enumerate(letters):
+            k, s = adj[i][j]
+            assert (elements[k], s) == reduce(
+                kernel.product(u, kernel.encode(inverse(images[x]))))
+            assert adj[k][j ^ 1] == (i, tuple(-c for c in s))
 
 
 def test_group_geodesics_count_words_not_cover_paths():

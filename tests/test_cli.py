@@ -410,6 +410,17 @@ def test_catalog_singular_cell_is_input_error(tmp_path, capsys, monkeypatch,
     assert _input_error(capsys, argv) == "error: cell matrix is singular\n"
 
 
+@pytest.mark.parametrize("command", ["catalog", "cseq"])
+def test_catalog_short_coordinate_row_is_input_error(tmp_path, capsys,
+                                                     monkeypatch, command):
+    (tmp_path / "bad.lqg").write_text(
+        "rank 2\nvertices 1\nedge 0 0 1 0\nedge 0 0 0 1\ncoord 0 0\n")
+    monkeypatch.setenv("CRYSTPRES_CATALOG", str(tmp_path))
+    argv = [command] + (["--net", "bad"] if command == "cseq" else [])
+    assert _input_error(capsys, argv) == (
+        "error: coordinate row 0 has length 1, but the net has rank 2\n")
+
+
 def _document(tmp_path, *xyz):
     names = "abcd"
     gens = ", ".join(

@@ -81,6 +81,15 @@ def test_graph_validation_errors():
         LabeledQuotientGraph(1, 1, [(0, 0, (2,))])
 
 
+def test_coordinate_rows_must_have_the_rank():
+    # the regular-action check reads every coordinate up to the rank
+    g = "rank 2\nvertices 1\nedge 0 0 1 0\nedge 0 0 0 1\ncoord 0 0\n"
+    with pytest.raises(GraphError, match="^coordinate row 0 has length 1, "
+                       "but the net has rank 2$"):
+        regular_action_check(parse_catalog_text(g), [
+            parse_symop("1+x, y", 2), parse_symop("x, 1+y", 2)])
+
+
 _DISCONNECTED = "quotient graph is disconnected"
 _LOW_RANK = "cycle shifts do not span the lattice"
 _SUBLATTICE = ("cycle shifts span a proper sublattice; periodic cover is"

@@ -54,6 +54,7 @@ from conftest import (
     load_document,
     load_path,
     quotient_coordination_sequence,
+    raw_and_simplified,
     sympy_order,
 )
 
@@ -138,16 +139,15 @@ def test_relators_evaluate_to_identity(name):
 @pytest.mark.parametrize("name", ["i42d.json", "dia_p212121.json", "hcb_p6.json"])
 def test_tietze_preserves_quotient_orders(name):
     doc = load_document(name)
-    raw = present(doc.generators, simplify=False, prune=False)
+    E, raw, _ = raw_and_simplified(doc.generators)
     slim = present(doc.generators)
-    E = slim.extension
     for m in (2, 3):
         expected = E.point_order * m ** E.rank
-        for rep in (raw, slim):
-            extra = quotient_relators(rep.extension, m)
-            assert order_check(rep.presentation, extra, expected) == "pass"
+        for pres in (raw, slim.presentation):
+            extra = quotient_relators(E, m)
+            assert order_check(pres, extra, expected) == "pass"
     assert sum(len(r) for r in slim.presentation.relators) <= sum(
-        len(r) for r in raw.presentation.relators
+        len(r) for r in raw.relators
     )
 
 
@@ -315,7 +315,9 @@ def _generators(path):
 
 @functools.lru_cache(maxsize=None)
 def _unpruned_report(path):
-    return present(_generators(path), prune=False)
+    """A document's extension data and its Tietze output, unpruned."""
+    E, _, simplified = raw_and_simplified(_generators(path))
+    return SimpleNamespace(extension=E, presentation=simplified)
 
 
 @functools.lru_cache(maxsize=None)
