@@ -7,15 +7,16 @@ so group elements deduplicate exactly in breadth-first searches.
 WalkKernel is the one integer element code: x -> A x + t is the int
 tuple (id(A), N t), id(A) an interned linear part and N the lcm of the
 translation denominators.  Products and the reduction modulo a lattice
-are integer-only.  The point-group closure (finite_closure: P, its
-action and the lattice T), the arcs of the Cayley quotient
-(bfs._quotient_arcs) and the evaluation of words run on codes; every
-walk then runs on the quotient's cover (bfs.CoverCode), not on codes.
+are integer-only.  A kernel holds its letters' images as codes
+(WalkKernel.images), the plain data that the point-group closure
+(finite_closure: P, its action and the lattice T), the arcs of the
+Cayley quotient (bfs._quotient_arcs) and the evaluation of words read;
+every walk then runs on the quotient's cover (bfs.CoverCode), not on
+codes.
 """
 
 import math
 from fractions import Fraction
-from functools import partial
 
 from .intmat import (
     frac_rows,
@@ -210,10 +211,10 @@ class WalkKernel:
     """Integer codes of the group generated by `isometries`, N = `scale`.
 
     Signed letter k (-k) stands for isometries[k-1] (its inverse).
-    `steps` lists (letter, move) in the walk order 1, -1, 2, -2, ...,
-    move(g) = product(image(letter), g); `move` maps each letter to its
-    move.  Denominators of the vectors in `points` are folded into the
-    scale so those vectors encode exactly as well.
+    `images` maps each letter, in the walk order 1, -1, 2, -2, ..., to
+    its image's code; a letter moves g to product(images[letter], g).
+    Denominators of the vectors in `points` are folded into the scale
+    so those vectors encode exactly as well.
     Raises NotUnimodular when a generator has no integer inverse.
     """
 
@@ -228,15 +229,13 @@ class WalkKernel:
         self._ids = {}
         self._left = []  # per linear id: (sparse rows, {linear id: product})
         self.identity = self.encode(AffineIsometry.identity(d))
-        self.steps = [(x, partial(self.product, self.encode(images[x])))
-                      for x in images]
-        self.move = dict(self.steps)
+        self.images = {x: self.encode(g) for x, g in images.items()}
 
     def evaluate(self, word):
         """Code of the element a word evaluates to (words.evaluate)."""
-        code, move = self.identity, self.move
+        code, images, product = self.identity, self.images, self.product
         for x in word:
-            code = move[x](code)
+            code = product(images[x], code)
         return code
 
     def _intern(self, linear):
@@ -350,7 +349,7 @@ def _closure(kernel, max_parts):
     or None once it holds more than max_parts linear parts short of
     Minkowski's bound: a cap on its cost."""
     bound = minkowski_bound(kernel.dimension)
-    gens = [move(kernel.identity) for x, move in kernel.steps if x > 0]
+    gens = [code for x, code in kernel.images.items() if x > 0]
     first = {kernel.identity[0]: kernel.identity}  # linear id -> u_p
     taus = {}  # an insertion-ordered set of nonzero Schreier translations
     frontier = [kernel.identity]

@@ -22,7 +22,7 @@ shell_geodesics from both ends of a route, on packed int nodes
 For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover,
 and the presentation pipeline reads the point group and every G/mT off
-its arcs (_quotient_arcs: letter j steps along arc j).
+its arcs (_quotient_arcs: letter j steps along arc j; cosets.cover_table).
 Walks that need words or discovery order (the harvest, geodesic words)
 grow their spheres with the one routine _expand, on the cover as
 _word_walk steps it; finite Cayley graphs are cosets.CosetTable
@@ -104,7 +104,7 @@ def _quotient_arcs(closure):
     balls agree.  Arc j's reverse is arc j ^ 1, of the inverse letter."""
     kernel, reduce, elements, _ = closure
     index = {u: i for i, u in enumerate(elements)}
-    inverses = [kernel.move[-x](kernel.identity) for x, _ in kernel.steps]
+    inverses = [kernel.images[-x] for x in kernel.images]
     return [[(index[k], s) for k, s in
              (reduce(kernel.product(u, y)) for y in inverses)]
             for u in elements]

@@ -18,11 +18,13 @@ scans read entries with no root walk, and a gap in a scanned word (all
 are freely reduced) fills in one run: neither changes which cosets are
 defined, or when.
 
-SchreierRank refutes a relator set with no enumeration: a GF(2) rank test
-on its Reidemeister-Schreier rewrite (Holt, Eick, O'Brien, ch. 5) over
-any complete table of the group it should present.  The prune trials ask
-it first, on tables of G/mT read off the Cayley quotient graph (no
-enumeration, pipeline._quotient_cosets); that changes no verdict, as the
+Every table read off a group rather than enumerated is cover_table's:
+the cover modulo m of a labelled quotient graph, G/mT on the Cayley
+quotient (bfs._quotient_arcs), arc j the column j + 1.  SchreierRank
+refutes a relator set with no enumeration: a GF(2) rank test on its
+Reidemeister-Schreier rewrite (Holt, Eick, O'Brien, ch. 5) over any
+complete table of the group it should present.  The prune trials ask it
+first, on the cover tables of G/mT; that changes no verdict, as the
 check of a refuted set at the table's m could only overflow or fail.
 """
 
@@ -229,6 +231,32 @@ class _Overflow(Exception):
     pass
 
 
+def cover_table(adj, m):
+    """The complete table of a labelled quotient graph's cover modulo m.
+
+    adj[p] lists the arcs (q, s), s in Z^r, arc j ^ 1 the reverse of arc
+    j; arc j is column j + 1.  Coset p m^r + i is the node (p, t), t the
+    i-th vector of (Z/m)^r, the first the most significant digit of i,
+    and column j + 1 moves it along arc j to (q, t + s).  On the Cayley
+    quotient, node (p, t) is t u_p and arc j the words' own action of
+    letter j, t u_p x^-1 = (t + s) u_q: the table is G/mT, with no
+    linear action, and at m = 1 the point group acting on itself.
+    """
+    w, size = len(adj[0]) + 1, m ** len(adj[0][0][1])
+    table = CosetTable(w // 2, (), ())
+    cells = table.cells = [0] * (len(adj) * size * w)
+    for p, arcs in enumerate(adj):
+        for col, (q, s) in enumerate(arcs, start=1):
+            digits = [q]
+            for a in s:
+                digits = [d * m + (c + a) % m for d in digits for c in range(m)]
+            cells[p * size * w + col:(p + 1) * size * w:w] = [
+                d * w for d in digits]
+    cells[::w] = range(0, len(cells), w)
+    table.status = "complete"
+    return table
+
+
 class SchreierRank:
     """Reidemeister-Schreier over GF(2) on a complete table of N cosets.
 
@@ -237,13 +265,13 @@ class SchreierRank:
     generators of the stabiliser U of coset 0.  A relator traced from
     each coset rewrites to N rows (cached), the mod-2 exponent sums of
     its conjugates.  If the rows span less than GF(2)^(N(k - 1) + 1), U
-    over their normal closure is nontrivial: the group exceeds N.  The
-    rows of the `fixed` relators are reduced once, into the basis every
-    refutes() call starts from; consecutive calls also share the
-    eliminations of their common leading relators.
+    over their normal closure is nontrivial: the group exceeds N.
+    Consecutive refutes() calls share the eliminations of their common
+    leading relators, so relators that lead every call (the prune
+    trials' lattice powers) are reduced once.
     """
 
-    def __init__(self, table, fixed=()):
+    def __init__(self, table):
         self.table = table.compact()
         cells, w = table.cells, table.width
         self.ngens = n = len(cells) // w * (w // 2 - 1) + 1
@@ -257,10 +285,9 @@ class SchreierRank:
                     n -= 1
                     bits[r + col] = bits[cells[r + col] + col + 1] = 1 << n
         self.rows = {}
-        # the basis after the fixed rows and the relators `done` of the
-        # last refutes() call; sizes[k]: its size after the first k
-        self.basis = self._reduce({}, fixed)
-        self.done, self.sizes = [], [len(self.basis or ())]
+        # the basis ({top bit: row}) after the relators `done` of the last
+        # refutes() call; sizes[k]: its size after the first k
+        self.basis, self.done, self.sizes = {}, [], [0]
 
     def _rewrite(self, start, cols):
         cells, bits, row, r = self.table.cells, self.bits, 0, start
@@ -269,35 +296,14 @@ class SchreierRank:
             r = cells[r + col]
         return row if r == start else None  # None: the relator fails here
 
-    def _reduce(self, basis, relators):
-        """`basis` ({top bit: row}) grown by the relators' rows; None once
-        they span GF(2)^ngens or a relator fails at some coset."""
-        for w in relators:
-            if w not in self.rows:
-                cols = _cols(w)[0]
-                self.rows[w] = [self._rewrite(r, cols) for r in self.table.table]
-            for row in self.rows[w]:
-                if row is None:
-                    return None
-                while row:
-                    top = row.bit_length()
-                    if top not in basis:
-                        basis[top] = row
-                        if len(basis) == self.ngens:
-                            return None
-                        break
-                    row ^= basis[top]
-        return basis
-
     def refutes(self, relators):
-        """True if the rows of the relators and the fixed relators span
-        less than GF(2)^ngens, which proves the group they present larger
-        than N; False is no verdict.  Reduction only adds rows to the
-        basis, so a call cuts it back to the longest prefix it shares
-        with the last call's relators and reduces only the rest."""
+        """True if the relators' rows span less than GF(2)^ngens, which
+        proves the group they present larger than N; False is no verdict
+        (the rows span, or a relator fails at some coset).  Reduction
+        only adds rows to the basis, so a call cuts it back to the
+        longest prefix it shares with the last call's relators and
+        reduces only the rest."""
         basis, done, sizes = self.basis, self.done, self.sizes
-        if basis is None:
-            return False
         k = 0
         while k < min(len(done), len(relators)) and done[k] == relators[k]:
             k += 1
@@ -305,8 +311,20 @@ class SchreierRank:
         while len(basis) > sizes[k]:
             basis.popitem()
         for w in relators[k:]:
-            if self._reduce(basis, [w]) is None:
-                return False
+            if w not in self.rows:
+                cols = _cols(w)[0]
+                self.rows[w] = [self._rewrite(r, cols) for r in self.table.table]
+            for row in self.rows[w]:
+                if row is None:
+                    return False
+                while row:
+                    top = row.bit_length()
+                    if top not in basis:
+                        basis[top] = row
+                        if len(basis) == self.ngens:
+                            return False
+                        break
+                    row ^= basis[top]
             done.append(w)
             sizes.append(len(basis))
         return True

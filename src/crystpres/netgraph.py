@@ -127,6 +127,8 @@ class LabeledQuotientGraph:
                                      f", but the net has rank {rank}")
         self.coords = coords
         self.name = name
+        if n_vertices > len(canon) + 1:  # refused before any per-vertex list
+            raise GraphError("quotient graph is disconnected")
         adj = [[] for _ in range(n_vertices)]
         for u, v, s in self.edges:
             adj[u].append((v, s))
@@ -230,11 +232,13 @@ def parse_catalog_text(text, name=None):
                 raise GraphError(f"unknown directive {key!r}")
         except (IndexError, ValueError) as exc:
             raise GraphError(f"line {lineno}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise GraphError(f"line {lineno}: zero denominator") from exc
     if rank is None or n is None:
         raise GraphError("missing rank or vertices header")
     coord_list = None
     if coords:
-        if set(coords) != set(range(n)):
+        if len(coords) != n or not all(0 <= i < n for i in coords):
             raise GraphError("coordinates must cover all vertices")
         coord_list = [coords[i] for i in range(n)]
     return LabeledQuotientGraph(rank, n, edges, cell=cell, coords=coord_list,
@@ -823,7 +827,7 @@ def schlafli_symbol(g, max_size=DEFAULT_RING_CAP):
 # Regular action check
 
 
-def regular_action_check(g, group_generators, base=0):
+def regular_action_check(g, group_generators):
     """Exact test that a group H acts freely and transitively on the net.
 
     Needs vertex coordinates; the generators act on conventional
@@ -833,13 +837,14 @@ def regular_action_check(g, group_generators, base=0):
     a cover vertex ("fail" otherwise) and every quotient edge to a cover
     edge (GraphError otherwise), which makes it an automorphism of the
     whole cover.  One affine.finite_closure of the generators conjugated
-    to the base point gives H's translation lattice L exactly and the
-    residual codes of H/L.  An L of rank below
-    the net's fails (a finite H too): as H's point group is finite, an
-    H-orbit stays near an affine subspace of rank L, too thin for the
-    net's vertices.  Otherwise the verdict is "pass" iff |H/L| equals
-    the number n covol(L) / covol(T) of L-orbits of vertices and the
-    base vertex has pairwise distinct images mod L under H/L.
+    to vertex 0 gives H's translation lattice L exactly and the residual
+    codes of H/L.  An L of rank below the net's fails (a finite H too):
+    as H's point group is finite, an H-orbit stays near an affine
+    subspace of rank L, too thin for the net's vertices.  Otherwise the
+    verdict is "pass" iff |H/L| equals the number n covol(L) / covol(T)
+    of L-orbits of vertices and vertex 0 has pairwise distinct images
+    mod L under H/L.  Any vertex would do: a pass makes H transitive, so
+    vertex stabilisers are conjugate.
     """
     if g.coords is None:
         raise GraphError("regular action check needs vertex coordinates")
@@ -870,8 +875,7 @@ def regular_action_check(g, group_generators, base=0):
     # h p0 - p0 is the translation of h conjugated by the shift to p0,
     # so the images of p0 are distinct mod L iff the conjugates' residual
     # translations are; conjugating by a translation keeps L
-    to_p0 = AffineIsometry.from_translation(
-        vec_mat(g.coords[_start(g, base)[0]], cell))
+    to_p0 = AffineIsometry.from_translation(vec_mat(g.coords[0], cell))
     _, _, reps, sub = finite_closure(
         [inverse(to_p0) * h * to_p0 for h in group_generators])
     if sub.rank < g.rank:

@@ -5,7 +5,7 @@ translation lattice and the point group, presents the point group on
 the given generators, lifts its relators back to the full group,
 adds lattice and conjugation relators, simplifies, and verifies the
 result against finite quotients G/mT.  The point group (G/1T) and the
-tables of G/mT are read off one graph, the Cayley quotient
+tables of G/mT are cosets.cover_table of one graph, the Cayley quotient
 (bfs._quotient_arcs); lattice words are solved on integer kernel codes.
 """
 
@@ -15,8 +15,8 @@ from .affine import AffineIsometry
 from .bfs import _harvest, _kernel
 from .cosets import (
     DEFAULT_MAX_COSETS,
-    CosetTable,
     SchreierRank,
+    cover_table,
     order_check,
     short_presentation_finite,
 )
@@ -54,7 +54,7 @@ class ExtensionData:
     kernel, elements: the affine.finite_closure of X, the point group as
     residual codes of lattice cosets; adj its bfs._quotient_arcs.
     point_presentation: short presentation of the point group on X, read
-    off its table G/1T (_quotient_cosets(E, 1)).
+    off its table G/1T, cover_table(adj, 1).
     """
 
     def __init__(self, generators, harvest):
@@ -70,7 +70,7 @@ class ExtensionData:
              for _, v in self.lattice_words])
         self.dependences = self._transform[1][len(self._transform[0]):]
         self.point_presentation = short_presentation_finite(
-            _quotient_cosets(self, 1), self.names)
+            cover_table(self.adj, 1), self.names)
 
     @property
     def point_order(self):
@@ -89,33 +89,6 @@ def build_extension_data(generators):
     """
     generators = list(generators)
     return ExtensionData(generators, _harvest(generators, 0))
-
-
-def _quotient_cosets(E, m):
-    """The complete coset table of G/mT, read off the group.
-
-    Coset p m^r + i is t u_p, u_p = E.elements[p] and t the i-th vector
-    of (Z/m)^r in lattice coordinates, the first the most significant
-    digit of i.  Column col moves it along arc col - 1 of
-    bfs._quotient_arcs, the words' own action: t u_p x^-1 = (t + s) u_q,
-    (q, s) = E.adj[p][col - 1], x the letter of the column.  No linear
-    action enters.  At m = 1 this is the point group acting on itself,
-    coset p the element u_p.
-    """
-    w, size = 2 * len(E.names) + 1, m ** E.rank
-    table = CosetTable(len(E.names), (), ())
-    cells = table.cells = [0] * (len(E.elements) * size * w)
-    for p, arcs in enumerate(E.adj):
-        for col in range(1, w):
-            q, s = arcs[col - 1]
-            digits = [q]
-            for a in s:
-                digits = [d * m + (c + a) % m for d in digits for c in range(m)]
-            cells[p * size * w + col:(p + 1) * size * w:w] = [
-                d * w for d in digits]
-    cells[::w] = range(0, len(cells), w)
-    table.status = "complete"
-    return table
 
 
 def _combine(coeffs, words):
@@ -289,9 +262,10 @@ def present(generators, verify_orders=(2, 3), max_cosets=DEFAULT_MAX_COSETS):
     under a cap of at most max_cosets: run_hlt reads its cap only to stop.
 
     Before any enumeration a trial asks a cosets.SchreierRank on the
-    table of G/mT, read off the group (_quotient_cosets), whether the
-    candidate plus the m-th lattice powers presents a larger group; if
-    so its check at m could only overflow or fail, and it fails at once.
+    table of G/mT, read off the group (cover_table(E.adj, m)), whether
+    the m-th lattice powers plus the candidate present a larger group;
+    if so its check at m could only overflow or fail, and it fails at
+    once.  The powers lead every call, so a refuter reduces them once.
     The least m always gets such a refuter, which spares the trials that
     overflow; a larger m only when its rows are narrow, N(k - 1) + 1 bits
     (N = |G/mT|, k generators) at most the prune cap over N, wider rows
@@ -343,9 +317,8 @@ def present(generators, verify_orders=(2, 3), max_cosets=DEFAULT_MAX_COSETS):
     def refuted(relators):
         for m in refuting:
             if m not in refuters:
-                refuters[m] = SchreierRank(_quotient_cosets(E, m),
-                                           quotient_relators(E, m))
-            if refuters[m].refutes(relators):
+                refuters[m] = SchreierRank(cover_table(E.adj, m))
+            if refuters[m].refutes(quotient_relators(E, m) + relators):
                 return True
         return False
 

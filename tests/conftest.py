@@ -71,17 +71,14 @@ def raw_and_simplified(generators):
 def coset_table(tables):
     """The complete CosetTable on which letter x moves element e to
     tables[x][e], for letter tables 1, -1, 2, -2, ... on elements
-    0 .. n-1; coset e is element e."""
-    from crystpres.cosets import CosetTable, _cols
+    0 .. n-1; coset e is element e.  It is the cover_table of a rank-0
+    quotient graph whose arc j is letter j's move."""
+    from crystpres.cosets import cover_table
 
-    w, n = len(tables) + 1, len(tables[1])
-    table = CosetTable(len(tables) // 2, (), ())
-    table.cells = [0] * (n * w)
-    for x, images in tables.items():
-        table.cells[_cols((x,))[0][0]::w] = [e * w for e in images]
-    table.cells[::w] = range(0, n * w, w)
-    table.status = "complete"
-    return table
+    moves = [tables[x] for k in range(1, len(tables) // 2 + 1)
+             for x in (k, -k)]
+    return cover_table([[(images[e], ()) for images in moves]
+                        for e in range(len(moves[0]))], 1)
 
 
 @st.composite

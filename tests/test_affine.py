@@ -308,7 +308,8 @@ def test_finite_closure_lattice_is_spanned_by_ball_translations(case):
     kernel = WalkKernel(gens)
     span = hnf_lattice([], dimension=d)
     spheres = _expand(
-        lambda g: [(x, move(g)) for x, move in kernel.steps],
+        lambda g: [(x, kernel.product(c, g))
+                   for x, c in kernel.images.items()],
         {kernel.identity: (0, 0)}, 2 * len(codes) - 1)
     for sphere in spheres:
         for h in sphere:

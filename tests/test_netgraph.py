@@ -90,6 +90,33 @@ def test_coordinate_rows_must_have_the_rank():
             parse_symop("1+x, y", 2), parse_symop("x, 1+y", 2)])
 
 
+@pytest.mark.parametrize("text, line", [
+    ("rank 1\nvertices 1\ncell 1/0\nedge 0 0 1\n", 3),
+    ("rank 1\nvertices 1\nedge 0 0 1\ncoord 0 1/0\n", 4)],
+    ids=["cell", "coord"])
+def test_zero_denominator_names_its_line(text, line):
+    with pytest.raises(GraphError, match=f"^line {line}: zero denominator$"):
+        parse_catalog_text(text)
+
+
+@pytest.mark.parametrize("coord", ["", "coord 0 0\n"],
+                         ids=["bare", "with_coord"])
+def test_vertex_count_past_the_edges_allocates_nothing(coord):
+    # a connected quotient has at most one vertex more than it has edges,
+    # so a larger count is refused before any per-vertex list is built
+    text = f"rank 1\nvertices 1000000\nedge 0 0 1\n{coord}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="^(quotient graph is "
+                           "disconnected|coordinates must cover all "
+                           "vertices)$"):
+            parse_catalog_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 _DISCONNECTED = "quotient graph is disconnected"
 _LOW_RANK = "cycle shifts do not span the lattice"
 _SUBLATTICE = ("cycle shifts span a proper sublattice; periodic cover is"
@@ -1435,9 +1462,9 @@ def _action_case(rng):
     return g, gens, rng.randrange(g.n)
 
 
-def _action_outcome(check, g, gens, base):
+def _action_outcome(check, g, gens, *base):
     try:
-        return check(g, gens, base)
+        return check(g, gens, *base)
     except GraphError as exc:  # the exact message is part of the verdict
         return type(exc), str(exc)
 
@@ -1445,19 +1472,22 @@ def _action_outcome(check, g, gens, base):
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_regular_action_matches_the_fraction_check(rng):
+    # the check reads vertex 0; the Fraction check at the drawn base must
+    # agree, since a pass makes H transitive and stabilisers conjugate
     g, gens, base = _action_case(rng)
-    assert (_action_outcome(regular_action_check, g, gens, base)
+    assert (_action_outcome(regular_action_check, g, gens)
             == _action_outcome(_fraction_regular_action_check, g, gens, base))
 
 
 def test_action_cases_reach_every_verdict():
     """Seeded draws of _action_case agree with the Fraction check and
     reach all four outcomes: pass, fail, inconclusive and the edge-set
-    GraphError."""
+    GraphError.  The check reads vertex 0, the Fraction check the drawn
+    base."""
     seen = set()
     for seed in range(150):
         g, gens, base = _action_case(random.Random(seed))
-        outcome = _action_outcome(regular_action_check, g, gens, base)
+        outcome = _action_outcome(regular_action_check, g, gens)
         assert outcome == _action_outcome(_fraction_regular_action_check,
                                           g, gens, base)
         seen.add(outcome if isinstance(outcome, str) else outcome[0])

@@ -17,6 +17,7 @@ from crystpres.cosets import (
     SchreierRank,
     _cols,
     coset_enumerate,
+    cover_table,
     order_check,
     quotient_table,
     short_presentation_finite,
@@ -30,7 +31,6 @@ from crystpres import bfs, pipeline
 from crystpres.bfs import coordination_sequence
 from crystpres.pipeline import (
     PipelineError,
-    _quotient_cosets,
     bounded_consequence_check,
     build_extension_data,
     conjugation_relators,
@@ -382,17 +382,17 @@ def _fresh_refutes(rank, relators):
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(ALL_DOCS), st.data())
-def test_fixed_rows_answer_as_a_fresh_elimination(path, data):
-    # the prune trials' refuter reduces the squares' rows once; each
-    # verdict must be that of a fresh elimination over the candidate
+def test_leading_powers_answer_as_a_fresh_elimination(path, data):
+    # the prune trials pass the squares as each call's leading relators;
+    # each verdict must be that of a fresh elimination over the candidate
     # and the squares
     pres, rank, _, squares = _unpruned(path)
-    fixed = SchreierRank(rank.table, fixed=squares)
+    leading = SchreierRank(rank.table)
     n = len(pres.relators)
     keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     relators = [r for r, k in zip(pres.relators, keep) if k]
     fresh = _fresh_refutes(rank, relators + squares)
-    assert fixed.refutes(relators) == fresh
+    assert leading.refutes(squares + relators) == fresh
     assert rank.refutes(relators + squares) == fresh
 
 
@@ -404,7 +404,7 @@ def test_consecutive_calls_answer_as_fresh_eliminations(path, data):
     # dropped or taken back (prune trials drop one), each verdict must
     # be that of a fresh elimination
     pres, rank, _, squares = _unpruned(path)
-    fixed = SchreierRank(rank.table, fixed=squares)
+    leading = SchreierRank(rank.table)
     n = len(pres.relators)
     assume(n)  # z1_trivial keeps no relator
     keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -412,8 +412,8 @@ def test_consecutive_calls_answer_as_fresh_eliminations(path, data):
                                 max_size=8)):
         keep[i] = not keep[i]
         relators = [r for r, k in zip(pres.relators, keep) if k]
-        assert fixed.refutes(relators) == _fresh_refutes(rank,
-                                                         relators + squares)
+        assert leading.refutes(squares + relators) == _fresh_refutes(
+            rank, relators + squares)
 
 
 # the documents whose G/3T rows are narrow enough for a refuter at m = 3
@@ -439,8 +439,8 @@ def test_refuted_trials_change_no_report(path, monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(SchreierRank, "refutes", spy)
-    monkeypatch.setattr(pipeline, "_quotient_cosets",
-                        lambda E, m: built.append(m) or _quotient_cosets(E, m))
+    monkeypatch.setattr(pipeline, "cover_table",
+                        lambda adj, m: built.append(m) or cover_table(adj, m))
     report = present(gens).to_dict()
     assert any(verdicts) or path.endswith("z1_trivial.json")
     # G/1T first, for the point presentation; then refuters at G/2T, and
@@ -466,10 +466,13 @@ def test_trials_refuted_at_3_fail_their_enumeration(name, monkeypatch):
     order = _order(_unpruned_report(f"corpus/{name}"), 3)
     report = present(load_document(name).generators)
     E = report.extension
+    powers = quotient_relators(E, 3)
     assert refuted
     for relators in refuted:
-        # the trial's own check at m = 3, at the prune cap
-        table = CosetTable(len(E.names), relators + quotient_relators(E, 3),
+        # the trial's own check at m = 3, at the prune cap: the refuter
+        # was asked the powers first, the enumeration takes them last
+        assert relators[:len(powers)] == powers
+        table = CosetTable(len(E.names), relators[len(powers):] + powers,
                            [], max(64 * order, 2000))
         assert table.run_hlt().index() != order
 
@@ -481,7 +484,7 @@ TABLE_CASES = [(path, m) for path in ALL_DOCS for m in (2, 3)]
 def _g_mod_mt(path, m):
     """G/mT read off the group, and as enumerated from the Tietze output
     with the m-th lattice powers."""
-    return (_quotient_cosets(_unpruned_report(path).extension, m),
+    return (cover_table(_unpruned_report(path).extension.adj, m),
             _enumerated(path, m))
 
 
@@ -516,10 +519,11 @@ def _assert_paired(table, other, order):
 def _left_arcs(E):
     """The point group acting on itself by left multiplication, as the
     pipeline once built it: arcs[x][p] = (q, s) with x u_p = t_s u_q."""
-    reduce = E.kernel.modulo(E.lattice)
+    reduce, product = E.kernel.modulo(E.lattice), E.kernel.product
     index = {e: i for i, e in enumerate(E.elements)}
-    return {x: [(index[u], s) for u, s in map(reduce, map(move, E.elements))]
-            for x, move in E.kernel.steps}
+    return {x: [(index[u], s) for u, s in
+                (reduce(product(code, e)) for e in E.elements)]
+            for x, code in E.kernel.images.items()}
 
 
 def _left_quotient_cosets(E, m):
@@ -614,7 +618,7 @@ def test_conjugation_relators_are_the_fraction_ones(path):
 def test_group_table_pairs_with_the_left_multiplication_one(path):
     E = _unpruned_report(path).extension
     for m in (2, 3, 4):
-        _assert_paired(_quotient_cosets(E, m), _left_quotient_cosets(E, m),
+        _assert_paired(cover_table(E.adj, m), _left_quotient_cosets(E, m),
                        E.point_order * m ** E.rank)
 
 
@@ -643,18 +647,19 @@ def test_group_table_closes_the_words_enumeration_closes(case, data):
 
 @functools.lru_cache(maxsize=None)
 def _rank_tests(path, m):
-    powers = quotient_relators(_unpruned_report(path).extension, m)
-    return tuple(SchreierRank(t, powers) for t in _g_mod_mt(path, m))
+    return tuple(SchreierRank(t) for t in _g_mod_mt(path, m))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(TABLE_CASES), st.data())
 def test_rank_test_reads_the_same_on_both_tables(case, data):
     # the rank does not depend on how the cosets are numbered
-    pres = _unpruned_report(case[0]).presentation
+    rep = _unpruned_report(case[0])
+    pres = rep.presentation
     n = len(pres.relators)
     keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    relators = [r for r, k in zip(pres.relators, keep) if k]
+    relators = quotient_relators(rep.extension, case[1]) + [
+        r for r, k in zip(pres.relators, keep) if k]
     group, enumerated = _rank_tests(*case)
     assert group.refutes(relators) == enumerated.refutes(relators)
 

@@ -8,6 +8,7 @@ including which shortest words it finds and in what order.
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,7 +43,8 @@ def _images(generators):
 def _code_neighbours(kernel):
     """The neighbours of a walk on element codes, for _expand: (letter,
     image(letter) * g) for every letter, in walk order."""
-    return lambda g: [(x, move(g)) for x, move in kernel.steps]
+    return lambda g: [(x, kernel.product(c, g))
+                      for x, c in kernel.images.items()]
 
 
 def oracle_ball(generators, radius):
@@ -181,13 +183,13 @@ def test_kernel_matches_affine_compose(data):
     code = kernel.identity
     expect = AffineIsometry.identity(d)
     for x in word:
-        code = kernel.move[x](code)
+        code = kernel.product(kernel.images[x], code)
         step = maps[x - 1] if x > 0 else inverse(maps[-x - 1])
         expect = compose(step, expect)
         assert kernel.decode(code) == expect
         # a letter followed by its inverse is the identity move
-        assert kernel.move[-x](code) == kernel.encode(compose(
-            inverse(step), expect))
+        assert kernel.product(kernel.images[-x], code) == kernel.encode(
+            compose(inverse(step), expect))
     assert kernel.encode(expect) == code
 
 
@@ -218,6 +220,7 @@ def test_ball_matches_oracle(gens):
     assert [kernel.decode(c) for c in codes] == list(entries)
     assert list(codes.values()) == list(entries.values())
     images = _images(gens)
+    move = {x: partial(kernel.product, c) for x, c in kernel.images.items()}
     for code, g in list(zip(codes, entries))[:40]:
         # the first-discovered word, read back through the oracle's entries
         word, h = [], g
@@ -225,7 +228,7 @@ def test_ball_matches_oracle(gens):
             x = entries[h][1]
             word.insert(0, x)
             h = compose(images[-x], h)
-        assert _word(kernel.move, codes, code) == tuple(word)
+        assert _word(move, codes, code) == tuple(word)
 
 
 @settings(max_examples=40, deadline=None)
