@@ -487,33 +487,35 @@ class RingSymbol:
 
 def _ball(g, base, radius):
     """The cover ball about the base vertex as a small integer graph:
-    (cover, nodes, dist, adj) with the CoverCode of the walk, the node
-    codes in discovery order (the base is node 0), their distances from
-    the base, and per node its neighbours in the ball as (node, edge)
-    pairs in g.adj order.  One pass numbers the nodes as it scans them;
-    a boundary node links only to numbered ones (by then the whole ball)
-    and an edge is numbered at its lower end.  The code is sized for
-    radius + 1 for the boundary's outside neighbours.  Past
+    (cover, nodes, dist, adj, odd) with the CoverCode of the walk, the
+    node codes in discovery order (the base is node 0), their distances
+    from the base, per node its neighbours in the ball as (node, edge)
+    pairs in g.adj order, and whether an edge joins two nodes of one
+    sphere (else the ball is bipartite).  One pass numbers the nodes as
+    it scans them; a boundary node links only to numbered ones (by then
+    the whole ball) and an edge is numbered at its lower end.  The code
+    is sized for radius + 1 for the boundary's outside neighbours.  Past
     HORTON_BIT_BUDGET >> 10 nodes and edges together, some 1,000-2,000
     bits each to hold whatever the ball's shape, it raises
     BallBoundExceeded."""
     cover = CoverCode(g.adj, radius + 1)
     nodes = [cover.encode(*_start(g, base))]
-    index, dist, adj, n_edges = {nodes[0]: 0}, [0], [], 0
+    index, dist, adj, n_edges, odd = {nodes[0]: 0}, [0], [], 0, False
     for i, p in enumerate(nodes):
-        nbrs = []
+        nbrs, di = [], dist[i]
         for _, d in cover.steps[p % cover.n]:
             j = index.get(p + d)
             if j is None:
-                if dist[i] == radius:
+                if di == radius:
                     continue
                 j = index[p + d] = len(nodes)
                 nodes.append(p + d)
-                dist.append(dist[i] + 1)
+                dist.append(di + 1)
             if j > i:
                 nbrs.append((j, n_edges))
                 n_edges += 1
             else:
+                odd = odd or dist[j] == di
                 for k, e in adj[j]:
                     if k == i:
                         nbrs.append((j, e))
@@ -523,7 +525,7 @@ def _ball(g, base, radius):
             raise BallBoundExceeded(
                 f"ring ball exceeded {HORTON_BIT_BUDGET >> 10} nodes and"
                 f" edges at radius {dist[-1]}")
-    return cover, nodes, dist, adj
+    return cover, nodes, dist, adj, odd
 
 
 def _base_cycles(adj, dist, max_size):
@@ -561,26 +563,29 @@ def _base_cycles(adj, dist, max_size):
 def _horton_cycles(adj, max_len):
     """Horton cycles of at most max_len >= 2 edges, as a set of edge masks.
 
-    Each root r grows a BFS tree of depth max_len // 2 over the ball
-    nodes numbered above r only, in per-node lists reused across roots:
-    the last root to hold or to grow from the node, its parent, the edge
-    from it and its branch (the first node after r on its path).  A
-    non-tree edge a-b between tree nodes on different branches closes
-    the simple cycle P_r(a) + ab + P_r(b) of da + db + 1 edges, kept if
-    at most max_len; only then is its mask built, up the parent chains.
-    Each is met once: as its endpoint found first grows (it then fits),
-    or after the tree if both ends lie in the last sphere, which fits
-    only when max_len is odd; a root with under two branches closes
-    none and is skipped.  Raises BallBoundExceeded once (masks held) x
-    (ball edges) passes HORTON_BIT_BUDGET.
+    Each root r, highest first, grows a BFS tree of depth max_len // 2
+    over the ball nodes numbered below r only, in per-node lists reused
+    across roots: the last root to hold or to grow from the node, its
+    parent, the edge from it and its branch (the first node after r on
+    its path).  A non-tree edge a-b between tree nodes on different
+    branches closes the simple cycle P_r(a) + ab + P_r(b) of da + db + 1
+    edges, kept if at most max_len; only then is its mask built, up the
+    parent chains.  Each is met once: as its endpoint found first grows
+    (it then fits), or after the tree if both ends lie in the last
+    sphere, which fits only when max_len is odd and closes an odd cycle,
+    so none on a bipartite ball; a root with under two branches closes
+    none and is skipped.  In _ball's numbering a node's lower neighbours
+    lie one sphere nearer the base (or in its own sphere), so a node
+    with one edge from there grows no tree.  Raises BallBoundExceeded
+    once (masks held) x (ball edges) passes HORTON_BIT_BUDGET.
 
     At each length l <= max_len the masks of at most l edges span every
     ball cycle of at most l edges, as Horton's full set (every root,
     every closing edge; SIAM J. Comput. 16, 1987) does; rooting each
-    cycle at its lowest node is Vismara's rule (Electron. J. Combin. 4,
-    1997).  By induction on l: take a ball cycle D of length l and let x
-    be its lowest-numbered node.  D lies in the subgraph on
-    nodes >= x, so x's tree reaches every u on D at depth
+    cycle at one extreme node of a total order is Vismara's rule
+    (Electron. J. Combin. 4, 1997).  By induction on l: take a ball cycle
+    D of length l and let x be its highest-numbered node.  D lies in the
+    subgraph on nodes <= x, so x's tree reaches every u on D at depth
     <= d_D(x, u) <= l // 2, and D is the sum over its edges uv of the
     terms P_x(u) + uv + P_x(v), each of at most l edges.  A term whose
     two paths lie on different branches is a kept mask (a tree edge
@@ -588,7 +593,7 @@ def _horton_cycles(adj, max_len):
     Eulerian set of at most l - 2 edges, so a sum of strictly shorter
     ball cycles, spanned by kept masks by induction.  Every kept mask is
     a simple ball cycle with bit_count() edges.  Roots never close an
-    edge themselves: each ball edge from r to a higher node is the tree
+    edge themselves: each ball edge from r to a lower node is the tree
     edge that reaches it, so no mask is empty.
     """
     n_edges = sum(map(len, adj)) // 2
@@ -603,12 +608,12 @@ def _horton_cycles(adj, max_len):
                 x = up[x]
         return mask
 
-    for root in range(len(adj)):
-        sphere = [b for b, _ in adj[root] if b > root]
+    for root in range(len(adj) - 1, -1, -1):
+        sphere = [b for b, _ in adj[root] if b < root]
         if len(sphere) < 2:
             continue
         for b, e in adj[root]:
-            if b > root:
+            if b < root:
                 held[b], up[b], via[b], branch[b] = root, root, e, b
         for _ in range(1, max_len // 2):
             nxt = []
@@ -617,7 +622,7 @@ def _horton_cycles(adj, max_len):
                 ba = branch[a]
                 for b, e in adj[a]:
                     if held[b] != root:
-                        if b > root:
+                        if b < root:
                             held[b], up[b], via[b], branch[b] = root, a, e, ba
                             nxt.append(b)
                     elif grown[b] != root and branch[b] != ba:
@@ -648,10 +653,12 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP):
     than c edges joins the basis.  Those of at most l edges span every
     ball cycle of at most l edges, so the basis spans exactly the ball's
     cycles shorter than c, admitted in any order within a length, and
-    Horton cycles of up to max_size - 1 edges suffice.  The ball is the
-    bound: a cycle whose decompositions all leave it is reported, and
-    raising max_size (`--max`) can only lower the counts of sizes <= the
-    old cap.
+    Horton cycles of up to max_size - 1 edges suffice.  A bipartite
+    ball has even cycles only, so there max_size - 1 rounded down to
+    even does, which spares the Horton pass its odd last sphere.  The
+    ball is the bound: a cycle whose decompositions all leave it is
+    reported, and raising max_size (`--max`) can only lower the counts
+    of sizes <= the old cap.
 
     The ball, the Horton set and the candidates are each held to
     HORTON_BIT_BUDGET (BallBoundExceeded), in that order: on a dense
@@ -659,9 +666,9 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP):
     """
     if max_size < 3:
         raise GraphError("max_size must be >= 3")
-    cover, nodes, dist, adj = _ball(g, base, max_size)
-    basis = sorted((mask.bit_count(), mask)
-                   for mask in _horton_cycles(adj, max_size - 1))
+    cover, nodes, dist, adj, odd = _ball(g, base, max_size)
+    max_len = max_size - 1 if odd else (max_size - 1) // 2 * 2
+    basis = sorted(_horton_cycles(adj, max_len), key=int.bit_count)
     candidates = _base_cycles(adj, dist, max_size)
     pivots = {}
 
@@ -674,8 +681,9 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP):
     admitted = 0
     for mask, path in sorted(candidates.items(),
                              key=lambda item: (len(item[1]), item[0])):
-        while admitted < len(basis) and basis[admitted][0] < len(path):
-            rem = reduce(basis[admitted][1])
+        while (admitted < len(basis)
+               and basis[admitted].bit_count() < len(path)):
+            rem = reduce(basis[admitted])
             if rem:
                 pivots[rem.bit_length() - 1] = rem
             admitted += 1

@@ -77,6 +77,10 @@ def _documents():
         yield ["geodesics", "--input", HCB, "--target", target]
     yield ["geodesics", "--input", "corpus/gis_i41a.json", "--target", "3,3,3"]
     yield ["rings", "--input", I42D, "--max", "10"]
+    # ring searches past the golden caps: a rings-benchmark job and a
+    # non-bipartite ball (its 7-rings)
+    yield ["rings", "--input", "corpus/pnna_acd.json", "--max", "14"]
+    yield ["rings", "--input", "corpus/z2_diagonal_3.json", "--max", "9"]
     yield ["quotient", "--input", HCB, "--target", "3,0", "--max", "8"]
 
 
@@ -94,6 +98,7 @@ def _nets():
     yield ["quotient", "--net", "ths", "--target", "5/2,5/2,1/2",
            "--max", "12"]
     yield ["geodesics", "--net", "pcu", "--target", "30,30,30"]
+    yield ["rings", "--net", "qtz", "--max", "14"]
 
 
 def _errors():

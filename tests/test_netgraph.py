@@ -306,16 +306,19 @@ _DIAGONAL_SQL = LabeledQuotientGraph(
 def test_ring_ball_matches_tuple_bfs(case, radius):
     """_ball lists the cover nodes within radius in tuple-BFS order, and
     links each exactly to its cover neighbours inside the ball, also at
-    the boundary, whose outside neighbours lie past the walk's radius."""
+    the boundary, whose outside neighbours lie past the walk's radius;
+    it is odd exactly when an edge joins two nodes of one sphere."""
     g, base, _ = case
     dist, _ = cover_bfs(g, base, radius)
-    cover, nodes, ball_dist, adj = _ball(g, base, radius)
+    cover, nodes, ball_dist, adj, odd = _ball(g, base, radius)
     decoded = [cover.decode(p) for p in nodes]
     assert decoded == list(dist)
     assert ball_dist == list(dist.values())
     for node, nbrs in zip(decoded, adj):
         assert [decoded[j] for j, _ in nbrs] == [
             nb for nb in g.cover_neighbors(node) if nb in dist]
+    assert odd == any(ball_dist[a] == ball_dist[b]
+                      for a, nbrs in enumerate(adj) for b, _ in nbrs)
 
 
 def _set_shell_sizes(adj, base, radius, max_elements=math.inf):
@@ -575,7 +578,7 @@ def test_rejected_cycles_have_decomposition_witness():
     independently and check span membership for every rejected cycle."""
     g = catalog_load("gis")
     cap = 8
-    cover, nodes, dist, adj = _ball(g, 0, cap)
+    cover, nodes, dist, adj, _ = _ball(g, 0, cap)
     strong = {r.nodes for r in strong_rings(g, max_size=cap)}
     # all simple cycles through the base, by brute DFS within the ball
     cycles = _base_cycles(adj, dist, cap)
@@ -742,20 +745,21 @@ def _two_pass_ball(g, base, radius):
 
 
 def _path_mask_horton_cycles(adj, max_len):
-    """Oracle: the lowest-root Horton set with a path mask per tree node
+    """Oracle: the highest-root Horton set with a path mask per tree node
     and a second scan for the closing edges, which the parent lists
-    replaced, copied verbatim apart from its name."""
+    replaced, copied verbatim apart from its name and its rooting rule
+    (roots descending, trees over lower nodes)."""
     n_edges = sum(map(len, adj)) // 2
     masks = set()
-    for root in range(len(adj)):
-        tree = {b: (1, 1 << e, b) for b, e in adj[root] if b > root}
+    for root in range(len(adj) - 1, -1, -1):
+        tree = {b: (1, 1 << e, b) for b, e in adj[root] if b < root}
         sphere = list(tree)
         for depth in range(2, max_len // 2 + 1):
             nxt = []
             for a in sphere:
                 _, mask, branch = tree[a]
                 for b, e in adj[a]:
-                    if b > root and b not in tree:
+                    if b < root and b not in tree:
                         tree[b] = (depth, mask | (1 << e), branch)
                         nxt.append(b)
             sphere = nxt
@@ -783,7 +787,7 @@ def _assert_matches_the_oracles(g, base, cap):
     """The one-pass ball is the two-pass ball, and at every max_len from
     2 to cap - 1 (both parities of the last sphere) the Horton sets, or
     the budget errors, are identical."""
-    _, nodes, dist, adj = _ball(g, base, cap)
+    _, nodes, dist, adj, _ = _ball(g, base, cap)
     assert (nodes, dist, adj) == _two_pass_ball(g, base, cap)[1:]
     for max_len in range(2, cap):
         assert _outcome(_horton_cycles, adj, max_len) == _outcome(
@@ -856,13 +860,13 @@ def _is_simple_cycle(mask, ends):
 @given(_small_quotient_graphs(), st.integers(3, 7))
 @example((_TRIANGULAR, 0, (0, 0)), 4)
 @example((*_box_chain(12), ()), 10)
-def test_lowest_root_horton_set_spans_like_the_full_set(case, cap):
+def test_highest_root_horton_set_spans_like_the_full_set(case, cap):
     """At every length l, the Horton cycles of at most l edges rooted at
-    their lowest node span the same cycles as the full Horton set with
+    their highest node span the same cycles as the full Horton set with
     at most l edges, and each is a simple cycle of the ball."""
     g, base, _ = case
     assume(g.rank < 3 or cap <= 5)
-    _, _, _, adj = _ball(g, base, cap)
+    _, _, _, adj, _ = _ball(g, base, cap)
     # either Horton set holds at most one mask per (root, edge), and the
     # ball has at most edges + 1 nodes, so a ball of at most 600 edges
     # stays under the bit budget: 601 * 600**2 < HORTON_BIT_BUDGET
@@ -874,6 +878,117 @@ def test_lowest_root_horton_set_spans_like_the_full_set(case, cap):
     assert ranks == _ranks_up_to(old, cap - 1)
     assert ranks == _ranks_up_to(new | old, cap - 1)
     assert all(_is_simple_cycle(mask, ends) for mask in new)
+
+
+def _lowest_root_horton_cycles(adj, max_len):
+    """Oracle: the Horton set rooted at each cycle's lowest node, which
+    the highest-root trees replaced, copied verbatim apart from its
+    name."""
+    n_edges = sum(map(len, adj)) // 2
+    held, grown, up, via, branch = ([-1] * len(adj) for _ in range(5))
+    masks = set()
+
+    def close(a, b, e):
+        mask = 1 << e
+        for x in (a, b):
+            while x != root:
+                mask |= 1 << via[x]
+                x = up[x]
+        return mask
+
+    for root in range(len(adj)):
+        sphere = [b for b, _ in adj[root] if b > root]
+        if len(sphere) < 2:
+            continue
+        for b, e in adj[root]:
+            if b > root:
+                held[b], up[b], via[b], branch[b] = root, root, e, b
+        for _ in range(1, max_len // 2):
+            nxt = []
+            for a in sphere:
+                grown[a] = root
+                ba = branch[a]
+                for b, e in adj[a]:
+                    if held[b] != root:
+                        if b > root:
+                            held[b], up[b], via[b], branch[b] = root, a, e, ba
+                            nxt.append(b)
+                    elif grown[b] != root and branch[b] != ba:
+                        masks.add(close(a, b, e))
+            sphere = nxt
+        if max_len % 2:
+            for a in sphere:
+                for b, e in adj[a]:
+                    if (a < b and held[b] == root and grown[b] != root
+                            and branch[b] != branch[a]):
+                        masks.add(close(a, b, e))
+        if len(masks) * n_edges > HORTON_BIT_BUDGET:
+            raise BallBoundExceeded(
+                f"ring basis exceeded {HORTON_BIT_BUDGET} bits: "
+                f"{len(masks)} cycles over {n_edges} ball edges")
+    return masks
+
+
+def _lowest_root_strong_rings(g, base, max_size):
+    """Oracle: the ring search with the lowest-root Horton set of up to
+    max_size - 1 edges on every ball, odd last sphere included, copied
+    from strong_rings apart from its name and that set."""
+    cover, nodes, dist, adj, _ = _ball(g, base, max_size)
+    basis = sorted((mask.bit_count(), mask)
+                   for mask in _lowest_root_horton_cycles(adj, max_size - 1))
+    candidates = _base_cycles(adj, dist, max_size)
+    pivots = {}
+
+    def reduce(mask):
+        while mask and mask.bit_length() - 1 in pivots:
+            mask ^= pivots[mask.bit_length() - 1]
+        return mask
+
+    rings = []
+    admitted = 0
+    for mask, path in sorted(candidates.items(),
+                             key=lambda item: (len(item[1]), item[0])):
+        while admitted < len(basis) and basis[admitted][0] < len(path):
+            rem = reduce(basis[admitted][1])
+            if rem:
+                pivots[rem.bit_length() - 1] = rem
+            admitted += 1
+        if reduce(mask):
+            rings.append(tuple(cover.decode(nodes[i]) for i in path))
+    return rings
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_quotient_graphs(), st.integers(3, 7))
+@example((_TRIANGULAR, 0, (0, 0)), 4)
+@example((*_box_chain(12), ()), 10)
+def test_strong_rings_match_the_lowest_root_search(case, cap):
+    """Rooting each Horton cycle at its highest node, and stopping at an
+    even length on a bipartite ball, leave every ring verdict as the
+    lowest-root search with its odd last sphere gives it.  The
+    triangular lattice's 4-rings need its triangles, which only that
+    odd pass supplies at cap 4."""
+    g, base, _ = case
+    assume(g.rank < 3 or cap <= 5)
+    # at most 600 ball edges keep either Horton set under the bit budget
+    assume(sum(map(len, _ball(g, base, cap)[3])) // 2 <= 600)
+    assert [r.nodes for r in strong_rings(g, base, cap)] == (
+        _lowest_root_strong_rings(g, base, cap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_quotient_graphs(), st.integers(3, 9))
+@example((*_box_chain(12), ()), 9)
+def test_bipartite_balls_have_no_odd_horton_cycles(case, cap):
+    """On a ball with no edge inside a sphere, the odd last sphere of the
+    Horton pass closes nothing: the sets at 2h + 1 and 2h are equal."""
+    g, base, _ = case
+    assume(g.rank < 3 or cap <= 5)
+    _, _, _, adj, odd = _ball(g, base, cap)
+    assume(not odd and sum(map(len, adj)) // 2 <= 3000)
+    for max_len in range(3, cap, 2):
+        assert _outcome(_horton_cycles, adj, max_len) == _outcome(
+            _horton_cycles, adj, max_len - 1)
 
 
 def test_budget_freed_ring_searches():
@@ -945,7 +1060,7 @@ def test_base_cycles_match_networkx(name):
     networkx enumerates in the same ball, with masks over its edges."""
     nx = pytest.importorskip("networkx")
     cap = RING_GOLDENS[name][0]
-    _, _, dist, adj = _ball(catalog_load(name), 0, cap // 2 + 1)
+    _, _, dist, adj, _ = _ball(catalog_load(name), 0, cap // 2 + 1)
     number = {(i, j): e for i, nbrs in enumerate(adj) for j, e in nbrs}
     ball = nx.Graph(list(number))
     expected = {
