@@ -32,6 +32,7 @@ transversals.
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain, cycle
 from operator import add, mul, sub
 
 from .affine import (AffineIsometry, WalkKernel, _closure, check_finite_order,
@@ -232,6 +233,34 @@ def _frame(adj, base):
             return [[(w, coords[s]) for w, s in out] for out in arcs]
 
 
+def _box_reach(frame, base, k, box):
+    """The largest c_i, then -c_i, i < k, on walks of at most `box` arcs
+    from node (base, 0) of _frame(adj, base).  An arc more maps it per
+    vertex by a max-plus linear map, which commutes with adding a
+    constant: once round t is round t0 plus a constant, the rounds repeat
+    from t0 with period t - t0 (past a transient: max-plus cyclicity)."""
+    reach = [{} for _ in frame]  # w: the largest +-c_i, i < k, on v -> w
+    for v, out in enumerate(frame):
+        for w, c in out:
+            c = c[:k] + tuple(-x for x in c[:k])
+            reach[v][w] = tuple(map(max, reach[v].get(w, c), c))
+    far, seen, past = {base: (0,) * 2 * k}, {}, []  # far[v]: base -> v
+    for t in range(box + 1):  # far only grows: one length, one vertex list
+        key = tuple(map(sub, chain(*far.values()), cycle(far[base])))
+        t0 = seen.setdefault(key, t)
+        past.append((far[base], key))
+        if t0 < t or t == box:
+            break
+        for v, ahead in list(far.items()):  # walks of one more arc
+            for w, c in reach[v].items():
+                c = tuple(map(add, ahead, c))
+                far[w] = tuple(map(max, far.get(w, c), c))
+    q, j = divmod(box - t0, t - t0 or 1)
+    zero, key = past[t0 + j]
+    return [z + q * (y - x) + max(key[i::2 * k]) for i, (z, y, x)
+            in enumerate(zip(zero, far[base], past[t0][0]))]
+
+
 def shell_sizes(adj, base, radius, max_elements=math.inf):
     """Sphere sizes |S_0|, ..., |S_radius| about node (base, 0) of the
     cover of adj, whose arcs must all have their reverse in adj: then
@@ -240,9 +269,10 @@ def shell_sizes(adj, base, radius, max_elements=math.inf):
     {coordinates past the m-th: int bitset over a box of the first m},
     m = 3 or the rank if lower; m = 0 on a line, whose spheres are two
     far ends.  The box is what walks of `box` = min(radius, 64) arcs
-    reach; it doubles and the walk starts over while radius > box.  m
-    drops while the box passes 64 bits a node of the ball it can hold
-    (max_elements nodes at most, and arcs^r at radius r).
+    reach, read off the first rounds of _box_reach once they repeat; it
+    doubles and the walk starts over while radius > box.  m drops while
+    the box passes 64 bits a node of the ball it can hold (max_elements
+    nodes at most, and arcs^r at radius r).
     Raises BallBoundExceeded once the ball passes max_elements nodes.
     """
     if radius < 0:
@@ -250,21 +280,10 @@ def shell_sizes(adj, base, radius, max_elements=math.inf):
     frame = _frame(adj, base)
     rank = len(next((c for out in frame for _, c in out), ()))
     m = k = min(rank, 3) if rank > 1 else 0
-    reach = [{} for _ in frame]  # w: the largest +-c_i, i < k, on v -> w
-    for v, out in enumerate(frame):
-        for w, c in out:
-            c = c[:k] + tuple(-x for x in c[:k])
-            reach[v][w] = tuple(map(max, reach[v].get(w, c), c))
     arcs = max(map(len, frame))
     box = min(radius, 64) if m else radius
     while True:
-        far = {base: (0,) * 2 * k}  # v: the same on walks base -> v
-        for _ in range(box if m else 0):  # of at most box arcs
-            for v, ahead in list(far.items()):
-                for w, c in reach[v].items():
-                    c = tuple(map(add, ahead, c))
-                    far[w] = tuple(map(max, far.get(w, c), c))
-        top = [max(x) for x in zip(*far.values())]
+        top = _box_reach(frame, base, k, box if m else 0)
         low = top[k:]
         extent = [hi + lo + 1 for hi, lo in zip(top, low)]
         ball = (arcs ** (box + 1) - 1) // (arcs - 1) if m else 1

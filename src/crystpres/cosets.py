@@ -82,20 +82,21 @@ class CosetTable:
         # each coset e that dies and each entry e.x = f, clear f.x^-1 (it
         # names e), then move the entry to the representatives, where it
         # merges with the entry there or fills the gap.  Afterwards no
-        # live row names a dead coset.  Root walks halve their paths
+        # live row names a dead coset.  Root walks halve their paths; e's
+        # root r is walked once, and again only after r dies
         cells, inverse = self.cells, self.inverse
         if b < a:
             a, b = b, a
         cells[b] = a
         dead = [b]
         for e in dead:
+            r = e
             for col in range(1, self.width):
                 f = cells[e + col]
                 if f < 0:
                     continue
                 inv = inverse[col]
                 cells[f + inv] = -1
-                r = e
                 while cells[r] != r:
                     cells[r] = r = cells[cells[r]]
                 while cells[f] != f:

@@ -99,6 +99,12 @@ def _nets():
            "--max", "12"]
     yield ["geodesics", "--net", "pcu", "--target", "30,30,30"]
     yield ["rings", "--net", "qtz", "--max", "14"]
+    # deeper walks: the box reach past a few rounds, and a doubled box
+    for net, radius in (("gis", 64), ("nbo", 64), ("srs", 100)):
+        yield ["cseq", "--net", net, "--radius", str(radius)]
+    yield ["cseq", "--input", "corpus/elv.json", "--radius", "24"]
+    yield ["quotient", "--net", "ths", "--target", "5/2,5/2,1/2",
+           "--radius", "64"]
 
 
 def _errors():

@@ -5,8 +5,10 @@ import itertools
 import math
 import os
 import random
+import time
 import tracemalloc
 from fractions import Fraction
+from operator import add
 from unittest import mock
 
 import pytest
@@ -343,12 +345,13 @@ def _set_shell_sizes(adj, base, radius, max_elements=math.inf):
 
 
 @st.composite
-def _labeled_quotients(draw, max_rank=6, max_radius=12):
-    """(adj, base, radius): rank 0 to max_rank, 1-6 vertices, shifts in
-    [-3, 3], every arc with its reverse.  Loops, parallel and zero-shift
-    arcs, several cover components and sublattices of any index occur;
-    vertex 0 has an arc, where the oracle's CoverCode reads the rank."""
-    rank = draw(st.integers(0, max_rank))
+def _labeled_quotients(draw, max_rank=6, max_radius=12, min_rank=0):
+    """(adj, base, radius): rank min_rank to max_rank, 1-6 vertices,
+    shifts in [-3, 3], every arc with its reverse.  Loops, parallel and
+    zero-shift arcs, several cover components and sublattices of any
+    index occur; vertex 0 has an arc, where the oracle's CoverCode reads
+    the rank."""
+    rank = draw(st.integers(min_rank, max_rank))
     n = draw(st.integers(1, 6))
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(
@@ -385,6 +388,86 @@ def test_shell_sizes_match_the_set_walk_past_the_first_box(case):
     adj, base, radius = case
     assert (_sizes_or_error(shell_sizes, adj, base, radius, 20000)
             == _sizes_or_error(_set_shell_sizes, adj, base, radius, 20000))
+
+
+REACH_BOXES = [*range(65), 128]
+
+
+def _round_reaches(frame, base, k, box):
+    """Oracle: the box reach as shell_sizes computed it before
+    _box_reach, one round per arc; the reach after each of rounds
+    0..box."""
+    reach = [{} for _ in frame]  # w: the largest +-c_i, i < k, on v -> w
+    for v, out in enumerate(frame):
+        for w, c in out:
+            c = c[:k] + tuple(-x for x in c[:k])
+            reach[v][w] = tuple(map(max, reach[v].get(w, c), c))
+    far = {base: (0,) * 2 * k}  # v: the same on walks base -> v
+    tops = [[max(x) for x in zip(*far.values())]]
+    for _ in range(box):  # of at most box arcs
+        for v, ahead in list(far.items()):
+            for w, c in reach[v].items():
+                c = tuple(map(add, ahead, c))
+                far[w] = tuple(map(max, far.get(w, c), c))
+        tops.append([max(x) for x in zip(*far.values())])
+    return tops
+
+
+def _assert_box_reach_is_the_rounds(adj, base):
+    frame = bfs._frame(adj, base)
+    rank = len(next((c for out in frame for _, c in out), ()))
+    k = min(rank, 3)  # shell_sizes' k wherever it builds a box (rank > 1)
+    tops = _round_reaches(frame, base, k, REACH_BOXES[-1])
+    for box in REACH_BOXES:
+        assert bfs._box_reach(frame, base, k, box) == tops[box], box
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labeled_quotients(min_rank=2))
+def test_box_reach_matches_the_rounds(case):
+    """On rank 2 (k = 2) and rank 3 to 6 (k = 3) quotients alike; about
+    half the draws have a cover component of rank 2 or more."""
+    adj, base, _ = case
+    _assert_box_reach_is_the_rounds(adj, base)
+
+
+REACH_LAYERS = [(Fraction(5, 2), Fraction(5, 2), Fraction(1, 2)), (2, 2, 1),
+                (Fraction(1, 2), Fraction(1, 2), Fraction(-3, 2))]
+REACH_DOCUMENTS = sorted(f for f in os.listdir(CORPUS) if f.endswith(".json"))
+
+
+@pytest.mark.parametrize("adj", [
+    *[lambda name=name: catalog_load(name).adj for name in BUNDLED],
+    *[lambda v=v: quotient_by_sublattice(catalog_load("ths"), [v]).adj
+      for v in REACH_LAYERS],
+    *[lambda f=f: bfs._cayley_quotient(load_document(f).generators)[1]
+      for f in REACH_DOCUMENTS],
+    *[lambda n=n: bfs._cayley_quotient(ndia_generators(n).generators)[1]
+      for n in range(2, 6)],
+], ids=[*BUNDLED, *[f"ths_layer_{i}" for i in range(len(REACH_LAYERS))],
+        *[f[:-5] for f in REACH_DOCUMENTS],
+        *[f"ndia_{n}" for n in range(2, 6)]])
+def test_box_reach_of_bundled_nets_and_cayley_quotients(adj):
+    _assert_box_reach_is_the_rounds(adj(), 0)
+
+
+def test_box_reach_of_a_huge_box_takes_a_few_rounds():
+    """pcu repeats after one round: its reach is the box, at once."""
+    frame = bfs._frame(catalog_load("pcu").adj, 0)
+    start = time.perf_counter()
+    assert bfs._box_reach(frame, 0, 3, 10 ** 9) == [10 ** 9] * 6
+    assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(_labeled_quotients(max_rank=1, max_radius=150))
+def test_line_walks_build_no_box(case):
+    """On a line (m = 0) shell_sizes asks _box_reach for no round."""
+    adj, base, radius = case
+    with mock.patch.object(bfs, "_box_reach",
+                           wraps=bfs._box_reach) as box_reach:
+        _sizes_or_error(shell_sizes, adj, base, radius, 20000)
+    assert all(call.args[3] == 0 for call in box_reach.call_args_list)
 
 
 @functools.lru_cache(maxsize=None)
