@@ -41,6 +41,8 @@ from .intmat import hnf, hnf_with_transform, identity_matrix, solve_hnf, vec_mat
 from .symop import format_symop
 from .words import free_reduce
 
+# Nodes a walk holds, and linear parts a point-group closure lists, at
+# most: each walk reads it once per call, at its check.
 DEFAULT_MAX_ELEMENTS = 2_000_000
 DEFAULT_RADIUS_CAP = 30
 DEFAULT_STABLE_SPHERES = 3
@@ -85,14 +87,14 @@ def _kernel(generators, points=()):
     return kernel
 
 
-def _cayley_quotient(generators, max_elements=DEFAULT_MAX_ELEMENTS,
-                     points=()):
+def _cayley_quotient(generators, points=()):
     """(closure, _quotient_arcs(closure)), closure affine.finite_closure
-    on _kernel(generators, points); BallBoundExceeded past max_elements
-    linear parts (M(6) = 2,903,040)."""
-    closure = _closure(_kernel(generators, points), max_elements)
+    on _kernel(generators, points); BallBoundExceeded past
+    DEFAULT_MAX_ELEMENTS linear parts (M(6) = 2,903,040)."""
+    bound = DEFAULT_MAX_ELEMENTS
+    closure = _closure(_kernel(generators, points), bound)
     if closure is None:
-        raise BallBoundExceeded(f"point group exceeded {max_elements} elements")
+        raise BallBoundExceeded(f"point group exceeded {bound} elements")
     return closure, _quotient_arcs(closure)
 
 
@@ -111,14 +113,16 @@ def _quotient_arcs(closure):
             for u in elements]
 
 
-def _expand(neighbours, entries, radius, max_elements=math.inf):
+def _expand(neighbours, entries, radius):
     """Yields spheres 1..radius of a walk that needs words or order.
 
     `neighbours(g)` lists (letter, h) for the edges leaving state g.
     `entries` starts as {start: (0, 0)}, maps every state seen so far to
     (distance, last letter) and grows in place.  Discovery order is
-    frontier order, then the order of `neighbours`.
+    frontier order, then the order of `neighbours`.  Past
+    DEFAULT_MAX_ELEMENTS entries: BallBoundExceeded.
     """
+    bound = DEFAULT_MAX_ELEMENTS
     sphere = list(entries)
     for r in range(1, radius + 1):
         frontier, sphere = sphere, []
@@ -126,10 +130,9 @@ def _expand(neighbours, entries, radius, max_elements=math.inf):
             for x, h in neighbours(g):
                 if h in entries:
                     continue
-                if len(entries) >= max_elements:
+                if len(entries) >= bound:
                     raise BallBoundExceeded(
-                        f"ball exceeded {max_elements} elements at radius {r}"
-                    )
+                        f"ball exceeded {bound} elements at radius {r}")
                 entries[h] = (r, x)
                 sphere.append(h)
         yield sphere
@@ -173,8 +176,10 @@ class CoverCode:
 
     def __init__(self, adj, radius):
         self.n = len(adj)
-        shifts = [x for arcs in adj for _, s in arcs for x in s]
-        self.reach = max(radius, 1) * max(map(abs, shifts), default=0)
+        shifts = [tuple(map(abs, s)) for arcs in adj for _, s in arcs]
+        self.top = max(chain(*shifts), default=0)
+        self.top1 = max(map(sum, shifts), default=0)
+        self.reach = max(radius, 1) * self.top
         self.radix = 2 * self.reach + 1
         self.weights = [self.n * self.radix ** i
                         for i in range(len(adj[0][0][1]))]
@@ -183,6 +188,14 @@ class CoverCode:
 
     def encode(self, v, shift):
         return v + sum(w * x for w, x in zip(self.weights, shift))
+
+    def within(self, a, b, k):
+        """Whether shift b lies in the box that k arcs span from shift a:
+        each coordinate within k S, the 1-norm within k S1 (the largest
+        1-norm of a shift).  No cover path of k arcs leaves it."""
+        offset = [abs(y - x) for x, y in zip(a, b)]
+        return (max(offset, default=0) <= k * self.top
+                and sum(offset) <= k * self.top1)
 
     def decode(self, p):
         v, e = p % self.n, p // self.n
@@ -261,7 +274,7 @@ def _box_reach(frame, base, k, box):
             in enumerate(zip(zero, far[base], past[t0][0]))]
 
 
-def shell_sizes(adj, base, radius, max_elements=math.inf):
+def shell_sizes(adj, base, radius):
     """Sphere sizes |S_0|, ..., |S_radius| about node (base, 0) of the
     cover of adj, whose arcs must all have their reverse in adj: then
     S_(r+1) is the neighbourhood of S_r minus S_r and S_(r-1), so two
@@ -271,12 +284,13 @@ def shell_sizes(adj, base, radius, max_elements=math.inf):
     far ends.  The box is what walks of `box` = min(radius, 64) arcs
     reach, read off the first rounds of _box_reach once they repeat; it
     doubles and the walk starts over while radius > box.  m drops while
-    the box passes 64 bits a node of the ball it can hold (max_elements
-    nodes at most, and arcs^r at radius r).
-    Raises BallBoundExceeded once the ball passes max_elements nodes.
+    the box passes 64 bits a node of the ball it can hold (bound =
+    DEFAULT_MAX_ELEMENTS nodes at most, and arcs^r at radius r).
+    Raises BallBoundExceeded once the ball passes the bound.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    bound = DEFAULT_MAX_ELEMENTS
     frame = _frame(adj, base)
     rank = len(next((c for out in frame for _, c in out), ()))
     m = k = min(rank, 3) if rank > 1 else 0
@@ -287,7 +301,7 @@ def shell_sizes(adj, base, radius, max_elements=math.inf):
         low = top[k:]
         extent = [hi + lo + 1 for hi, lo in zip(top, low)]
         ball = (arcs ** (box + 1) - 1) // (arcs - 1) if m else 1
-        while m and math.prod(extent[:m]) > 64 * min(ball, max_elements):
+        while m and math.prod(extent[:m]) > 64 * min(ball, bound):
             m -= 1
         box = box if m else radius
         strides = [math.prod(extent[:i]) for i in range(m)]
@@ -311,44 +325,31 @@ def shell_sizes(adj, base, radius, max_elements=math.inf):
             sizes.append(sum(b.bit_count() for held in sphere
                              for b in held.values()))
             total += sizes[-1]
-            if total > max_elements:
+            if total > bound:
                 raise BallBoundExceeded(
-                    f"ball exceeded {max_elements} elements at radius {r}")
+                    f"ball exceeded {bound} elements at radius {r}")
         if radius <= box:
             return sizes
         box = min(2 * box, radius)
 
 
-def _box(adj):
-    """within(a, b, k): whether shift b lies in the box that k arcs of
-    adj span from shift a, each coordinate within k S and the 1-norm
-    within k S1, S the largest |shift component| and S1 the largest
-    1-norm of an arc.  No cover path of k arcs leaves it."""
-    shifts = [s for arcs in adj for _, s in arcs]
-    top = max((abs(x) for s in shifts for x in s), default=0)
-    top1 = max((sum(map(abs, s)) for s in shifts), default=0)
-
-    def within(a, b, k):
-        offset = [abs(y - x) for x, y in zip(a, b)]
-        return max(offset, default=0) <= k * top and sum(offset) <= k * top1
-    return within
-
-
-def shell_geodesics(adj, start, goal, radius, max_elements=math.inf):
+def shell_geodesics(adj, start, goal, radius):
     """(length, count) of the shortest cover paths of adj from node start
     to node goal, both (v, shift), or None past radius; None at once for
-    a goal out of the box (max norm, 1-norm) radius arcs span, which also
+    a goal out of the box radius arcs span (CoverCode.within), which also
     keeps the CoverCode(adj, radius) codes of both ends' nodes distinct.
     Each end holds two spheres {code: path count} as in shell_sizes (all
     arcs have their reverse: paths into goal are paths out of it); the
     smaller grows.  The first new S_a to meet the other end's S_b gives
     a + b; each geodesic crosses S_a once, so the count sums f(x) b(x)
-    over the meet.  Past max_elements held nodes: BallBoundExceeded."""
+    over the meet.  Past DEFAULT_MAX_ELEMENTS held nodes, it raises
+    BallBoundExceeded."""
     if start == goal:
         return 0, 1
-    if not _box(adj)(start[1], goal[1], radius):
-        return None
     cover = CoverCode(adj, radius)
+    if not cover.within(start[1], goal[1], radius):
+        return None
+    bound = DEFAULT_MAX_ELEMENTS
     ends = [[0, {}, {cover.encode(*node): 1}] for node in (start, goal)]
     while ends[0][0] + ends[1][0] < radius and all(e[2] for e in ends):
         end, other = sorted(ends, key=lambda e: len(e[2]))
@@ -361,23 +362,23 @@ def shell_geodesics(adj, start, goal, radius, max_elements=math.inf):
             del nxt[q]
         end[:] = depth + 1, sphere, nxt
         length = depth + 1 + other[0]
-        if sum(len(e[1]) + len(e[2]) for e in ends) > max_elements:
+        if sum(len(e[1]) + len(e[2]) for e in ends) > bound:
             raise BallBoundExceeded(
-                f"ball exceeded {max_elements} elements at radius {length}")
+                f"ball exceeded {bound} elements at radius {length}")
         count = sum(c * other[2][q] for q, c in nxt.items() if q in other[2])
         if count:
             return length, count
     return None
 
 
-def coordination_sequence(generators, radius, max_elements=DEFAULT_MAX_ELEMENTS):
+def coordination_sequence(generators, radius):
     """Sphere sizes of the Cayley graph ball: |S_0|, |S_1|, ..., |S_r|.
 
     shell_sizes on the cover of _cayley_quotient, whose coset
-    representatives count against max_elements too.
+    representatives count against DEFAULT_MAX_ELEMENTS too.
     """
-    _, adj = _cayley_quotient(generators, max_elements)
-    return shell_sizes(adj, 0, radius, max_elements)
+    _, adj = _cayley_quotient(generators)
+    return shell_sizes(adj, 0, radius)
 
 
 class TranslationHarvest:
@@ -424,9 +425,9 @@ def shortest_translation_words(generators):
 
 def _harvest(generators, extra):
     """shortest_translation_words, walking `extra` spheres past the
-    first sphere that spans T."""
-    (kernel, _, elements, lattice), adj = quotient = _cayley_quotient(
-        generators, math.inf)
+    first sphere that spans T.  Its point-group closure has no bound."""
+    closure = _closure(_kernel(generators), math.inf)
+    (kernel, _, elements, lattice), adj = closure, _quotient_arcs(closure)
     if not lattice.rank:
         raise FiniteGroup(len(elements))
     radius = 2 * len(elements) - 1 + extra
@@ -438,7 +439,7 @@ def _harvest(generators, extra):
     words, lattice_words, span = [], [], ()
     # the last sphere: `extra` after the first to span T
     stop = 1 + extra
-    spheres = _expand(neighbours, entries, radius, DEFAULT_MAX_ELEMENTS)
+    spheres = _expand(neighbours, entries, radius)
     for radius_used, sphere in enumerate(spheres, 1):
         for w, p in sorted((_word(move, entries, p), p)
                            for p in sphere if p % cover.n == 0):
@@ -458,7 +459,7 @@ def _harvest(generators, extra):
     if span != target:
         raise LatticeNotFound(
             "the harvested words do not span the translation lattice")
-    return TranslationHarvest(words, lattice_words, *quotient, radius_used)
+    return TranslationHarvest(words, lattice_words, closure, adj, radius_used)
 
 
 GeodesicSet = namedtuple("GeodesicSet", "target length count words")
@@ -468,8 +469,7 @@ class TargetUnreachable(RuntimeError):
     pass
 
 
-def geodesics(generators, target, cap, with_words=False, max_words=10000,
-              max_elements=DEFAULT_MAX_ELEMENTS):
+def geodesics(generators, target, cap, with_words=False, max_words=10000):
     """Count (and optionally list) the shortest words evaluating to target.
 
     shell_geodesics on the cover of _cayley_quotient, from the identity
@@ -477,22 +477,22 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000,
     inverses are target's words, so lengths and counts agree.  A target
     outside G raises TargetUnreachable before any walk.  The words walk
     the same cover (_word_walk) to the length already known, through
-    the nodes that _box finds within the arcs left of the node of
-    target^-1, then read back depth first from that node.  Every node on
-    a geodesic passes and keeps its distance, and a neighbour one closer
-    to 1 of such a node is on a geodesic too, so the words and their
-    order are those of the whole ball.
+    the nodes that its CoverCode.within keeps within the arcs left of
+    the node of target^-1, then read back depth first from that node.
+    Every node on a geodesic passes and keeps its distance, and a
+    neighbour one closer to 1 of such a node is on a geodesic too, so
+    the words and their order are those of the whole ball.
     """
     if not isinstance(target, AffineIsometry):
         target = AffineIsometry.from_translation([Fraction(t) for t in target])
     (kernel, reduce, elements, _), adj = _cayley_quotient(
-        generators, max_elements, [target.translation])
+        generators, [target.translation])
     rep, shift = reduce(kernel.encode(target))
     if rep not in elements:
         raise TargetUnreachable(
             f"target {format_symop(target)} is not an element of the group")
     found = shell_geodesics(adj, (0, (0,) * len(shift)),
-                            (elements.index(rep), shift), cap, max_elements)
+                            (elements.index(rep), shift), cap)
     if found is None:
         raise TargetUnreachable(f"target not reached within length cap {cap}")
     if not with_words:
@@ -501,14 +501,14 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000,
     # one radius more: the read-back looks one arc past target^-1
     cover, neighbours, move = _word_walk(adj, length + 1)
     rep, shift = reduce(kernel.encode(inverse(target)))
-    within, dist = _box(adj), {0: (0, 0)}
+    within, dist = cover.within, {0: (0, 0)}
 
     def ahead(p):
         left = length - dist[p][0] - 1
         return [(x, q) for x, q in neighbours(p)
                 if within(cover.decode(q)[1], shift, left)]
 
-    for _ in _expand(ahead, dist, length, max_elements):
+    for _ in _expand(ahead, dist, length):
         pass
     # depth first, with no recursion
     words, stack = [], [(cover.encode(elements.index(rep), shift), ())]
@@ -540,15 +540,14 @@ def lattice_geodesic_count(vector):
     return count
 
 
-def odd_cycle_girth(generators, marked_name, cap=DEFAULT_RADIUS_CAP,
-                    max_elements=DEFAULT_MAX_ELEMENTS):
+def odd_cycle_girth(generators, marked_name, cap=DEFAULT_RADIUS_CAP):
     """Length of the shortest identity word using the marked generator
     an odd number of times, or None if none exists within the cap.
 
     shell_geodesics from (0, even) to (0, odd) on the parity double
     cover of _cayley_quotient: vertex i + n * parity, flipped by the
     marked letters."""
-    (_, _, _, lattice), adj = _cayley_quotient(generators, max_elements)
+    (_, _, _, lattice), adj = _cayley_quotient(generators)
     try:
         marked = [name for name, _ in generators].index(marked_name)
     except ValueError:
@@ -558,5 +557,5 @@ def odd_cycle_girth(generators, marked_name, cap=DEFAULT_RADIUS_CAP,
                for j, (k, s) in enumerate(arcs)]
               for parity in (0, 1) for arcs in adj]
     zero = (0,) * lattice.rank
-    found = shell_geodesics(double, (0, zero), (n, zero), cap, max_elements)
+    found = shell_geodesics(double, (0, zero), (n, zero), cap)
     return None if found is None else found[0]

@@ -65,9 +65,9 @@ class InputError(ValueError):
 
 def _load_document(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_generating_set(text)
@@ -144,10 +144,14 @@ def _parse_m_list(text):
 
 def _emit(report, args):
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.report:  # first, so a report that cannot be written prints none
+        try:
+            with open(args.report, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise InputError(
+                f"cannot write {args.report}: {exc.strerror}") from exc
     sys.stdout.write(payload)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(payload)
 
 
 def _summary(*lines):
@@ -357,7 +361,10 @@ def cmd_catalog(args):
         _emit(out, args)
         _summary(g.to_text().rstrip())
     else:
-        names = catalog_names()
+        try:
+            names = catalog_names()
+        except GraphError as exc:  # no catalog directory is input error
+            raise InputError(str(exc)) from exc
         entries = []
         for n in names:
             g = _catalog_graph(n)

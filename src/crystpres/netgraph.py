@@ -27,14 +27,13 @@ each new vector in extend_lattice.
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import count, islice, product
 from math import prod
 from operator import add, sub
 
 from .affine import AffineIsometry, finite_closure, hnf_lattice, inverse
-from .bfs import (DEFAULT_MAX_ELEMENTS, BallBoundExceeded, CoverCode,
-                  FiniteGroup, _cayley_quotient, _tree, shell_geodesics,
-                  shell_sizes)
+from .bfs import (BallBoundExceeded, CoverCode, FiniteGroup, _cayley_quotient,
+                  _tree, shell_geodesics, shell_sizes)
 from .intmat import (
     frac_rows,
     hnf,
@@ -254,9 +253,11 @@ def catalog_directory():
 
 def catalog_names():
     d = catalog_directory()
-    return sorted(
-        f[:-4] for f in os.listdir(d) if f.endswith(".lqg")
-    )
+    try:
+        files = os.listdir(d)
+    except OSError as exc:
+        raise GraphError(f"cannot read catalog {d}: {exc.strerror}") from exc
+    return sorted(f[:-4] for f in files if f.endswith(".lqg"))
 
 
 def catalog_load(name):
@@ -265,8 +266,12 @@ def catalog_load(name):
         raise GraphError(
             f"unknown net {name!r}; available: {', '.join(catalog_names())}"
         )
-    with open(path) as fh:
-        return parse_catalog_text(fh.read(), name=name)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphError(f"cannot read {path}: {exc}") from exc
+    return parse_catalog_text(text, name=name)
 
 
 def _start(g, base):
@@ -277,9 +282,8 @@ def _start(g, base):
 
 def net_coordination_sequence(g, base, radius):
     """Sphere sizes around a base vertex in the periodic cover; past
-    DEFAULT_MAX_ELEMENTS ball nodes, BallBoundExceeded."""
-    return shell_sizes(g.adj, _start(g, base)[0], radius,
-                       DEFAULT_MAX_ELEMENTS)
+    bfs.DEFAULT_MAX_ELEMENTS ball nodes, BallBoundExceeded."""
+    return shell_sizes(g.adj, _start(g, base)[0], radius)
 
 
 def topological_density(g, base=0, radius=10):
@@ -290,11 +294,10 @@ def net_geodesics(g, vector, base=0, cap=200):
     """(length, count) of shortest cover paths from a vertex to its
     translate by a lattice vector (conventional coordinates when the
     graph has a cell matrix), by bfs.shell_geodesics on g.adj, which
-    holds at most DEFAULT_MAX_ELEMENTS nodes (BallBoundExceeded)."""
+    holds at most bfs.DEFAULT_MAX_ELEMENTS nodes (BallBoundExceeded)."""
     found = shell_geodesics(
         g.adj, _start(g, base),
-        (base, g.conventional_to_primitive(vector)), cap,
-        DEFAULT_MAX_ELEMENTS)
+        (base, g.conventional_to_primitive(vector)), cap)
     if found is None:
         raise GraphError(
             f"target {_vector_text(vector)} not reached within {cap} spheres")
@@ -328,7 +331,8 @@ def from_cayley(generators):
     coords = cell = None
     d = kernel.dimension
     if lat.rank == d:
-        base_point = tuple(Fraction(1, p) for p in (7, 11, 13, 17, 19, 23)[:d])
+        primes = (p for p in count(7) if all(p % q for q in range(2, p)))
+        base_point = tuple(Fraction(1, p) for p in islice(primes, d))
         inv = mat_inverse_frac(lat.basis)
         coords = [vec_mat(kernel.decode(rep).apply(base_point), inv)
                   for rep in elements]

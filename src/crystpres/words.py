@@ -197,7 +197,7 @@ TietzeResult = collections.namedtuple(
     "TietzeResult", "presentation steps budget_exhausted tags")
 
 
-def tietze_simplify(p, budget=10000, tags=None):
+def tietze_simplify(p, tags=None):
     """Deterministic relator-level simplification.
 
     Each pass reads a generator x with a relator x^2 as an involution
@@ -206,7 +206,7 @@ def tietze_simplify(p, budget=10000, tags=None):
     It then applies the first rewrite that _rewrite_once finds.  Every
     rewrite shortens a relator, so the presented group is unchanged and
     the total relator length never increases.  The loop stops when no
-    rewrite applies or after `budget` rewrites.
+    rewrite applies or after TIETZE_BUDGET rewrites.
 
     `tags` is an optional list parallel to p.relators of opaque
     provenance markers; each surviving relator keeps the tag of the
@@ -229,7 +229,7 @@ def tietze_simplify(p, budget=10000, tags=None):
         key = keys.get(w) or keys.setdefault(w, relator_class_key(w))
         return len(key), _text(key), key
 
-    steps = 0
+    budget, steps = TIETZE_BUDGET, 0
     while True:
         invs = frozenset(abs(r[0]) for r, _ in pairs
                          if len(r) == 2 and r[0] == r[1])
@@ -266,6 +266,7 @@ class WordSyntaxError(ValueError):
 
 MAX_WORD_LETTERS = 10**6
 MAX_WORD_NESTING = 100
+TIETZE_BUDGET = 10000  # rewrites per tietze_simplify call
 
 
 def parse_word(text, names):

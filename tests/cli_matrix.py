@@ -8,8 +8,9 @@ The golden is tests/goldens/cli_matrix.json.
 
 Every case runs in-process through `crystpres.cli.main`, from the
 repository root, on paths relative to it.  A case id is its command
-line, prefixed with `CRYSTPRES_CATALOG=tests/data/catalog` for the cases
-that read the catalog of malformed and special nets.  A change that
+line, prefixed with `CRYSTPRES_CATALOG=<directory>` for the cases that
+read another catalog: tests/data/catalog, of malformed and special
+nets, or a directory that does not exist.  A change that
 moves an entry says so, as for the other goldens; `test_cli_matrix.py`
 runs a fixed, seeded sample of the cases in tier-1.
 """
@@ -25,6 +26,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "goldens", "cli_matrix.json")
 CATALOG = "tests/data/catalog"
+MISSING_CATALOG = "tests/data/no_such_catalog"
 
 DOCUMENTS = sorted(
     f"{d}/{f}" for d in ("corpus", "tests/data")
@@ -155,6 +157,9 @@ def _errors():
     yield ["cseq", "--net", "nosuchnet"]
     yield ["catalog", "--net", "nosuchnet"]
     yield ["cseq", "--net", "pcu", "--radius", "1000"]
+    # a report that cannot be written: exit 2, and no JSON on stdout
+    yield ["cseq", "--net", "pcu", "--radius", "2",
+           "--report", "tests/data/no_such_dir/report.json"]
     yield ["quotient", "--net", "pcu", "--target", "4,0,0", "--radius", "1000"]
     yield ["rings", "--input", "corpus/z1_trivial.json", "--max", "1000000000"]
     yield ["rings", "--net", "pcu"]
@@ -175,12 +180,20 @@ def _catalog():
     yield ["rings", "--net", "dense", "--max", "8"]
 
 
+def _missing_catalog():
+    """Cases read with CRYSTPRES_CATALOG set to no directory."""
+    yield ["catalog"]
+    yield ["cseq", "--net", "pcu"]
+
+
 def cases():
     """(case id, argv, catalog directory or None), in a fixed order."""
     out = [(shlex.join(a), a, None)
            for gen in (_documents, _nets, _errors) for a in gen()]
-    out += [(f"CRYSTPRES_CATALOG={CATALOG} {shlex.join(a)}", a, CATALOG)
-            for a in _catalog()]
+    out += [(f"CRYSTPRES_CATALOG={catalog} {shlex.join(a)}", a, catalog)
+            for catalog, gen in ((CATALOG, _catalog),
+                                 (MISSING_CATALOG, _missing_catalog))
+            for a in gen()]
     return out
 
 

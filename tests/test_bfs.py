@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystpres import pipeline
+from crystpres import bfs, pipeline
 from crystpres.affine import compose, hnf_lattice, inverse
 from crystpres.bfs import (
     DEFAULT_STABLE_SPHERES,
@@ -67,9 +67,10 @@ def test_ball_generator_order_invariance():
     assert a == b
 
 
-def test_ball_bound():
+def test_ball_bound(monkeypatch):
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 50)
     with pytest.raises(BallBoundExceeded):
-        coordination_sequence(_translations(3), 10, max_elements=50)
+        coordination_sequence(_translations(3), 10)
 
 
 def test_harvest_shortest_translation_words(elv):
@@ -254,12 +255,12 @@ def test_geodesic_words_keep_their_order_and_cap():
     assert capped.words == words[:2]
 
 
-def test_geodesic_words_hold_only_the_nodes_on_geodesics():
+def test_geodesic_words_hold_only_the_nodes_on_geodesics(monkeypatch):
     # the words' ball grows only through nodes that can still reach the
     # target in the arcs left: the 121 nodes of the route to (10, 10),
     # not the 841 of the radius-20 ball
-    g = geodesics(_translations(2), (10, 10), 20, with_words=True,
-                  max_elements=200)
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 200)
+    g = geodesics(_translations(2), (10, 10), 20, with_words=True)
     assert (g.length, g.count) == (20, comb(20, 10))
     assert len(g.words) == 10000
 

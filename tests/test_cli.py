@@ -421,6 +421,40 @@ def test_catalog_short_coordinate_row_is_input_error(tmp_path, capsys,
         "error: coordinate row 0 has length 1, but the net has rank 2\n")
 
 
+@pytest.mark.parametrize("command", ["catalog", "cseq"])
+def test_missing_catalog_directory_is_input_error(tmp_path, capsys,
+                                                  monkeypatch, command):
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("CRYSTPRES_CATALOG", str(missing))
+    argv = [command] + (["--net", "pcu"] if command == "cseq" else [])
+    assert _input_error(capsys, argv) == (
+        f"error: cannot read catalog {missing}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("command", ["catalog", "cseq"])
+def test_catalog_net_not_utf8_is_input_error(tmp_path, capsys, monkeypatch,
+                                             command):
+    (tmp_path / "bad.lqg").write_bytes(b"rank 1\nvertices 1\n\xff\n")
+    monkeypatch.setenv("CRYSTPRES_CATALOG", str(tmp_path))
+    argv = [command] + (["--net", "bad"] if command == "cseq" else [])
+    assert _input_error(capsys, argv).startswith(
+        f"error: cannot read {tmp_path / 'bad.lqg'}: 'utf-8' codec")
+
+
+def test_document_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{bad")
+    assert _input_error(capsys, ["present", "--input", str(path)]).startswith(
+        f"error: cannot read {path}: 'utf-8' codec")
+
+
+def test_unwritable_report_prints_no_json(tmp_path, capsys):
+    report = tmp_path / "missing" / "report.json"
+    assert _input_error(capsys, ["cseq", "--net", "pcu", "--radius", "2",
+                                 "--report", str(report)]) == (
+        f"error: cannot write {report}: No such file or directory\n")
+
+
 def _document(tmp_path, *xyz):
     names = "abcd"
     gens = ", ".join(

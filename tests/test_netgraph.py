@@ -8,7 +8,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from unittest import mock
 
 import pytest
@@ -16,9 +16,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crystpres import bfs, netgraph
-from crystpres.bfs import (DEFAULT_MAX_ELEMENTS, BallBoundExceeded,
-                           FiniteGroup, _expand, coordination_sequence,
-                           shell_sizes)
+from crystpres.bfs import (BallBoundExceeded, FiniteGroup, _expand,
+                           coordination_sequence, geodesics, shell_sizes)
 from crystpres.netgraph import (
     HORTON_BIT_BUDGET,
     GraphError,
@@ -371,12 +370,19 @@ def _sizes_or_error(walk, *args):
         return str(exc)
 
 
+def _bounded_shell_sizes(adj, base, radius, max_elements):
+    """shell_sizes under an element bound of max_elements."""
+    with mock.patch.object(bfs, "DEFAULT_MAX_ELEMENTS", max_elements):
+        return shell_sizes(adj, base, radius)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_labeled_quotients(), st.integers(1, 3000))
 def test_shell_sizes_match_the_set_walk(case, max_elements):
     """Equal sizes, or equal error lines, under a small bound."""
     adj, base, radius = case
-    assert (_sizes_or_error(shell_sizes, adj, base, radius, max_elements)
+    assert (_sizes_or_error(_bounded_shell_sizes, adj, base, radius,
+                            max_elements)
             == _sizes_or_error(_set_shell_sizes, adj, base, radius,
                                max_elements))
 
@@ -386,8 +392,36 @@ def test_shell_sizes_match_the_set_walk(case, max_elements):
 def test_shell_sizes_match_the_set_walk_past_the_first_box(case):
     """Radii past 64 grow the box and walk again from radius 0."""
     adj, base, radius = case
-    assert (_sizes_or_error(shell_sizes, adj, base, radius, 20000)
+    assert (_sizes_or_error(_bounded_shell_sizes, adj, base, radius, 20000)
             == _sizes_or_error(_set_shell_sizes, adj, base, radius, 20000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_labeled_quotients(max_rank=3, max_radius=3),
+       st.tuples(*[st.integers(-5, 5)] * 3))
+def test_cover_code_within_is_the_box(case, origin):
+    """within(a, b, k) against the box listed point by point (each
+    |coordinate| within k S, the 1-norm within k S1), at every b one
+    step around it, and every walk of k arcs from a ends in it."""
+    adj, base, k = case
+    rank = len(adj[0][0][1])
+    a = origin[:rank]
+    shifts = [s for out in adj for _, s in out]
+    top = max([abs(x) for s in shifts for x in s], default=0)
+    top1 = max(sum(abs(x) for x in s) for s in shifts)
+    box = {c for c in itertools.product(range(-k * top, k * top + 1),
+                                        repeat=rank)
+           if sum(abs(x) for x in c) <= k * top1}
+    cover = bfs.CoverCode(adj, k)
+    for offset in itertools.product(range(-k * top - 1, k * top + 2),
+                                    repeat=rank):
+        assert (cover.within(a, tuple(map(add, a, offset)), k)
+                == (offset in box))
+    ends = {(base, a)}
+    for _ in range(k):
+        ends = {(w, tuple(map(add, s, t))) for v, s in ends
+                for w, t in adj[v]}
+    assert all(tuple(map(sub, s, a)) in box for _, s in ends)
 
 
 REACH_BOXES = [*range(65), 128]
@@ -466,7 +500,7 @@ def test_line_walks_build_no_box(case):
     adj, base, radius = case
     with mock.patch.object(bfs, "_box_reach",
                            wraps=bfs._box_reach) as box_reach:
-        _sizes_or_error(shell_sizes, adj, base, radius, 20000)
+        _sizes_or_error(_bounded_shell_sizes, adj, base, radius, 20000)
     assert all(call.args[3] == 0 for call in box_reach.call_args_list)
 
 
@@ -503,7 +537,7 @@ def test_shell_sizes_of_relabeled_bundled_nets(name, data):
 
 
 def test_net_walks_stop_at_the_element_bound(monkeypatch):
-    monkeypatch.setattr("crystpres.netgraph.DEFAULT_MAX_ELEMENTS", 100)
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 100)
     pcu = catalog_load("pcu")
     with pytest.raises(BallBoundExceeded,
                        match="^ball exceeded 100 elements at radius 4$"):
@@ -511,6 +545,28 @@ def test_net_walks_stop_at_the_element_bound(monkeypatch):
     with pytest.raises(BallBoundExceeded,
                        match="^ball exceeded 100 elements at radius 6$"):
         net_geodesics(pcu, (10, 10, 0))
+
+
+def test_geodesic_words_walk_stops_at_the_element_bound(monkeypatch):
+    """hcb_p6 to (3, 3): the count holds fewer than 100 nodes, and the
+    word walk stops past 100."""
+    gens = load_document("hcb_p6.json").generators
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 100)
+    assert geodesics(gens, (3, 3), 40)[1:3] == (12, 416)
+    with pytest.raises(BallBoundExceeded,
+                       match="^ball exceeded 100 elements at radius 9$"):
+        geodesics(gens, (3, 3), 40, with_words=True)
+
+
+def test_from_cayley_closure_stops_at_the_element_bound(monkeypatch):
+    # hcb_p6's point group has order 6
+    gens = load_document("hcb_p6.json").generators
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 6)
+    assert from_cayley(gens).n == 6
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 5)
+    with pytest.raises(BallBoundExceeded,
+                       match="^point group exceeded 5 elements$"):
+        from_cayley(gens)
 
 
 # one limit for every walk below; the pcu walk peaks at about 12 MiB,
@@ -524,8 +580,7 @@ def test_pcu_walk_to_the_element_bound_stays_small():
     tracemalloc.start()
     try:
         with pytest.raises(BallBoundExceeded) as exc:
-            shell_sizes(catalog_load("pcu").adj, 0, 1000,
-                        DEFAULT_MAX_ELEMENTS)
+            shell_sizes(catalog_load("pcu").adj, 0, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -556,12 +611,14 @@ RANK_SIX_SHIFTS = [(-1, -3, -3, 0, 3, 0), (3, -1, 1, 2, -3, 1),
 
 
 @pytest.mark.parametrize("max_elements", [1, math.inf])
-def test_rank_six_quotient_walk_holds_its_ball_only(max_elements):
+def test_rank_six_quotient_walk_holds_its_ball_only(max_elements,
+                                                     monkeypatch):
     adj = [[(0, t) for s in RANK_SIX_SHIFTS
             for t in (s, tuple(-x for x in s))]]
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", max_elements)
     tracemalloc.start()
     try:
-        got = _sizes_or_error(shell_sizes, adj, 0, 2, max_elements)
+        got = _sizes_or_error(shell_sizes, adj, 0, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1458,6 +1515,22 @@ def test_from_cayley_of_a_finite_group():
             ("b", parse_symop("-x, -y, -z", 3))]
     with pytest.raises(FiniteGroup, match="finite group of order 8"):
         from_cayley(gens)
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_from_cayley_base_point_is_generic_in_every_dimension(d):
+    """A mirror in the last coordinate with the unit translations: the
+    base point has no zero coordinate, so its two images differ and the
+    group acts regularly on its own Cayley net."""
+    xs = [f"x{i}" for i in range(1, d + 1)]
+    mirror = parse_symop(", ".join(xs[:-1] + ["-" + xs[-1]]), d)
+    units = [parse_symop(", ".join(f"1+{x}" if j == i else x
+                                   for j, x in enumerate(xs)), d)
+             for i in range(d)]
+    group = [mirror, *units]
+    g = from_cayley(list(zip("abcdefghi", group)))
+    assert g.n == 2 and len(set(map(tuple, g.coords))) == 2
+    assert regular_action_check(g, group) == "pass"
 
 
 def test_regular_action_check():

@@ -9,11 +9,13 @@ including which shortest words it finds and in what order.
 import math
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crystpres import bfs
 from crystpres.affine import AffineIsometry, compose, inverse
 from crystpres.bfs import (
     BallBoundExceeded,
@@ -260,11 +262,12 @@ def test_odd_cycle_girth_matches_oracle(gens):
 
 def _expand_sizes(gens, radius, max_elements=math.inf):
     """Sphere sizes of the Cayley ball as _expand grows it on element
-    codes."""
+    codes, under an element bound of max_elements."""
     kernel = WalkKernel([g for _, g in gens])
     entries = {kernel.identity: (0, 0)}
-    return [1] + [len(s) for s in _expand(_code_neighbours(kernel), entries,
-                                          radius, max_elements)]
+    with mock.patch.object(bfs, "DEFAULT_MAX_ELEMENTS", max_elements):
+        return [1] + [len(s) for s in _expand(_code_neighbours(kernel),
+                                              entries, radius)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,37 +297,45 @@ def test_ball_bound_fires_at_same_count():
         _expand_sizes(gens, 5, max_elements=n - 1)
 
 
-def test_coordination_sequence_bound_fires_at_same_count():
+def test_coordination_sequence_bound_fires_at_same_count(monkeypatch):
     gens = _square_lattice()
     sizes, _ = oracle_ball(gens, 5)
     n = sum(sizes)
-    assert coordination_sequence(gens, 5, max_elements=n) == sizes
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", n)
+    assert coordination_sequence(gens, 5) == sizes
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", n - 1)
     with pytest.raises(BallBoundExceeded, match=f"{n - 1} elements at radius 5"):
-        coordination_sequence(gens, 5, max_elements=n - 1)
+        coordination_sequence(gens, 5)
 
 
-def test_coordination_sequence_bound_caps_the_point_group_closure():
-    # the coset representatives of G/T count against max_elements
+def test_coordination_sequence_bound_caps_the_point_group_closure(
+        monkeypatch):
+    # the coset representatives of G/T count against the element bound
     gens = [("a", parse_symop("-y, x, z", 3)),
             ("b", parse_symop("-x, -y, -z", 3))]
-    assert coordination_sequence(gens, 4, max_elements=8) == [1, 3, 3, 1, 0]
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 8)
+    assert coordination_sequence(gens, 4) == [1, 3, 3, 1, 0]
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 7)
     with pytest.raises(BallBoundExceeded, match="point group exceeded 7"):
-        coordination_sequence(gens, 1, max_elements=7)
+        coordination_sequence(gens, 1)
     # two involutions with an infinite product, in dimension 6: Minkowski's
     # bound (2,903,040) is far off, the element bound stops the closure
     gens = [("a", parse_symop("x2, x1, x3, x4, x5, x6", 6)),
             ("b", parse_symop("-x1, 2*x1+x2, x3, x4, x5, x6", 6))]
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 1000)
     with pytest.raises(BallBoundExceeded, match="point group exceeded 1000"):
-        coordination_sequence(gens, 4, max_elements=1000)
+        coordination_sequence(gens, 4)
 
 
-def test_geodesics_bound_counts_the_held_spheres():
+def test_geodesics_bound_counts_the_held_spheres(monkeypatch):
     # each end of the 20-step route to (10, 10) holds two spheres of at
     # most 40 nodes, well below the 841 nodes of the radius-20 ball
     gens = _square_lattice()
-    assert geodesics(gens, (10, 10), 20, max_elements=200).count == 184756
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 200)
+    assert geodesics(gens, (10, 10), 20).count == 184756
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 20)
     with pytest.raises(BallBoundExceeded, match="ball exceeded 20 elements"):
-        geodesics(gens, (10, 10), 20, max_elements=20)
+        geodesics(gens, (10, 10), 20)
 
 
 def test_geodesics_target_with_ungenerated_denominator():

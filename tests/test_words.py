@@ -167,9 +167,10 @@ def test_tietze_monotone_and_deterministic():
     assert _total_length(one.presentation) <= _total_length(p)
 
 
-def test_tietze_budget_flag():
+def test_tietze_budget_flag(monkeypatch):
     p = Presentation(NAMES, [(1, 2, 1, 2), (2, 1, 2, 1, 3)])
-    out = tietze_simplify(p, budget=1)
+    monkeypatch.setattr(words, "TIETZE_BUDGET", 1)
+    out = tietze_simplify(p)
     assert out.budget_exhausted or _total_length(out.presentation) <= 9
 
 
@@ -195,13 +196,14 @@ def _long_relators(seed=36, lengths=(300, 600, 900)):
     return out + [(1, 1), (2, 2, 2), (1, 2) * 3]
 
 
-def test_long_relators_simplify_in_linear_memory():
+def test_long_relators_simplify_in_linear_memory(monkeypatch):
     # listing every rotation of each relator took 662 MiB on this case;
     # the golden holds the relators that listing search gave
     p = Presentation(NAMES[:2], _long_relators())
+    monkeypatch.setattr(words, "TIETZE_BUDGET", 50)
     tracemalloc.start()
     try:
-        result = tietze_simplify(p, budget=50)
+        result = tietze_simplify(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
