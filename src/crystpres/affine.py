@@ -15,6 +15,7 @@ every walk then runs on the quotient's cover (bfs.CoverCode), not on
 codes.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -51,15 +52,19 @@ def check_finite_order(linear):
     of degree phi(k) <= d, and phi(k) >= sqrt(k / 2).  So A has finite
     order iff A^N = I, N the lcm of all such k (12 for d = 2 or 3).
     """
-    d = len(linear)
-    n = math.lcm(*[k for k in range(1, 2 * d * d + 3)
-                   if sum(math.gcd(j, k) == 1 for j in range(k)) <= d])
-    power = linear
-    for _ in range(n):  # a finite order divides n
-        if power == identity_matrix(d):
+    power, one = linear, identity_matrix(len(linear))
+    for _ in range(_order_exponent(len(linear))):  # a finite order divides it
+        if power == one:
             return
         power = mat_mul_int(power, linear)
     raise InfiniteOrder(f"linear part {linear} has infinite order")
+
+
+@functools.cache
+def _order_exponent(d):
+    """check_finite_order's N in dimension d."""
+    return math.lcm(*[k for k in range(1, 2 * d * d + 3)
+                      if sum(math.gcd(j, k) == 1 for j in range(k)) <= d])
 
 
 def _integer(x):

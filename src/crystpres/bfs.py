@@ -13,11 +13,11 @@ Every walk runs on the periodic cover of a labelled quotient graph,
 for a group built on the integer element codes of affine.WalkKernel
 (an interned linear part plus N times the translation, N also covering
 any target the walk must recognise); elements are converted to and
-from AffineIsometry only at the API boundary.  Sizes, lengths and path
-counts walk the cover two spheres at a time: shell_sizes from one
-node, as int bitsets in a reduced frame of the cover (_frame, on the
-spanning tree of _tree that netgraph validates nets on), and
-shell_geodesics from both ends of a route, on packed int nodes
+from AffineIsometry only at the API boundary.  Sizes walk the cover
+breadth first from one node (shell_sizes) in a reduced frame (_frame,
+on the spanning tree of _tree that netgraph validates nets on), on int
+bitsets per packed slot; lengths and path counts walk it two spheres at
+a time from both ends of a route (shell_geodesics), on packed int nodes
 (CoverCode) that carry path counts.
 For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover,
@@ -231,13 +231,20 @@ def _frame(adj, base):
     (w, c), c the integer coordinates in a basis B of L of the shift
     s + t_v - t_w that _tree gives the arc.  Node (v, t_v + c B) becomes
     (v, c), so spheres keep their sizes.  B is the shortest shifts that
-    raise the rank if they generate L, else their HNF."""
+    raise the rank if they generate L, else their HNF: a shift raises it
+    iff it stays nonzero, reduced fraction free by the rows kept so far."""
     arcs = _tree(adj, base)[1]
     shifts = sorted({s for out in arcs for _, s in out},
                     key=lambda s: (sum(x * x for x in s), s))
-    span, basis = hnf(shifts), ()
+    span, basis, rows = hnf(shifts), (), []
     for s in shifts:
-        if len(basis) < len(span) and len(hnf(basis + (s,))) > len(basis):
+        if len(basis) == len(span):
+            break
+        r = s
+        for i, row in rows:
+            r = [row[i] * x - r[i] * y for x, y in zip(r, row)]
+        if any(r):
+            rows.append((next(i for i, x in enumerate(r) if x), r))
             basis += (s,)
     for basis in basis, span:
         transform = hnf_with_transform(basis)
@@ -276,25 +283,28 @@ def _box_reach(frame, base, k, box):
 
 def shell_sizes(adj, base, radius):
     """Sphere sizes |S_0|, ..., |S_radius| about node (base, 0) of the
-    cover of adj, whose arcs must all have their reverse in adj: then
-    S_(r+1) is the neighbourhood of S_r minus S_r and S_(r-1), so two
-    spheres are kept.  In _frame(adj, base) a vertex holds a sphere as
-    {coordinates past the m-th: int bitset over a box of the first m},
-    m = 3 or the rank if lower; m = 0 on a line, whose spheres are two
-    far ends.  The box is what walks of `box` = min(radius, 64) arcs
+    cover of adj, breadth first in _frame(adj, base).  A slot packs vertex
+    v and the c_i past the m-th, m = 3 or the rank if lower, into the int
+    v + n * sum_i c_i * R**(i - m); R = 2 * box * S + 1, S the largest
+    |c_i| on an arc, keeps the slots of walks of `box` arcs apart.  It
+    holds int bitsets over a box of the first m: its sphere, and U, its
+    nodes not yet reached (the box if absent): S_(r+1) = N(S_r) & U, then
+    U ^= S_(r+1).  The box is what walks of `box` = min(radius, 64) arcs
     reach, read off the first rounds of _box_reach once they repeat; it
     doubles and the walk starts over while radius > box.  m drops while
     the box passes 64 bits a node of the ball it can hold (bound =
-    DEFAULT_MAX_ELEMENTS nodes at most, and arcs^r at radius r).
-    Raises BallBoundExceeded once the ball passes the bound.
+    DEFAULT_MAX_ELEMENTS nodes at most, and arcs^r at radius r); at m = 0
+    (a line, or m dropped) the box is one bit, and box = radius.  Raises
+    BallBoundExceeded once the ball passes the bound.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     bound = DEFAULT_MAX_ELEMENTS
     frame = _frame(adj, base)
-    rank = len(next((c for out in frame for _, c in out), ()))
+    n, rank = len(frame), len(next((c for out in frame for _, c in out), ()))
     m = k = min(rank, 3) if rank > 1 else 0
     arcs = max(map(len, frame))
+    far = max((abs(x) for out in frame for _, c in out for x in c), default=0)
     box = min(radius, 64) if m else radius
     while True:
         top = _box_reach(frame, base, k, box if m else 0)
@@ -305,25 +315,26 @@ def shell_sizes(adj, base, radius):
             m -= 1
         box = box if m else radius
         strides = [math.prod(extent[:i]) for i in range(m)]
-        steps = [[(w, sum(map(mul, c, strides)), c[m:]) for w, c in out]
-                 for out in frame]
-        prev, sphere = [{} for _ in frame], [{} for _ in frame]
-        sphere[base][(0,) * (rank - m)] = 1 << sum(map(mul, low, strides))
+        weights = [n * (2 * box * far + 1) ** i for i in range(rank - m)]
+        steps = [[(w - v + sum(map(mul, c[m:], weights)),
+                   sum(map(mul, c, strides))) for w, c in out]
+                 for v, out in enumerate(frame)]
+        full = (1 << math.prod(extent[:m])) - 1
+        sphere = {base: 1 << sum(map(mul, low, strides))}
+        unseen = {base: full ^ sphere[base]}
         sizes, total = [1], 1
         for r in range(1, min(radius, box) + 1):
-            nxt = [{} for _ in frame]
-            for v, held in enumerate(sphere):
-                for key, bits in held.items():
-                    for w, d, tail in steps[v]:
-                        at = tuple(map(add, key, tail))
-                        nxt[w][at] = nxt[w].get(at, 0) | (
-                            bits << d if d >= 0 else bits >> -d)
-            prev, sphere = sphere, [
-                {key: new for key, bits in held.items() if (new := bits & ~(
-                    prev[w].get(key, 0) | sphere[w].get(key, 0)))}
-                for w, held in enumerate(nxt)]
-            sizes.append(sum(b.bit_count() for held in sphere
-                             for b in held.values()))
+            nxt = {}
+            for p, bits in sphere.items():
+                for dp, d in steps[p % n]:
+                    nxt[p + dp] = nxt.get(p + dp, 0) | (
+                        bits << d if d >= 0 else bits >> -d)
+            sphere = {}
+            for p, bits in nxt.items():
+                left = unseen.get(p, full)
+                if bits := bits & left:
+                    sphere[p], unseen[p] = bits, left ^ bits
+            sizes.append(sum(map(int.bit_count, sphere.values())))
             total += sizes[-1]
             if total > bound:
                 raise BallBoundExceeded(
@@ -338,12 +349,12 @@ def shell_geodesics(adj, start, goal, radius):
     to node goal, both (v, shift), or None past radius; None at once for
     a goal out of the box radius arcs span (CoverCode.within), which also
     keeps the CoverCode(adj, radius) codes of both ends' nodes distinct.
-    Each end holds two spheres {code: path count} as in shell_sizes (all
-    arcs have their reverse: paths into goal are paths out of it); the
-    smaller grows.  The first new S_a to meet the other end's S_b gives
-    a + b; each geodesic crosses S_a once, so the count sums f(x) b(x)
-    over the meet.  Past DEFAULT_MAX_ELEMENTS held nodes, it raises
-    BallBoundExceeded."""
+    Each end holds two spheres {code: path count}, as all arcs have their
+    reverse (S_(a+1) is N(S_a) minus S_a and S_(a-1), and paths into goal
+    are paths out of it); the smaller grows.  The first new S_a to meet
+    the other end's S_b gives a + b; each geodesic crosses S_a once, so
+    the count sums f(x) b(x) over the meet.  Past DEFAULT_MAX_ELEMENTS
+    held nodes, it raises BallBoundExceeded."""
     if start == goal:
         return 0, 1
     cover = CoverCode(adj, radius)

@@ -67,8 +67,9 @@ def _load_document(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # str(OSError) has path
+        reason = getattr(exc, "strerror", exc)
+        raise InputError(f"cannot read {path}: {reason}") from exc
     try:
         return parse_generating_set(text)
     except DocumentError as exc:

@@ -6,13 +6,13 @@ its endpoints' cells.  Covers are explored lazily, so coordination
 sequences, ring searches and sublattice quotients all work directly on
 the finite description.
 
-Coordination sequences (bfs.shell_sizes, on int bitsets) and geodesic
-counts (bfs.shell_geodesics, from both ends) keep two spheres, and stop
-at the element bound of their group twins.  Geodesic counts and the
-ring-search ball (_ball, numbered in one breadth-first pass) run on
-packed int nodes (bfs.CoverCode), decoded to (v, s) only where a result
-reports them.  from_cayley reads the net of a group off
-bfs._cayley_quotient, the quotient `cseq --input` walks.
+Coordination sequences (bfs.shell_sizes, a sphere and an unvisited int
+bitset per packed slot) and geodesic counts (bfs.shell_geodesics, two
+spheres from both ends) stop at the element bound of their group twins.
+Geodesic counts and the ring-search ball (_ball, numbered in one
+breadth-first pass) run on packed int nodes (bfs.CoverCode), decoded to
+(v, s) only where a result reports them.  from_cayley reads the net of
+a group off bfs._cayley_quotient, the quotient `cseq --input` walks.
 
 A net is validated on the spanning tree of bfs._tree, which also frames
 shell_sizes: the quotient must be connected and the tree's cycle shifts
@@ -113,8 +113,10 @@ class LabeledQuotientGraph:
             cell = frac_rows(cell)
             if len(cell) != rank or any(len(r) != rank for r in cell):
                 raise GraphError("cell matrix must be rank x rank")
-            if hnf_lattice(cell, dimension=rank).rank < rank:
-                raise GraphError("cell matrix is singular")
+            try:
+                mat_inverse_frac(cell)
+            except ValueError:
+                raise GraphError("cell matrix is singular") from None
         self.cell = cell
         if coords is not None:
             coords = frac_rows(coords)
@@ -269,8 +271,9 @@ def catalog_load(name):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise GraphError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # str(OSError) has path
+        reason = getattr(exc, "strerror", exc)
+        raise GraphError(f"cannot read {path}: {reason}") from exc
     return parse_catalog_text(text, name=name)
 
 

@@ -448,6 +448,22 @@ def test_document_not_utf8_is_input_error(tmp_path, capsys):
         f"error: cannot read {path}: 'utf-8' codec")
 
 
+def test_missing_document_names_its_path_once(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert _input_error(capsys, ["present", "--input", str(path)]) == (
+        f"error: cannot read {path}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("command", ["catalog", "cseq"])
+def test_unreadable_catalog_net_names_its_path_once(tmp_path, capsys,
+                                                    monkeypatch, command):
+    (tmp_path / "bad.lqg").mkdir()
+    monkeypatch.setenv("CRYSTPRES_CATALOG", str(tmp_path))
+    argv = [command] + (["--net", "bad"] if command == "cseq" else [])
+    assert _input_error(capsys, argv) == (
+        f"error: cannot read {tmp_path / 'bad.lqg'}: Is a directory\n")
+
+
 def test_unwritable_report_prints_no_json(tmp_path, capsys):
     report = tmp_path / "missing" / "report.json"
     assert _input_error(capsys, ["cseq", "--net", "pcu", "--radius", "2",

@@ -43,8 +43,8 @@ from crystpres.netgraph import (_automorphism, _ball, _base_cycles,
                                 _horton_cycles, _placement, _start)
 from crystpres.affine import (AffineIsometry, finite_closure, hnf_lattice,
                               inverse)
-from crystpres.intmat import (hnf, identity_matrix, mat_inverse_frac, mat_vec,
-                              vec_mat)
+from crystpres.intmat import (hnf, hnf_with_transform, identity_matrix,
+                              mat_inverse_frac, mat_vec, solve_hnf, vec_mat)
 from crystpres.pipeline import build_extension_data, ndia_generators
 from crystpres.symop import parse_symop
 
@@ -624,6 +624,58 @@ def test_rank_six_quotient_walk_holds_its_ball_only(max_elements,
         tracemalloc.stop()
     assert got == _sizes_or_error(_set_shell_sizes, adj, 0, 2, max_elements)
     assert peak < 64 << 20
+
+
+def test_elv_walk_never_holds_its_ball():
+    """elv at radius 30: a ball of 916,917 elements in under 4 MiB."""
+    gens = load_document("elv.json").generators
+    tracemalloc.start()
+    try:
+        sizes = coordination_sequence(gens, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == 916917
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("d, radius, last", [
+    (4, 30, 72160), (5, 20, 216002), (6, 12, 142000)])
+def test_hypercubic_shells_are_the_closed_form(d, radius, last):
+    """Z^d with unit steps, |S_r| = sum_k 2^k C(d, k) C(r - 1, k - 1):
+    one, two and three coordinates past the box's three are packed into
+    the slots."""
+    adj = [[(0, tuple(sign * (i == j) for j in range(d)))
+            for i in range(d) for sign in (1, -1)]]
+    sizes = shell_sizes(adj, 0, radius)
+    assert sizes == [1] + [
+        sum(2 ** k * math.comb(d, k) * math.comb(r - 1, k - 1)
+            for k in range(1, d + 1)) for r in range(1, radius + 1)]
+    assert sizes[-1] == last
+
+
+def _hnf_frame(adj, base):
+    """Oracle: bfs._frame as it chose its basis before the echelon, by
+    the rank of one HNF per candidate shift."""
+    arcs = bfs._tree(adj, base)[1]
+    shifts = sorted({s for out in arcs for _, s in out},
+                    key=lambda s: (sum(x * x for x in s), s))
+    span, basis = hnf(shifts), ()
+    for s in shifts:
+        if len(basis) < len(span) and len(hnf(basis + (s,))) > len(basis):
+            basis += (s,)
+    for basis in basis, span:
+        transform = hnf_with_transform(basis)
+        coords = {s: solve_hnf(transform, s) for s in shifts}
+        if None not in coords.values():
+            return [[(w, coords[s]) for w, s in out] for out in arcs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labeled_quotients())
+def test_frame_basis_is_the_hnf_rank_rule(case):
+    adj, base, _ = case
+    assert bfs._frame(adj, base) == _hnf_frame(adj, base)
 
 
 def test_topological_density():
