@@ -16,9 +16,10 @@ any target the walk must recognise); elements are converted to and
 from AffineIsometry only at the API boundary.  Sizes walk the cover
 breadth first from one node (shell_sizes) in a reduced frame (_frame,
 on the spanning tree of _tree that netgraph validates nets on), on int
-bitsets per packed slot; lengths and path counts walk it two spheres at
-a time from both ends of a route (shell_geodesics), on packed int nodes
-(CoverCode) that carry path counts.
+bitsets per slot, a packed int node (CoverCode) of the coordinates past
+the bitsets' box; lengths and path counts walk it two spheres at a time
+from both ends of a route (shell_geodesics), on CoverCode nodes that
+carry path counts.
 For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover,
 and the presentation pipeline reads the point group and every G/mT off
@@ -164,14 +165,16 @@ def _word_walk(adj, radius):
 
 class CoverCode:
     """Cover nodes within `radius` edges of cell 0, packed into ints, for
-    walks that keep something per node: shell_geodesics' path counts
-    and the numbering of netgraph._ball.
+    walks that keep something per node: shell_sizes' slots (bitsets),
+    shell_geodesics' path counts and the numbering of netgraph._ball.
 
     adj[v] lists the arcs (w, shift) leaving quotient vertex v, n =
-    len(adj).  Node (v, s) is the int v + n * sum_i s_i * B**i.  A node
-    r edges from cell 0 has every |s_i| <= r * S, S the largest |shift
-    component|, so with B = 2 * radius * S + 1 no two such nodes share
-    a code.  Arc k of vertex p % n leads to node p + steps[p % n][k][1].
+    len(adj); the rank is read off any arc, as a vertex off the walk's
+    component may have none.  Node (v, s) is the int v + n * sum_i s_i *
+    B**i.  A node r edges from cell 0 has every |s_i| <= r * S, S the
+    largest |shift component|, so with B = 2 * radius * S + 1 no two
+    such nodes share a code.  Arc k of vertex p % n leads to node
+    p + steps[p % n][k][1].
     """
 
     def __init__(self, adj, radius):
@@ -181,8 +184,8 @@ class CoverCode:
         self.top1 = max(map(sum, shifts), default=0)
         self.reach = max(radius, 1) * self.top
         self.radix = 2 * self.reach + 1
-        self.weights = [self.n * self.radix ** i
-                        for i in range(len(adj[0][0][1]))]
+        rank = len(next((s for arcs in adj for _, s in arcs), ()))
+        self.weights = [self.n * self.radix ** i for i in range(rank)]
         self.steps = [[(w, self.encode(w, t) - v) for w, t in arcs]
                       for v, arcs in enumerate(adj)]
 
@@ -283,18 +286,20 @@ def _box_reach(frame, base, k, box):
 
 def shell_sizes(adj, base, radius):
     """Sphere sizes |S_0|, ..., |S_radius| about node (base, 0) of the
-    cover of adj, breadth first in _frame(adj, base).  A slot packs vertex
-    v and the c_i past the m-th, m = 3 or the rank if lower, into the int
-    v + n * sum_i c_i * R**(i - m); R = 2 * box * S + 1, S the largest
-    |c_i| on an arc, keeps the slots of walks of `box` arcs apart.  It
-    holds int bitsets over a box of the first m: its sphere, and U, its
-    nodes not yet reached (the box if absent): S_(r+1) = N(S_r) & U, then
-    U ^= S_(r+1).  The box is what walks of `box` = min(radius, 64) arcs
-    reach, read off the first rounds of _box_reach once they repeat; it
-    doubles and the walk starts over while radius > box.  m drops while
-    the box passes 64 bits a node of the ball it can hold (bound =
-    DEFAULT_MAX_ELEMENTS nodes at most, and arcs^r at radius r); at m = 0
-    (a line, or m dropped) the box is one bit, and box = radius.  Raises
+    cover of adj, breadth first in _frame(adj, base).  A slot is the
+    CoverCode(radius `box`) node of vertex v and the c_i past the m-th,
+    m = 3 or the rank if lower.  It holds int bitsets over a box of the
+    first m: its sphere, and U, its nodes not yet reached (the box for a
+    slot never reached): S_(r+1) = N(S_r) & U, then U ^= S_(r+1).  Every
+    arc has its reverse, so N(S_j) meets distances j - 1 to j + 1 only: a
+    slot leaves U two rounds after U runs out on it, and a walk whose
+    slots are one node holds three spheres, not its ball.  The box is
+    what walks of `box` = min(radius, 64) arcs reach, read off the first
+    rounds of _box_reach once they repeat; it doubles and the walk
+    starts over while radius > box.  m drops while the box passes 64
+    bits a node of the ball it can hold (bound = DEFAULT_MAX_ELEMENTS
+    nodes at most, and arcs^r at radius r); at m = 0 (a line, or m
+    dropped) the box is one bit, and box = radius.  Raises
     BallBoundExceeded once the ball passes the bound.
     """
     if radius < 0:
@@ -304,7 +309,6 @@ def shell_sizes(adj, base, radius):
     n, rank = len(frame), len(next((c for out in frame for _, c in out), ()))
     m = k = min(rank, 3) if rank > 1 else 0
     arcs = max(map(len, frame))
-    far = max((abs(x) for out in frame for _, c in out for x in c), default=0)
     box = min(radius, 64) if m else radius
     while True:
         top = _box_reach(frame, base, k, box if m else 0)
@@ -315,13 +319,14 @@ def shell_sizes(adj, base, radius):
             m -= 1
         box = box if m else radius
         strides = [math.prod(extent[:i]) for i in range(m)]
-        weights = [n * (2 * box * far + 1) ** i for i in range(rank - m)]
-        steps = [[(w - v + sum(map(mul, c[m:], weights)),
-                   sum(map(mul, c, strides))) for w, c in out]
-                 for v, out in enumerate(frame)]
+        cover = CoverCode([[(w, c[m:]) for w, c in out] for out in frame], box)
+        steps = [[(dp, sum(map(mul, c, strides)))
+                  for (_, dp), (_, c) in zip(packed, out)]
+                 for packed, out in zip(cover.steps, frame)]
         full = (1 << math.prod(extent[:m])) - 1
         sphere = {base: 1 << sum(map(mul, low, strides))}
         unseen = {base: full ^ sphere[base]}
+        emptied = [[], []]  # slots that U ran out on one and two rounds ago
         sizes, total = [1], 1
         for r in range(1, min(radius, box) + 1):
             nxt = {}
@@ -329,11 +334,16 @@ def shell_sizes(adj, base, radius):
                 for dp, d in steps[p % n]:
                     nxt[p + dp] = nxt.get(p + dp, 0) | (
                         bits << d if d >= 0 else bits >> -d)
-            sphere = {}
+            sphere, done = {}, []
             for p, bits in nxt.items():
                 left = unseen.get(p, full)
                 if bits := bits & left:
                     sphere[p], unseen[p] = bits, left ^ bits
+                    if bits == left:
+                        done.append(p)
+            for p in emptied.pop():
+                del unseen[p]
+            emptied.insert(0, done)
             sizes.append(sum(map(int.bit_count, sphere.values())))
             total += sizes[-1]
             if total > bound:

@@ -3,10 +3,11 @@
 All matrices are tuples of tuples.  Lattice bases are stored row-wise:
 the rows of a basis matrix are the generating vectors.
 
-Every integer elimination is _hnf's Euclidean row reduction (H. Cohen,
-GTM 138, section 2.4): kernels, row-span solutions, Smith data and, in
-affine.inverse, unimodular inverses.  mat_inverse_frac inverts rational
-lattice bases by fraction-free Gauss-Jordan elimination.
+_hnf's Euclidean row reduction (H. Cohen, GTM 138, section 2.4) gives
+kernels, row-span solutions, Smith data and affine.inverse's unimodular
+inverses.  Two eliminations are fraction free instead: the Bareiss
+Gauss-Jordan inverse of mat_inverse_frac, and the rank test of bfs._frame
+(each shift cross-multiplied against the echelon rows it keeps).
 """
 
 from fractions import Fraction

@@ -7,7 +7,7 @@ sequences, ring searches and sublattice quotients all work directly on
 the finite description.
 
 Coordination sequences (bfs.shell_sizes, a sphere and an unvisited int
-bitset per packed slot) and geodesic counts (bfs.shell_geodesics, two
+bitset per CoverCode slot) and geodesic counts (bfs.shell_geodesics, two
 spheres from both ends) stop at the element bound of their group twins.
 Geodesic counts and the ring-search ball (_ball, numbered in one
 breadth-first pass) run on packed int nodes (bfs.CoverCode), decoded to
@@ -20,8 +20,9 @@ must span Z^rank (their integer HNF is the identity), or the cover
 falls apart.  One integer routine, _cover_map, tests whether an affine
 map sends the net onto itself, finding each image's vertex by its class
 mod the lattice: the automorphisms behind schlafli_symbol's one ring
-search per vertex orbit, each generator in regular_action_check and
-each new vector in extend_lattice.
+search per vertex orbit, each generator in regular_action_check (read
+in the net's primitive frame, where T = Z^rank, through the cell's
+inverse that the net keeps) and each new vector in extend_lattice.
 """
 
 import os
@@ -31,7 +32,7 @@ from itertools import count, islice, product
 from math import prod
 from operator import add, sub
 
-from .affine import AffineIsometry, finite_closure, hnf_lattice, inverse
+from .affine import AffineIsometry, finite_closure, hnf_lattice
 from .bfs import (BallBoundExceeded, CoverCode, FiniteGroup, _cayley_quotient,
                   _tree, shell_geodesics, shell_sizes)
 from .intmat import (
@@ -80,9 +81,10 @@ class LabeledQuotientGraph:
     """Finite quotient of a periodic graph by its translation lattice.
 
     edges are stored canonically; `cell` optionally gives the primitive
-    basis rows in conventional-cell coordinates so that user-facing
-    translation vectors can be converted; `coords` optionally gives
-    vertex positions in primitive-basis coordinates.
+    basis rows C in conventional-cell coordinates, and `to_prim` is C^-1
+    (the identity without a cell), which takes user-facing conventional
+    vectors to the primitive frame; `coords` optionally gives vertex
+    positions in primitive-basis coordinates.
     """
 
     def __init__(self, rank, n_vertices, edges, cell=None, coords=None,
@@ -109,12 +111,13 @@ class LabeledQuotientGraph:
             canon.append(key)
         canon.sort()
         self.edges = tuple(canon)
+        self.to_prim = identity_matrix(rank)
         if cell is not None:
             cell = frac_rows(cell)
             if len(cell) != rank or any(len(r) != rank for r in cell):
                 raise GraphError("cell matrix must be rank x rank")
             try:
-                mat_inverse_frac(cell)
+                self.to_prim = mat_inverse_frac(cell)
             except ValueError:
                 raise GraphError("cell matrix is singular") from None
         self.cell = cell
@@ -184,21 +187,11 @@ class LabeledQuotientGraph:
         vector = tuple(Fraction(x) for x in vector)
         if len(vector) != self.rank:
             raise GraphError("translation vector has wrong rank")
-        if self.cell is None:
-            coords = vector
-        else:
-            inv = mat_inverse_frac(self.cell)
-            coords = vec_mat(vector, inv)
-        out = []
-        for x in coords:
-            x = Fraction(x)
-            if x.denominator != 1:
-                raise GraphError(
-                    f"{_vector_text(vector)} is not a lattice translation"
-                    " of this net"
-                )
-            out.append(int(x))
-        return tuple(out)
+        coords = vec_mat(vector, self.to_prim)
+        if any(x.denominator != 1 for x in coords):
+            raise GraphError(f"{_vector_text(vector)} is not a lattice"
+                             " translation of this net")
+        return tuple(map(int, coords))
 
 
 def parse_catalog_text(text, name=None):
@@ -845,21 +838,22 @@ def schlafli_symbol(g, max_size=DEFAULT_RING_CAP):
 def regular_action_check(g, group_generators):
     """Exact test that a group H acts freely and transitively on the net.
 
-    Needs vertex coordinates; the generators act on conventional
-    coordinates.  Each generator must preserve the net's lattice T
-    ("inconclusive" otherwise: the quotient cannot certify it) and, as
-    a _cover_map on primitive coordinates, map every quotient vertex to
-    a cover vertex ("fail" otherwise) and every quotient edge to a cover
-    edge (GraphError otherwise), which makes it an automorphism of the
-    whole cover.  One affine.finite_closure of the generators conjugated
-    to vertex 0 gives H's translation lattice L exactly and the residual
-    codes of H/L.  An L of rank below the net's fails (a finite H too):
-    as H's point group is finite, an H-orbit stays near an affine
-    subspace of rank L, too thin for the net's vertices.  Otherwise the
-    verdict is "pass" iff |H/L| equals the number n covol(L) / covol(T)
-    of L-orbits of vertices and vertex 0 has pairwise distinct images
-    mod L under H/L.  Any vertex would do: a pass makes H transitive, so
-    vertex stabilisers are conjugate.
+    Needs vertex coordinates.  The generators act on conventional
+    coordinates; each is read once in the net's primitive frame, where
+    T = Z^rank, as x -> x A' + t', A' = C A^T C^-1 and t' = t C^-1 (C the
+    cell, C^-1 its to_prim).  It must preserve T, A' integral
+    ("inconclusive" otherwise: the quotient cannot certify it), and as a
+    _cover_map map every quotient vertex to a cover vertex ("fail"
+    otherwise) and every quotient edge to a cover edge (GraphError
+    otherwise), which makes it an automorphism of the whole cover.  One
+    affine.finite_closure of the generators conjugated to vertex 0 gives
+    H's translation lattice L exactly and the residual codes of H/L.  An
+    L of rank below the net's fails (a finite H too): as H's point group
+    is finite, an H-orbit stays near an affine subspace of rank L, too
+    thin for the net's vertices.  Otherwise the verdict is "pass" iff
+    |H/L| equals the number n covol(L) of L-orbits of vertices and
+    vertex 0 has pairwise distinct images mod L under H/L.  Any vertex
+    would do: a pass makes H transitive, so stabilisers are conjugate.
     """
     if g.coords is None:
         raise GraphError("regular action check needs vertex coordinates")
@@ -867,37 +861,32 @@ def regular_action_check(g, group_generators):
         if h.dimension != g.rank:
             raise GraphError(f"group generator has dimension {h.dimension}, "
                              f"but the net has rank {g.rank}")
-    cell = g.cell if g.cell is not None else identity_matrix(g.rank)
-    to_prim = mat_inverse_frac(cell)
+    cell = g.cell or identity_matrix(g.rank)
     pos, den = scale_to_int(g.coords)
     cover_map = _cover_map(g, pos, den)
+    x0, conjugates = g.coords[0], []
     for h in group_generators:
-        # h on primitive coordinates q: q -> q C A^T C^-1 + t C^-1, whose
-        # linear part is integral iff h preserves T
         at, at_den = scale_to_int(
-            vec_mat(mat_vec(h.linear, row), to_prim) for row in cell)
+            vec_mat(mat_vec(h.linear, row), g.to_prim) for row in cell)
         if at_den != 1:
             return "inconclusive"
-        found = cover_map(at, [den * x for x in vec_mat(h.translation,
-                                                          to_prim)])
+        t = vec_mat(h.translation, g.to_prim)
+        found = cover_map(at, [den * x for x in t])
         if found is None:
             return "fail"
         if not found[2]:
             raise GraphError("group generator does not preserve the edge set")
+        # h p0 - p0 is the translation of this conjugate, so the images
+        # of p0 are distinct mod L iff the conjugates' residual
+        # translations are; conjugating by a translation keeps L
+        conjugates.append(AffineIsometry(
+            zip(*at), map(add, vec_mat(x0, at), map(sub, t, x0))))
     if not group_generators:  # the trivial H, finite
         return "fail"
-
-    # h p0 - p0 is the translation of h conjugated by the shift to p0,
-    # so the images of p0 are distinct mod L iff the conjugates' residual
-    # translations are; conjugating by a translation keeps L
-    to_p0 = AffineIsometry.from_translation(vec_mat(g.coords[0], cell))
-    _, _, reps, sub = finite_closure(
-        [inverse(to_p0) * h * to_p0 for h in group_generators])
-    if sub.rank < g.rank:
+    _, _, reps, lattice = finite_closure(conjugates)
+    if lattice.rank < g.rank:
         return "fail"
-    # full-rank HNF bases are triangular
-    covolume = [prod(row[i] for i, row in enumerate(x.basis))
-                for x in (sub, hnf_lattice(cell))]
-    orbits = g.n * covolume[0] / covolume[1]
+    # a full-rank HNF basis is triangular
+    orbits = g.n * prod(row[i] for i, row in enumerate(lattice.basis))
     images = {code[1:] for code in reps}
     return "pass" if len(reps) == orbits == len(images) else "fail"

@@ -639,6 +639,21 @@ def test_elv_walk_never_holds_its_ball():
     assert peak < 4 << 20
 
 
+def test_line_walk_never_holds_its_ball():
+    """A line at radius 5,000: each slot is one node, dropped two rounds
+    after it is reached, so the walk holds three spheres, under 0.25 MiB
+    (the sizes list included)."""
+    gens = load_document("z1_trivial.json").generators
+    tracemalloc.start()
+    try:
+        sizes = coordination_sequence(gens, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [1] + [2] * 5000
+    assert peak < 1 << 18
+
+
 @pytest.mark.parametrize("d, radius, last", [
     (4, 30, 72160), (5, 20, 216002), (6, 12, 142000)])
 def test_hypercubic_shells_are_the_closed_form(d, radius, last):
@@ -1815,3 +1830,35 @@ def test_action_cases_reach_every_verdict():
                                           g, gens, base)
         seen.add(outcome if isinstance(outcome, str) else outcome[0])
     assert seen == {"pass", "fail", "inconclusive", GraphError}
+
+
+def _reframed(g, rng):
+    """g on a random unimodular primitive basis V, its vertices permuted:
+    shifts and coordinates times V^-1, and the cell V C."""
+    d = g.rank
+    perm = rng.sample(range(d), d)
+    v = [[rng.choice((1, -1)) * (perm[i] == j) for j in range(d)]
+         for i in range(d)]
+    for _ in range(d if d > 1 else 0):  # shears keep V unimodular
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((1, -1, 2))
+        v[i] = [x + c * y for x, y in zip(v[i], v[j])]
+    vinv = mat_inverse_frac(v)
+    cell = [vec_mat(row, g.cell or identity_matrix(d)) for row in v]
+    perm = rng.sample(range(g.n), g.n)
+    coords = [None] * g.n
+    for i, c in enumerate(g.coords):
+        coords[perm[i]] = vec_mat(c, vinv)
+    edges = [(perm[a], perm[b], vec_mat(s, vinv)) for a, b, s in g.edges]
+    return LabeledQuotientGraph(d, g.n, edges, cell=cell, coords=coords)
+
+
+def test_regular_action_is_the_same_in_any_primitive_frame():
+    """Seeded draws of _action_case give the same outcome, verdict or
+    GraphError text, on their net re-expressed on another primitive
+    basis with its vertices renumbered (as perfbench relabels nets)."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        g, gens, _ = _action_case(rng)
+        assert (_action_outcome(regular_action_check, _reframed(g, rng), gens)
+                == _action_outcome(regular_action_check, g, gens)), seed
