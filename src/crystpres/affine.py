@@ -24,6 +24,7 @@ from .intmat import (
     hnf,
     hnf_with_transform,
     identity_matrix,
+    independent,
     mat_inverse_frac,
     mat_mul_int,
     mat_vec,
@@ -62,9 +63,12 @@ def check_finite_order(linear):
 
 @functools.cache
 def _order_exponent(d):
-    """check_finite_order's N in dimension d."""
-    return math.lcm(*[k for k in range(1, 2 * d * d + 3)
-                      if sum(math.gcd(j, k) == 1 for j in range(k)) <= d])
+    """check_finite_order's N in dimension d, phi(k) by a prime sieve."""
+    phi = list(range(2 * d * d + 3))
+    for p in range(2, len(phi)):
+        if phi[p] == p:  # no smaller prime divides p
+            phi[p::p] = [x - x // p for x in phi[p::p]]
+    return math.lcm(*[k for k in range(1, len(phi)) if phi[k] <= d])
 
 
 def _integer(x):
@@ -278,12 +282,9 @@ class WalkKernel:
         """
         # extend the basis of L by unit vectors to a basis of Q^d; the
         # first rows of the inverse give coordinates along L
-        d = self.dimension
-        ext = list(lattice.basis)
-        for unit in identity_matrix(d):
-            if (len(ext) < d
-                    and len(hnf(scale_to_int(ext + [unit])[0])) > len(ext)):
-                ext.append(unit)
+        rows, d = [], self.dimension
+        ext = [v for v in lattice.basis + identity_matrix(d)
+               if len(rows) < d and independent(rows, v)]
         inv = mat_inverse_frac(tuple(zip(*ext)))
         frame, den = scale_to_int(inv[:lattice.rank])
         den *= self.scale

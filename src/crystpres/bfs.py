@@ -15,7 +15,7 @@ for a group built on the integer element codes of affine.WalkKernel
 any target the walk must recognise); elements are converted to and
 from AffineIsometry only at the API boundary.  Sizes walk the cover
 breadth first from one node (shell_sizes) in a reduced frame (_frame,
-on the spanning tree of _tree that netgraph validates nets on), on int
+on the spanning tree of _tree that validates and places nets), on int
 bitsets per slot, a packed int node (CoverCode) of the coordinates past
 the bitsets' box; lengths and path counts walk it two spheres at a time
 from both ends of a route (shell_geodesics), on CoverCode nodes that
@@ -33,12 +33,13 @@ transversals.
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, cycle
+from itertools import chain, cycle, islice
 from operator import add, mul, sub
 
 from .affine import (AffineIsometry, WalkKernel, _closure, check_finite_order,
                      inverse)
-from .intmat import hnf, hnf_with_transform, identity_matrix, solve_hnf, vec_mat
+from .intmat import (hnf, hnf_with_transform, identity_matrix, independent,
+                     solve_hnf, vec_mat)
 from .symop import format_symop
 from .words import free_reduce
 
@@ -211,22 +212,24 @@ class CoverCode:
 
 
 def _tree(adj, base):
-    """(t, arcs) of a breadth-first spanning tree from base: t[v] is the
-    shift of the tree path to v, None off base's component, and arcs[v]
-    lists (w, s + t_v - t_w) per arc (w, s) of adj[v] (none off it).
+    """(t, arcs, order) of a breadth-first spanning tree from base: t[v]
+    is the shift of the tree path to v, None off base's component; arcs[v]
+    lists (w, s + t_v - t_w) per arc (w, s) of adj[v] (none off it); order
+    lists the component breadth first as (v, (u, i)), adj[u][i] the tree
+    arc into v ((base, None) first).
     These shifts span the lattice L of the cover component of (base, 0);
     the cover over base's component is connected iff L = Z^rank."""
     t = [None] * len(adj)
     t[base] = (0,) * len(next((s for arcs in adj for _, s in arcs), ()))
-    order = [base]
-    for v in order:
-        for w, s in adj[v]:
+    order = [(base, None)]
+    for v, _ in order:
+        for i, (w, s) in enumerate(adj[v]):
             if t[w] is None:
                 t[w] = tuple(map(add, t[v], s))
-                order.append(w)
+                order.append((w, (v, i)))
     arcs = [[(w, tuple(map(sub, map(add, s, t[v]), t[w]))) for w, s in out]
             if t[v] is not None else [] for v, out in enumerate(adj)]
-    return t, arcs
+    return t, arcs, order
 
 
 def _frame(adj, base):
@@ -234,21 +237,14 @@ def _frame(adj, base):
     (w, c), c the integer coordinates in a basis B of L of the shift
     s + t_v - t_w that _tree gives the arc.  Node (v, t_v + c B) becomes
     (v, c), so spheres keep their sizes.  B is the shortest shifts that
-    raise the rank if they generate L, else their HNF: a shift raises it
-    iff it stays nonzero, reduced fraction free by the rows kept so far."""
+    raise the rank (intmat.independent) if they generate L, else their
+    HNF."""
     arcs = _tree(adj, base)[1]
     shifts = sorted({s for out in arcs for _, s in out},
                     key=lambda s: (sum(x * x for x in s), s))
-    span, basis, rows = hnf(shifts), (), []
-    for s in shifts:
-        if len(basis) == len(span):
-            break
-        r = s
-        for i, row in rows:
-            r = [row[i] * x - r[i] * y for x, y in zip(r, row)]
-        if any(r):
-            rows.append((next(i for i, x in enumerate(r) if x), r))
-            basis += (s,)
+    span, rows = hnf(shifts), []
+    basis = tuple(islice((s for s in shifts if independent(rows, s)),
+                         len(span)))
     for basis in basis, span:
         transform = hnf_with_transform(basis)
         coords = {s: solve_hnf(transform, s) for s in shifts}

@@ -28,6 +28,7 @@ first, on the cover tables of G/mT; that changes no verdict, as the
 check of a refuted set at the table's m could only overflow or fail.
 """
 
+from .intmat import gf2_reduce
 from .words import Presentation, cyclic_reduce, free_reduce, invert_word
 
 DEFAULT_MAX_COSETS = 10**6
@@ -318,14 +319,10 @@ class SchreierRank:
             for row in self.rows[w]:
                 if row is None:
                     return False
-                while row:
-                    top = row.bit_length()
-                    if top not in basis:
-                        basis[top] = row
-                        if len(basis) == self.ngens:
-                            return False
-                        break
-                    row ^= basis[top]
+                if row := gf2_reduce(basis, row):
+                    basis[row.bit_length()] = row
+                    if len(basis) == self.ngens:
+                        return False
             done.append(w)
             sizes.append(len(basis))
         return True

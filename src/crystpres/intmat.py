@@ -3,11 +3,12 @@
 All matrices are tuples of tuples.  Lattice bases are stored row-wise:
 the rows of a basis matrix are the generating vectors.
 
-_hnf's Euclidean row reduction (H. Cohen, GTM 138, section 2.4) gives
-kernels, row-span solutions, Smith data and affine.inverse's unimodular
-inverses.  Two eliminations are fraction free instead: the Bareiss
-Gauss-Jordan inverse of mat_inverse_frac, and the rank test of bfs._frame
-(each shift cross-multiplied against the echelon rows it keeps).
+Every elimination lives here.  _hnf's Euclidean row reduction (H. Cohen,
+GTM 138, section 2.4) gives kernels, row-span solutions, Smith data and
+affine.inverse's unimodular inverses.  Two are fraction free: the
+Bareiss inverse of mat_inverse_frac, and `independent`, the rank test of
+bases picked row by row (bfs._frame, netgraph._placement, WalkKernel).
+gf2_reduce is the GF(2) reducer of strong rings and Schreier ranks.
 """
 
 from fractions import Fraction
@@ -215,3 +216,24 @@ def mat_inverse_frac(a):
                         for x, y in zip(m[i], p)]
         prev = p[col]
     return tuple(tuple(Fraction(den * x, prev) for x in row[d:]) for row in m)
+
+
+def independent(rows, r):
+    """Whether r (ints or Fractions) is independent of the kept `rows`,
+    (pivot, row) echelon pairs, each cross-multiplied in where r is
+    nonzero at its pivot; r is kept, pivoted at its first nonzero, if so."""
+    for i, row in rows:
+        if r[i]:
+            r = [row[i] * x - r[i] * y for x, y in zip(r, row)]
+    if any(r):
+        rows.append((next(i for i, x in enumerate(r) if x), r))
+        return True
+    return False
+
+
+def gf2_reduce(basis, row):
+    """Int bit row reduced by a GF(2) basis {row.bit_length(): row}: 0 iff
+    the row is in its span, else a new top bit, ready to join it."""
+    while (top := row.bit_length()) in basis:
+        row ^= basis[top]
+    return row

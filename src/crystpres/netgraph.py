@@ -15,13 +15,13 @@ breadth-first pass) run on packed int nodes (bfs.CoverCode), decoded to
 a group off bfs._cayley_quotient, the quotient `cseq --input` walks.
 
 A net is validated on the spanning tree of bfs._tree, which also frames
-shell_sizes: the quotient must be connected and the tree's cycle shifts
-must span Z^rank (their integer HNF is the identity), or the cover
-falls apart.  One integer routine, _cover_map, tests whether an affine
-map sends the net onto itself, finding each image's vertex by its class
-mod the lattice: the automorphisms behind schlafli_symbol's one ring
-search per vertex orbit, each generator in regular_action_check (read
-in the net's primitive frame, where T = Z^rank, through the cell's
+shell_sizes and orders _placement's arcs: the quotient must be connected
+and the tree's cycle shifts must span Z^rank (their HNF is the identity),
+or the cover falls apart.  One integer routine, _cover_map, tests whether
+an affine map sends the net onto itself, finding each image's vertex by
+its class mod the lattice: the automorphisms behind schlafli_symbol's one
+ring search per vertex orbit, each generator in regular_action_check
+(read in the net's primitive frame, where T = Z^rank, through the cell's
 inverse that the net keeps) and each new vector in extend_lattice.
 """
 
@@ -37,8 +37,10 @@ from .bfs import (BallBoundExceeded, CoverCode, FiniteGroup, _cayley_quotient,
                   _tree, shell_geodesics, shell_sizes)
 from .intmat import (
     frac_rows,
+    gf2_reduce,
     hnf,
     identity_matrix,
+    independent,
     mat_inverse_frac,
     mat_vec,
     scale_to_int,
@@ -143,7 +145,7 @@ class LabeledQuotientGraph:
     def _validate_connected(self):
         # the cover is connected iff the quotient is and the cycle
         # shifts of bfs._tree span Z^rank
-        t, arcs = _tree(self.adj, 0)
+        t, arcs, _ = _tree(self.adj, 0)
         if None in t:
             raise GraphError("quotient graph is disconnected")
         span = hnf([s for out in arcs for _, s in out if any(s)])
@@ -671,23 +673,16 @@ def strong_rings(g, base=0, max_size=DEFAULT_RING_CAP):
     basis = sorted(_horton_cycles(adj, max_len), key=int.bit_count)
     candidates = _base_cycles(adj, dist, max_size)
     pivots = {}
-
-    def reduce(mask):
-        while mask and mask.bit_length() - 1 in pivots:
-            mask ^= pivots[mask.bit_length() - 1]
-        return mask
-
     rings = []
     admitted = 0
     for mask, path in sorted(candidates.items(),
                              key=lambda item: (len(item[1]), item[0])):
         while (admitted < len(basis)
                and basis[admitted].bit_count() < len(path)):
-            rem = reduce(basis[admitted])
-            if rem:
-                pivots[rem.bit_length() - 1] = rem
+            if rem := gf2_reduce(pivots, basis[admitted]):
+                pivots[rem.bit_length()] = rem
             admitted += 1
-        if reduce(mask):
+        if gf2_reduce(pivots, mask):
             rings.append(Ring(cover.decode(nodes[i]) for i in path))
     return rings
 
@@ -732,8 +727,9 @@ def _placement(g):
     integers: pos[v] = den x_v and cover_map its _cover_map; vec[v][i] =
     den (x_w + s - x_v) for the arc (w, s) = g.adj[v][i]; steps a cover
     tree from vertex 0 as ((v, i), in_basis), each arc from a vertex
-    reached before; E^-1 = R / D for (R, D) = inv and E the independent
-    vectors of the `rank` basis arcs."""
+    reached before: bfs._tree's order, each vertex's tree arc and then
+    the arcs whose vectors intmat.independent keeps, up to `rank`;
+    E^-1 = R / D for (R, D) = inv and E those basis arcs' vectors."""
     n, r = g.n, g.rank
     # the reduced Laplacian: deg(v) x_v - sum x_w = sum s over the arcs
     # (w, s) of v, for v >= 1 (a loop's two arcs cancel)
@@ -748,16 +744,13 @@ def _placement(g):
     vec = [[tuple(a + den * b - c for a, b, c in zip(pos[w], s, pos[v]))
             for w, s in arcs] for v, arcs in enumerate(g.adj)]
     # breadth first: each vertex's tree arc, then its independent arcs
-    order, via, steps, basis = [0], {0: None}, {}, []
-    for v in order:
-        if via[v]:
-            steps.setdefault(via[v], False)
-        for i, (w, _) in enumerate(g.adj[v]):
-            if w not in via:
-                via[w] = (v, i)
-                order.append(w)
-            if len(hnf(basis + [vec[v][i]])) > len(basis):
-                basis.append(vec[v][i])
+    steps, basis, rows = {}, [], []
+    for v, via in _tree(g.adj, 0)[2]:
+        if via:
+            steps.setdefault(via, False)
+        for i, x in enumerate(vec[v]):
+            if independent(rows, x):
+                basis.append(x)
                 steps[v, i] = True
         if len(basis) == r:
             break

@@ -155,20 +155,11 @@ def parse_symop(text, dimension):
     return AffineIsometry(linear, translation)
 
 
-def _format_fraction(f):
-    f = Fraction(f)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _format_term(coeff, var, first):
     coeff = Fraction(coeff)
     mag = abs(coeff)
-    body = var if mag == 1 and var else (
-        _format_fraction(mag) + var if var else _format_fraction(mag)
-    )
-    if first:
-        return body if coeff > 0 else "-" + body
-    return ("+" if coeff > 0 else "-") + body
+    body = var if mag == 1 and var else str(mag) + var
+    return ("-" if coeff < 0 else "" if first else "+") + body
 
 
 def format_symop(g):

@@ -1,5 +1,7 @@
 """Affine isometries, translation lattices, and point-group images."""
 
+import math
+import time
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -15,6 +17,7 @@ from crystpres.affine import (
     NotUnimodular,
     TranslationLattice,
     WalkKernel,
+    _order_exponent,
     check_finite_order,
     compose,
     finite_closure,
@@ -361,3 +364,24 @@ def test_finite_order_linear_parts(order, coefficients):
 def test_infinite_order_linear_parts(linear):
     with pytest.raises(InfiniteOrder):
         check_finite_order(linear)
+
+
+def _gcd_sum_order_exponent(d):
+    """_order_exponent with each phi(k) a sum of gcd tests."""
+    return math.lcm(*[k for k in range(1, 2 * d * d + 3)
+                      if sum(math.gcd(j, k) == 1 for j in range(k)) <= d])
+
+
+def test_order_exponent_is_the_gcd_sum_form():
+    for d in range(1, 21):
+        assert _order_exponent(d) == _gcd_sum_order_exponent(d), d
+
+
+def test_order_exponent_in_dimension_200_is_fast():
+    """The gcd-sum form makes about 3e9 gcd calls at d = 200.  N has 2^8
+    (phi(256) = 128) and 199 (phi = 198), but not 2^9 or 211 (phi = 256
+    and 210)."""
+    start = time.perf_counter()
+    n = _order_exponent.__wrapped__(200)
+    assert time.perf_counter() - start < 2
+    assert n % (2 ** 8 * 199) == 0 and n % 512 and n % 211

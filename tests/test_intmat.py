@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from crystpres.intmat import (
     frac_rows,
+    gf2_reduce,
     hnf,
     hnf_with_transform,
     identity_matrix,
+    independent,
     left_kernel,
     mat_inverse_frac,
     mat_mul_int,
@@ -21,6 +23,8 @@ from crystpres.intmat import (
     solve_in_rowspan,
     vec_mat,
 )
+
+from test_pipeline import _gf2_rank
 
 _entries = st.integers(min_value=-6, max_value=6)
 
@@ -247,3 +251,39 @@ def test_scale_to_int_is_the_two_step_form(rows):
     rows, den = scale_to_int(rows)
     assert (rows, den) == old
     assert all(type(x) is int for row in rows for x in row + (den,))
+
+
+_echelon_entries = st.one_of(
+    st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 5).flatmap(lambda m: st.lists(
+    st.lists(_echelon_entries, min_size=m, max_size=m).map(tuple),
+    min_size=1, max_size=4).flatmap(lambda pool: st.lists(
+        st.sampled_from(pool + [(0,) * m]), max_size=8))))
+def test_independent_keeps_the_rows_that_raise_the_rank(rows):
+    """Int and Fraction rows, zero rows and repeats: a row is kept iff it
+    raises the HNF rank of the rows before it."""
+    kept = []
+    for k, row in enumerate(rows):
+        before = len(kept)
+        rank = len(hnf(scale_to_int(rows[:k + 1])[0]))
+        assert independent(kept, row) == (rank > before)
+        assert len(kept) == rank
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 2 ** 10 - 1), max_size=14),
+       st.integers(0, 2 ** 10 - 1))
+def test_gf2_reduce_builds_a_basis_of_the_span(rows, row):
+    """Rows inserted as they reduce give a basis of the GF(2) rank of
+    the rows; a row reduces to 0 iff it lies in their span."""
+    basis = {}
+    for r in rows:
+        if r := gf2_reduce(basis, r):
+            basis[r.bit_length()] = r
+    assert len(basis) == _gf2_rank(rows)
+    assert not any(gf2_reduce(basis, r) for r in rows)
+    in_span = _gf2_rank(rows + [row]) == _gf2_rank(rows)
+    assert (gf2_reduce(basis, row) == 0) == in_span

@@ -44,7 +44,8 @@ from crystpres.netgraph import (_automorphism, _ball, _base_cycles,
 from crystpres.affine import (AffineIsometry, finite_closure, hnf_lattice,
                               inverse)
 from crystpres.intmat import (hnf, hnf_with_transform, identity_matrix,
-                              mat_inverse_frac, mat_vec, solve_hnf, vec_mat)
+                              mat_inverse_frac, mat_vec, scale_to_int,
+                              solve_hnf, vec_mat)
 from crystpres.pipeline import build_extension_data, ndia_generators
 from crystpres.symop import parse_symop
 
@@ -1851,6 +1852,58 @@ def _reframed(g, rng):
         coords[perm[i]] = vec_mat(c, vinv)
     edges = [(perm[a], perm[b], vec_mat(s, vinv)) for a, b, s in g.edges]
     return LabeledQuotientGraph(d, g.n, edges, cell=cell, coords=coords)
+
+
+def _own_bfs_placement(g):
+    """_placement's (pos, steps, inv) with its own breadth-first tree and
+    an HNF rank test per arc, as it was before it read bfs._tree."""
+    n, r = g.n, g.rank
+    lap = [[len(g.adj[v]) * (v == x) - sum(w == x for w, _ in g.adj[v])
+            for x in range(1, n)] for v in range(1, n)]
+    rhs = [[sum(s[k] for _, s in g.adj[v]) for k in range(r)]
+           for v in range(1, n)]
+    inv, den = scale_to_int(mat_inverse_frac(lap))
+    pos = [(0,) * r] + [vec_mat(row, rhs) for row in inv]
+    vec = [[tuple(a + den * b - c for a, b, c in zip(pos[w], s, pos[v]))
+            for w, s in arcs] for v, arcs in enumerate(g.adj)]
+    order, via, steps, basis = [0], {0: None}, {}, []
+    for v in order:
+        if via[v]:
+            steps.setdefault(via[v], False)
+        for i, (w, _) in enumerate(g.adj[v]):
+            if w not in via:
+                via[w] = (v, i)
+                order.append(w)
+            if len(hnf(basis + [vec[v][i]])) > len(basis):
+                basis.append(vec[v][i])
+                steps[v, i] = True
+        if len(basis) == r:
+            break
+    return pos, list(steps.items()), scale_to_int(mat_inverse_frac(basis))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_placement_matches_a_copy_of_its_former_breadth_first_loop(name):
+    """On each bundled net and on seeded relabellings of it (a vertex
+    permutation and a signed permutation times shears for the basis, as
+    perfbench relabels nets, and shifted labels), _placement's pos,
+    steps and basis inverse are those of its former breadth-first loop:
+    _automorphism tries arcs in that order."""
+    g = catalog_load(name)
+    d = g.rank
+    for seed in range(6):
+        rng = random.Random(seed)
+        v = [[rng.choice((1, -1)) * (j == p) for j in range(d)]
+             for p in rng.sample(range(d), d)]
+        for _ in range(d if d > 1 else 0):  # shears keep V unimodular
+            i, j = rng.sample(range(d), 2)
+            c = rng.choice((1, -1))
+            v[i] = [x + c * y for x, y in zip(v[i], v[j])]
+        offsets = [tuple(rng.randrange(-2, 3) for _ in range(d))
+                   for _ in range(g.n)]
+        h = _relabel(g, rng.sample(range(g.n), g.n), offsets, v) if seed else g
+        pos, _, steps, inv, _ = _placement(h)
+        assert (pos, steps, inv) == _own_bfs_placement(h), seed
 
 
 def test_regular_action_is_the_same_in_any_primitive_frame():
