@@ -24,10 +24,9 @@ For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover,
 and the presentation pipeline reads the point group and every G/mT off
 its arcs (_quotient_arcs: letter j steps along arc j; cosets.cover_table).
-Walks that need words or discovery order (the harvest, geodesic words)
-grow their spheres with the one routine _expand, on the cover as
-_word_walk steps it; finite Cayley graphs are cosets.CosetTable
-transversals.
+The one walk that needs words and discovery order, the harvest, grows
+its spheres with _expand, on the cover as _word_walk steps it; finite
+Cayley graphs are cosets.CosetTable transversals.
 """
 
 import math
@@ -36,12 +35,10 @@ from fractions import Fraction
 from itertools import chain, cycle, islice
 from operator import add, mul, sub
 
-from .affine import (AffineIsometry, WalkKernel, _closure, check_finite_order,
-                     inverse)
+from .affine import AffineIsometry, WalkKernel, _closure, check_finite_order
 from .intmat import (hnf, hnf_with_transform, identity_matrix, independent,
                      solve_hnf, vec_mat)
 from .symop import format_symop
-from .words import free_reduce
 
 # Nodes a walk holds, and linear parts a point-group closure lists, at
 # most: each walk reads it once per call, at its check.
@@ -479,26 +476,20 @@ def _harvest(generators, extra):
     return TranslationHarvest(words, lattice_words, closure, adj, radius_used)
 
 
-GeodesicSet = namedtuple("GeodesicSet", "target length count words")
+GeodesicSet = namedtuple("GeodesicSet", "target length count")
 
 
 class TargetUnreachable(RuntimeError):
     pass
 
 
-def geodesics(generators, target, cap, with_words=False, max_words=10000):
-    """Count (and optionally list) the shortest words evaluating to target.
+def geodesics(generators, target, cap):
+    """Count the shortest words evaluating to target.
 
     shell_geodesics on the cover of _cayley_quotient, from the identity
     to target's node: its paths spell the words of target^-1, whose
     inverses are target's words, so lengths and counts agree.  A target
-    outside G raises TargetUnreachable before any walk.  The words walk
-    the same cover (_word_walk) to the length already known, through
-    the nodes that its CoverCode.within keeps within the arcs left of
-    the node of target^-1, then read back depth first from that node.
-    Every node on a geodesic passes and keeps its distance, and a
-    neighbour one closer to 1 of such a node is on a geodesic too, so
-    the words and their order are those of the whole ball.
+    outside G raises TargetUnreachable before any walk.
     """
     if not isinstance(target, AffineIsometry):
         target = AffineIsometry.from_translation([Fraction(t) for t in target])
@@ -512,35 +503,7 @@ def geodesics(generators, target, cap, with_words=False, max_words=10000):
                             (elements.index(rep), shift), cap)
     if found is None:
         raise TargetUnreachable(f"target not reached within length cap {cap}")
-    if not with_words:
-        return GeodesicSet(target, *found, None)
-    length = found[0]
-    # one radius more: the read-back looks one arc past target^-1
-    cover, neighbours, move = _word_walk(adj, length + 1)
-    rep, shift = reduce(kernel.encode(inverse(target)))
-    within, dist = cover.within, {0: (0, 0)}
-
-    def ahead(p):
-        left = length - dist[p][0] - 1
-        return [(x, q) for x, q in neighbours(p)
-                if within(cover.decode(q)[1], shift, left)]
-
-    for _ in _expand(ahead, dist, length):
-        pass
-    # depth first, with no recursion
-    words, stack = [], [(cover.encode(elements.index(rep), shift), ())]
-    while stack and len(words) < max_words:
-        h, suffix = stack.pop()
-        r = dist[h][0]
-        if r == 0:
-            words.append(free_reduce(suffix))
-            continue
-        # pushed in reverse, so the letters are tried in walk order
-        for x in reversed(move):
-            g = move[-x](h)
-            if dist.get(g, (None,))[0] == r - 1:
-                stack.append((g, (x,) + suffix))
-    return GeodesicSet(target, *found, words)
+    return GeodesicSet(target, *found)
 
 
 def lattice_geodesic_count(vector):

@@ -477,7 +477,7 @@ def main(argv=None):
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except (PipelineError, GraphError, BallBoundExceeded,
-            TargetUnreachable, WordSyntaxError) as exc:
+            TargetUnreachable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -32,6 +32,7 @@ from itertools import count, islice, product
 from math import prod
 from operator import add, sub
 
+from . import bfs
 from .affine import AffineIsometry, finite_closure, hnf_lattice
 from .bfs import (BallBoundExceeded, CoverCode, FiniteGroup, _cayley_quotient,
                   _tree, shell_geodesics, shell_sizes)
@@ -404,7 +405,9 @@ def quotient_by_sublattice(g, vectors):
     carries a cell matrix, otherwise directly in the primitive basis.
     The result has periodicity rank reduced by the number of vectors;
     torsion in the quotient lattice multiplies the vertex count.  Loops
-    or parallel edges in the result raise QuotientNotSimple.
+    or parallel edges in the result raise QuotientNotSimple; more than
+    bfs.DEFAULT_MAX_ELEMENTS vertices raise BallBoundExceeded before any
+    is built.
     """
     prim = [g.conventional_to_primitive(v) for v in vectors]
     if not prim:
@@ -416,13 +419,17 @@ def quotient_by_sublattice(g, vectors):
         raise GraphError(str(exc)) from exc
     if g.rank - k < 1:
         raise GraphError("quotient would not be periodic")
+    written = ";".join(map(_vector_text, vectors))
+    n, bound = g.n * prod(diag), bfs.DEFAULT_MAX_ELEMENTS
+    if n > bound:
+        raise BallBoundExceeded(
+            f"quotient by {written} has {n} vertices, more than {bound}")
     combos = list(product(*map(range, diag)))
     combo_index = {c: i for i, c in enumerate(combos)}
 
     def vertex_id(v, tors):
         return v * len(combos) + combo_index[tors]
 
-    written = ";".join(map(_vector_text, vectors))
     edges = set()
     for u, v, s in g.edges:
         y = mat_vec(u_mat, s)  # k torsion coordinates, then the free ones
@@ -441,8 +448,7 @@ def quotient_by_sublattice(g, vectors):
     name = None
     if g.name:
         name = f"{g.name}/{','.join(str(v) for v in vectors)}"
-    return LabeledQuotientGraph(g.rank - k, g.n * len(combos), sorted(edges),
-                                name=name)
+    return LabeledQuotientGraph(g.rank - k, n, sorted(edges), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -266,10 +266,11 @@ def present(generators, verify_orders=(2, 3), max_cosets=DEFAULT_MAX_COSETS):
     the m-th lattice powers plus the candidate present a larger group;
     if so its check at m could only overflow or fail, and it fails at
     once.  The powers lead every call, so a refuter reduces them once.
-    The least m always gets such a refuter, which spares the trials that
-    overflow; a larger m only when its rows are narrow, N(k - 1) + 1 bits
-    (N = |G/mT|, k generators) at most the prune cap over N, wider rows
-    costing more to eliminate than the enumeration they would spare.
+    A table of N = |G/mT| cosets is built only if N is at most the prune
+    cap.  Then the least m always gets such a refuter, which spares the
+    trials that overflow; a larger m only when its rows are narrow,
+    N(k - 1) + 1 bits (k generators) at most the prune cap over N, wider
+    rows costing more to eliminate than the enumeration they would spare.
     The refuters are asked in increasing m, each built when a trial
     first needs it.
     """
@@ -308,10 +309,10 @@ def present(generators, verify_orders=(2, 3), max_cosets=DEFAULT_MAX_COSETS):
                     max_cosets)
     proven = None  # the relators of the latest trial that passed every m
 
-    # the least m and those whose G/mT rows are narrow
+    # the least m and those whose G/mT rows are narrow, if G/mT fits
     k = len(E.names)
-    refuting = [m for m, n in sorted(expected.items())
-                if m == min(expected) or n * (k - 1) + 1 <= prune_cap // n]
+    refuting = [m for m, n in sorted(expected.items()) if n <= prune_cap and (
+        m == min(expected) or n * (k - 1) + 1 <= prune_cap // n)]
     refuters = {}
 
     def refuted(relators):

@@ -22,14 +22,12 @@ from crystpres.bfs import (
     lattice_geodesic_count,
     odd_cycle_girth,
     _cayley_quotient,
-    _expand,
     _harvest,
-    _word_walk,
     shortest_translation_words,
 )
 from crystpres.netgraph import catalog_load, from_cayley, net_geodesics
 from crystpres.symop import parse_symop
-from crystpres.words import evaluate, free_reduce
+from crystpres.words import evaluate
 
 from conftest import (CORPUS, DOCUMENTS, generating_sets, load_document,
                       load_path)
@@ -228,81 +226,6 @@ def test_geodesics_square_lattice():
     assert g.count == 6188
 
 
-def test_geodesics_with_words():
-    gens = _translations(2)
-    g = geodesics(gens, (2, 2), 10, with_words=True)
-    assert g.count == comb(4, 2)
-    assert len(g.words) == g.count
-    assign = {k + 1: op for k, (_, op) in enumerate(gens)}
-    for w in g.words:
-        assert len(w) == 4
-        assert evaluate(w, assign).translation == (2, 2)
-
-
-def test_geodesic_words_of_a_long_target():
-    # one word of 1,500 letters, listed with no recursion per letter
-    gens = load_document("z1_trivial.json").generators
-    g = geodesics(gens, (1500,), 2000, with_words=True)
-    assert g.count == 1
-    assert g.words == [(1,) * 1500]
-
-
-def test_geodesic_words_keep_their_order_and_cap():
-    gens = _translations(2)
-    words = geodesics(gens, (2, 1), 10, with_words=True).words
-    assert words == [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
-    capped = geodesics(gens, (2, 1), 10, with_words=True, max_words=2)
-    assert capped.words == words[:2]
-
-
-def test_geodesic_words_hold_only_the_nodes_on_geodesics(monkeypatch):
-    # the words' ball grows only through nodes that can still reach the
-    # target in the arcs left: the 121 nodes of the route to (10, 10),
-    # not the 841 of the radius-20 ball
-    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 200)
-    g = geodesics(_translations(2), (10, 10), 20, with_words=True)
-    assert (g.length, g.count) == (20, comb(20, 10))
-    assert len(g.words) == 10000
-
-
-def _unfiltered_geodesic_words(gens, target, length, max_words):
-    """Oracle: the geodesic words read back from the whole ball of the
-    geodesic length, every node of it held."""
-    (kernel, reduce, elements, _), adj = _cayley_quotient(
-        gens, points=[target.translation])
-    cover, neighbours, move = _word_walk(adj, length + 1)
-    dist = {0: (0, 0)}
-    for _ in _expand(neighbours, dist, length):
-        pass
-    rep, shift = reduce(kernel.encode(inverse(target)))
-    words, stack = [], [(cover.encode(elements.index(rep), shift), ())]
-    while stack and len(words) < max_words:
-        h, suffix = stack.pop()
-        r = dist[h][0]
-        if r == 0:
-            words.append(free_reduce(suffix))
-            continue
-        for x in reversed(move):
-            g = move[-x](h)
-            if dist.get(g, (None,))[0] == r - 1:
-                stack.append((g, (x,) + suffix))
-    return words
-
-
-@settings(max_examples=100, deadline=None)
-@given(gens=generating_sets(), data=st.data())
-def test_geodesic_words_are_those_of_the_whole_ball(gens, data):
-    letters = st.integers(1, len(gens)).flatmap(
-        lambda k: st.sampled_from((k, -k)))
-    word = data.draw(st.lists(letters, max_size=7))
-    max_words = data.draw(st.integers(1, 40))
-    target = evaluate(word, {k + 1: op for k, (_, op) in enumerate(gens)})
-    g = geodesics(gens, target, len(word), with_words=True,
-                  max_words=max_words)
-    assert g.words == _unfiltered_geodesic_words(gens, target, g.length,
-                                                 max_words)
-
-
 @settings(max_examples=100, deadline=None)
 @given(gens=generating_sets())
 def test_quotient_arc_j_is_the_inverse_of_letter_j(gens):
@@ -370,6 +293,7 @@ def test_geodesics_target_outside_the_group_answers_without_a_walk(
     ("elv.json", (3, 3, 3), (8, 4)),
     ("hcb_p6.json", (6, 6), (24, 337408)),
     ("gis_i41a.json", (3, 3, 3), (48, 841295344592)),
+    ("z1_trivial.json", (150,), (150, 1)),
 ])
 def test_far_target_geodesics(source, target, expected):
     if source.endswith(".json"):

@@ -548,15 +548,12 @@ def test_net_walks_stop_at_the_element_bound(monkeypatch):
         net_geodesics(pcu, (10, 10, 0))
 
 
-def test_geodesic_words_walk_stops_at_the_element_bound(monkeypatch):
-    """hcb_p6 to (3, 3): the count holds fewer than 100 nodes, and the
-    word walk stops past 100."""
+def test_geodesic_count_holds_fewer_nodes_than_the_element_bound(
+        monkeypatch):
+    """hcb_p6 to (3, 3): the count walk holds fewer than 100 nodes."""
     gens = load_document("hcb_p6.json").generators
     monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 100)
     assert geodesics(gens, (3, 3), 40)[1:3] == (12, 416)
-    with pytest.raises(BallBoundExceeded,
-                       match="^ball exceeded 100 elements at radius 9$"):
-        geodesics(gens, (3, 3), 40, with_words=True)
 
 
 def test_from_cayley_closure_stops_at_the_element_bound(monkeypatch):
@@ -1364,6 +1361,21 @@ def test_quotient_errors():
     dia = catalog_load("dia")
     with pytest.raises(GraphError):  # not in the primitive lattice
         quotient_by_sublattice(dia, [(Fraction(1, 3), 0, 0)])
+
+
+def test_quotient_past_the_element_bound_is_refused_before_it_is_built(
+        monkeypatch):
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 5)
+    sql, hcb = catalog_load("sql"), catalog_load("hcb")
+    assert quotient_by_sublattice(sql, [(5, 0)]).n == 5
+    monkeypatch.setattr(netgraph, "product", None)  # no torsion list
+    with pytest.raises(BallBoundExceeded,
+                       match="^quotient by 6,0 has 6 vertices, more than 5$"):
+        quotient_by_sublattice(sql, [(6, 0)])
+    # two vertices per hcb cell
+    with pytest.raises(BallBoundExceeded,
+                       match="^quotient by 3,0 has 6 vertices, more than 5$"):
+        quotient_by_sublattice(hcb, [(3, 0)])
 
 
 def test_non_vertex_transitive_symbol():

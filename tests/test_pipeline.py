@@ -452,6 +452,20 @@ def test_refuted_trials_change_no_report(path, monkeypatch):
     assert present(gens).to_dict() == report
 
 
+def test_a_refuter_is_built_only_when_its_table_fits_the_prune_cap(
+        monkeypatch):
+    # |G/1000T| = 6 * 10^6 cosets on hcb_p6, past the prune cap of 10^6:
+    # its trials overflow with or without a refuter
+    def spy(adj, m):
+        assert m == 1, f"G/{m}T built"
+        return cover_table(adj, m)
+
+    monkeypatch.setattr(pipeline, "cover_table", spy)
+    report = present(load_document("hcb_p6.json").generators,
+                     verify_orders=(1000,))
+    assert report.verification["verdict"] == "inconclusive"
+
+
 @pytest.mark.parametrize("name", ["hcb_p6.json", "z2_diagonal_3.json"])
 def test_trials_refuted_at_3_fail_their_enumeration(name, monkeypatch):
     refutes, refuted = SchreierRank.refutes, []

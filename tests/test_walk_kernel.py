@@ -28,7 +28,6 @@ from crystpres.bfs import (
     odd_cycle_girth,
 )
 from crystpres.symop import parse_symop
-from crystpres.words import free_reduce
 
 
 def _letters(n):
@@ -70,7 +69,7 @@ def oracle_ball(generators, radius):
 
 
 def oracle_geodesics(generators, target, cap):
-    """(length, count, words in discovery order) or None if unreached."""
+    """(length, count) or None if unreached."""
     images = _images(generators)
     letters = _letters(len(generators))
     ident = AffineIsometry.identity(target.dimension)
@@ -90,19 +89,7 @@ def oracle_geodesics(generators, target, cap):
         sphere = nxt
     if target not in dist:
         return None
-    words = []
-
-    def back(h, suffix):
-        if dist[h] == 0:
-            words.append(free_reduce(tuple(suffix)))
-            return
-        for x in letters:
-            g = compose(images[-x], h)
-            if dist.get(g) == dist[h] - 1:
-                back(g, [x] + suffix)
-
-    back(target, [])
-    return dist[target], count[target], words
+    return dist[target], count[target]
 
 
 def oracle_girth(generators, marked, cap):
@@ -242,11 +229,8 @@ def test_geodesics_match_oracle(gens, data):
     target = AffineIsometry.identity(gens[0][1].dimension)
     for x in word:
         target = compose(images[x], target)
-    length, count, words = oracle_geodesics(gens, target, len(word))
-    got = geodesics(gens, target, len(word) + 1, with_words=True)
-    assert (got.length, got.count) == (length, count)
-    assert got.words == words
-    assert geodesics(gens, target, len(word) + 1).count == count
+    got = geodesics(gens, target, len(word) + 1)
+    assert (got.length, got.count) == oracle_geodesics(gens, target, len(word))
 
 
 @settings(max_examples=30, deadline=None)
