@@ -24,9 +24,9 @@ For a group the quotient is _cayley_quotient (netgraph.from_cayley
 reads it as a net); the odd-cycle girth walks its parity double cover,
 and the presentation pipeline reads the point group and every G/mT off
 its arcs (_quotient_arcs: letter j steps along arc j; cosets.cover_table).
-The one walk that needs words and discovery order, the harvest, grows
-its spheres with _expand, on the cover as _word_walk steps it; finite
-Cayley graphs are cosets.CosetTable transversals.
+The one walk that needs words and discovery order, the harvest, holds
+three spheres of CoverCode nodes and each node's first-discovered word;
+finite Cayley graphs are cosets.CosetTable transversals.
 """
 
 import math
@@ -112,59 +112,11 @@ def _quotient_arcs(closure):
             for u in elements]
 
 
-def _expand(neighbours, entries, radius):
-    """Yields spheres 1..radius of a walk that needs words or order.
-
-    `neighbours(g)` lists (letter, h) for the edges leaving state g.
-    `entries` starts as {start: (0, 0)}, maps every state seen so far to
-    (distance, last letter) and grows in place.  Discovery order is
-    frontier order, then the order of `neighbours`.  Past
-    DEFAULT_MAX_ELEMENTS entries: BallBoundExceeded.
-    """
-    bound = DEFAULT_MAX_ELEMENTS
-    sphere = list(entries)
-    for r in range(1, radius + 1):
-        frontier, sphere = sphere, []
-        for g in frontier:
-            for x, h in neighbours(g):
-                if h in entries:
-                    continue
-                if len(entries) >= bound:
-                    raise BallBoundExceeded(
-                        f"ball exceeded {bound} elements at radius {r}")
-                entries[h] = (r, x)
-                sphere.append(h)
-        yield sphere
-
-
-def _word(move, entries, h):
-    """The first-discovered shortest word reaching state h."""
-    letters = []
-    while True:
-        dist, x = entries[h]
-        if dist == 0:
-            return tuple(reversed(letters))
-        letters.append(x)
-        h = move[-x](h)
-
-
-def _word_walk(adj, radius):
-    """(cover, neighbours, move) of the words' walk on CoverCode(adj,
-    radius), adj from _quotient_arcs, for _expand and _word: the j-th
-    letter in walk order steps along arc j.  Node (0, c) is t_c^-1."""
-    cover = CoverCode(adj, radius)
-    letters = [x for k in range(1, len(adj[0]) // 2 + 1) for x in (k, -k)]
-    n, arcs = cover.n, [[(x, d) for x, (_, d) in zip(letters, out)]
-                        for out in cover.steps]
-    move = {x: (lambda p, j=j: p + arcs[p % n][j][1])
-            for j, x in enumerate(letters)}
-    return cover, (lambda p: [(x, p + d) for x, d in arcs[p % n]]), move
-
-
 class CoverCode:
     """Cover nodes within `radius` edges of cell 0, packed into ints, for
     walks that keep something per node: shell_sizes' slots (bitsets),
-    shell_geodesics' path counts and the numbering of netgraph._ball.
+    shell_geodesics' path counts, the harvest's words and the numbering
+    of netgraph._ball.
 
     adj[v] lists the arcs (w, shift) leaving quotient vertex v, n =
     len(adj); the rank is read off any arc, as a vertex off the walk's
@@ -418,10 +370,12 @@ class TranslationHarvest:
 def shortest_translation_words(generators):
     """Harvest shortest words with identity linear part from the Cayley ball.
 
-    T comes exactly from the closure of _cayley_quotient, whose cover
-    the walk runs on (_word_walk).  Sphere by sphere, the walk appends
-    each translation's first-discovered shortest word to `words`, sorted
-    by word within the sphere.  One span, the integer HNF of the
+    T comes exactly from the closure of _cayley_quotient, on whose
+    cover the walk holds three spheres {node: first-discovered word}
+    (arc j ^ 1 reverses arc j, so a sphere's neighbours lie in it or the
+    spheres beside it); a new node gets the word of the node that first
+    reaches it plus the arc's letter.  Each sphere's translations join
+    `words`, sorted by word.  One span, the integer HNF of the
     coordinates in T spanned so far, takes in each vector until it is
     Z^rank; a word that grows it is a lattice word.
     The lattice words and the closure are final at the first sphere
@@ -445,18 +399,30 @@ def _harvest(generators, extra):
     if not lattice.rank:
         raise FiniteGroup(len(elements))
     radius = 2 * len(elements) - 1 + extra
-    cover, neighbours, move = _word_walk(adj, radius)
+    bound = DEFAULT_MAX_ELEMENTS
+    cover, n = CoverCode(adj, radius), len(adj)
+    letters = [x for k in range(1, len(adj[0]) // 2 + 1) for x in (k, -k)]
+    steps = [list(zip(letters, (d for _, d in out))) for out in cover.steps]
     # node (0, c) is the translation by -c in T, each found once
     basis = [[-int(x * kernel.scale) for x in row] for row in lattice.basis]
     target = identity_matrix(lattice.rank)
-    entries = {0: (0, 0)}
     words, lattice_words, span = [], [], ()
     # the last sphere: `extra` after the first to span T
     stop = 1 + extra
-    spheres = _expand(neighbours, entries, radius)
-    for radius_used, sphere in enumerate(spheres, 1):
-        for w, p in sorted((_word(move, entries, p), p)
-                           for p in sphere if p % cover.n == 0):
+    prev, sphere, total = {}, {0: ()}, 1
+    for radius_used in range(1, radius + 1):
+        nxt = {}
+        for p, w in sphere.items():
+            for x, d in steps[p % n]:
+                q = p + d
+                if q not in nxt and q not in sphere and q not in prev:
+                    nxt[q] = w + (x,)
+        total += len(nxt)
+        if total > bound:
+            raise BallBoundExceeded(
+                f"ball exceeded {bound} elements at radius {radius_used}")
+        prev, sphere = sphere, nxt
+        for w, p in sorted((w, p) for p, w in sphere.items() if p % n == 0):
             c = cover.decode(p)[1]
             words.append((w, tuple(Fraction(x, kernel.scale)
                                    for x in vec_mat(c, basis))))

@@ -26,7 +26,7 @@ class DocumentError(ValueError):
 
 
 def _variable_index(name, dimension):
-    if name.startswith("x") and name[1:].isdigit():
+    if name.startswith("x") and name[1:].isascii() and name[1:].isdigit():
         idx = int(name[1:]) - 1
         if 0 <= idx < dimension:
             return idx
@@ -47,14 +47,14 @@ def _tokenize(text):
         if ch in "+-,*":
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             num = int(text[i:j])
             if j < len(text) and text[j] == "/":
                 k = j + 1
-                while k < len(text) and text[k].isdigit():
+                while k < len(text) and "0" <= text[k] <= "9":
                     k += 1
                 if k == j + 1:
                     raise SymopSyntaxError("expected denominator", j + 1)

@@ -329,7 +329,7 @@ def parse_word(text, names):
             inverse = text.startswith("-", pos + 1)
             pos += 1 + inverse
             j = pos
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             if j == pos:
                 raise WordSyntaxError(f"expected exponent in {text!r}")

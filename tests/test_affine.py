@@ -25,10 +25,10 @@ from crystpres.affine import (
     inverse,
     minkowski_bound,
 )
-from crystpres.bfs import _expand
 from crystpres.symop import parse_symop
 
 from conftest import fraction_closure
+from walk_oracles import _expand
 
 
 def _signed_perm(dim):

@@ -209,6 +209,20 @@ def test_harvest_words_are_the_first_discovered_ones_of_the_ball(gens):
     assert h.words == [e for e in expected if len(e[0]) <= h.radius_used]
 
 
+def test_harvest_element_bound(elv, monkeypatch):
+    # the ball counts against DEFAULT_MAX_ELEMENTS: the first radius past
+    # it raises, and a harvest that stops before it returns
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 100)
+    with pytest.raises(BallBoundExceeded) as raised:
+        _harvest(elv.generators, 0)
+    assert str(raised.value) == "ball exceeded 100 elements at radius 4"
+    monkeypatch.setattr(bfs, "DEFAULT_MAX_ELEMENTS", 300)
+    assert _harvest(elv.generators, 0).radius_used == 4
+    with pytest.raises(BallBoundExceeded) as raised:
+        _harvest(elv.generators, 3)
+    assert str(raised.value) == "ball exceeded 300 elements at radius 5"
+
+
 def test_harvest_trivial_group():
     gens = [("a", parse_symop("1+x", 1))]
     h = shortest_translation_words(gens)
@@ -268,7 +282,6 @@ def test_geodesics_target_outside_the_group_answers_without_a_walk(
     def no_walk(*args, **kwargs):
         raise AssertionError("walked")
 
-    monkeypatch.setattr("crystpres.bfs._expand", no_walk)
     monkeypatch.setattr("crystpres.bfs.shell_geodesics", no_walk)
     p2 = _translations(2) + [("c", parse_symop("-x, -y", 2))]
     start = time.perf_counter()

@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crystpres import cosets, pipeline, words
-from crystpres.bfs import LatticeNotFound, _expand, _word
+from crystpres.bfs import LatticeNotFound
 from crystpres.cosets import (
     CosetTable,
     ModelNotClosed,
@@ -29,6 +29,7 @@ from crystpres.words import (
 
 from conftest import (DOCUMENTS, coset_table, generating_sets, load_document,
                       load_path, sympy_order)
+from walk_oracles import _expand, _word
 
 
 def _pres(names, relator_texts):

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crystpres import bfs, netgraph
-from crystpres.bfs import (BallBoundExceeded, FiniteGroup, _expand,
+from crystpres.bfs import (BallBoundExceeded, FiniteGroup,
                            coordination_sequence, geodesics, shell_sizes)
 from crystpres.netgraph import (
     HORTON_BIT_BUDGET,
@@ -50,6 +50,7 @@ from crystpres.pipeline import build_extension_data, ndia_generators
 from crystpres.symop import parse_symop
 
 from conftest import CORPUS, RING_GOLDENS, cover_bfs, load_document
+from walk_oracles import _expand
 
 BUNDLED = ["dia", "gis", "hcb", "nbo", "pcu", "qtz", "sql", "srs", "ths"]
 

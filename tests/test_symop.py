@@ -55,6 +55,19 @@ def test_syntax_errors_carry_position():
         parse_symop("x, y, w", 3)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("²+x, y", "unexpected character '²' (at position 0)"),
+    ("x²+1, y", "unknown variable 'x²' (at position 0)"),
+    ("x١, y", "unknown variable 'x١' (at position 0)"),
+    ("1/²+x, y", "expected denominator (at position 2)"),
+    ("٣/2+x, y", "unexpected character '٣' (at position 0)"),
+])
+def test_numbers_and_variable_indices_are_ascii_digits(text, message):
+    with pytest.raises(SymopSyntaxError) as raised:
+        parse_symop(text, 2)
+    assert str(raised.value) == message
+
+
 def test_matrix_document_agrees_with_xyz():
     doc = parse_generating_set(
         {

@@ -21,13 +21,13 @@ from crystpres.bfs import (
     BallBoundExceeded,
     TargetUnreachable,
     WalkKernel,
-    _expand,
-    _word,
     coordination_sequence,
     geodesics,
     odd_cycle_girth,
 )
 from crystpres.symop import parse_symop
+
+from walk_oracles import _expand, _word
 
 
 def _letters(n):

@@ -54,6 +54,13 @@ def test_parse_word_forms():
         parse_word("a^", NAMES)
 
 
+@pytest.mark.parametrize("text", ["a^²", "a^٣", "a^-²", "(ab)^1²"])
+def test_parse_word_exponents_are_ascii_digits(text):
+    # a superscript or another script's digit is no exponent digit
+    with pytest.raises(WordSyntaxError, match="expected exponent|unexpected"):
+        parse_word(text, NAMES)
+
+
 def test_parse_word_bounds_its_expansion():
     assert parse_word("a^1000000", NAMES) == (1,) * MAX_WORD_LETTERS
     assert parse_word("[a^250000,b^250000]", NAMES)[-1] == 2
