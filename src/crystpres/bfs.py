@@ -13,11 +13,17 @@ Every walk runs on the periodic cover of a labelled quotient graph,
 for a group built on the integer element codes of affine.WalkKernel
 (an interned linear part plus N times the translation, N also covering
 any target the walk must recognise); elements are converted to and
-from AffineIsometry only at the API boundary.  Sizes walk the cover
-breadth first from one node (shell_sizes) in a reduced frame (_frame,
-on the spanning tree of _tree that validates and places nets), on int
-bitsets per slot, a packed int node (CoverCode) of the coordinates past
-the bitsets' box; lengths and path counts walk it two spheres at a time
+from AffineIsometry only at the API boundary.
+
+The reverse-arc rule: every arc of a walked cover has its reverse (a
+net lists each edge both ways; arc j ^ 1 of a Cayley quotient reverses
+arc j), so the neighbours N(S_r) of sphere S_r lie in S_(r-1), S_r and
+S_(r+1), and S_(r+1) is N(S_r) minus S_r and S_(r-1).  No walk holds
+its ball: sizes walk the cover breadth first from one node
+(shell_sizes) on three spheres, in a reduced frame (_frame, on the
+spanning tree of _tree that validates and places nets), on int bitsets
+per slot, a packed int node (CoverCode) of the coordinates past the
+bitsets' box; lengths and path counts walk it two spheres at a time
 from both ends of a route (shell_geodesics), on CoverCode nodes that
 carry path counts.
 For a group the quotient is _cayley_quotient (netgraph.from_cayley
@@ -233,19 +239,17 @@ def shell_sizes(adj, base, radius):
     """Sphere sizes |S_0|, ..., |S_radius| about node (base, 0) of the
     cover of adj, breadth first in _frame(adj, base).  A slot is the
     CoverCode(radius `box`) node of vertex v and the c_i past the m-th,
-    m = 3 or the rank if lower.  It holds int bitsets over a box of the
-    first m: its sphere, and U, its nodes not yet reached (the box for a
-    slot never reached): S_(r+1) = N(S_r) & U, then U ^= S_(r+1).  Every
-    arc has its reverse, so N(S_j) meets distances j - 1 to j + 1 only: a
-    slot leaves U two rounds after U runs out on it, and a walk whose
-    slots are one node holds three spheres, not its ball.  The box is
-    what walks of `box` = min(radius, 64) arcs reach, read off the first
-    rounds of _box_reach once they repeat; it doubles and the walk
-    starts over while radius > box.  m drops while the box passes 64
-    bits a node of the ball it can hold (bound = DEFAULT_MAX_ELEMENTS
-    nodes at most, and arcs^r at radius r); at m = 0 (a line, or m
-    dropped) the box is one bit, and box = radius.  Raises
-    BallBoundExceeded once the ball passes the bound.
+    m = 3 or the rank if lower, and per sphere it holds an int bitset
+    over a box of the first m.  The walk holds three spheres by the
+    module's reverse-arc rule: S_(r+1) is N(S_r) minus the bits of S_r
+    and S_(r-1), slot by slot.  The box is what walks of `box` =
+    min(radius, 64) arcs reach, read off the first rounds of _box_reach
+    once they repeat; it doubles and the walk starts over while radius
+    > box.  m drops while the box passes 64 bits a node of the ball it
+    can hold (bound = DEFAULT_MAX_ELEMENTS nodes at most, and arcs^r at
+    radius r); at m = 0 (a line, or m dropped) the box is one bit, and
+    box = radius.  Raises BallBoundExceeded once the ball passes the
+    bound.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -268,10 +272,7 @@ def shell_sizes(adj, base, radius):
         steps = [[(dp, sum(map(mul, c, strides)))
                   for (_, dp), (_, c) in zip(packed, out)]
                  for packed, out in zip(cover.steps, frame)]
-        full = (1 << math.prod(extent[:m])) - 1
-        sphere = {base: 1 << sum(map(mul, low, strides))}
-        unseen = {base: full ^ sphere[base]}
-        emptied = [[], []]  # slots that U ran out on one and two rounds ago
+        prev, sphere = {}, {base: 1 << sum(map(mul, low, strides))}
         sizes, total = [1], 1
         for r in range(1, min(radius, box) + 1):
             nxt = {}
@@ -279,16 +280,9 @@ def shell_sizes(adj, base, radius):
                 for dp, d in steps[p % n]:
                     nxt[p + dp] = nxt.get(p + dp, 0) | (
                         bits << d if d >= 0 else bits >> -d)
-            sphere, done = {}, []
             for p, bits in nxt.items():
-                left = unseen.get(p, full)
-                if bits := bits & left:
-                    sphere[p], unseen[p] = bits, left ^ bits
-                    if bits == left:
-                        done.append(p)
-            for p in emptied.pop():
-                del unseen[p]
-            emptied.insert(0, done)
+                nxt[p] = bits ^ (bits & (sphere.get(p, 0) | prev.get(p, 0)))
+            prev, sphere = sphere, {p: bits for p, bits in nxt.items() if bits}
             sizes.append(sum(map(int.bit_count, sphere.values())))
             total += sizes[-1]
             if total > bound:
@@ -304,12 +298,12 @@ def shell_geodesics(adj, start, goal, radius):
     to node goal, both (v, shift), or None past radius; None at once for
     a goal out of the box radius arcs span (CoverCode.within), which also
     keeps the CoverCode(adj, radius) codes of both ends' nodes distinct.
-    Each end holds two spheres {code: path count}, as all arcs have their
-    reverse (S_(a+1) is N(S_a) minus S_a and S_(a-1), and paths into goal
-    are paths out of it); the smaller grows.  The first new S_a to meet
-    the other end's S_b gives a + b; each geodesic crosses S_a once, so
-    the count sums f(x) b(x) over the meet.  Past DEFAULT_MAX_ELEMENTS
-    held nodes, it raises BallBoundExceeded."""
+    Each end holds two spheres {code: path count}, by the module's
+    reverse-arc rule (which also makes paths into goal paths out of it);
+    the smaller grows.  The first new S_a to meet the other end's S_b
+    gives a + b; each geodesic crosses S_a once, so the count sums f(x)
+    b(x) over the meet.  Past DEFAULT_MAX_ELEMENTS held nodes, it raises
+    BallBoundExceeded."""
     if start == goal:
         return 0, 1
     cover = CoverCode(adj, radius)
@@ -372,12 +366,11 @@ def shortest_translation_words(generators):
 
     T comes exactly from the closure of _cayley_quotient, on whose
     cover the walk holds three spheres {node: first-discovered word}
-    (arc j ^ 1 reverses arc j, so a sphere's neighbours lie in it or the
-    spheres beside it); a new node gets the word of the node that first
-    reaches it plus the arc's letter.  Each sphere's translations join
-    `words`, sorted by word.  One span, the integer HNF of the
-    coordinates in T spanned so far, takes in each vector until it is
-    Z^rank; a word that grows it is a lattice word.
+    by the module's reverse-arc rule; a new node gets the word of the
+    node that first reaches it plus the arc's letter.  Each sphere's
+    translations join `words`, sorted by word.  One span, the integer
+    HNF of the coordinates in T spanned so far, takes in each vector
+    until it is Z^rank; a word that grows it is a lattice word.
     The lattice words and the closure are final at the first sphere
     that spans T, where the presentation pipeline's harvest stops
     (_harvest with no extra spheres); this walk goes on for

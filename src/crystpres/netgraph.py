@@ -6,8 +6,8 @@ its endpoints' cells.  Covers are explored lazily, so coordination
 sequences, ring searches and sublattice quotients all work directly on
 the finite description.
 
-Coordination sequences (bfs.shell_sizes, a sphere and an unvisited int
-bitset per CoverCode slot) and geodesic counts (bfs.shell_geodesics, two
+Coordination sequences (bfs.shell_sizes, three spheres of int bitsets
+per CoverCode slot) and geodesic counts (bfs.shell_geodesics, two
 spheres from both ends) stop at the element bound of their group twins.
 Geodesic counts and the ring-search ball (_ball, numbered in one
 breadth-first pass) run on packed int nodes (bfs.CoverCode), decoded to
@@ -145,11 +145,11 @@ class LabeledQuotientGraph:
 
     def _validate_connected(self):
         # the cover is connected iff the quotient is and the cycle
-        # shifts of bfs._tree span Z^rank
+        # shifts of bfs._tree span Z^rank: the HNF of the distinct ones
         t, arcs, _ = _tree(self.adj, 0)
         if None in t:
             raise GraphError("quotient graph is disconnected")
-        span = hnf([s for out in arcs for _, s in out if any(s)])
+        span = hnf({s for out in arcs for _, s in out if any(s)})
         if len(span) != self.rank:
             raise GraphError("cycle shifts do not span the lattice")
         if span != identity_matrix(self.rank):

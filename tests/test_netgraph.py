@@ -207,6 +207,16 @@ def test_validator_matches_the_depth_first_oracle(case):
             == _validation_outcome(_ParentValidated, *case))
 
 
+def test_validation_reduces_each_cycle_shift_once(monkeypatch):
+    """A tube of 10^4 vertices has 2 * 10^4 cycle arcs but two distinct
+    nonzero shifts, +-1: the validating HNF gets one row per shift."""
+    sql, rows = catalog_load("sql"), []
+    monkeypatch.setattr(netgraph, "hnf",
+                        lambda shifts: rows.append(len(shifts)) or hnf(shifts))
+    assert quotient_by_sublattice(sql, [(10000, 0)]).n == 10000
+    assert rows == [2]
+
+
 def test_coordination_sequences():
     pcu = catalog_load("pcu")
     assert net_coordination_sequence(pcu, 0, 5) == [1, 6, 18, 38, 66, 102]
@@ -639,9 +649,8 @@ def test_elv_walk_never_holds_its_ball():
 
 
 def test_line_walk_never_holds_its_ball():
-    """A line at radius 5,000: each slot is one node, dropped two rounds
-    after it is reached, so the walk holds three spheres, under 0.25 MiB
-    (the sizes list included)."""
+    """A line at radius 5,000: each slot is one node and the walk holds
+    three spheres, under 0.25 MiB (the sizes list included)."""
     gens = load_document("z1_trivial.json").generators
     tracemalloc.start()
     try:
@@ -653,12 +662,33 @@ def test_line_walk_never_holds_its_ball():
     assert peak < 1 << 18
 
 
+# ROADMAP item 15's fuzz case c1: |P| = 192, 192 quotient vertices, rank 4
+C1_XYZ = ["-x, 1/4+y, 1/3+z, 1+w", "-w, -z, 1+y, x", "z, -1-y, 1/2-w, x",
+          "-1+y, w, -z, x"]
+
+
+def test_c1_walk_holds_three_spheres_of_slots():
+    """c1 at radius 5 under 64 MiB: each held slot's sphere is a bitset
+    spanning its box, so the walk holds three spheres of slots and no
+    other bitset per slot."""
+    gens = [(name, parse_symop(xyz, 4)) for name, xyz in zip("abcd", C1_XYZ)]
+    tracemalloc.start()
+    try:
+        sizes = coordination_sequence(gens, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [1, 8, 55, 371, 2502, 16818]
+    assert peak < 64 << 20
+
+
 @pytest.mark.parametrize("d, radius, last", [
-    (4, 30, 72160), (5, 20, 216002), (6, 12, 142000)])
+    (3, 100, 40002), (4, 30, 72160), (5, 20, 216002), (6, 12, 142000)])
 def test_hypercubic_shells_are_the_closed_form(d, radius, last):
     """Z^d with unit steps, |S_r| = sum_k 2^k C(d, k) C(r - 1, k - 1):
-    one, two and three coordinates past the box's three are packed into
-    the slots."""
+    Z^3 walks past its first box (64 arcs) into a second (100), and one,
+    two and three coordinates past the box's three are packed into the
+    slots."""
     adj = [[(0, tuple(sign * (i == j) for j in range(d)))
             for i in range(d) for sign in (1, -1)]]
     sizes = shell_sizes(adj, 0, radius)
